@@ -18,6 +18,10 @@ from .errors import NoConvergence
 
 _NODES = 16
 _X16, _W16 = np.polynomial.legendre.leggauss(_NODES)
+# Integrand points one composite pass may evaluate.  A divergent integral
+# never stabilizes, and each doubling doubles the pass's memory; this
+# budget (about 64 MB per float array of points) stops it first.
+MAX_PASS_POINTS = 1 << 23
 
 
 def panel_values(func: Callable[[np.ndarray], np.ndarray],
@@ -46,18 +50,19 @@ def adaptive_panels(func: Callable[[np.ndarray], np.ndarray],
                     b: float,
                     breakpoints: Iterable[float] = (),
                     rel_tol: float = 1e-12,
-                    abs_floor: float = 0.0,
-                    max_doublings: int = 22) -> float:
+                    abs_floor: float = 0.0) -> float:
     """Integrate func over [a, b], doubling panels until stable.
 
     breakpoints inside (a, b) seed the initial panel edges.  abs_floor
     guards the convergence test for integrals that are legitimately ~0:
-    agreement is measured against max(|I|, abs_floor).
+    agreement is measured against max(|I|, abs_floor).  Raises
+    NoConvergence where the next doubling would evaluate more than
+    MAX_PASS_POINTS integrand points in one pass.
     """
     interior = sorted(x for x in breakpoints if a < x < b)
     edges = np.array([a, *interior, b], dtype=float)
     prev = panel_values(func, edges)
-    for _ in range(max_doublings):
+    while 2 * (edges.size - 1) * _NODES <= MAX_PASS_POINTS:
         edges = _refine(edges)
         cur = panel_values(func, edges)
         if abs(cur - prev) <= rel_tol * max(abs(cur), abs_floor):
@@ -65,7 +70,7 @@ def adaptive_panels(func: Callable[[np.ndarray], np.ndarray],
         prev = cur
     raise NoConvergence(
         f"quadrature did not stabilize to rel_tol={rel_tol:g} "
-        f"after {max_doublings} panel doublings")
+        f"within {MAX_PASS_POINTS} integrand points per pass")
 
 
 def sign_change_points(func: Callable[[np.ndarray], np.ndarray],

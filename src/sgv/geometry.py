@@ -401,7 +401,18 @@ def _segment_lengths(m: Manifold, t0, t1, dtheta: float) -> np.ndarray:
 
 
 def _graph_diameter_once(m: Manifold, mt: int) -> float:
-    """Max graph distance from one meridian of sources (exact by symmetry)."""
+    """Max graph distance from one meridian of sources (exact by symmetry).
+
+    For n = 2 the graph is searched folded by the reflection
+    sigma: (i, j) -> (i, -j mod mth), on the columns j = 0 .. mth // 2.
+    The fold is exact, to the last bit: sigma maps stencil edges to
+    stencil edges of bitwise equal weight (`_segment_lengths` sees the
+    angular step only through its square), and it fixes every source
+    (i, 0) and both poles.  So every path of the folded graph lifts to a
+    path of the full graph with the same sequence of weights and vice
+    versa (a folded self-loop only lengthens a path), and Dijkstra's
+    distances, hence their max, are the same floats on half the nodes.
+    """
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import dijkstra
 
@@ -423,9 +434,8 @@ def _graph_diameter_once(m: Manifold, mt: int) -> float:
     mth = max(8, int(round(theta_range * f_mean / (L / mt))))
     h_t = L / mt
     h_th = theta_range / mth
-    theta_cols = np.arange(mth) * h_th if theta_wrap else np.linspace(
-        0.0, theta_range, mth + 1)
-    col_count = theta_cols.size
+    # n = 2 keeps the columns 0 .. mth // 2 of the folded circle
+    col_count = mth // 2 + 1 if theta_wrap else mth + 1
 
     def node(i, j):
         return i * col_count + j
@@ -452,7 +462,10 @@ def _graph_diameter_once(m: Manifold, mt: int) -> float:
             valid = (I2 >= 0) & (I2 < row_count)
             I2w = np.clip(I2, 0, row_count - 1)
         if theta_wrap:
-            J2w = J2 % col_count
+            # every edge orbit of sigma has a representative leaving a
+            # kept column; its far end folds back into the kept range
+            J2m = J2 % mth
+            J2w = np.minimum(J2m, mth - J2m)
         else:
             ok = (J2 >= 0) & (J2 < col_count)
             valid &= ok
@@ -485,6 +498,19 @@ def _graph_diameter_once(m: Manifold, mt: int) -> float:
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     wts = np.concatenate(wts)
+    if theta_wrap:
+        # the fold makes self-loops and repeated node pairs; coo_matrix
+        # would sum repeats, so keep each unordered pair once at its
+        # smallest weight
+        lo = np.minimum(rows, cols)
+        hi = np.maximum(rows, cols)
+        keep = lo != hi
+        key = lo[keep] * n_nodes + hi[keep]
+        wts = wts[keep]
+        order = np.lexsort((wts, key))
+        key, first = np.unique(key[order], return_index=True)
+        rows, cols = np.divmod(key, n_nodes)
+        wts = wts[order][first]
     graph = coo_matrix((wts, (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
 
     sources = [node(i, 0) for i in range(row_count)]
@@ -507,6 +533,11 @@ def diameter(m: Manifold, tol: Optional[float] = None,
     met by the bracket width); a bracket that stops improving before
     that is returned with converged=False rather than raised, so sweeps
     over many manifolds degrade gracefully.
+
+    At n = 2 each grid searches the graph folded across theta -> -theta,
+    half the nodes; the reflection is a weight-preserving symmetry of the
+    graph that fixes every source, so hi is the same float as on the
+    full graph (see `_graph_diameter_once`).
     """
     if m.profile.kind == "constant":
         half_l = m.L / 2.0

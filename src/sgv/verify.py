@@ -73,12 +73,14 @@ class SigmaCheck:
 
 
 def check_sigma_bound(m: Manifold, delta: float, p: float,
-                      grids: Sequence[int] = SIGMA_GRIDS) -> SigmaCheck:
+                      grids: Sequence[int] = SIGMA_GRIDS,
+                      kb: Optional[float] = None) -> SigmaCheck:
     """Measure sigma = sigma_tilde / (tau - 1) and its ceiling margin.
 
     sigma_tilde is Richardson-extrapolated over the grid chain (no order
     gate: for near-flat profiles the grid differences sit at rounding
-    level and extrapolation is a no-op).
+    level and extrapolation is a no-op).  kb is kbar(m, p, 0) when the
+    caller already has it.
     """
     tau = tau_of(delta)
     V = shift_potential(m, delta)
@@ -95,7 +97,8 @@ def check_sigma_bound(m: Manifold, delta: float, p: float,
     else:
         st = vals[-1]
     sigma = st / (tau - 1.0)
-    kb = kbar(m, p, 0.0)
+    if kb is None:
+        kb = kbar(m, p, 0.0)
     return SigmaCheck(sigma=sigma, margin=4.0 * kb - sigma, sigma_tilde=st,
                       tau=tau, kbar=kb, ground=gs, history=tuple(history))
 
@@ -260,7 +263,7 @@ def check_main_theorem(m: Manifold, alpha_target: float, p: float,
     eig = lambda1(m, grids=eig_grids)
     sigma = sigma_margin = j_dev = grad_margin = lam_tilde = None
     try:
-        sc = check_sigma_bound(m, delta, p, grids=sigma_grids)
+        sc = check_sigma_bound(m, delta, p, grids=sigma_grids, kb=kb)
         sigma, sigma_margin = sc.sigma, sc.margin
     except Exception:
         sc = None
@@ -273,8 +276,12 @@ def check_main_theorem(m: Manifold, alpha_target: float, p: float,
         try:
             grad_consts = gradient_constants(li, sigma=max(sigma, 0.0))
             lam_tilde = grad_consts.lambda_tilde(eig.lambda1)
-            grad_margin = check_gradient_estimate(m, delta, grad_consts,
-                                                  eig=eig)
+            # the finest sigma grid is the eigen grid by default; reuse
+            # its ground state then instead of solving it again
+            same = sc.ground.t.size == eig.t.size
+            grad_margin = check_gradient_estimate(
+                m, delta, grad_consts, eig=eig,
+                ground=sc.ground if same else None)
         except Exception:
             grad_margin = None
 

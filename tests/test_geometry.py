@@ -5,7 +5,8 @@ Covers:
 - the exact mean |rho_0| = beta/pi identity of the cosine family
 - integral curvature norms against an independent high-precision quadrature
 - volume closed forms (torus area, 4*pi, 2*pi^2)
-- diameter: exact bracket for flat tori, certified bracket for spheres
+- diameter: exact bracket for flat tori, certified bracket for spheres,
+  and the folded n = 2 graph search against the unfolded graph
 - constructor validation and the p > n/2 exponent gate
 """
 
@@ -24,7 +25,8 @@ from sgv import (
     volume,
 )
 from sgv.errors import BadExponent, BadPoleClosure, NonPositiveWarp
-from sgv.geometry import DIAMETER_SLACK
+from sgv.geometry import (DIAMETER_SLACK, _graph_diameter_once,
+                          _segment_lengths)
 
 TWO_PI = 2.0 * math.pi
 
@@ -281,6 +283,80 @@ def test_unconverged_bracket_is_flagged_not_raised():
     br = diameter(m, max_grid=96)
     assert isinstance(br.converged, bool)
     assert br.hi >= br.lo > 0.0
+
+
+def _unfolded_graph_diameter(m, mt):
+    """Reference n = 2 graph search on the whole circle of columns.
+
+    The 16-neighbour graph of `_graph_diameter_once` as it was before
+    the fold: every column j = 0 .. mth - 1, nothing merged.
+    """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    assert m.n == 2
+    periodic = m.boundary == "periodic"
+    L = m.L
+    if periodic:
+        t_rows = np.arange(mt) * (L / mt)
+    else:
+        t_rows = np.arange(1, mt) * (L / mt)
+    row_count = t_rows.size
+    f_mean = float(np.mean(m.profile.f(np.linspace(0, L, 513))))
+    mth = max(8, int(round(TWO_PI * f_mean / (L / mt))))
+    h_t = L / mt
+    h_th = TWO_PI / mth
+    n_nodes = row_count * mth + (0 if periodic else 2)
+    pole0, pole1 = n_nodes - 2, n_nodes - 1
+    I, J = (g.ravel() for g in np.meshgrid(np.arange(row_count),
+                                            np.arange(mth), indexing="ij"))
+    rows, cols, wts = [], [], []
+    for di, dj in [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (1, -2),
+                   (2, 1), (2, -1)]:
+        I2 = I + di
+        valid = np.ones_like(I2, dtype=bool) if periodic else I2 < row_count
+        a, ja = I[valid], J[valid]
+        b = I2[valid] % row_count
+        jb = (J[valid] + dj) % mth
+        rows.append(a * mth + ja)
+        cols.append(b * mth + jb)
+        wts.append(_segment_lengths(m, t_rows[a], t_rows[a] + di * h_t,
+                                    dj * h_th))
+    if not periodic:
+        for depth in (1, 2):
+            near = (depth - 1) * mth + np.arange(mth)
+            far = (row_count - depth) * mth + np.arange(mth)
+            rows += [np.full(mth, pole0), np.full(mth, pole1)]
+            cols += [near, far]
+            wts += [np.full(mth, t_rows[depth - 1]),
+                    np.full(mth, L - t_rows[row_count - depth])]
+    graph = coo_matrix((np.concatenate(wts),
+                        (np.concatenate(rows), np.concatenate(cols))),
+                       shape=(n_nodes, n_nodes)).tocsr()
+    sources = list(np.arange(row_count) * mth)
+    if not periodic:
+        sources += [pole0, pole1]
+    return float(dijkstra(graph, directed=False, indices=sources).max())
+
+
+def _periodic_spline():
+    ts = np.linspace(0.0, TWO_PI, 17)
+    fs = 1.0 + 0.1 * np.cos(ts) + 0.07 * np.sin(2.0 * ts)
+    return make_manifold("tabulated", L=TWO_PI, ts=ts, fs=fs,
+                         boundary="periodic")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_cosine(beta=1e-3, c=0.2),   # mth 10 (even), then 19 (odd)
+    lambda: make_cosine(beta=0.5, c=1.0),
+    lambda: make_manifold("sine-sphere", n=2, L=2.7),
+    _periodic_spline,
+], ids=["cosine-c0.2", "cosine-c1-b0.5", "sphere-L2.7", "periodic-spline"])
+@pytest.mark.parametrize("mt", [48, 96])
+def test_folded_graph_diameter_equals_unfolded(build, mt):
+    # the fold across theta -> -theta is exact, so the floats are equal
+    m = build()
+    assert _graph_diameter_once(m, mt) == _unfolded_graph_diameter(m, mt)
 
 
 # ===================================================================

@@ -5,9 +5,10 @@
   a-priori window [0, 4 kbar]
 - J bounds and the pointwise gradient certificate
 - residual order study: second-order decay against the converged shift
-- record assembly for the main theorem, sharpness ratios on flat tori
+- record assembly for the main theorem, sharpness ratios on flat tori,
+  and one kbar and one ground state per grid in each record
 - sweep: per-row error capture, determinism across worker counts,
-  and the out-of-hypothesis dumbbell rows
+  the out-of-hypothesis dumbbell rows, and a divergent kbar integral
 """
 
 import math
@@ -28,8 +29,10 @@ from sgv import (
     residual_order_study,
     sweep,
 )
+import sgv._quadrature
+import sgv.verify
 from sgv.errors import Unreachable
-from sgv.verify import shift_potential, tau_of
+from sgv.verify import EIG_GRIDS, SIGMA_GRIDS, shift_potential, tau_of
 
 TWO_PI = 2.0 * math.pi
 
@@ -241,6 +244,38 @@ def test_record_unreachable_propagates():
         check_main_theorem(m, 0.99, 2.0, 2.0, 0.5)
 
 
+def test_record_solves_kbar_once_and_reuses_finest_ground(monkeypatch):
+    calls = {"kbar": 0, "schrodinger_ground": 0}
+
+    def counted(name):
+        inner = getattr(sgv.verify, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(sgv.verify, name, wrapper)
+
+    counted("kbar")
+    counted("schrodinger_ground")
+    m = make_cosine(1e-3, c=0.2)
+    rec = check_main_theorem(m, 0.3, 2.0, 2.0, 0.5)
+    assert calls == {"kbar": 1, "schrodinger_ground": len(SIGMA_GRIDS)}
+
+    # the shared values equal independent computations, bit for bit
+    monkeypatch.undo()
+    sc = check_sigma_bound(m, rec.delta, 2.0)
+    assert rec.sigma_measured == sc.sigma
+    assert rec.sigma_bound_margin == sc.margin
+    assert rec.kbar == sc.kbar
+    li = LedgerInput(n=2, p=2.0, D=rec.diameter_hi, delta=rec.delta,
+                     C_s=2.0, Lambda_rough=0.5)
+    g = gradient_constants(li, sigma=max(sc.sigma, 0.0))
+    eig = lambda1(m, grids=EIG_GRIDS)
+    assert rec.gradient_margin is not None
+    assert rec.gradient_margin == check_gradient_estimate(m, rec.delta, g,
+                                                          eig=eig)
+
+
 # ===================================================================
 # sweep
 # ===================================================================
@@ -316,3 +351,29 @@ def test_sweep_pinched_row_survives_certificate_failure():
     assert rec.sigma_measured is None
     assert rec.J_deviation is None
     assert rec.lambda1 > 0.0
+
+
+def test_sweep_divergent_kbar_row_is_an_error(monkeypatch):
+    # at n = 2 a pole-closed spline with f''(0) != 0 has curvature ~ 1/t
+    # at the pole, so the kbar integral diverges; the quadrature must
+    # stop within its point budget and the row must carry the error
+    largest = [0]
+    inner = sgv._quadrature.panel_values
+
+    def panel_values(func, edges):
+        largest[0] = max(largest[0], 16 * (edges.size - 1))
+        return inner(func, edges)
+    monkeypatch.setattr(sgv._quadrature, "panel_values", panel_values)
+
+    ts = np.linspace(0.0, math.pi, 33)
+    fs = np.sin(ts) * (1.0 + 0.2 * np.sin(ts) ** 2)
+    fs[0] = fs[-1] = 0.0
+    specs = [{"id": "pole-spline", "kind": "tabulated", "L": math.pi,
+              "n": 2, "ts": ts, "fs": fs, "boundary": "pole-closed"}]
+    rows, summary = sweep(specs, 0.3, 2.0, 2.0, 0.5)
+    assert summary["errors"] == 1
+    assert rows[0].record is None
+    assert rows[0].error.startswith("NoConvergence: ")
+    # it stops at the last doubling that fits the budget
+    budget = sgv._quadrature.MAX_PASS_POINTS
+    assert budget // 2 < largest[0] <= budget
