@@ -42,8 +42,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from ._quadrature import adaptive_panels, sign_change_points
-from .errors import (BadExponent, BadPoleClosure, NonPositiveWarp,
-                     PoleEvaluation)
+from .errors import (BadExponent, BadPoleClosure, NoConvergence,
+                     NonPositiveWarp, PoleEvaluation)
 
 _CLOSURE_TOL = 1e-10
 _KINDS = ("constant", "cosine", "sine-sphere", "tabulated")
@@ -313,13 +313,26 @@ def rho_H_field(m: Manifold, H: float, t=None):
     return t, np.maximum((m.n - 1) * H - rho, 0.0)
 
 
-def volume(m: Manifold) -> float:
-    """Riemannian volume: vol(unit fiber) * integral of f^{n-1}."""
+def _knots(prof: WarpProfile):
+    """Interior knots of a tabulated profile, () for the closed forms.
+
+    The cubic spline's f''' jumps at every knot, so each curvature field
+    has a kink there: integration panels should start split at them.
+    """
+    return prof.ts[1:-1] if prof.kind == "tabulated" else ()
+
+
+def _warp_integral(m: Manifold) -> float:
+    """Integral of f^{n-1} over [0, L]: the volume over vol(unit fiber)."""
     prof = m.profile
     n = m.n
-    integral = adaptive_panels(lambda t: prof.f(t) ** (n - 1), 0.0, m.L,
-                               rel_tol=1e-13)
-    return _fiber_volume(n) * integral
+    return adaptive_panels(lambda t: prof.f(t) ** (n - 1), 0.0, m.L,
+                           breakpoints=_knots(prof), rel_tol=1e-13)
+
+
+def volume(m: Manifold) -> float:
+    """Riemannian volume: vol(unit fiber) * integral of f^{n-1}."""
+    return _fiber_volume(m.n) * _warp_integral(m)
 
 
 def kbar(m: Manifold, p: float, H: float) -> float:
@@ -327,14 +340,28 @@ def kbar(m: Manifold, p: float, H: float) -> float:
     (mean of rho_H^p against the volume measure)^(1/p).
 
     Requires p > n/2.  The integrand has kinks where (n-1)H - rho changes
-    sign, so panels are pre-split at those crossings before the adaptive
-    doubling; without the split the composite rule would stall at low
-    order across the kink.
+    sign and at a tabulated profile's knots, so panels are pre-split
+    there before the adaptive bisection; without the split the Gauss
+    rule would stall at low order across the kink.
+
+    Raises NoConvergence at once for a pole-closed profile with f'' > 0
+    at a pole when p >= n: the deficit grows like (2n-3) f''/t there, so
+    the integrand grows like t^(n-1-p) and the integral diverges.
     """
     if p <= m.n / 2.0:
         raise BadExponent(f"p = {p} must exceed n/2 = {m.n / 2.0}")
     prof = m.profile
     n = m.n
+    if m.boundary == "pole-closed" and p >= n:
+        for pole in (0.0, m.L):
+            d2f = float(prof.d2f(pole))
+            # a smooth closure has f'' = 0 at the pole; the closed forms
+            # miss it by rounding only
+            if d2f * m.L > _CLOSURE_TOL:
+                raise NoConvergence(
+                    f"kbar diverges at the pole t = {pole:g}: f'' = "
+                    f"{d2f:.3g} > 0 makes rho_H^p f^(n-1) grow like "
+                    f"t^(n-1-p), not integrable for p = {p:g} >= n = {n}")
 
     def deficit(t):
         return (n - 1) * H - ricci_min(m, t)
@@ -348,11 +375,10 @@ def kbar(m: Manifold, p: float, H: float) -> float:
     def integrand(t):
         return np.maximum(deficit(t), 0.0) ** p * prof.f(t) ** (n - 1)
 
-    num = adaptive_panels(integrand, 0.0, m.L, breakpoints=kinks,
+    num = adaptive_panels(integrand, 0.0, m.L,
+                          breakpoints=[*kinks, *_knots(prof)],
                           rel_tol=1e-11, abs_floor=1e-300)
-    den = adaptive_panels(lambda t: prof.f(t) ** (n - 1), 0.0, m.L,
-                          rel_tol=1e-13)
-    return float((num / den) ** (1.0 / p))
+    return float((num / _warp_integral(m)) ** (1.0 / p))
 
 
 # -- diameter ---------------------------------------------------------------

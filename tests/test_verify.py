@@ -30,6 +30,7 @@ from sgv import (
     sweep,
 )
 import sgv._quadrature
+import sgv.geometry
 import sgv.verify
 from sgv.errors import Unreachable
 from sgv.verify import EIG_GRIDS, SIGMA_GRIDS, shift_potential, tau_of
@@ -354,16 +355,19 @@ def test_sweep_pinched_row_survives_certificate_failure():
 
 
 def test_sweep_divergent_kbar_row_is_an_error(monkeypatch):
-    # at n = 2 a pole-closed spline with f''(0) != 0 has curvature ~ 1/t
-    # at the pole, so the kbar integral diverges; the quadrature must
-    # stop within its point budget and the row must carry the error
-    largest = [0]
-    inner = sgv._quadrature.panel_values
+    # at n = 2 a pole-closed spline with f''(0) > 0 has curvature ~ 1/t
+    # at the pole, so the kbar integral diverges for p = 2 >= n; kbar
+    # must name the pole without spending the quadrature's point budget,
+    # and the row must carry the error
+    points = [0]
+    inner = sgv.geometry.adaptive_panels
 
-    def panel_values(func, edges):
-        largest[0] = max(largest[0], 16 * (edges.size - 1))
-        return inner(func, edges)
-    monkeypatch.setattr(sgv._quadrature, "panel_values", panel_values)
+    def adaptive_panels(func, *args, **kwargs):
+        def counted(t):
+            points[0] += t.size
+            return func(t)
+        return inner(counted, *args, **kwargs)
+    monkeypatch.setattr(sgv.geometry, "adaptive_panels", adaptive_panels)
 
     ts = np.linspace(0.0, math.pi, 33)
     fs = np.sin(ts) * (1.0 + 0.2 * np.sin(ts) ** 2)
@@ -374,6 +378,6 @@ def test_sweep_divergent_kbar_row_is_an_error(monkeypatch):
     assert summary["errors"] == 1
     assert rows[0].record is None
     assert rows[0].error.startswith("NoConvergence: ")
-    # it stops at the last doubling that fits the budget
-    budget = sgv._quadrature.MAX_PASS_POINTS
-    assert budget // 2 < largest[0] <= budget
+    assert "pole t = 0: f'' = 0.000203 > 0" in rows[0].error
+    assert "p = 2 >= n = 2" in rows[0].error
+    assert points[0] <= sgv._quadrature.MAX_POINTS
