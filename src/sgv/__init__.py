@@ -22,8 +22,8 @@ from .constants import (DELTA_CAP, DELTA_MAX, ConstantLedger,
 from .errors import (BadExponent, BadPoleClosure, ConfigError,
                      DegenerateRange, DeltaTooLarge, EmptySeries,
                      HypothesisViolation, NoConvergence,
-                     NonPositiveGround, NonPositiveWarp, PoleEvaluation,
-                     RatioOutOfRange, SgvError, SignChange, Unreachable)
+                     NonPositiveGround, NonPositiveWarp, RatioOutOfRange,
+                     SgvError, SignChange, Unreachable)
 from .geometry import (DiameterBracket, GeometryReport, Manifold,
                        WarpProfile, diameter, geometry_report, kbar,
                        make_manifold, rho_H_field, ricci_min, volume)
@@ -47,8 +47,7 @@ __all__ = [
     "BadExponent", "BadPoleClosure", "ConfigError", "DegenerateRange",
     "DeltaTooLarge", "EmptySeries", "HypothesisViolation",
     "NoConvergence", "NonPositiveGround", "NonPositiveWarp",
-    "PoleEvaluation", "RatioOutOfRange", "SgvError", "SignChange",
-    "Unreachable",
+    "RatioOutOfRange", "SgvError", "SignChange", "Unreachable",
     "DiameterBracket", "GeometryReport", "Manifold", "WarpProfile",
     "diameter", "geometry_report", "kbar", "make_manifold",
     "rho_H_field", "ricci_min", "volume",

@@ -22,6 +22,15 @@ _X16, _W16 = np.polynomial.legendre.leggauss(_NODES)
 # Integrand points one call may evaluate.  A divergent integral never
 # converges; this budget stops it.
 MAX_POINTS = 1 << 23
+# QUADPACK's roundoff test: a bisection stalls when it leaves the panel's
+# value unchanged to _STEADY yet its halves' estimates sum to at least
+# _STALL_RATIO of its own; _STALLS stalls in a row along one lineage mean
+# the estimate is rounding noise that no bisection removes.  As in
+# QUADPACK, where only the panel of largest error is bisected, a panel
+# whose error is negligible against the budget does not count.
+_STEADY = 1e-5
+_STALL_RATIO = 0.99
+_STALLS = 6
 
 
 def _gauss(func: Callable[[np.ndarray], np.ndarray],
@@ -55,8 +64,10 @@ def adaptive_panels(func: Callable[[np.ndarray], np.ndarray],
     width.  The other panels' halves form the next pass.  abs_floor
     guards integrals that are legitimately ~0.  Raises NoConvergence
     where the next pass would take the call past MAX_POINTS integrand
-    points, or where a panel's value is not finite (a pole of func that
-    the bisection has reached).
+    points, where a panel's value is not finite (a pole of func that
+    the bisection has reached), or where bisection has stopped reducing
+    the error estimate (the integrand's rounding noise exceeds the
+    budget; see _STALLS).
     """
     interior = sorted(x for x in breakpoints if a < x < b)
     edges = np.array([a, *interior, b], dtype=float)
@@ -65,6 +76,12 @@ def adaptive_panels(func: Callable[[np.ndarray], np.ndarray],
     points = _NODES * lo.size
     value = 0.0   # sum over retired panels
     spent = 0.0   # their error estimates
+    # After the first pass the active panels are the left halves, then
+    # the right halves, of the last pass's unresolved panels, so siblings
+    # sit half the array apart.  lineage holds, per sibling pair, the
+    # parent's estimate (inf unless the parent was watched) and the
+    # stalls in a row along the pair's line of ancestors.
+    lineage = None
     while lo.size:
         points += 2 * _NODES * lo.size
         if points > MAX_POINTS:
@@ -83,11 +100,31 @@ def adaptive_panels(func: Callable[[np.ndarray], np.ndarray],
             raise NoConvergence(
                 f"integrand is not finite on [{lo[bad].min():g}, "
                 f"{hi[bad].max():g}]")
+        if lineage is None:
+            run = np.zeros(lo.size, dtype=int)
+        else:
+            parent_err, run = lineage
+            half = lo.size // 2
+            stalled = err[:half] + err[half:] >= _STALL_RATIO * parent_err
+            run = np.where(stalled, run + 1, 0)
+            if run.max() >= _STALLS:
+                raise NoConvergence(
+                    f"quadrature reached the rounding floor of the "
+                    f"integrand before rel_tol={rel_tol:g}: the error "
+                    f"estimate stopped shrinking under bisection "
+                    f"{_STALLS} times in a row ({lo.size} panels in "
+                    f"[{lo.min():g}, {hi.max():g}] unresolved)")
+            run = np.concatenate([run, run])
         unspent = rel_tol * max(abs(value + split.sum()), abs_floor) - spent
         done = err <= max(unspent, 0.0) * (hi - lo) / np.sum(hi - lo)
         value += split[done].sum()
         spent += err[done].sum()
         go = ~done
+        # watched: value steady, and an error that would matter if every
+        # active panel had it (an equal share of a positive budget)
+        watch = ((err <= 2.0 * _STEADY * np.abs(split))
+                 & (err * lo.size >= unspent) & (unspent > 0.0))
+        lineage = np.where(watch, err, np.inf)[go], run[go]
         lo, hi = (np.concatenate([lo[go], mid[go]]),
                   np.concatenate([mid[go], hi[go]]))
         whole = np.concatenate([left[go], right[go]])

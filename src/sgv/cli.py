@@ -195,11 +195,8 @@ def _record_gate_failures(rec) -> list:
     fails = []
     if not rec.hypothesis_met:
         # nothing is certified outside the smallness hypothesis; the
-        # record itself (including an unconverged diameter flag) is
-        # informational there
+        # record itself is informational there
         return fails
-    if not rec.diameter_converged:
-        fails.append("diameter bracket did not converge")
     if rec.theorem_margin < -1e-9 * rec.lambda1:
         fails.append(f"eigenvalue bound violated: margin "
                      f"{rec.theorem_margin:.6e}")

@@ -19,11 +19,6 @@ class BadPoleClosure(SgvError):
     f(0) = f(L) = 0, f'(0) = 1, f'(L) = -1."""
 
 
-class PoleEvaluation(SgvError):
-    """Direct evaluation of the fiber curvature formula at a pole, where
-    it is 0/0; callers should use the smooth limit instead."""
-
-
 class BadExponent(SgvError):
     """An integrability exponent p <= n/2, outside the admissible range."""
 

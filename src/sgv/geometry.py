@@ -19,17 +19,22 @@ volumes, diameter brackets) is computed from the warp function and its
 derivatives, which are available in closed form for the built-in profile
 kinds and via a cubic spline for tabulated data.
 
+Diameters come from the rotational symmetry, not from a search over the
+manifold: a pole-closed manifold has diameter exactly L, and on a torus
+the farthest point from (t0, 0) lies on the antipodal meridian, so one
+sweep over the fiber angle bounds every antipodal distance at once (see
+`diameter` for the proofs).
+
 Curvature conventions.  The smallest eigenvalue of the Ricci tensor at a
 point t is
 
-    n = 2:   rho(t) = -f''(t)/f(t)                      (Gauss curvature)
-    n >= 3:  rho(t) = min( -(n-1) f''/f,
-                           -f''/f + (n-2)(1 - f'^2)/f^2 )
+    rho(t) = min( -(n-1) f''/f,  -f''/f + (n-2)(1 - f'^2)/f^2 )
 
 with the radial direction giving the first entry and the fiber
-directions the second.  At a pole of a pole-closed profile the fiber
-expression is 0/0; its smooth limit equals the radial value
--(n-1) f'''/f' there, which is what `ricci_min` evaluates.
+directions the second; at n = 2 both are the Gauss curvature -f''/f.
+At a pole of a pole-closed profile the fiber expression is 0/0; its
+smooth limit equals the radial value -(n-1) f'''/f' there, which is
+what `ricci_min` evaluates.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from scipy.interpolate import CubicSpline
 
 from ._quadrature import adaptive_panels, sign_change_points
 from .errors import (BadExponent, BadPoleClosure, NoConvergence,
-                     NonPositiveWarp, PoleEvaluation)
+                     NonPositiveWarp)
 
 _CLOSURE_TOL = 1e-10
 _KINDS = ("constant", "cosine", "sine-sphere", "tabulated")
@@ -125,6 +130,24 @@ class WarpProfile:
             r = self.L / np.pi
             return -np.cos(t / r) / r ** 2
         return self._spline(t, 3)
+
+    def f_range(self) -> tuple[float, float]:
+        """The exact (min f, max f) over [0, L].
+
+        Closed forms for the built-in kinds; for a spline, its values at
+        the knots and at the roots of its derivative (NaN marks a piece
+        where f is constant, which its knots already cover).
+        """
+        if self.kind == "constant":
+            return self.c, self.c
+        if self.kind == "cosine":
+            return (self.c * (1.0 - abs(self.beta)),
+                    self.c * (1.0 + abs(self.beta)))
+        if self.kind == "sine-sphere":
+            return 0.0, self.L / np.pi
+        crit = self._spline.derivative().roots(extrapolate=False)
+        vals = self._spline(np.concatenate([self.ts, crit[np.isfinite(crit)]]))
+        return float(np.min(vals)), float(np.max(vals))
 
 
 @dataclass(frozen=True)
@@ -250,16 +273,6 @@ def make_manifold(kind: str,
 
 # -- curvature --------------------------------------------------------------
 
-def _fiber_ricci_direct(m: Manifold, t: np.ndarray) -> np.ndarray:
-    """Fiber-direction Ricci eigenvalue; raises at poles where it is 0/0."""
-    f = m.profile.f(t)
-    if np.any(np.abs(f) < 1e-13):
-        raise PoleEvaluation("fiber curvature formula evaluated at a pole")
-    df = m.profile.df(t)
-    d2f = m.profile.d2f(t)
-    return -d2f / f + (m.n - 2) * (1.0 - df * df) / (f * f)
-
-
 def ricci_min(m: Manifold, t) -> np.ndarray:
     """Smallest Ricci eigenvalue at base points t (vectorized).
 
@@ -270,18 +283,6 @@ def ricci_min(m: Manifold, t) -> np.ndarray:
     t = np.atleast_1d(np.asarray(t, dtype=float))
     f = m.profile.f(t)
     d2f = m.profile.d2f(t)
-    if m.n == 2:
-        # single fiber direction; radial == fiber == -f''/f, but at a pole
-        # the ratio needs the same limit treatment as the n > 2 case
-        near = np.abs(f) < 1e-8 * max(1.0, m.L)
-        out = np.empty_like(f)
-        safe = ~near
-        out[safe] = -d2f[safe] / f[safe]
-        if np.any(near):
-            df = m.profile.df(t[near])
-            d3f = m.profile.d3f(t[near])
-            out[near] = -d3f / df
-        return out
     near = np.abs(f) < 1e-8 * max(1.0, m.L)
     safe = ~near
     out = np.empty_like(f)
@@ -383,18 +384,20 @@ def kbar(m: Manifold, p: float, H: float) -> float:
 
 # -- diameter ---------------------------------------------------------------
 
-DIAMETER_SLACK = 0.03  # worst-case stencil anisotropy of the 16-neighbor graph
+# Lattice of the periodic sweep: rows per period, theta steps over
+# [0, pi], and the largest row offset of one straight step.
+SWEEP_ROWS = 128
+SWEEP_STEPS = 16
+SWEEP_BAND = 16
 
 
 @dataclass(frozen=True)
 class DiameterBracket:
-    """Certified bracket lo <= diam <= hi from a metric-graph sweep.
+    """Certified bracket lo <= diam <= hi.
 
-    hi is the exact diameter of an embedded graph whose edges are true
-    curve lengths, hence an upper bound for the graph metric and -- after
-    dividing by the stencil anisotropy factor -- a lower bound for the
-    manifold.  converged reports whether successive grid doublings
-    stabilized hi; use hi in any denominator that must be conservative.
+    Both ends are proven bounds, so converged is True on every bracket;
+    the field stays for the record schema.  grid is the number of
+    lattice rows of the periodic sweep, 0 for a closed form.
     """
 
     lo: float
@@ -407,188 +410,115 @@ class DiameterBracket:
         return self.hi - self.lo
 
 
-def _segment_lengths(m: Manifold, t0, t1, dtheta: float) -> np.ndarray:
-    """Length of coordinate segments (t0 -> t1, fixed angular advance).
+def _meridian_relax(V: np.ndarray, h: float) -> np.ndarray:
+    """min over i of V[i] + h * (circular |i - j|), for every row j.
 
-    3-point Gauss along each segment; the metric restricted to the
-    segment is sqrt(dt^2 + f(t)^2 dtheta^2).
+    The exact meridian transform on a periodic lattice of spacing h, as
+    two running minima over two copies of the rows: forward onto the
+    second copy, backward onto the first, which between them reach every
+    row both ways round the circle.
     """
-    x3, w3 = np.polynomial.legendre.leggauss(3)
-    mid = 0.5 * (t0 + t1)
-    half = 0.5 * (t1 - t0)
-    total = np.zeros_like(mid)
-    for xi, wi in zip(x3, w3):
-        pts = mid + half * xi
-        if m.boundary == "periodic":
-            pts = np.mod(pts, m.L)  # t1 may be unwrapped past L
-        f = m.profile.f(pts)
-        total = total + wi * np.sqrt((t1 - t0) ** 2 + (f * dtheta) ** 2)
-    return 0.5 * total
+    N = V.shape[0]
+    pos = h * np.arange(2 * N)[:, None]
+    X = np.concatenate([V, V])
+    fwd = np.minimum.accumulate(X - pos)[N:] + pos[N:]
+    bwd = np.minimum.accumulate((X + pos)[::-1])[::-1][:N] - pos[:N]
+    return np.minimum(fwd, bwd)
 
 
-def _graph_diameter_once(m: Manifold, mt: int) -> float:
-    """Max graph distance from one meridian of sources (exact by symmetry).
+def _step_lengths(m: Manifold, h: float, dtheta: float) -> np.ndarray:
+    """Upper bounds W[B + d, j] on the straight coordinate segment from
+    (t_{j+d}, theta) to (t_j, theta + dtheta), for |d| <= B.
 
-    For n = 2 the graph is searched folded by the reflection
-    sigma: (i, j) -> (i, -j mod mth), on the columns j = 0 .. mth // 2.
-    The fold is exact, to the last bit: sigma maps stencil edges to
-    stencil edges of bitwise equal weight (`_segment_lengths` sees the
-    angular step only through its square), and it fixes every source
-    (i, 0) and both poles.  So every path of the folded graph lifts to a
-    path of the full graph with the same sequence of weights and vice
-    versa (a folded self-loop only lengthens a path), and Dijkstra's
-    distances, hence their max, are the same floats on half the nodes.
+    On each lattice cell f is at most the larger endpoint value plus
+    max|f''| h^2 / 8 (f lies below its chord plus that bulge).  A segment
+    over |d| cells spends 1/|d| of its parameter in each, so its length
+    sqrt(dt^2 + f^2 dtheta^2) integrated is at most the mean of the cell
+    values; at d = 0 it is f(t_j) dtheta exactly.
     """
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import dijkstra
-
-    periodic = m.boundary == "periodic"
-    L = m.L
-    # fiber coordinate range: full circle for n=2, relative angle in
-    # [0, pi] for sphere fibers (distances depend only on that angle)
-    theta_range = 2.0 * np.pi if m.n == 2 else np.pi
-    theta_wrap = m.n == 2
-
-    if periodic:
-        t_rows = np.arange(mt) * (L / mt)
-        row_count = mt
-    else:
-        t_rows = np.arange(1, mt) * (L / mt)
-        row_count = mt - 1  # poles handled as extra nodes
-
-    f_mean = float(np.mean(m.profile.f(np.linspace(0, L, 513))))
-    mth = max(8, int(round(theta_range * f_mean / (L / mt))))
-    h_t = L / mt
-    h_th = theta_range / mth
-    # n = 2 keeps the columns 0 .. mth // 2 of the folded circle
-    col_count = mth // 2 + 1 if theta_wrap else mth + 1
-
-    def node(i, j):
-        return i * col_count + j
-
-    n_nodes = row_count * col_count + (0 if periodic else 2)
-    pole0 = n_nodes - 2
-    pole1 = n_nodes - 1
-
-    rows, cols, wts = [], [], []
-    offsets = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (1, -2), (2, 1),
-               (2, -1)]
-    ii = np.arange(row_count)
-    jj = np.arange(col_count)
-    I, J = np.meshgrid(ii, jj, indexing="ij")
-    I = I.ravel()
-    J = J.ravel()
-    for di, dj in offsets:
-        I2 = I + di
-        J2 = J + dj
-        if periodic:
-            valid = np.ones_like(I2, dtype=bool)
-            I2w = I2 % row_count
-        else:
-            valid = (I2 >= 0) & (I2 < row_count)
-            I2w = np.clip(I2, 0, row_count - 1)
-        if theta_wrap:
-            # every edge orbit of sigma has a representative leaving a
-            # kept column; its far end folds back into the kept range
-            J2m = J2 % mth
-            J2w = np.minimum(J2m, mth - J2m)
-        else:
-            ok = (J2 >= 0) & (J2 < col_count)
-            valid &= ok
-            J2w = np.clip(J2, 0, col_count - 1)
-        if not np.any(valid):
-            continue
-        a = I[valid]
-        b = I2w[valid]
-        ja = J[valid]
-        jb = J2w[valid]
-        t0 = t_rows[a]
-        t1 = t_rows[a] + di * h_t  # unwrapped endpoint for length purposes
-        w = _segment_lengths(m, t0, t1, dj * h_th)
-        rows.append(node(a, ja))
-        cols.append(node(b, jb))
-        wts.append(w)
-
-    if not periodic:
-        # meridian spokes from each pole to the two nearest rows
-        for depth in (1, 2):
-            tt = t_rows[depth - 1]
-            for j in range(col_count):
-                rows.append(np.array([pole0]))
-                cols.append(np.array([node(depth - 1, j)]))
-                wts.append(np.array([tt]))
-                rows.append(np.array([pole1]))
-                cols.append(np.array([node(row_count - depth, j)]))
-                wts.append(np.array([L - t_rows[row_count - depth]]))
-
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    wts = np.concatenate(wts)
-    if theta_wrap:
-        # the fold makes self-loops and repeated node pairs; coo_matrix
-        # would sum repeats, so keep each unordered pair once at its
-        # smallest weight
-        lo = np.minimum(rows, cols)
-        hi = np.maximum(rows, cols)
-        keep = lo != hi
-        key = lo[keep] * n_nodes + hi[keep]
-        wts = wts[keep]
-        order = np.lexsort((wts, key))
-        key, first = np.unique(key[order], return_index=True)
-        rows, cols = np.divmod(key, n_nodes)
-        wts = wts[order][first]
-    graph = coo_matrix((wts, (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
-
-    sources = [node(i, 0) for i in range(row_count)]
-    if not periodic:
-        sources += [pole0, pole1]
-    dist = dijkstra(graph, directed=False, indices=sources)
-    return float(dist.max())
+    prof = m.profile
+    N, B = SWEEP_ROWS, SWEEP_BAND
+    f = prof.f(h * np.arange(N + 1))
+    if prof.kind == "cosine":
+        d2f_max = abs(prof.c * prof.beta) * (2.0 * np.pi / m.L) ** 2
+    else:  # the spline's f'' is piecewise linear: extremes at knots
+        d2f_max = float(np.max(np.abs(prof.d2f(prof.ts))))
+    cell = np.maximum(f[:-1], f[1:]) + d2f_max * h * h / 8.0
+    W = np.empty((2 * B + 1, N))
+    W[B] = f[:-1] * dtheta
+    for d in range(1, B + 1):
+        s = np.sqrt((d * h) ** 2 + (cell * dtheta) ** 2)
+        mean = sum(np.roll(s, -q) for q in range(d)) / d  # cells j..j+d-1
+        W[B + d] = mean
+        W[B - d] = np.roll(mean, d)
+    return W
 
 
-def diameter(m: Manifold, tol: Optional[float] = None,
-             max_grid: int = 384) -> DiameterBracket:
-    """Certified diameter bracket.
+def _antipodal_bounds(m: Manifold) -> np.ndarray:
+    """U[j, s] >= d((t_s, 0), (t_j, pi)) on the lattice t_i = i L / N.
 
-    Constant-warp tori have the closed form sqrt((L/2)^2 + (pi c)^2)
-    (flat rectangle with opposite sides identified) and return a
-    zero-width bracket.  Everything else runs the metric-graph sweep:
-    the graph diameter hi over-estimates the true diameter by at most
-    the stencil anisotropy factor, giving lo = hi / (1 + DIAMETER_SLACK).
-    Grid doubling continues until hi stabilizes (or tol, if given, is
-    met by the bracket width); a bracket that stops improving before
-    that is returned with converged=False rather than raised, so sweeps
-    over many manifolds degrade gracefully.
-
-    At n = 2 each grid searches the graph folded across theta -> -theta,
-    half the nodes; the reflection is a weight-preserving symmetry of the
-    graph that fixes every source, so hi is the same float as on the
-    full graph (see `_graph_diameter_once`).
+    A min-plus sweep over theta = 0 .. pi in SWEEP_STEPS equal steps.
+    The state V[j, s] is the length of a curve from (t_s, 0) to
+    (t_j, theta); each step takes one straight coordinate segment over
+    at most SWEEP_BAND rows, then the exact meridian transform.  Every
+    entry is the length of an actual curve (up to rounding), hence an
+    upper bound on the distance.
     """
-    if m.profile.kind == "constant":
-        half_l = m.L / 2.0
-        half_f = np.pi * m.profile.c  # half the fiber circumference
-        d = math.hypot(half_l, half_f)
+    N, B = SWEEP_ROWS, SWEEP_BAND
+    h = m.L / N
+    W = _step_lengths(m, h, np.pi / SWEEP_STEPS)[:, :, None]
+    i = np.arange(N)
+    gap = np.abs(i[:, None] - i[None, :])
+    V = h * np.minimum(gap, N - gap)
+    for _ in range(SWEEP_STEPS):
+        ext = np.concatenate([V[N - B:], V, V[:B]])
+        step = ext[:N] + W[0]
+        for k in range(1, 2 * B + 1):
+            np.minimum(step, ext[k:k + N] + W[k], out=step)
+        V = _meridian_relax(step, h)
+    return V
+
+
+def diameter(m: Manifold) -> DiameterBracket:
+    """Certified diameter bracket of g = dt^2 + f^2 g_fiber.
+
+    For n >= 3, d((t0, x0), (t1, x1)) is the distance on the surface
+    dt^2 + f^2 dtheta^2 between (t0, 0) and (t1, theta), theta the angle
+    between x0 and x1: a great-circle slice is totally geodesic, and
+    (t, x) -> (t, angle(x0, x)) does not lengthen curves.  So every case
+    below is a statement about that surface.
+
+    Constant warp: the flat torus, D = hypot(L/2, pi c) exactly.
+
+    Pole-closed, any f: D = L exactly.  A curve from x to the pole t = 0
+    has t-variation at least t_x, and the meridian attains it, so
+    d(x, pole) = t_x and likewise L - t_x to the other pole.  Hence
+    d(x, y) <= min(t_x + t_y, 2L - t_x - t_y) <= L, and the poles are
+    exactly L apart.
+
+    Periodic: the farthest point from (t0, 0) lies on the antipodal
+    meridian theta = pi, because d((t0, 0), (t1, theta)) is nondecreasing
+    in theta on [0, pi].  Proof: for 0 <= theta1 < theta2 <= pi, a
+    shortest curve to (t1, theta2) crosses the meridian plane at
+    theta_m = (theta1 + theta2) / 2 (its start theta = 0 lies on one side,
+    its end on the other); reflecting the tail after the last crossing
+    across that plane, an isometry, gives a curve of the same length to
+    (t1, theta1).  So D = max over (t0, t1) of g(t0, t1) =
+    d((t0, 0), (t1, pi)).  `_antipodal_bounds` gives U >= g on the lattice
+    of spacing h = L / N, and g is 1-Lipschitz in each endpoint along
+    meridians, so hi = max U + h.  For lo, a curve from (t, 0) to
+    (t + L/2, pi) has t-variation at least L/2 and integral of f |dtheta|
+    at least pi min f, so its length is at least hypot(L/2, pi min f).
+    """
+    prof = m.profile
+    if prof.kind == "constant":
+        d = math.hypot(m.L / 2.0, np.pi * prof.c)
         return DiameterBracket(lo=d, hi=d, converged=True, grid=0)
-
-    mt = 48
-    prev = _graph_diameter_once(m, mt)
-    best = prev
-    converged = False
-    while mt * 2 <= max_grid:
-        mt *= 2
-        cur = _graph_diameter_once(m, mt)
-        best = cur
-        stable = abs(cur - prev) <= 1.0e-3 * abs(cur)
-        prev = cur
-        if stable:
-            converged = True
-            if tol is None or best * DIAMETER_SLACK / (1 + DIAMETER_SLACK) <= tol:
-                break
-    lo = best / (1.0 + DIAMETER_SLACK)
-    if tol is not None and best - lo > tol:
-        converged = False
-    return DiameterBracket(lo=lo, hi=best, converged=converged, grid=mt)
+    if m.boundary == "pole-closed":
+        return DiameterBracket(lo=m.L, hi=m.L, converged=True, grid=0)
+    hi = float(_antipodal_bounds(m).max()) + m.L / SWEEP_ROWS
+    lo = math.hypot(m.L / 2.0, np.pi * prof.f_range()[0])
+    return DiameterBracket(lo=lo, hi=hi, converged=True, grid=SWEEP_ROWS)
 
 
 # -- bundled report ---------------------------------------------------------

@@ -439,7 +439,7 @@ def lambda1(m: Manifold, grids: Sequence[int] = DEFAULT_GRIDS,
     """
     if len(grids) < 3:
         raise ValueError("need at least three grids for the order study")
-    f_max = float(np.max(m.profile.f(np.linspace(0.0, m.L, 4097))))
+    f_max = m.profile.f_range()[1]
     candidates = []  # (extrap, k, lams, u_raw, dis, order, floor)
     best = None
     k = 0

@@ -5,8 +5,10 @@ Covers:
 - the exact mean |rho_0| = beta/pi identity of the cosine family
 - integral curvature norms against an independent high-precision quadrature
 - volume closed forms (torus area, 4*pi, 2*pi^2)
-- diameter: exact bracket for flat tori, certified bracket for spheres,
-  and the folded n = 2 graph search against the unfolded graph
+- diameter: exact bracket for flat tori, D = L on pole-closed profiles,
+  and brackets holding the exact diameter of near-flat cosine tori
+- the n = 2 Ricci field against -f''/f, and the exact range of f
+- metamorphic checks: scaling a cosine torus, shifting a periodic spline
 - constructor validation and the p > n/2 exponent gate
 """
 
@@ -14,19 +16,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgv import (
     diameter,
     geometry_report,
     kbar,
+    lambda1,
     make_manifold,
     rho_H_field,
     ricci_min,
     volume,
 )
 from sgv.errors import BadExponent, BadPoleClosure, NonPositiveWarp
-from sgv.geometry import (DIAMETER_SLACK, _graph_diameter_once,
-                          _segment_lengths)
+from sgv.geometry import SWEEP_ROWS, _antipodal_bounds
 
 TWO_PI = 2.0 * math.pi
 
@@ -264,7 +268,7 @@ def test_sphere_diameter_bracket():
     br = diameter(m)
     assert br.lo <= math.pi <= br.hi * (1.0 + 1e-12)
     assert br.hi <= math.pi * (1.0 + 2.0e-3)
-    assert br.hi / br.lo == pytest.approx(1.0 + DIAMETER_SLACK, rel=1e-12)
+    assert br.lo == br.hi == math.pi
     assert br.converged
 
 
@@ -278,85 +282,155 @@ def test_cosine_diameter_contains_half_length():
     assert br.converged
 
 
-def test_unconverged_bracket_is_flagged_not_raised():
-    m = make_cosine(beta=0.5, c=1.0)
-    br = diameter(m, max_grid=96)
-    assert isinstance(br.converged, bool)
-    assert br.hi >= br.lo > 0.0
-
-
-def _unfolded_graph_diameter(m, mt):
-    """Reference n = 2 graph search on the whole circle of columns.
-
-    The 16-neighbour graph of `_graph_diameter_once` as it was before
-    the fold: every column j = 0 .. mth - 1, nothing merged.
-    """
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import dijkstra
-
-    assert m.n == 2
-    periodic = m.boundary == "periodic"
-    L = m.L
-    if periodic:
-        t_rows = np.arange(mt) * (L / mt)
-    else:
-        t_rows = np.arange(1, mt) * (L / mt)
-    row_count = t_rows.size
-    f_mean = float(np.mean(m.profile.f(np.linspace(0, L, 513))))
-    mth = max(8, int(round(TWO_PI * f_mean / (L / mt))))
-    h_t = L / mt
-    h_th = TWO_PI / mth
-    n_nodes = row_count * mth + (0 if periodic else 2)
-    pole0, pole1 = n_nodes - 2, n_nodes - 1
-    I, J = (g.ravel() for g in np.meshgrid(np.arange(row_count),
-                                            np.arange(mth), indexing="ij"))
-    rows, cols, wts = [], [], []
-    for di, dj in [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (1, -2),
-                   (2, 1), (2, -1)]:
-        I2 = I + di
-        valid = np.ones_like(I2, dtype=bool) if periodic else I2 < row_count
-        a, ja = I[valid], J[valid]
-        b = I2[valid] % row_count
-        jb = (J[valid] + dj) % mth
-        rows.append(a * mth + ja)
-        cols.append(b * mth + jb)
-        wts.append(_segment_lengths(m, t_rows[a], t_rows[a] + di * h_t,
-                                    dj * h_th))
-    if not periodic:
-        for depth in (1, 2):
-            near = (depth - 1) * mth + np.arange(mth)
-            far = (row_count - depth) * mth + np.arange(mth)
-            rows += [np.full(mth, pole0), np.full(mth, pole1)]
-            cols += [near, far]
-            wts += [np.full(mth, t_rows[depth - 1]),
-                    np.full(mth, L - t_rows[row_count - depth])]
-    graph = coo_matrix((np.concatenate(wts),
-                        (np.concatenate(rows), np.concatenate(cols))),
-                       shape=(n_nodes, n_nodes)).tocsr()
-    sources = list(np.arange(row_count) * mth)
-    if not periodic:
-        sources += [pole0, pole1]
-    return float(dijkstra(graph, directed=False, indices=sources).max())
-
-
-def _periodic_spline():
-    ts = np.linspace(0.0, TWO_PI, 17)
-    fs = 1.0 + 0.1 * np.cos(ts) + 0.07 * np.sin(2.0 * ts)
-    return make_manifold("tabulated", L=TWO_PI, ts=ts, fs=fs,
-                         boundary="periodic")
+def _sphere_spline(knots, eps, L=math.pi, n=3):
+    """The sphere of diameter L, deformed: f = r sin(t/r) (1 + eps sin^2)."""
+    r = L / math.pi
+    ts = np.linspace(0.0, L, knots)
+    fs = r * np.sin(ts / r) * (1.0 + eps * np.sin(ts / r) ** 2)
+    fs[0] = fs[-1] = 0.0
+    return make_manifold("tabulated", L=L, n=n, ts=ts, fs=fs,
+                         boundary="pole-closed")
 
 
 @pytest.mark.parametrize("build", [
-    lambda: make_cosine(beta=1e-3, c=0.2),   # mth 10 (even), then 19 (odd)
-    lambda: make_cosine(beta=0.5, c=1.0),
     lambda: make_manifold("sine-sphere", n=2, L=2.7),
-    _periodic_spline,
-], ids=["cosine-c0.2", "cosine-c1-b0.5", "sphere-L2.7", "periodic-spline"])
-@pytest.mark.parametrize("mt", [48, 96])
-def test_folded_graph_diameter_equals_unfolded(build, mt):
-    # the fold across theta -> -theta is exact, so the floats are equal
+    lambda: make_manifold("sine-sphere", n=2, L=5.3),
+    lambda: make_manifold("sine-sphere", n=3, L=math.pi),
+    lambda: make_manifold("sine-sphere", n=3, L=4.1),
+    lambda: _sphere_spline(33, 0.2),
+    lambda: _sphere_spline(65, 0.3),
+    lambda: _sphere_spline(129, 0.2, L=2.5),
+])
+def test_pole_closed_diameter_is_base_length(build):
+    # every point is within t of one pole and L - t of the other, and
+    # the poles are L apart, whatever f is
     m = build()
-    assert _graph_diameter_once(m, mt) == _unfolded_graph_diameter(m, mt)
+    br = diameter(m)
+    assert br.lo == br.hi == m.L
+    assert br.converged
+
+
+NEAR_FLAT_C = [0.05, 0.2, 1.0, 3.0]
+
+
+@pytest.mark.parametrize("c", NEAR_FLAT_C)
+def test_near_flat_cosine_bracket_holds_exact_diameter(c):
+    # at beta -> 0 the torus is flat and D = hypot(L/2, pi c); the graph
+    # search sat 0.03-0.23 above it, and 2e-15 below it at c = 1
+    m = make_cosine(beta=1e-9, c=c)
+    br = diameter(m)
+    exact = math.hypot(math.pi, math.pi * c)
+    assert br.lo <= exact <= br.hi <= 1.02 * exact
+    assert br.grid == SWEEP_ROWS
+
+
+@pytest.mark.parametrize("c", NEAR_FLAT_C)
+def test_antipodal_bounds_dominate_distances(c):
+    # f >= c (1 - beta), so distances are at least those of the flat
+    # torus of that radius: hypot(circular dt, pi c (1 - beta))
+    beta = 1e-9
+    m = make_cosine(beta=beta, c=c)
+    U = _antipodal_bounds(m)
+    i = np.arange(SWEEP_ROWS)
+    gap = np.abs(i[:, None] - i[None, :])
+    dt = m.L / SWEEP_ROWS * np.minimum(gap, SWEEP_ROWS - gap)
+    assert np.all(U >= np.hypot(dt, math.pi * c * (1.0 - beta)) - 1e-12)
+
+
+# ===================================================================
+# exact range of f, and ricci_min at n = 2
+# ===================================================================
+
+def test_f_range_closed_forms():
+    assert make_cosine(beta=-0.3, c=2.0).profile.f_range() == (
+        2.0 * 0.7, 2.0 * 1.3)
+    assert make_flat(c=0.25).profile.f_range() == (0.25, 0.25)
+    lo, hi = make_manifold("sine-sphere", n=2, L=5.0).profile.f_range()
+    assert lo == 0.0 and hi == 5.0 / math.pi
+    # a constant spline's derivative vanishes identically on every piece
+    ts = np.linspace(0.0, 1.0, 9)
+    flat = make_manifold("tabulated", L=1.0, ts=ts, fs=np.full(9, 0.7),
+                         boundary="periodic")
+    assert flat.profile.f_range() == (0.7, 0.7)
+
+
+def test_f_range_finds_spline_peak_between_samples():
+    # a sharp bump at an irrational position: 4097 samples miss the top
+    ts = np.linspace(0.0, TWO_PI, 33)
+    fs = 1.0 + 0.8 * np.exp(-((ts - 2.0 - math.sqrt(2.0) / 10) / 0.3) ** 2)
+    fs[-1] = fs[0]
+    m = make_manifold("tabulated", L=TWO_PI, ts=ts, fs=fs,
+                      boundary="periodic")
+    lo, hi = m.profile.f_range()
+    sampled = float(np.max(m.profile.f(np.linspace(0.0, TWO_PI, 4097))))
+    assert hi > sampled
+    dense = m.profile.f(np.linspace(0.0, TWO_PI, 1 << 20))
+    assert hi >= dense.max() and hi - dense.max() < 1e-10
+    assert lo <= dense.min() and dense.min() - lo < 1e-10
+
+
+N2_PROFILES = st.one_of(
+    st.builds(lambda c, b: make_cosine(beta=b, c=c),
+              st.floats(0.1, 3.0), st.floats(-0.9, 0.9)),
+    st.builds(lambda L: make_manifold("sine-sphere", n=2, L=L),
+              st.floats(0.5, 8.0)),
+    st.builds(lambda eps: _sphere_spline(33, eps, n=2),
+              st.floats(-0.3, 0.5)),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(m=N2_PROFILES)
+def test_ricci_min_n2_is_gauss_curvature(m):
+    # the general formula's fiber term carries the factor n - 2 = 0
+    p = m.profile
+    t = np.linspace(0.0, m.L, 257)[1:-1]
+    assert np.all(ricci_min(m, t) == -p.d2f(t) / p.f(t))
+    if m.boundary == "pole-closed":
+        poles = np.array([0.0, m.L])
+        assert np.all(ricci_min(m, poles) == -p.d3f(poles) / p.df(poles))
+
+
+# ===================================================================
+# metamorphic checks
+# ===================================================================
+
+@settings(max_examples=4, deadline=None)
+@given(c=st.floats(0.2, 1.5), beta=st.floats(0.01, 0.3),
+       s=st.floats(0.5, 2.0))
+def test_scaling_a_cosine_torus(c, beta, s):
+    # (L, c) -> (sL, sc) is the metric scaled by s^2
+    m = make_cosine(beta=beta, c=c)
+    ms = make_cosine(beta=beta, c=s * c, L=s * TWO_PI)
+    assert lambda1(ms).lambda1 == pytest.approx(
+        lambda1(m).lambda1 / s ** 2, rel=1e-9)
+    assert kbar(ms, 2.0, 0.0) == pytest.approx(
+        kbar(m, 2.0, 0.0) / s ** 2, rel=1e-9)
+    br, brs = diameter(m), diameter(ms)
+    assert brs.lo == pytest.approx(s * br.lo, rel=1e-9)
+    assert brs.hi == pytest.approx(s * br.hi, rel=1e-9)
+
+
+@settings(max_examples=4, deadline=None)
+@given(knots=st.sampled_from([17, 33, 65]), shift=st.integers(1, 15),
+       a=st.floats(-0.2, 0.2), b=st.floats(-0.2, 0.2))
+def test_shifting_a_periodic_spline_by_knots(knots, shift, a, b):
+    # the knot spacing is a whole number of diameter lattice rows, so
+    # the shifted spline is the same manifold on the same lattice
+    ts = np.linspace(0.0, TWO_PI, knots)
+    fs = 1.0 + a * np.cos(ts) + b * np.sin(2.0 * ts)
+    fs[-1] = fs[0]
+    k = shift % (knots - 1)
+    shifted = np.append(np.roll(fs[:-1], -k), fs[k])
+    m = make_manifold("tabulated", L=TWO_PI, ts=ts, fs=fs,
+                      boundary="periodic")
+    ms = make_manifold("tabulated", L=TWO_PI, ts=ts, fs=shifted,
+                       boundary="periodic")
+    assert lambda1(ms).lambda1 == pytest.approx(lambda1(m).lambda1,
+                                                rel=1e-10)
+    assert kbar(ms, 2.0, 0.0) == pytest.approx(kbar(m, 2.0, 0.0),
+                                               rel=1e-10)
+    assert diameter(ms).hi == pytest.approx(diameter(m).hi, rel=1e-12)
 
 
 # ===================================================================

@@ -3,7 +3,8 @@
 - integrable singularities (an endpoint t^(-1/2), an interior
   |t - 1/3|^(3/2)) reach rel_tol against their closed forms, spending
   points near the singularity only
-- a divergent integral raises NoConvergence within MAX_POINTS
+- a divergent integral raises NoConvergence within MAX_POINTS, and an
+  integrand whose rounding noise exceeds the budget raises long before
 - random polynomials on random breakpoints match their antiderivatives
 - the vectorized kink finder agrees with scalar bisection on curvature
   deficits of a cosine torus and of periodic and pole-closed splines
@@ -70,6 +71,18 @@ def test_point_budget_is_per_call(monkeypatch):
     with pytest.raises(NoConvergence, match="4096 integrand points"):
         adaptive_panels(func, -1e-3, 1.0, breakpoints=[0.0])
     assert calls["points"] <= 4096
+
+
+def test_rounding_floor_raises_early():
+    # T1 on [10, 10.001]: rounding t alone puts noise of about 4e-12 into
+    # every value, above the budget rel_tol * abs_floor = 1e-16, so no
+    # bisection converges; without the roundoff test this ran 6,613,616
+    # points before the MAX_POINTS cap stopped it
+    func, calls = counted(np.polynomial.Chebyshev([0, 1],
+                                                  domain=[10, 10.001]))
+    with pytest.raises(NoConvergence, match="rounding floor"):
+        adaptive_panels(func, 10.0, 10.001, rel_tol=1e-13, abs_floor=1e-3)
+    assert calls["points"] <= 65536
 
 
 @settings(max_examples=60, deadline=None)
