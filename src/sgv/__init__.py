@@ -27,9 +27,9 @@ from .errors import (BadExponent, BadPoleClosure, ConfigError,
 from .geometry import (DiameterBracket, GeometryReport, Manifold,
                        WarpProfile, diameter, geometry_report, kbar,
                        make_manifold, rho_H_field, ricci_min, volume)
-from .modelode import (ZFunction, check_model_inequalities, ode_residual,
-                       sharpness_integral, z_deriv, z_eval, z_second,
-                       z_sup, z_value)
+from .modelode import (check_model_inequalities, ode_residual,
+                       sharpness_integral, z_deriv, z_second, z_sup,
+                       z_value)
 from .spectral import (EigenResult, GroundState, build_J, lambda1,
                        rayleigh, residual_J_equation, schrodinger_ground)
 from .verify import (SigmaCheck, SweepRow, VerificationRecord,
@@ -51,9 +51,8 @@ __all__ = [
     "DiameterBracket", "GeometryReport", "Manifold", "WarpProfile",
     "diameter", "geometry_report", "kbar", "make_manifold",
     "rho_H_field", "ricci_min", "volume",
-    "ZFunction", "check_model_inequalities", "ode_residual",
-    "sharpness_integral", "z_deriv", "z_eval", "z_second", "z_sup",
-    "z_value",
+    "check_model_inequalities", "ode_residual", "sharpness_integral",
+    "z_deriv", "z_second", "z_sup", "z_value",
     "EigenResult", "GroundState", "build_J", "lambda1", "rayleigh",
     "residual_J_equation", "schrodinger_ground",
     "SigmaCheck", "SweepRow", "VerificationRecord", "check_J_bounds",

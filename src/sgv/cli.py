@@ -25,10 +25,11 @@ from .constants import (DELTA_CAP, LedgerInput, build_ledger,
                         gradient_constants)
 from .errors import ConfigError, SgvError
 from .geometry import geometry_report, diameter, kbar, make_manifold
-from .modelode import check_model_inequalities, ode_residual, z_sup
+from .modelode import (ENDPOINT_GAP, check_model_inequalities,
+                       ode_residual, z_sup)
 from .report import (PLOT_KINDS, emit_plot_data, records_to_csv,
                      sweep_payload, to_json)
-from .spectral import lambda1
+from .spectral import DEFAULT_GRIDS, lambda1
 from .verify import check_main_theorem, sweep
 
 log = logging.getLogger("sgv")
@@ -176,7 +177,7 @@ def _cmd_ode_check(args) -> int:
                                        min(args.eta, 1.0 + args.delta),
                                        u_grid=args.u_grid,
                                        j_grid=args.j_grid)
-    u = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, args.u_grid)
+    u = np.linspace(-1.0 + ENDPOINT_GAP, 1.0 - ENDPOINT_GAP, args.u_grid)
     resid = float(np.max(np.abs(ode_residual(u, args.eta))))
     payload = dict(margins)
     payload["ode_residual_max"] = resid
@@ -324,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("eig", help="first nonzero Laplace eigenvalue")
     _add_manifold_flags(sp)
-    sp.add_argument("--grids", default="512,1024,2048",
+    sp.add_argument("--grids", default=",".join(map(str, DEFAULT_GRIDS)),
                     help="comma-separated refinement grids")
     sp.add_argument("--out", default=None, help="also write JSON here")
     sp.set_defaults(func=_cmd_eig)

@@ -31,7 +31,7 @@ always an upper bound (conservative for eps_max, which divides by it).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BadExponent, DeltaTooLarge, NoConvergence, Unreachable
@@ -42,6 +42,13 @@ DELTA_MAX = math.sqrt(10.0) - 3.0
 # delta^2 + 6 delta - 1 = 0, keeping 1 - sqrt(B(delta)) bounded away
 # from zero
 DELTA_CAP = DELTA_MAX - 1e-6
+# relative accuracy of the certified Moser product
+MOSER_TAIL_TOL = 1e-10
+
+
+def tau_of(delta: float) -> float:
+    """Exponent tau = (3 + 4 delta) / (2 delta) of the power transform."""
+    return (3.0 + 4.0 * delta) / (2.0 * delta)
 
 
 @dataclass(frozen=True)
@@ -99,14 +106,6 @@ class GradientConstants:
     b: float
     alpha: float
 
-    @property
-    def lambda_tilde_slope(self) -> float:
-        return self.C1
-
-    @property
-    def lambda_tilde_offset(self) -> float:
-        return self.C2
-
     def lambda_tilde(self, lambda1: float) -> float:
         return self.C1 * lambda1 + self.C2
 
@@ -125,7 +124,7 @@ def gradient_constants(inp: LedgerInput,
         sigma = 4.0 * epsilon_max(inp).eps_max
     if sigma < 0.0:
         raise ValueError(f"sigma = {sigma} must be >= 0")
-    tau = (3.0 + 4.0 * d) / (2.0 * d)
+    tau = tau_of(d)
     A = 2.0 * d * (1.0 + d)
     B = d * (5.0 + d) / (1.0 - d)
     if B >= 1.0:
@@ -143,8 +142,7 @@ def gradient_constants(inp: LedgerInput,
                              C1=C1, C2=C2, b=b, alpha=alpha)
 
 
-def moser_constant(C_s: float, p: float, n: int, psi_norm: float,
-                   tail_tol: float = 1e-10) -> float:
+def moser_constant(C_s: float, p: float, n: int, psi_norm: float) -> float:
     """Upper bound on the iteration constant A_moser.
 
     The constant is the infinite product
@@ -157,8 +155,8 @@ def moser_constant(C_s: float, p: float, n: int, psi_norm: float,
     l >= 4/3 and log(x + 2) <= max(log x, 0) + log 3 turn every later
     factor into P + Q*(j-1) times mu^{-j}, which sums in closed form.
     The returned value (truncated product times exp of the tail bound)
-    is therefore always an upper bound, within tail_tol relative of the
-    true constant.
+    is therefore always an upper bound, within MOSER_TAIL_TOL relative of
+    the true constant.
     """
     if p <= n / 2.0:
         raise BadExponent(f"p = {p} must exceed n/2 = {n / 2}")
@@ -194,7 +192,8 @@ def moser_constant(C_s: float, p: float, n: int, psi_norm: float,
             xp = x ** (j + 1)
             tail = (P * xp / (1.0 - x)
                     + Q * xp * (j - (j - 1) * x) / (1.0 - x) ** 2)
-            if 0.0 <= tail <= tail_tol and contrib <= tail_tol * (1.0 - x):
+            if (0.0 <= tail <= MOSER_TAIL_TOL
+                    and contrib <= MOSER_TAIL_TOL * (1.0 - x)):
                 return math.exp(log_sum + tail)
         l_prev = l_j
     raise NoConvergence("Moser product tail failed to certify")
@@ -222,6 +221,13 @@ def _b_exponent_constant(p: float, n: int) -> float:
             * ((2.0 * p - 2.0) / (2.0 * p - n)) ** ((p - 1.0) / (2.0 * p)))
 
 
+def _volume_rate(p: float, n: int, D: float) -> tuple:
+    """(B_pn, alpha_tilde) with the exponent rate
+    alpha_tilde = log(1 + 2^-(p+1)) / (B_pn D) of the volume bound."""
+    B_pn = _b_exponent_constant(p, n)
+    return B_pn, math.log1p(2.0 ** (-(p + 1.0))) / (B_pn * D)
+
+
 def epsilon_max(inp: LedgerInput) -> EpsilonBreakdown:
     """Largest certified integral-curvature threshold for these inputs.
 
@@ -232,13 +238,11 @@ def epsilon_max(inp: LedgerInput) -> EpsilonBreakdown:
     three and four, so the returned minimum is conservative (valid).
     """
     n, p, D, d = inp.n, inp.p, inp.D, inp.delta
-    B_pn = _b_exponent_constant(p, n)
-    alpha_tilde = math.log1p(2.0 ** (-(p + 1.0))) / (B_pn * D)
+    B_pn, alpha_tilde = _volume_rate(p, n, D)
     term1 = (n - 1.0) * alpha_tilde ** 2
     term2 = d / (12.0 * inp.C_s ** 2 * (3.0 + 2.0 * d))
 
-    tau = (3.0 + 4.0 * d) / (2.0 * d)
-    psi_norm = 1.0 + 6.0 * (tau - 1.0) * min(term1, term2)
+    psi_norm = 1.0 + 6.0 * (tau_of(d) - 1.0) * min(term1, term2)
     A_moser = moser_constant(inp.C_s, p, n, psi_norm)
     K1 = math.sqrt(6.0 / inp.Lambda_rough * (2.0 + 3.0 / d))
     K2 = A_moser * (K1 + (9.0 + 6.0 * d) / d)
@@ -271,8 +275,7 @@ def gallot_feasible(eps: float, n: int, p: float, D: float):
         raise BadExponent(f"p = {p} must exceed n/2 = {n / 2}")
     if D <= 0.0:
         raise ValueError("D must be positive")
-    B_pn = _b_exponent_constant(p, n)
-    alpha_tilde = math.log1p(2.0 ** (-(p + 1.0))) / (B_pn * D)
+    B_pn, alpha_tilde = _volume_rate(p, n, D)
     grow = math.expm1(B_pn * alpha_tilde * D)
     rhs = (n - 1.0) * alpha_tilde ** 2 * (
         1.0 / (2.0 ** (1.0 / p) * grow ** (1.0 / p)) - 1.0)
@@ -281,41 +284,27 @@ def gallot_feasible(eps: float, n: int, p: float, D: float):
 
 @dataclass(frozen=True)
 class ConstantLedger:
-    """Full flattened ledger: gradient constants plus the eps pipeline."""
+    """Gradient constants plus the eps pipeline for one set of inputs;
+    to_dict flattens them into one record."""
 
     inputs: LedgerInput
     sigma_used: float
-    tau: float
-    A: float
-    B: float
-    z_peak: float
-    C1: float
-    C2: float
-    b: float
-    alpha: float
-    A_moser: float
-    K1: float
-    K2: float
-    C3: float
-    B_pn: float
-    alpha_tilde: float
-    eps_terms: tuple
-    eps_max: float
+    grad: GradientConstants
+    eps: EpsilonBreakdown
 
     def to_dict(self) -> dict:
+        inp, g, e = self.inputs, self.grad, self.eps
         return {
-            "n": self.inputs.n, "p": self.inputs.p, "D": self.inputs.D,
-            "delta": self.inputs.delta, "C_s": self.inputs.C_s,
-            "Lambda_rough": self.inputs.Lambda_rough,
+            "n": inp.n, "p": inp.p, "D": inp.D, "delta": inp.delta,
+            "C_s": inp.C_s, "Lambda_rough": inp.Lambda_rough,
             "sigma_used": self.sigma_used,
-            "tau": self.tau, "A": self.A, "B": self.B,
-            "z_peak": self.z_peak, "C1": self.C1, "C2": self.C2,
-            "b": self.b, "alpha": self.alpha, "A_moser": self.A_moser,
-            "K1": self.K1, "K2": self.K2, "C3": self.C3,
-            "B_pn": self.B_pn, "alpha_tilde": self.alpha_tilde,
-            "term1": self.eps_terms[0], "term2": self.eps_terms[1],
-            "term3": self.eps_terms[2], "term4": self.eps_terms[3],
-            "eps_max": self.eps_max,
+            "tau": g.tau, "A": g.A, "B": g.B, "z_peak": g.z_peak,
+            "C1": g.C1, "C2": g.C2, "b": g.b, "alpha": g.alpha,
+            "A_moser": e.A_moser, "K1": e.K1, "K2": e.K2, "C3": e.C3,
+            "B_pn": e.B_pn, "alpha_tilde": e.alpha_tilde,
+            "term1": e.terms[0], "term2": e.terms[1],
+            "term3": e.terms[2], "term4": e.terms[3],
+            "eps_max": e.eps_max,
         }
 
 
@@ -326,13 +315,8 @@ def build_ledger(inp: LedgerInput) -> ConstantLedger:
     """
     eps = epsilon_max(inp)
     sigma = inp.sigma if inp.sigma is not None else 4.0 * eps.eps_max
-    grad = gradient_constants(inp, sigma=sigma)
-    return ConstantLedger(
-        inputs=inp, sigma_used=sigma, tau=grad.tau, A=grad.A, B=grad.B,
-        z_peak=grad.z_peak, C1=grad.C1, C2=grad.C2, b=grad.b,
-        alpha=grad.alpha, A_moser=eps.A_moser, K1=eps.K1, K2=eps.K2,
-        C3=eps.C3, B_pn=eps.B_pn, alpha_tilde=eps.alpha_tilde,
-        eps_terms=eps.terms, eps_max=eps.eps_max)
+    return ConstantLedger(inputs=inp, sigma_used=sigma,
+                          grad=gradient_constants(inp, sigma=sigma), eps=eps)
 
 
 _DELTA_GRID_LO = 1e-4

@@ -145,9 +145,14 @@ class WarpProfile:
                     self.c * (1.0 + abs(self.beta)))
         if self.kind == "sine-sphere":
             return 0.0, self.L / np.pi
-        crit = self._spline.derivative().roots(extrapolate=False)
-        vals = self._spline(np.concatenate([self.ts, crit[np.isfinite(crit)]]))
+        vals = self._spline(self._extremal_points())
         return float(np.min(vals)), float(np.max(vals))
+
+    def _extremal_points(self) -> np.ndarray:
+        """A spline's knots and the roots of its derivative: its extremes
+        over any union of pieces lie among them."""
+        crit = self._spline.derivative().roots(extrapolate=False)
+        return np.concatenate([self.ts, crit[np.isfinite(crit)]])
 
 
 @dataclass(frozen=True)
@@ -164,11 +169,6 @@ class Manifold:
     @property
     def boundary(self) -> str:
         return self.profile.boundary
-
-    @property
-    def fiber_scale(self) -> float:
-        """Circumference parameter of a constant-warp torus fiber (2*pi*c)."""
-        return 2.0 * np.pi * self.profile.c
 
     def describe(self) -> dict:
         p = self.profile
@@ -195,14 +195,19 @@ def _validate(profile: WarpProfile, n: int) -> None:
         raise ValueError("base length L must be positive and finite")
     if n < 2:
         raise ValueError("dimension n must be >= 2")
-    interior = np.linspace(0.0, L, 4097)[1:-1]
-    fv = profile.f(interior)
-    if not np.all(np.isfinite(fv)):
+    # exact extremes; a pole-closed profile is 0 at its ends, so its
+    # minimum is taken over the open interval (0, L)
+    f_min, scale = profile.f_range()
+    if profile.kind == "sine-sphere":
+        f_min = scale  # r sin(t / r) > 0 on (0, L)
+    elif profile.kind == "tabulated" and profile.boundary == "pole-closed":
+        pts = profile._extremal_points()
+        f_min = float(np.min(profile.f(pts[(pts > 0.0) & (pts < L)])))
+    if not (np.isfinite(f_min) and np.isfinite(scale)):
         raise NonPositiveWarp("warp function is not finite on the interior")
-    if np.min(fv) <= 0.0:
+    if f_min <= 0.0:
         raise NonPositiveWarp(
-            f"warp function reaches {np.min(fv):.3g} <= 0 on the interior")
-    scale = float(np.max(fv))
+            f"warp function reaches {f_min:.3g} <= 0 on the interior")
     f0 = float(profile.f(0.0))
     fL = float(profile.f(L))
     d0 = float(profile.df(0.0))

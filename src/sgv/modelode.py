@@ -30,7 +30,6 @@ switch is seamless at the threshold to ~1e-15 relative accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +38,8 @@ from .errors import (EndpointSecondDerivative, HypothesisViolation,
                      RatioOutOfRange)
 
 _PSI_SWITCH = 0.25
+# distance from u = +-1 of the inequality grid's end points
+ENDPOINT_GAP = 1e-9
 
 # series for (2/pi)(arcsin u + u sqrt(1-u^2)) - u at u = cos(psi):
 # even powers from -cos psi, odd powers from (1/pi) sin 2psi
@@ -140,32 +141,6 @@ def z_ratio_lin(u, eta: float):
     return _match_shape(u, eta * np.sign(arr) * out)
 
 
-@dataclass(frozen=True)
-class ZFunction:
-    """Bound evaluation of the model solution at a fixed eta."""
-
-    eta: float
-
-    def value(self, u):
-        return z_value(u, self.eta)
-
-    def deriv(self, u):
-        return z_deriv(u, self.eta)
-
-    def second(self, u):
-        return z_second(u, self.eta)
-
-
-def z_eval(u, eta: float):
-    """(Z, Z', Z'') at interior points.
-
-    The second derivative diverges at |u| = 1, so this convenience
-    bundle raises there; use z_value / z_deriv for endpoint values.
-    """
-    z2 = z_second(u, eta)  # raises EndpointSecondDerivative at |u| = 1
-    return z_value(u, eta), z_deriv(u, eta), z2
-
-
 def ode_residual(u, eta: float):
     """|(1 - u^2) Z'' + u Z' + eta u| evaluated from the closed forms.
 
@@ -196,11 +171,10 @@ def check_model_inequalities(eta: float,
                              J_lo: float,
                              J_hi: float,
                              u_grid: int = 100_000,
-                             j_grid: int = 11,
-                             endpoint_gap: float = 1e-9) -> dict:
+                             j_grid: int = 11) -> dict:
     """Worst-case margins of the three pointwise comparison inequalities.
 
-    Over u in [-1 + endpoint_gap, 1 - endpoint_gap] and J in
+    Over u in [-1 + ENDPOINT_GAP, 1 - ENDPOINT_GAP] and J in
     [J_lo, J_hi] the quantities
 
        m1 = Z'^2/eta - 2 Z'' Z / J + Z'      (gradient-comparison form)
@@ -221,7 +195,7 @@ def check_model_inequalities(eta: float,
         raise HypothesisViolation(f"J_hi = {J_hi} exceeds eta = {eta}")
     if not (0.0 < J_lo <= J_hi):
         raise ValueError("need 0 < J_lo <= J_hi")
-    u = np.linspace(-1.0 + endpoint_gap, 1.0 - endpoint_gap, u_grid)
+    u = np.linspace(-1.0 + ENDPOINT_GAP, 1.0 - ENDPOINT_GAP, u_grid)
     zp = z_deriv(u, eta)
     # -2 Z'' Z = (8 eta / pi) * u * (Z / sqrt(1 - u^2)) without blowup
     prod = (8.0 * eta / np.pi) * u * z_ratio_sqrt(u, eta)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import EmptySeries
 

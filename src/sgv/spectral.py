@@ -36,8 +36,8 @@ extrapolated value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence, Union
 
 import numpy as np
 import scipy.linalg as sla
@@ -48,6 +48,8 @@ from .geometry import Manifold
 
 DEFAULT_GRIDS = (512, 1024, 2048)
 _ORDER_WINDOW = (1.5, 2.5)
+# fiber modes lambda1 may sweep before giving up
+MAX_MODES = 64
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,6 @@ class Discretization:
     tm: np.ndarray          # cell midpoints, shape (N,)
     edge_w: np.ndarray      # f^{n-1} at cell edges, shape (N+1,)
     mass: np.ndarray        # M diagonal: f(tm)^{n-1} h
-    pot: np.ndarray         # fiber term: nu_k f(tm)^{n-3} h
     sym_d: np.ndarray       # diag of B = M^{-1/2} K M^{-1/2}
     sym_e: np.ndarray       # first off-diagonal of B, shape (N-1,)
     sym_corner: float       # B[0, N-1] (periodic closures only, else 0)
@@ -70,24 +71,16 @@ class Discretization:
     def periodic(self) -> bool:
         return self.manifold.boundary == "periodic"
 
-    def nu(self) -> float:
-        return float(self.k * (self.k + self.manifold.n - 2))
-
     def apply_sym(self, x: np.ndarray) -> np.ndarray:
         """B @ x for vectors or column blocks."""
-        y = self.sym_d[:, None] * x if x.ndim == 2 else self.sym_d * x
-        if x.ndim == 2:
-            y[1:] += self.sym_e[:, None] * x[:-1]
-            y[:-1] += self.sym_e[:, None] * x[1:]
-            if self.sym_corner != 0.0:
-                y[0] += self.sym_corner * x[-1]
-                y[-1] += self.sym_corner * x[0]
-        else:
-            y[1:] += self.sym_e * x[:-1]
-            y[:-1] += self.sym_e * x[1:]
-            if self.sym_corner != 0.0:
-                y[0] += self.sym_corner * x[-1]
-                y[-1] += self.sym_corner * x[0]
+        rows = (slice(None),) + (None,) * (x.ndim - 1)
+        e = self.sym_e[rows]
+        y = self.sym_d[rows] * x
+        y[1:] += e * x[:-1]
+        y[:-1] += e * x[1:]
+        if self.sym_corner != 0.0:
+            y[0] += self.sym_corner * x[-1]
+            y[-1] += self.sym_corner * x[0]
         return y
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
@@ -147,7 +140,7 @@ def assemble(m: Manifold, k: int, N: int) -> Discretization:
     if m.boundary == "periodic":
         corner = float(-edge_w[0] / h * inv_sqrt_m[0] * inv_sqrt_m[-1])
     return Discretization(manifold=m, k=k, N=N, h=h, tm=tm, edge_w=edge_w,
-                          mass=mass, pot=pot, sym_d=sym_d, sym_e=sym_e,
+                          mass=mass, sym_d=sym_d, sym_e=sym_e,
                           sym_corner=corner)
 
 
@@ -194,7 +187,6 @@ def _corner_lowest(dis: Discretization, count: int, deflate: bool,
     if deflate:
         X -= kernel[:, None] * (kernel @ X)[None, :]
     X, _ = np.linalg.qr(X)
-    nb = X.shape[1]
 
     s = shift
     for attempt in range(6):
@@ -288,9 +280,7 @@ def _lowest_pairs(dis: Discretization, count: int) -> tuple:
         shift = -0.5 * abs(lam_est)
     else:
         shift = 0.0  # k >= 1 pencils are positive definite
-    nb_needed = count
-    theta, vecs = _corner_lowest(dis, max(nb_needed, 1), deflate, shift)
-    return theta, vecs
+    return _corner_lowest(dis, count, deflate, shift)
 
 
 def _to_midpoint_values(dis: Discretization, v: np.ndarray) -> np.ndarray:
@@ -310,7 +300,7 @@ def rayleigh(dis: Discretization, phi: np.ndarray) -> float:
 class EigenResult:
     """First nonzero eigenvalue with its certificate trail.
 
-    lambda1 is the Richardson-extrapolated value (== extrapolated);
+    lambda1 is the Richardson-extrapolated value;
     history holds (N, raw eigenvalue) per grid for the winning fiber
     mode.  u is the normalized base profile of the eigenfunction: for
     mode 0 it is the full eigenfunction with sup 1 / inf -1 after the
@@ -328,7 +318,6 @@ class EigenResult:
     t: np.ndarray
     history: tuple
     order: float
-    extrapolated: float
     degenerate: bool
     rayleigh_raw: float
 
@@ -426,8 +415,7 @@ def _extrapolate(lams: Sequence[float], floor: float = 0.0):
     return l2 + d12 / 3.0, order, False
 
 
-def lambda1(m: Manifold, grids: Sequence[int] = DEFAULT_GRIDS,
-            max_modes: int = 64) -> EigenResult:
+def lambda1(m: Manifold, grids: Sequence[int] = DEFAULT_GRIDS) -> EigenResult:
     """First nonzero Laplace eigenvalue by fiber-mode sweep + Richardson.
 
     Solves every fiber mode whose lower bound nu_k / max(f)^2 does not
@@ -443,7 +431,7 @@ def lambda1(m: Manifold, grids: Sequence[int] = DEFAULT_GRIDS,
     candidates = []  # (extrap, k, lams, u_raw, dis, order, floor)
     best = None
     k = 0
-    while k <= max_modes:
+    while k <= MAX_MODES:
         nu = float(k * (k + m.n - 2))
         if best is not None and k >= 1:
             if nu / f_max ** 2 > best[0] * (1.0 + 1e-9):
@@ -455,7 +443,7 @@ def lambda1(m: Manifold, grids: Sequence[int] = DEFAULT_GRIDS,
             best = candidates[-1]
         k += 1
     else:
-        raise NoConvergence("fiber-mode sweep exhausted max_modes")
+        raise NoConvergence("fiber-mode sweep exhausted MAX_MODES")
 
     extrap, mode, lams, u_raw, dis, order, at_floor = best
     if not at_floor and not (_ORDER_WINDOW[0] <= order <= _ORDER_WINDOW[1]):
@@ -473,8 +461,8 @@ def lambda1(m: Manifold, grids: Sequence[int] = DEFAULT_GRIDS,
     rq = rayleigh(dis, u_raw)
     return EigenResult(lambda1=float(extrap), mode=mode, u=u, a=a,
                        t=dis.tm, history=tuple(zip(grids, lams)),
-                       order=float(order), extrapolated=float(extrap),
-                       degenerate=degenerate, rayleigh_raw=rq)
+                       order=float(order), degenerate=degenerate,
+                       rayleigh_raw=rq)
 
 
 # -- Schrodinger ground state -------------------------------------------------
@@ -520,11 +508,7 @@ def schrodinger_ground(m: Manifold,
         # would otherwise leak sign noise into sigma margins.
         return GroundState(sigma_tilde=0.0, w=np.ones(N), w_bar=1.0,
                            dis=dis)
-    shifted = Discretization(
-        manifold=dis.manifold, k=dis.k, N=dis.N, h=dis.h, tm=dis.tm,
-        edge_w=dis.edge_w, mass=dis.mass, pot=dis.pot,
-        sym_d=dis.sym_d - Varr, sym_e=dis.sym_e,
-        sym_corner=dis.sym_corner)
+    shifted = replace(dis, sym_d=dis.sym_d - Varr)
     if dis.periodic:
         vmax = float(np.max(Varr)) if Varr.size else 0.0
         base = (2.0 * np.pi / m.L) ** 2
@@ -560,6 +544,18 @@ def build_J(gs: GroundState, tau: float) -> np.ndarray:
     return (gs.w / gs.w_bar) ** (-1.0 / (tau - 1.0))
 
 
+def centered_gradient(values: np.ndarray, h: float, periodic: bool):
+    """Centered first difference of midpoint samples, and the slice
+    where it is valid: everywhere on a periodic grid, all but the two
+    end cells on a pole-closed one (their entries are 0)."""
+    if periodic:
+        g = (np.roll(values, -1) - np.roll(values, 1)) / (2.0 * h)
+        return g, slice(None)
+    g = np.zeros_like(values)
+    g[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
+    return g, slice(1, -1)
+
+
 def residual_J_equation(dis: Discretization, J: np.ndarray,
                         rho0: np.ndarray, tau: float,
                         sigma: float) -> float:
@@ -576,12 +572,6 @@ def residual_J_equation(dis: Discretization, J: np.ndarray,
     J = np.asarray(J, dtype=float)
     rho0 = np.asarray(rho0, dtype=float)
     lap = dis.laplacian(J)
-    if dis.periodic:
-        grad = (np.roll(J, -1) - np.roll(J, 1)) / (2.0 * dis.h)
-        sl = slice(None)
-    else:
-        grad = np.zeros_like(J)
-        grad[1:-1] = (J[2:] - J[:-2]) / (2.0 * dis.h)
-        sl = slice(1, -1)
+    grad, sl = centered_gradient(J, dis.h, dis.periodic)
     res = lap - tau * grad * grad / J - 2.0 * J * rho0 + sigma * J
     return float(np.max(np.abs(res[sl])))

@@ -33,18 +33,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .constants import (GradientConstants, LedgerInput, delta_for_alpha,
-                        epsilon_max, gradient_constants)
+                        epsilon_max, gradient_constants, tau_of)
 from .geometry import Manifold, diameter, kbar, make_manifold, rho_H_field
 from .modelode import z_value
-from .spectral import (EigenResult, GroundState, build_J, lambda1,
+from .spectral import (DEFAULT_GRIDS, EigenResult, GroundState, _extrapolate,
+                       build_J, centered_gradient, lambda1,
                        residual_J_equation, schrodinger_ground)
-
-SIGMA_GRIDS = (512, 1024, 2048)
-EIG_GRIDS = (512, 1024, 2048)
-
-
-def tau_of(delta: float) -> float:
-    return (3.0 + 4.0 * delta) / (2.0 * delta)
 
 
 def shift_potential(m: Manifold, delta: float) -> Callable:
@@ -73,29 +67,23 @@ class SigmaCheck:
 
 
 def check_sigma_bound(m: Manifold, delta: float, p: float,
-                      grids: Sequence[int] = SIGMA_GRIDS,
                       kb: Optional[float] = None) -> SigmaCheck:
     """Measure sigma = sigma_tilde / (tau - 1) and its ceiling margin.
 
-    sigma_tilde is Richardson-extrapolated over the grid chain (no order
+    sigma_tilde takes the same Richardson step as lambda1 over
+    DEFAULT_GRIDS, with a rounding floor of 1e-12 relative and no order
     gate: for near-flat profiles the grid differences sit at rounding
-    level and extrapolation is a no-op).  kb is kbar(m, p, 0) when the
-    caller already has it.
+    level and the step is a no-op.  kb is kbar(m, p, 0) when the caller
+    already has it.
     """
     tau = tau_of(delta)
     V = shift_potential(m, delta)
     history = []
-    gs = None
-    for N in grids:
+    for N in DEFAULT_GRIDS:
         gs = schrodinger_ground(m, V, N)
         history.append((N, gs.sigma_tilde))
     vals = [st for _, st in history]
-    if len(vals) >= 2:
-        d_last = vals[-1] - vals[-2]
-        scale = max(abs(vals[-1]), 1e-30)
-        st = vals[-1] + (d_last / 3.0 if abs(d_last) > 1e-12 * scale else 0.0)
-    else:
-        st = vals[-1]
+    st, _, _ = _extrapolate(vals, floor=1e-12 * max(abs(vals[-1]), 1e-30))
     sigma = st / (tau - 1.0)
     if kb is None:
         kb = kbar(m, p, 0.0)
@@ -104,24 +92,14 @@ def check_sigma_bound(m: Manifold, delta: float, p: float,
 
 
 def check_J_bounds(m: Manifold, delta: float,
-                   ground: Optional[GroundState] = None,
-                   N: int = 2048) -> float:
-    """Max deviation |J - 1| of the transformed ground state."""
+                   ground: Optional[GroundState] = None) -> float:
+    """Max deviation |J - 1| of the transformed ground state (solved on
+    the finest default grid unless given)."""
     if ground is None:
-        ground = schrodinger_ground(m, shift_potential(m, delta), N)
+        ground = schrodinger_ground(m, shift_potential(m, delta),
+                                    DEFAULT_GRIDS[-1])
     J = build_J(ground, tau_of(delta))
     return float(np.max(np.abs(J - 1.0)))
-
-
-def _grad_centered(values: np.ndarray, h: float, periodic: bool):
-    """Centered first difference; pole-closed profiles lose the two
-    boundary cells (returned slice marks the valid range)."""
-    if periodic:
-        g = (np.roll(values, -1) - np.roll(values, 1)) / (2.0 * h)
-        return g, slice(None)
-    g = np.zeros_like(values)
-    g[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
-    return g, slice(1, -1)
 
 
 def check_gradient_estimate(m: Manifold, delta: float,
@@ -138,7 +116,7 @@ def check_gradient_estimate(m: Manifold, delta: float,
     signed margin max Q (must be <= ~1e-6 * lt when hypotheses hold).
     """
     if eig is None:
-        eig = lambda1(m, grids=EIG_GRIDS)
+        eig = lambda1(m)
     if ground is None:
         N = eig.t.size
         ground = schrodinger_ground(m, shift_potential(m, delta), N)
@@ -150,8 +128,7 @@ def check_gradient_estimate(m: Manifold, delta: float,
     eta = 1.0 + delta
     u = eig.u
     h = float(eig.t[1] - eig.t[0])
-    periodic = m.boundary == "periodic"
-    grad, sl = _grad_centered(u, h, periodic)
+    grad, sl = centered_gradient(u, h, m.boundary == "periodic")
 
     if eig.mode == 0:
         q = J * grad * grad - lt * (1.0 - u * u) \
@@ -240,10 +217,7 @@ class VerificationRecord:
 
 def check_main_theorem(m: Manifold, alpha_target: float, p: float,
                        C_s: float, Lambda_rough: float,
-                       manifold_id: str = "",
-                       eig_grids: Sequence[int] = EIG_GRIDS,
-                       sigma_grids: Sequence[int] = SIGMA_GRIDS
-                       ) -> VerificationRecord:
+                       manifold_id: str = "") -> VerificationRecord:
     """Assemble the full certification record for one manifold.
 
     The certified alpha comes from the a-priori chain (delta selected
@@ -260,10 +234,10 @@ def check_main_theorem(m: Manifold, alpha_target: float, p: float,
     kb = kbar(m, p, 0.0)
     hypothesis_met = bool(kb <= eps.eps_max)
 
-    eig = lambda1(m, grids=eig_grids)
+    eig = lambda1(m)
     sigma = sigma_margin = j_dev = grad_margin = lam_tilde = None
     try:
-        sc = check_sigma_bound(m, delta, p, grids=sigma_grids, kb=kb)
+        sc = check_sigma_bound(m, delta, p, kb=kb)
         sigma, sigma_margin = sc.sigma, sc.margin
     except Exception:
         sc = None
@@ -276,12 +250,10 @@ def check_main_theorem(m: Manifold, alpha_target: float, p: float,
         try:
             grad_consts = gradient_constants(li, sigma=max(sigma, 0.0))
             lam_tilde = grad_consts.lambda_tilde(eig.lambda1)
-            # the finest sigma grid is the eigen grid by default; reuse
-            # its ground state then instead of solving it again
-            same = sc.ground.t.size == eig.t.size
+            # both chains end on the same grid: reuse the finest ground
+            # state instead of solving it again
             grad_margin = check_gradient_estimate(
-                m, delta, grad_consts, eig=eig,
-                ground=sc.ground if same else None)
+                m, delta, grad_consts, eig=eig, ground=sc.ground)
         except Exception:
             grad_margin = None
 

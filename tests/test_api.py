@@ -1,0 +1,83 @@
+"""Tests of the public surface: the names callers and docs rely on.
+
+Covers:
+- every name in sgv.__all__ resolves
+- the benchmark tracer (perfbench/tracer.py) can wrap every attribute it
+  looks up, so a deleted or renamed function fails here first
+- README's Python quick start runs verbatim and prints the values its
+  comments state
+"""
+
+import contextlib
+import importlib.util
+import io
+import math
+import pathlib
+import re
+
+import sgv
+import sgv.verify
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def test_all_names_resolve():
+    missing = [name for name in sgv.__all__ if not hasattr(sgv, name)]
+    assert not missing
+
+
+def test_tracer_wraps_every_target():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    original = sgv.verify.lambda1
+    uninstall = tracer.install(tracer.Tracer())
+    try:
+        assert sgv.verify.lambda1 is not original
+    finally:
+        uninstall()
+    assert sgv.verify.lambda1 is original
+
+
+_NUMBER = re.compile(r"True|False|[-+]?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
+_STATED = re.compile(_NUMBER.pattern + r"(?:\.\.\.)?")
+
+
+def _stated(comment: str) -> list:
+    """The values a `# ...` comment states, before its explanation."""
+    value = re.split(r"\s+\(|: ", comment, maxsplit=1)[0]
+    return _STATED.findall(value)
+
+
+def _matches(printed: str, stated: str) -> bool:
+    """Whether a printed value shows as stated: equal for booleans and
+    integers, truncated for a trailing `...`, rounded otherwise."""
+    if re.fullmatch(r"True|False|[-+]?\d+", stated):
+        return printed == stated
+    truncated = stated.endswith("...")
+    mantissa, _, exp = stated.rstrip(".").partition("e")
+    unit = 10.0 ** (int(exp or 0) - len(mantissa.partition(".")[2]))
+    gap = float(printed) - float(stated.rstrip("."))
+    if truncated:
+        return 0.0 <= math.copysign(1.0, float(printed)) * gap < unit
+    return abs(gap) <= 0.5 * unit * (1.0 + 1e-9)
+
+
+def test_readme_python_quick_start():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Quick start \(Python\)\n\n```python\n(.*?)```",
+                      readme, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    lines = out.getvalue().splitlines()
+    comments = [line.split("# ", 1)[1] for line in block.splitlines()
+                if line.startswith("print(")]
+    assert len(lines) == len(comments)
+    for line, comment in zip(lines, comments):
+        stated = _stated(comment)
+        printed = _NUMBER.findall(line)[:len(stated)]
+        assert stated and len(printed) == len(stated), (line, comment)
+        assert all(_matches(p, s) for p, s in zip(printed, stated)), \
+            (line, comment)

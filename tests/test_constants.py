@@ -123,8 +123,6 @@ def test_lambda_tilde_line():
     lam = 2.345
     assert g.lambda_tilde(lam) == pytest.approx(g.C1 * lam + g.C2,
                                                 rel=1e-15)
-    assert g.lambda_tilde_slope == g.C1
-    assert g.lambda_tilde_offset == g.C2
 
 
 # ===================================================================
@@ -247,10 +245,9 @@ def test_build_ledger_consistency():
     led = build_ledger(inp)
     eb = epsilon_max(inp)
     assert led.sigma_used == pytest.approx(4.0 * eb.eps_max, rel=1e-15)
-    assert led.eps_max == eb.eps_max
+    assert led.eps == eb
     g = gradient_constants(inp, sigma=led.sigma_used)
-    assert led.alpha == g.alpha
-    assert led.C2 == g.C2
+    assert led.grad == g
 
 
 def test_ledger_dict_flattens_terms():
@@ -265,7 +262,7 @@ def test_ledger_dict_flattens_terms():
 def test_explicit_sigma_respected_in_ledger():
     led = build_ledger(make_inputs(sigma=0.0))
     assert led.sigma_used == 0.0
-    assert led.C2 == 0.0
+    assert led.grad.C2 == 0.0
 
 
 # ===================================================================

@@ -8,8 +8,10 @@ Covers:
 - diameter: exact bracket for flat tori, D = L on pole-closed profiles,
   and brackets holding the exact diameter of near-flat cosine tori
 - the n = 2 Ricci field against -f''/f, and the exact range of f
-- metamorphic checks: scaling a cosine torus, shifting a periodic spline
-- constructor validation and the p > n/2 exponent gate
+- metamorphic checks: scaling a cosine torus, shifting a periodic spline,
+  reflecting a spline profile t -> L - t
+- constructor validation (exact positivity of f, non-finite warps) and
+  the p > n/2 exponent gate
 """
 
 import math
@@ -51,7 +53,7 @@ def test_constant_profile_is_constant():
     m = make_flat(c=0.25)
     t = np.linspace(0.0, m.L, 64)
     assert np.all(m.profile.f(t) == 0.25)
-    assert m.fiber_scale == pytest.approx(TWO_PI * 0.25)
+    assert m.describe()["fiber"] == pytest.approx(TWO_PI * 0.25)
 
 
 def test_cosine_profile_values():
@@ -62,7 +64,7 @@ def test_cosine_profile_values():
 
 def test_fiber_keyword_matches_circumference():
     m = make_manifold("constant", L=1.0, fiber=0.1)
-    assert m.fiber_scale == pytest.approx(0.1)
+    assert m.describe()["fiber"] == pytest.approx(0.1)
 
 
 def test_conflicting_fiber_and_c_rejected():
@@ -89,6 +91,29 @@ def test_tabulated_pole_closure_checked():
     ts = np.linspace(0.0, math.pi, 129)
     fs = np.sin(ts) + 0.05
     with pytest.raises(BadPoleClosure):
+        make_manifold("tabulated", L=math.pi, ts=ts, fs=fs,
+                      boundary="pole-closed")
+
+
+def test_non_finite_warp_rejected():
+    with pytest.raises(NonPositiveWarp):
+        make_manifold("constant", L=1.0, c=math.inf)
+
+
+def test_spline_dip_between_old_samples_rejected():
+    # knot 4097 of 8193 lies between any two of 4097 equispaced samples
+    ts = np.linspace(0.0, 1.0, 8193)
+    fs = np.ones(8193)
+    fs[4097] = -0.5
+    with pytest.raises(NonPositiveWarp):
+        make_manifold("tabulated", L=1.0, ts=ts, fs=fs, boundary="periodic")
+
+
+def test_pole_closed_spline_dip_rejected():
+    ts = np.linspace(0.0, math.pi, 8193)
+    fs = np.sin(ts)
+    fs[4097] = -0.5
+    with pytest.raises(NonPositiveWarp):
         make_manifold("tabulated", L=math.pi, ts=ts, fs=fs,
                       boundary="pole-closed")
 
@@ -431,6 +456,39 @@ def test_shifting_a_periodic_spline_by_knots(knots, shift, a, b):
     assert kbar(ms, 2.0, 0.0) == pytest.approx(kbar(m, 2.0, 0.0),
                                                rel=1e-10)
     assert diameter(ms).hi == pytest.approx(diameter(m).hi, rel=1e-12)
+
+
+def _asym_periodic_spline():
+    L = 4.7
+    ts = np.linspace(0.0, L, 49)
+    w = TWO_PI / L
+    fs = 0.5 * (1.0 + 0.15 * np.cos(w * ts) + 0.1 * np.sin(2.0 * w * ts))
+    fs[-1] = fs[0]
+    return dict(L=L, n=2, ts=ts, fs=fs, boundary="periodic")
+
+
+def _asym_pole_spline():
+    ts = np.linspace(0.0, math.pi, 65)
+    fs = np.sin(ts) * (1.0 + 0.3 * np.sin(ts) * np.cos(ts))
+    fs[0] = fs[-1] = 0.0
+    return dict(L=math.pi, n=3, ts=ts, fs=fs, boundary="pole-closed")
+
+
+@pytest.mark.parametrize("spec", [_asym_periodic_spline,
+                                  _asym_pole_spline])
+def test_reflecting_a_spline_profile(spec):
+    # t -> L - t is an isometry onto the manifold with profile f(L - t),
+    # whose spline through the reversed data is the reflected spline
+    kw = spec()
+    m = make_manifold("tabulated", **kw)
+    mr = make_manifold("tabulated", **{**kw, "fs": kw["fs"][::-1].copy()})
+    e, er = lambda1(m), lambda1(mr)
+    assert er.lambda1 == pytest.approx(e.lambda1, rel=1e-9)
+    assert er.mode == e.mode
+    assert kbar(mr, 2.0, 0.0) == pytest.approx(kbar(m, 2.0, 0.0), rel=1e-12)
+    br, brr = diameter(m), diameter(mr)
+    assert brr.lo == pytest.approx(br.lo, rel=1e-12)
+    assert brr.hi == pytest.approx(br.hi, rel=1e-12)
 
 
 # ===================================================================

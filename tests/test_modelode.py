@@ -25,7 +25,6 @@ from sgv import (
     ode_residual,
     sharpness_integral,
     z_deriv,
-    z_eval,
     z_second,
     z_sup,
     z_value,
@@ -35,7 +34,7 @@ from sgv.errors import (
     HypothesisViolation,
     RatioOutOfRange,
 )
-from sgv.modelode import ZFunction, z_ratio_lin, z_ratio_sqrt
+from sgv.modelode import z_ratio_lin, z_ratio_sqrt
 
 U_STAR = math.sqrt(1.0 - math.pi ** 2 / 16.0)
 
@@ -89,7 +88,7 @@ def test_second_derivative_endpoint_raises():
     with pytest.raises(EndpointSecondDerivative):
         z_second(1.0, 1.1)
     with pytest.raises(EndpointSecondDerivative):
-        z_eval(np.array([0.5, -1.0]), 1.1)
+        z_second(np.array([0.5, -1.0]), 1.1)
 
 
 def test_domain_validated():
@@ -123,15 +122,6 @@ def test_stable_ratios_match_direct_quotients():
     # continuous extension at the endpoint
     assert z_ratio_lin(1.0, 1.1) == pytest.approx(0.55, rel=1e-14)
     assert z_ratio_sqrt(1.0, 1.1) == 0.0
-
-
-def test_zfunction_bundle():
-    zf = ZFunction(eta=1.25)
-    assert zf.value(0.4) == z_value(0.4, 1.25)
-    assert zf.deriv(0.4) == z_deriv(0.4, 1.25)
-    assert zf.second(0.4) == z_second(0.4, 1.25)
-    v, d, s = z_eval(0.4, 1.25)
-    assert (v, d, s) == (zf.value(0.4), zf.deriv(0.4), zf.second(0.4))
 
 
 # ===================================================================

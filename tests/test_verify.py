@@ -33,7 +33,9 @@ import sgv._quadrature
 import sgv.geometry
 import sgv.verify
 from sgv.errors import Unreachable
-from sgv.verify import EIG_GRIDS, SIGMA_GRIDS, shift_potential, tau_of
+from sgv.constants import tau_of
+from sgv.spectral import DEFAULT_GRIDS
+from sgv.verify import shift_potential
 
 TWO_PI = 2.0 * math.pi
 
@@ -260,7 +262,7 @@ def test_record_solves_kbar_once_and_reuses_finest_ground(monkeypatch):
     counted("schrodinger_ground")
     m = make_cosine(1e-3, c=0.2)
     rec = check_main_theorem(m, 0.3, 2.0, 2.0, 0.5)
-    assert calls == {"kbar": 1, "schrodinger_ground": len(SIGMA_GRIDS)}
+    assert calls == {"kbar": 1, "schrodinger_ground": len(DEFAULT_GRIDS)}
 
     # the shared values equal independent computations, bit for bit
     monkeypatch.undo()
@@ -271,7 +273,7 @@ def test_record_solves_kbar_once_and_reuses_finest_ground(monkeypatch):
     li = LedgerInput(n=2, p=2.0, D=rec.diameter_hi, delta=rec.delta,
                      C_s=2.0, Lambda_rough=0.5)
     g = gradient_constants(li, sigma=max(sc.sigma, 0.0))
-    eig = lambda1(m, grids=EIG_GRIDS)
+    eig = lambda1(m)
     assert rec.gradient_margin is not None
     assert rec.gradient_margin == check_gradient_estimate(m, rec.delta, g,
                                                           eig=eig)
