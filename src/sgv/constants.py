@@ -321,12 +321,13 @@ def build_ledger(inp: LedgerInput) -> ConstantLedger:
 
 _DELTA_GRID_LO = 1e-4
 _DELTA_GRID_POINTS = 64
+# relative width at which the bisection against the grid stops
+_DELTA_REFINE_REL = 1e-12
 
 
 def delta_for_alpha(alpha_target: float, n: int, p: float, D: float,
                     C_s: float, Lambda_rough: float,
-                    sigma: Optional[float] = None,
-                    refine_rel: float = 1e-12):
+                    sigma: Optional[float] = None):
     """Largest admissible delta certifying at least alpha_target.
 
     For each delta on a logarithmic grid the self-consistent chain
@@ -362,7 +363,7 @@ def delta_for_alpha(alpha_target: float, n: int, p: float, D: float,
     if i + 1 >= len(grid):
         return lo, a_lo
     hi = grid[i + 1]  # alpha there < target
-    while hi - lo > refine_rel * hi:
+    while hi - lo > _DELTA_REFINE_REL * hi:
         mid = 0.5 * (lo + hi)
         a_mid = alpha_of(mid)
         if a_mid >= alpha_target:

@@ -15,19 +15,24 @@ and handles the pole-closed case naturally because the edge weight
 f^{n-1} vanishes at the poles -- no boundary condition is imposed beyond
 what the geometry already encodes.
 
-Two exact-arithmetic-shaped solvers cover the closure types:
+One entry point, `_eigenpair(dis, index, shift)`, returns the lowest
+(index 0) or second-lowest (index 1) pair of either closure type:
 
   * pole-closed pencils are symmetric tridiagonal after the congruence
     B = M^{-1/2} K M^{-1/2}; LAPACK's bisection + inverse iteration
-    (scipy.linalg.eigh_tridiagonal) returns selected lowest pairs
+    (scipy.linalg.eigh_tridiagonal) returns the selected pair
     deterministically.
   * periodic pencils add one corner entry.  B is tridiagonal plus the
     rank-one update u u^T with u supported on the first and last
     entries, so (B - s)^{-1} is two banded solves and a Sherman-Morrison
     correction.  A fixed-shift subspace iteration on a deterministic
     Fourier start block (no randomness anywhere) then converges the
-    lowest cluster; for k = 0 the exactly known constant mode is
-    projected out each sweep.
+    lowest pair; index 1 on a k = 0 pencil projects the exactly known
+    constant mode out each sweep.
+
+Both solvers resolve eigenvalues only to a few ulps of the Gershgorin
+scale of B (`_gershgorin`), which sets the iteration's stopping floor
+and the Richardson study's noise floor alike.
 
 Eigenvalues converge at second order in h; `lambda1` runs a three-grid
 Richardson study, checks the observed order, and returns the
@@ -61,7 +66,6 @@ class Discretization:
     N: int
     h: float
     tm: np.ndarray          # cell midpoints, shape (N,)
-    edge_w: np.ndarray      # f^{n-1} at cell edges, shape (N+1,)
     mass: np.ndarray        # M diagonal: f(tm)^{n-1} h
     sym_d: np.ndarray       # diag of B = M^{-1/2} K M^{-1/2}
     sym_e: np.ndarray       # first off-diagonal of B, shape (N-1,)
@@ -84,26 +88,14 @@ class Discretization:
         return y
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
-        """Flux-form Laplace-Beltrami of midpoint samples (k = 0 stencil).
+        """Laplace-Beltrami -M^{-1} K of midpoint samples (k = 0 pencil).
 
-        Pole-closed profiles return a full-length array whose two end
-        entries use the one-sided flux that the vanishing edge weight
-        produces; interior entries are the usual three-point form.
+        This is the assembled stencil the eigensolvers use, so pole-closed
+        end cells carry the one-sided flux of the vanishing edge weight.
         """
-        v = np.asarray(values, dtype=float)
-        if self.periodic:
-            vp = np.roll(v, -1)
-            vm = np.roll(v, 1)
-        else:
-            vp = np.empty_like(v)
-            vm = np.empty_like(v)
-            vp[:-1] = v[1:]
-            vp[-1] = v[-1]   # flux weight is 0 there; value irrelevant
-            vm[1:] = v[:-1]
-            vm[0] = v[0]
-        up = self.edge_w[1:] * (vp - v)
-        dn = self.edge_w[:-1] * (v - vm)
-        return (up - dn) / (self.h * self.mass)
+        root_m = np.sqrt(self.mass)
+        return -self.apply_sym(np.asarray(values, dtype=float) * root_m) \
+            / root_m
 
 
 def assemble(m: Manifold, k: int, N: int) -> Discretization:
@@ -139,31 +131,38 @@ def assemble(m: Manifold, k: int, N: int) -> Discretization:
     corner = 0.0
     if m.boundary == "periodic":
         corner = float(-edge_w[0] / h * inv_sqrt_m[0] * inv_sqrt_m[-1])
-    return Discretization(manifold=m, k=k, N=N, h=h, tm=tm, edge_w=edge_w,
-                          mass=mass, sym_d=sym_d, sym_e=sym_e,
-                          sym_corner=corner)
+    return Discretization(manifold=m, k=k, N=N, h=h, tm=tm, mass=mass,
+                          sym_d=sym_d, sym_e=sym_e, sym_corner=corner)
 
 
-# -- periodic (tridiagonal + corner) solver ----------------------------------
+# -- eigensolvers -------------------------------------------------------------
 
-def _fourier_block(dis: Discretization, include_const: bool) -> np.ndarray:
-    """Deterministic start block in symmetric coordinates."""
-    t = dis.tm
-    w = 2.0 * np.pi / dis.manifold.L
-    cols = []
-    if include_const:
-        cols.append(np.ones_like(t))
-    cols.extend([np.cos(w * t), np.sin(w * t)])
-    if not include_const:
-        cols.append(np.cos(2.0 * w * t))
-    X = np.stack(cols, axis=1)
-    return X * np.sqrt(dis.mass)[:, None]
+# subspace sweeps the periodic solver may take before giving up
+_MAX_SWEEPS = 160
 
 
-def _corner_lowest(dis: Discretization, count: int, deflate: bool,
-                   shift: float, max_iter: int = 160) -> tuple:
-    """Lowest eigenpairs of tridiagonal-plus-corner B by shift-invert
-    subspace iteration with Sherman-Morrison banded solves."""
+def _gershgorin(dis: Discretization) -> float:
+    """Gershgorin bound on ||B||: the scale of the solvers' rounding.
+
+    Neither solver places an eigenvalue more accurately than a few ulps
+    of it, so grid differences below that are noise even when far above
+    1e-13 * lam (a constant warp puts the fiber eigenvalue at nu_k / c^2
+    on every grid).  It is ~4/h^2 here, far below the h^2 error the
+    values carry anyway.
+    """
+    return float(np.max(np.abs(dis.sym_d)) + 2.0 * np.max(np.abs(dis.sym_e))
+                 + abs(dis.sym_corner))
+
+
+def _corner_lowest(dis: Discretization, deflate: bool, shift: float) -> tuple:
+    """Lowest eigenpair of tridiagonal-plus-corner B by shift-invert
+    subspace iteration with Sherman-Morrison banded solves.
+
+    deflate projects out the constant mode of a k = 0 pencil, so the
+    pair returned is the lowest above it; the shift then moves down by
+    half the first Fourier mode's Rayleigh quotient, which puts the
+    target closest to the shift with a healthy separation ratio.
+    """
     d = dis.sym_d
     e = dis.sym_e
     c = dis.sym_corner
@@ -178,13 +177,19 @@ def _corner_lowest(dis: Discretization, count: int, deflate: bool,
     d_t[0] += c
     d_t[-1] += c
 
-    kernel = None
+    # deterministic Fourier start block in symmetric coordinates
+    t = dis.tm
+    w = 2.0 * np.pi / dis.manifold.L
     if deflate:
-        kernel = np.sqrt(dis.mass)
-        kernel = kernel / np.linalg.norm(kernel)
-
-    X = _fourier_block(dis, include_const=not deflate)
+        cols = [np.cos(w * t), np.sin(w * t), np.cos(2.0 * w * t)]
+    else:
+        cols = [np.ones_like(t), np.cos(w * t), np.sin(w * t)]
+    root_m = np.sqrt(dis.mass)
+    X = np.stack(cols, axis=1) * root_m[:, None]
+    kernel = root_m / np.linalg.norm(root_m)
     if deflate:
+        x0 = X[:, 0]
+        shift -= 0.5 * abs(float(x0 @ dis.apply_sym(x0)) / float(x0 @ x0))
         X -= kernel[:, None] * (kernel @ X)[None, :]
     X, _ = np.linalg.qr(X)
 
@@ -207,17 +212,12 @@ def _corner_lowest(dis: Discretization, count: int, deflate: bool,
     else:
         raise NoConvergence("could not factor the shifted periodic pencil")
 
-    # Ritz values cannot settle below rounding noise of the matrix norm;
-    # Gershgorin bounds that scale (~4/h^2 here, so the floor is far
-    # below the h^2 discretization error the values carry anyway).
-    gersh = float(np.max(np.abs(d)) + 2.0 * np.max(np.abs(e)) + abs(c))
-    eps = np.finfo(float).eps
+    floor = 8.0 * np.finfo(float).eps * _gershgorin(dis)
     theta_prev = None
     stable = 0
-    theta = None
     res_best = np.inf
     stalled = 0
-    for _ in range(max_iter):
+    for _ in range(_MAX_SWEEPS):
         Y = sla.solve_banded((1, 1), ab, X)
         Y -= np.outer(w_vec, (u @ Y) / denom)
         if deflate:
@@ -228,22 +228,18 @@ def _corner_lowest(dis: Discretization, count: int, deflate: bool,
         theta, S = np.linalg.eigh(H)
         X = Q @ S
         if theta_prev is not None:
-            tol = 1e-14 * (np.abs(theta[:count]) + abs(s)) + 8.0 * eps * gersh
-            if np.all(np.abs(theta[:count] - theta_prev[:count]) <= tol):
-                stable += 1
-            else:
-                stable = 0
-        theta_prev = theta
+            tol = 1e-14 * (abs(theta[0]) + abs(s)) + floor
+            stable = stable + 1 if abs(theta[0] - theta_prev) <= tol else 0
+        theta_prev = theta[0]
         if stable < 2:
             continue
-        # Values settled; now polish the vectors until the Ritz residual
+        # Value settled; now polish the vector until the Ritz residual
         # reaches the rounding floor (value stagnation alone leaves the
-        # vectors ~8 eps ||B|| short, which downstream residual studies
-        # can see).  Accept on a hard floor or on three stalled sweeps.
-        V = X[:, :count]
-        R = dis.apply_sym(V) - V * theta[:count]
-        res = float(np.max(np.abs(R)))
-        if res <= 8.0 * eps * gersh:
+        # vector ~8 eps ||B|| short, which downstream residual studies
+        # can see).  Accept on the floor or on three stalled sweeps.
+        x = X[:, 0]
+        res = float(np.max(np.abs(dis.apply_sym(x) - x * theta[0])))
+        if res <= floor:
             break
         if res >= 0.5 * res_best:
             stalled += 1
@@ -254,38 +250,25 @@ def _corner_lowest(dis: Discretization, count: int, deflate: bool,
         res_best = min(res_best, res)
     else:
         raise NoConvergence("periodic eigensolver did not settle")
-    return theta[:count].copy(), X[:, :count].copy()
+    return float(theta[0]), x
 
 
-def _lowest_pairs(dis: Discretization, count: int) -> tuple:
-    """(eigenvalues, vectors) of the symmetric pencil, ascending.
+def _eigenpair(dis: Discretization, index: int, shift: float = 0.0) -> tuple:
+    """(eigenvalue, eigenfunction at the cell midpoints) of the pencil.
 
-    Pole-closed: LAPACK tridiagonal bisection + inverse iteration.
-    Periodic: deterministic Sherman-Morrison subspace iteration; for
-    k = 0 the constant mode is deflated and *not* included in the
-    returned values.
+    index 0 is the lowest pair, index 1 the second lowest.  On a
+    periodic pencil index 1 is the first pair above the constant mode,
+    so it asks for an unshifted k = 0 pencil.  shift is where the
+    periodic shift-invert iteration starts (the tridiagonal solver
+    needs none).
     """
-    if not dis.periodic:
-        w, v = sla.eigh_tridiagonal(dis.sym_d, dis.sym_e, select="i",
-                                    select_range=(0, count - 1))
-        return w, v
-    deflate = dis.k == 0
-    # Rayleigh quotient of the first Fourier mode sets the eigenvalue
-    # scale; shifting half of it below zero puts the target cluster
-    # closest to the shift with a healthy separation ratio.
-    X = _fourier_block(dis, include_const=False)
-    x0 = X[:, 0]
-    lam_est = float(x0 @ dis.apply_sym(x0)) / float(x0 @ x0)
-    if deflate:
-        shift = -0.5 * abs(lam_est)
+    if dis.periodic:
+        lam, vec = _corner_lowest(dis, deflate=index == 1, shift=shift)
     else:
-        shift = 0.0  # k >= 1 pencils are positive definite
-    return _corner_lowest(dis, count, deflate, shift)
-
-
-def _to_midpoint_values(dis: Discretization, v: np.ndarray) -> np.ndarray:
-    """Symmetric-coordinate eigenvector -> samples of phi at midpoints."""
-    return v / np.sqrt(dis.mass)
+        w, v = sla.eigh_tridiagonal(dis.sym_d, dis.sym_e, select="i",
+                                    select_range=(0, index))
+        lam, vec = float(w[index]), v[:, index]
+    return lam, vec / np.sqrt(dis.mass)
 
 
 def rayleigh(dis: Discretization, phi: np.ndarray) -> float:
@@ -359,42 +342,14 @@ def eigenfunction_u(phi: np.ndarray, mode: int = 0) -> tuple:
 
 
 def _mode_candidate(m: Manifold, k: int, grids: Sequence[int]):
-    """Raw eigenvalues of mode k across grids, plus finest eigenvector."""
+    """Raw eigenvalues of mode k across grids, plus the finest grid's
+    eigenfunction and pencil."""
     lams = []
-    vec = None
-    dis_fine = None
     for N in grids:
         dis = assemble(m, k, N)
-        if k == 0:
-            if dis.periodic:
-                w, v = _lowest_pairs(dis, 1)
-                lam, vcol = float(w[0]), v[:, 0]
-            else:
-                w, v = _lowest_pairs(dis, 2)
-                lam, vcol = float(w[1]), v[:, 1]
-        else:
-            w, v = _lowest_pairs(dis, 1)
-            lam, vcol = float(w[0]), v[:, 0]
+        lam, phi = _eigenpair(dis, 1 if k == 0 else 0)
         lams.append(lam)
-        vec = vcol
-        dis_fine = dis
-    return lams, _to_midpoint_values(dis_fine, vec), dis_fine
-
-
-def _noise_floor(dis: Discretization) -> float:
-    """Eigenvalue resolution of the symmetric pencil on this grid.
-
-    The solvers cannot place an eigenvalue more accurately than a few
-    ulps of the Gershgorin scale of the normalized matrix, so grid
-    differences below that are noise even when far above 1e-13 * lam
-    (profiles with an exactly grid-independent mode hit this: constant
-    warp puts the fiber eigenvalue at nu_k / c^2 on every grid).
-    """
-    scale = float(np.max(np.abs(dis.sym_d)))
-    if dis.sym_e.size:
-        scale += 2.0 * float(np.max(np.abs(dis.sym_e)))
-    scale += 2.0 * abs(dis.sym_corner)
-    return 16.0 * np.finfo(float).eps * scale
+    return lams, phi, dis
 
 
 def _extrapolate(lams: Sequence[float], floor: float = 0.0):
@@ -437,7 +392,8 @@ def lambda1(m: Manifold, grids: Sequence[int] = DEFAULT_GRIDS) -> EigenResult:
             if nu / f_max ** 2 > best[0] * (1.0 + 1e-9):
                 break
         lams, u_raw, dis = _mode_candidate(m, k, grids)
-        extrap, order, at_floor = _extrapolate(lams, floor=_noise_floor(dis))
+        floor = 16.0 * np.finfo(float).eps * _gershgorin(dis)
+        extrap, order, at_floor = _extrapolate(lams, floor=floor)
         candidates.append((extrap, k, lams, u_raw, dis, order, at_floor))
         if best is None or extrap < best[0] * (1.0 - 1e-9):
             best = candidates[-1]
@@ -508,18 +464,10 @@ def schrodinger_ground(m: Manifold,
         # would otherwise leak sign noise into sigma margins.
         return GroundState(sigma_tilde=0.0, w=np.ones(N), w_bar=1.0,
                            dis=dis)
-    shifted = replace(dis, sym_d=dis.sym_d - Varr)
-    if dis.periodic:
-        vmax = float(np.max(Varr)) if Varr.size else 0.0
-        base = (2.0 * np.pi / m.L) ** 2
-        shift = -max(vmax, 0.0) - 0.5 * base
-        w_, v_ = _corner_lowest(shifted, 1, deflate=False, shift=shift)
-        mu0, vec = float(w_[0]), v_[:, 0]
-    else:
-        w_, v_ = sla.eigh_tridiagonal(shifted.sym_d, shifted.sym_e,
-                                      select="i", select_range=(0, 0))
-        mu0, vec = float(w_[0]), v_[:, 0]
-    w = vec / np.sqrt(dis.mass)
+    # periodic shift: below the whole spectrum of the shifted pencil,
+    # by half the first Fourier mode's Laplace eigenvalue
+    shift = -max(float(np.max(Varr)), 0.0) - 0.5 * (2.0 * np.pi / m.L) ** 2
+    mu0, w = _eigenpair(replace(dis, sym_d=dis.sym_d - Varr), 0, shift)
     vol = float(np.sum(dis.mass))
     mean = float(np.sum(w * dis.mass)) / vol
     if mean < 0.0:

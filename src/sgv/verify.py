@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -206,13 +206,7 @@ class VerificationRecord:
     diameter_converged: bool
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "manifold_id", "n", "p", "delta", "kbar", "eps_max",
-            "hypothesis_met", "lambda1", "diameter_lo", "diameter_hi",
-            "alpha", "bound", "theorem_margin", "sigma_measured",
-            "sigma_bound_margin", "J_deviation", "gradient_margin",
-            "lambda_tilde", "sharpness_ratio", "mode", "degenerate",
-            "diameter_converged")}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def check_main_theorem(m: Manifold, alpha_target: float, p: float,

@@ -6,8 +6,10 @@ Covers:
   looks up, so a deleted or renamed function fails here first
 - README's Python quick start runs verbatim and prints the values its
   comments state
+- no module of the package or the tests imports a name it never uses
 """
 
+import ast
 import contextlib
 import importlib.util
 import io
@@ -38,6 +40,40 @@ def test_tracer_wraps_every_target():
     finally:
         uninstall()
     assert sgv.verify.lambda1 is original
+
+
+def _unused_imports(path: pathlib.Path) -> list:
+    """Names a module imports but never reads; an `__all__` entry counts
+    as a read, and `from __future__` imports are directives, not names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module != "__future__":
+                for alias in node.names:
+                    imported.setdefault(alias.asname or alias.name,
+                                        node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted(f"{path.name}:{line} {name}"
+                  for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    paths = sorted((ROOT / "src" / "sgv").glob("*.py")) + \
+        sorted((ROOT / "tests").glob("*.py"))
+    assert len(paths) > 10
+    unused = [entry for path in paths for entry in _unused_imports(path)]
+    assert not unused
 
 
 _NUMBER = re.compile(r"True|False|[-+]?\d+(?:\.\d+)?(?:e[-+]?\d+)?")

@@ -7,7 +7,6 @@ output files must be byte-identical across reruns.
 
 import json
 import math
-import os
 
 import pytest
 

@@ -8,10 +8,12 @@ oracles implemented right here:
 - a DOP853 shooting solve of the ground-state problem with Brent
   root finding on the Neumann mismatch at the half period.
 
-plus the closed forms on flat tori and round spheres.
+plus the closed forms on flat tori and round spheres, and a dense
+matrix oracle of the discrete pencil itself for the eigensolvers.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from sgv import (
-    GroundState,
     build_J,
     lambda1,
     make_manifold,
@@ -31,6 +32,7 @@ from sgv import (
 from sgv.errors import DegenerateRange, NonPositiveGround
 from sgv.spectral import (
     DEFAULT_GRIDS,
+    _eigenpair,
     _extrapolate,
     _mode_candidate,
     assemble,
@@ -111,6 +113,29 @@ def make_asym_manifold(samples=513):
     fs = 1.0 + 0.1 * np.cos(ts) + 0.07 * np.sin(2.0 * ts)
     return make_manifold("tabulated", L=TWO_PI, n=2, ts=ts, fs=fs,
                          boundary="periodic")
+
+
+def dense_pencil(m, k, N):
+    """Dense stiffness K and mass diagonal M of the flux-form mode-k
+    pencil, written out from the profile entry by entry."""
+    h = m.L / N
+    f_edge = m.profile.f(np.arange(N + 1) * h)
+    if m.boundary == "pole-closed":
+        f_edge[0] = f_edge[-1] = 0.0
+    else:
+        f_edge[-1] = f_edge[0]
+    ew = f_edge ** (m.n - 1) / h
+    f_mid = m.profile.f((np.arange(N) + 0.5) * h)
+    K = np.zeros((N, N))
+    for i in range(N):
+        j = (i + 1) % N
+        if m.boundary == "periodic" or i + 1 < N:
+            K[i, i] += ew[i + 1]
+            K[j, j] += ew[i + 1]
+            K[i, j] -= ew[i + 1]
+            K[j, i] -= ew[i + 1]
+        K[i, i] += k * (k + m.n - 2) * f_mid[i] ** (m.n - 3) * h
+    return K, f_mid ** (m.n - 1) * h
 
 
 # ===================================================================
@@ -197,6 +222,55 @@ def test_asym_tabulated_vs_galerkin():
     assert e.lambda1 == pytest.approx(0.9329939249834472, rel=1e-10)
     assert e.mode == 0
     assert 0.0 < e.a < 0.1  # asymmetric profile shifts the midrange
+
+
+# ===================================================================
+# the eigensolvers against a dense oracle of the discrete pencil
+# ===================================================================
+
+DENSE_CASES = {
+    "cosine": lambda: make_manifold("cosine", L=TWO_PI, c=1.0, beta=0.3),
+    "spline": make_asym_manifold,
+    "sphere2": lambda: make_manifold("sine-sphere", n=2, L=math.pi),
+    "sphere3": lambda: make_manifold("sine-sphere", n=3, L=math.pi),
+}
+
+
+@pytest.mark.parametrize("case,k,index,schrodinger", [
+    ("cosine", 0, 1, False), ("cosine", 1, 0, False),
+    ("cosine", 0, 0, True),
+    ("spline", 0, 1, False), ("spline", 1, 0, False),
+    ("spline", 0, 0, True),
+    ("sphere2", 0, 1, False), ("sphere2", 1, 0, False),
+    ("sphere3", 0, 1, False),
+])
+def test_eigenpair_matches_dense_eigh(case, k, index, schrodinger):
+    m = DENSE_CASES[case]()
+    N = 64
+    dis = assemble(m, k, N)
+    K, M = dense_pencil(m, k, N)
+    root_m = np.sqrt(M)
+    B = K / np.outer(root_m, root_m)
+    shift = 0.0
+    if schrodinger:
+        V = 0.4 * (1.0 + np.cos(dis.tm))
+        B -= np.diag(V)
+        dis = replace(dis, sym_d=dis.sym_d - V)
+        shift = -float(np.max(V)) - 0.5 * (TWO_PI / m.L) ** 2
+    vals, vecs = np.linalg.eigh(B)
+    lam, phi = _eigenpair(dis, index, shift)
+    eps_norm = np.finfo(float).eps * np.linalg.norm(B, 2)
+    assert abs(lam - vals[index]) <= 16.0 * eps_norm
+    # the wanted pair is simple, so its vector is determined up to sign
+    assert np.min(np.diff(vals[:index + 2])) > 1e-3
+    v = phi * root_m
+    cos = abs(v @ vecs[:, index]) / np.linalg.norm(v)
+    assert cos >= 1.0 - 1e-10
+    if k == 0 and not schrodinger:
+        # Delta = -M^{-1} K, to within the rounding of either product
+        lap = dis.laplacian(phi)
+        bound = 16.0 * np.finfo(float).eps * (np.abs(K) @ np.abs(phi)) / M
+        assert np.all(np.abs(lap + (K @ phi) / M) <= bound)
 
 
 def test_richardson_history_and_order():

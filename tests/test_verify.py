@@ -23,7 +23,6 @@ from sgv import (
     check_main_theorem,
     check_sigma_bound,
     gradient_constants,
-    kbar,
     lambda1,
     make_manifold,
     residual_order_study,
