@@ -24,14 +24,13 @@ from .errors import (BadExponent, BadPoleClosure, ConfigError,
                      HypothesisViolation, NoConvergence,
                      NonPositiveGround, NonPositiveWarp, RatioOutOfRange,
                      SgvError, SignChange, Unreachable)
-from .geometry import (DiameterBracket, GeometryReport, Manifold,
-                       WarpProfile, diameter, geometry_report, kbar,
-                       make_manifold, rho_H_field, ricci_min, volume)
+from .geometry import (DiameterBracket, Manifold, WarpProfile, diameter,
+                       kbar, make_manifold, rho_H_field, ricci_min, volume)
 from .modelode import (check_model_inequalities, ode_residual,
                        sharpness_integral, z_deriv, z_second, z_sup,
                        z_value)
 from .spectral import (EigenResult, GroundState, build_J, lambda1,
-                       rayleigh, residual_J_equation, schrodinger_ground)
+                       residual_J_equation, schrodinger_ground)
 from .verify import (SigmaCheck, SweepRow, VerificationRecord,
                      check_J_bounds, check_gradient_estimate,
                      check_main_theorem, check_sigma_bound,
@@ -48,12 +47,11 @@ __all__ = [
     "DeltaTooLarge", "EmptySeries", "HypothesisViolation",
     "NoConvergence", "NonPositiveGround", "NonPositiveWarp",
     "RatioOutOfRange", "SgvError", "SignChange", "Unreachable",
-    "DiameterBracket", "GeometryReport", "Manifold", "WarpProfile",
-    "diameter", "geometry_report", "kbar", "make_manifold",
-    "rho_H_field", "ricci_min", "volume",
+    "DiameterBracket", "Manifold", "WarpProfile", "diameter", "kbar",
+    "make_manifold", "rho_H_field", "ricci_min", "volume",
     "check_model_inequalities", "ode_residual", "sharpness_integral",
     "z_deriv", "z_second", "z_sup", "z_value",
-    "EigenResult", "GroundState", "build_J", "lambda1", "rayleigh",
+    "EigenResult", "GroundState", "build_J", "lambda1",
     "residual_J_equation", "schrodinger_ground",
     "SigmaCheck", "SweepRow", "VerificationRecord", "check_J_bounds",
     "check_gradient_estimate", "check_main_theorem", "check_sigma_bound",

@@ -24,7 +24,7 @@ from . import __version__
 from .constants import (DELTA_CAP, LedgerInput, build_ledger,
                         gradient_constants)
 from .errors import ConfigError, SgvError
-from .geometry import geometry_report, diameter, kbar, make_manifold
+from .geometry import diameter, kbar, make_manifold, ricci_min, volume
 from .modelode import (ENDPOINT_GAP, check_model_inequalities,
                        ode_residual, z_sup)
 from .report import (PLOT_KINDS, emit_plot_data, records_to_csv,
@@ -40,8 +40,8 @@ _MANIFOLD_KINDS = {
     "sphere": "sine-sphere",
 }
 
-_SWEEP_KEYS = {"manifolds", "alpha_target", "p", "C_s", "Lambda_rough",
-               "jobs"}
+_SWEEP_NUMBERS = ("alpha_target", "p", "C_s", "Lambda_rough")
+_SWEEP_KEYS = {"manifolds", "jobs", *_SWEEP_NUMBERS}
 _MANIFOLD_SPEC_KEYS = {"id", "kind", "n", "L", "c", "fiber", "beta",
                        "ts", "fs", "boundary"}
 
@@ -80,13 +80,8 @@ def _manifold_from_args(args):
         return make_manifold(kind, L=args.L, n=args.n)
     if args.c is None and args.fiber is None:
         raise ConfigError(f"{args.manifold} needs --c or --fiber")
-    if kind == "constant" and args.beta != 0.0:
-        raise ConfigError("flat-torus takes no --beta; "
-                          "use --manifold cosine-torus")
-    kw = {"L": args.L, "n": args.n, "c": args.c, "fiber": args.fiber}
-    if kind == "cosine":
-        kw["beta"] = args.beta
-    return make_manifold(kind, **kw)
+    return make_manifold(kind, L=args.L, n=args.n, c=args.c,
+                         fiber=args.fiber, beta=args.beta)
 
 
 def _emit(text: str, path: Optional[str]) -> None:
@@ -116,24 +111,30 @@ def _cmd_eig(args) -> int:
 
 def _cmd_curvature(args) -> int:
     m = _manifold_from_args(args)
-    rep = geometry_report(m, args.p, args.H, samples=args.samples)
+    t = np.linspace(0.0, m.L, args.samples + 1)
+    if m.boundary == "periodic":
+        t = t[:-1]  # t = L is t = 0 again
+    rho = ricci_min(m, t)
+    # rho_H_field's deficit, from the rho already sampled
+    rho_H = np.maximum((m.n - 1) * args.H - rho, 0.0)
+    br = diameter(m)
     payload = {
-        "manifold": rep.manifold,
-        "p": rep.p,
-        "H": rep.H,
-        "ricci_min": float(np.min(rep.rho)),
-        "ricci_max": float(np.max(rep.rho)),
-        "rho_H_max": float(np.max(rep.rho_H)),
-        "kbar": rep.kbar,
-        "volume": rep.volume,
-        "diameter_lo": rep.diameter_lo,
-        "diameter_hi": rep.diameter_hi,
-        "diameter_converged": rep.diameter_converged,
+        "manifold": m.describe(),
+        "p": args.p,
+        "H": args.H,
+        "ricci_min": float(np.min(rho)),
+        "ricci_max": float(np.max(rho)),
+        "rho_H_max": float(np.max(rho_H)),
+        "kbar": kbar(m, args.p, args.H),
+        "volume": volume(m),
+        "diameter_lo": br.lo,
+        "diameter_hi": br.hi,
+        "diameter_converged": br.converged,
     }
     if args.arrays:
-        payload["t"] = [float(x) for x in rep.t]
-        payload["rho"] = [float(x) for x in rep.rho]
-        payload["rho_H"] = [float(x) for x in rep.rho_H]
+        payload["t"] = [float(x) for x in t]
+        payload["rho"] = [float(x) for x in rho]
+        payload["rho_H"] = [float(x) for x in rho_H]
     _emit(to_json(payload), args.out)
     return 0
 
@@ -155,9 +156,8 @@ def _cmd_kbar(args) -> int:
 
 def _cmd_ledger(args) -> int:
     inp = LedgerInput(n=args.n, p=args.p, D=args.D, delta=args.delta,
-                      C_s=args.Cs, Lambda_rough=args.Lambda,
-                      sigma=args.sigma)
-    led = build_ledger(inp)
+                      C_s=args.Cs, Lambda_rough=args.Lambda)
+    led = build_ledger(inp, args.sigma)
     _emit(to_json(led.to_dict()), args.out)
     if args.plot_out:
         sigma = args.sigma if args.sigma is not None else 0.0
@@ -270,12 +270,19 @@ def _load_sweep_config(args):
         "jobs": args.jobs if args.jobs is not None
         else cfg.get("jobs", 1),
     }
-    missing = [k for k in ("alpha_target", "p", "C_s", "Lambda_rough")
-               if merged[k] is None]
+    missing = [k for k in _SWEEP_NUMBERS if merged[k] is None]
     if missing:
         raise ConfigError("missing sweep settings: "
                           + ", ".join(missing)
                           + " (set via config file or flags)")
+    # exact types: a bool, though an int subclass, is no number here
+    for key in _SWEEP_NUMBERS:
+        if type(merged[key]) not in (int, float):
+            raise ConfigError(f"sweep setting {key} = {merged[key]!r} "
+                              "must be a number")
+    if type(merged["jobs"]) is not int or merged["jobs"] < 1:
+        raise ConfigError(f"jobs = {merged['jobs']!r} must be an "
+                          "integer >= 1")
     if not merged["manifolds"]:
         raise ConfigError("sweep needs a non-empty manifolds list "
                           "in the config file")
@@ -366,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sigma", type=float, default=None,
                     help="measured shift (default: a-priori ceiling)")
     sp.add_argument("--plot-out", default=None,
-                    help="emit alpha-vs-delta curve to BASE.{csv,svg}")
+                    help="emit alpha-vs-delta curve to BASE.{csv,svg}; the "
+                         "curve uses sigma = 0 unless --sigma is given")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_ledger)
 

@@ -44,6 +44,9 @@ DELTA_MAX = math.sqrt(10.0) - 3.0
 DELTA_CAP = DELTA_MAX - 1e-6
 # relative accuracy of the certified Moser product
 MOSER_TAIL_TOL = 1e-10
+# sup of the model function at eta = 1; Z is linear in eta, and
+# (1 + d) * _Z_PEAK is bit for bit z_sup(1 + d)[1]
+_Z_PEAK = z_sup(1.0)[1]
 
 
 def tau_of(delta: float) -> float:
@@ -53,11 +56,8 @@ def tau_of(delta: float) -> float:
 
 @dataclass(frozen=True)
 class LedgerInput:
-    """User-facing inputs of the constant pipeline.
-
-    sigma is the ground-state shift to use for C2; None means "derive
-    the a-priori bound 4 * eps_max(delta)" wherever a value is needed.
-    """
+    """User-facing inputs of the constant pipeline.  The ground-state
+    shift sigma is not one of them: `build_ledger` takes it."""
 
     n: int
     p: float
@@ -65,7 +65,6 @@ class LedgerInput:
     delta: float
     C_s: float
     Lambda_rough: float
-    sigma: Optional[float] = None
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 2:
@@ -82,8 +81,6 @@ class LedgerInput:
         if self.Lambda_rough <= 0.0:
             raise ValueError(
                 f"Lambda_rough = {self.Lambda_rough} must be positive")
-        if self.sigma is not None and self.sigma < 0.0:
-            raise ValueError(f"sigma = {self.sigma} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -110,18 +107,10 @@ class GradientConstants:
         return self.C1 * lambda1 + self.C2
 
 
-def gradient_constants(inp: LedgerInput,
-                       sigma: Optional[float] = None) -> GradientConstants:
-    """Closed-form constants of the gradient estimate for one delta.
-
-    sigma overrides inp.sigma; if both are None the a-priori bound
-    4 * eps_max is derived on the spot (one extra pipeline evaluation).
-    """
+def gradient_constants(inp: LedgerInput, sigma: float) -> GradientConstants:
+    """Closed-form constants of the gradient estimate for one delta and
+    ground-state shift sigma."""
     d = inp.delta
-    if sigma is None:
-        sigma = inp.sigma
-    if sigma is None:
-        sigma = 4.0 * epsilon_max(inp).eps_max
     if sigma < 0.0:
         raise ValueError(f"sigma = {sigma} must be >= 0")
     tau = tau_of(d)
@@ -129,7 +118,7 @@ def gradient_constants(inp: LedgerInput,
     B = d * (5.0 + d) / (1.0 - d)
     if B >= 1.0:
         raise DeltaTooLarge(f"B({d}) = {B} >= 1")
-    _, z_peak = z_sup(1.0 + d)
+    z_peak = (1.0 + d) * _Z_PEAK
     root_B = math.sqrt(B)
     C1 = (1.0 + d + math.sqrt(A)) / (1.0 - root_B)
     C2 = sigma / (2.0 * (1.0 - root_B)) * (z_peak / math.sqrt(A)
@@ -308,13 +297,16 @@ class ConstantLedger:
         }
 
 
-def build_ledger(inp: LedgerInput) -> ConstantLedger:
+def build_ledger(inp: LedgerInput,
+                 sigma: Optional[float] = None) -> ConstantLedger:
     """Evaluate the whole pipeline once for nominal inputs.
 
-    inp.sigma = None uses the a-priori shift bound 4 * eps_max.
+    sigma = None uses the a-priori shift bound 4 * eps_max; this is the
+    only place that bound is derived.
     """
     eps = epsilon_max(inp)
-    sigma = inp.sigma if inp.sigma is not None else 4.0 * eps.eps_max
+    if sigma is None:
+        sigma = 4.0 * eps.eps_max
     return ConstantLedger(inputs=inp, sigma_used=sigma,
                           grad=gradient_constants(inp, sigma=sigma), eps=eps)
 
@@ -332,10 +324,11 @@ def delta_for_alpha(alpha_target: float, n: int, p: float, D: float,
 
     For each delta on a logarithmic grid the self-consistent chain
     delta -> eps_max(delta) -> sigma bound 4 eps_max -> alpha(delta) is
-    evaluated (sigma, when given, short-circuits the bound, e.g. 0 for
-    exact-solution studies).  No global monotonicity of alpha(delta) is
-    assumed: the scan keeps the largest qualifying grid point and
-    bisects against its larger neighbor.  Returns (delta, alpha_there).
+    evaluated by `build_ledger` (sigma, when given, replaces the bound,
+    e.g. 0 for exact-solution studies).  No global monotonicity of
+    alpha(delta) is assumed: the scan keeps the largest qualifying grid
+    point and bisects against its larger neighbor.  Returns (delta,
+    alpha_there).
 
     Raises Unreachable -- carrying best_alpha and best_delta -- when no
     grid point reaches the target.
@@ -345,8 +338,8 @@ def delta_for_alpha(alpha_target: float, n: int, p: float, D: float,
 
     def alpha_of(d: float) -> float:
         li = LedgerInput(n=n, p=p, D=D, delta=d, C_s=C_s,
-                         Lambda_rough=Lambda_rough, sigma=sigma)
-        return gradient_constants(li).alpha
+                         Lambda_rough=Lambda_rough)
+        return build_ledger(li, sigma).grad.alpha
 
     grid = [_DELTA_GRID_LO * (DELTA_CAP / _DELTA_GRID_LO) ** (i / (
         _DELTA_GRID_POINTS - 1.0)) for i in range(_DELTA_GRID_POINTS)]

@@ -243,6 +243,7 @@ def make_manifold(kind: str,
     For torus kinds ("constant", "cosine") the fiber size is one degree
     of freedom, expressible either as the mean warp c or as the fiber
     circumference 2*pi*c; passing both requires them to be consistent.
+    beta is the cosine amplitude; a constant profile takes none.
     "sine-sphere" is the round sphere of diameter L.  "tabulated" takes
     node/value arrays and either boundary type.
     """
@@ -253,6 +254,9 @@ def make_manifold(kind: str,
             c = fiber / (2.0 * np.pi)
         elif fiber is not None and abs(fiber - 2.0 * np.pi * c) > 1e-12 * abs(fiber):
             raise ValueError("fiber and c are inconsistent: fiber = 2*pi*c")
+        if kind == "constant" and beta != 0.0:
+            raise ValueError("constant profile takes no beta; "
+                             "use kind 'cosine'")
         if kind == "cosine" and abs(beta) >= 1.0:
             raise NonPositiveWarp(f"|beta| = {abs(beta)} >= 1 pinches the warp")
         profile = WarpProfile(kind=kind, L=float(L), boundary="periodic",
@@ -303,20 +307,13 @@ def ricci_min(m: Manifold, t) -> np.ndarray:
     return out
 
 
-def rho_H_field(m: Manifold, H: float, t=None):
-    """Sampled curvature deficit rho_H = max((n-1)H - rho, 0).
+def rho_H_field(m: Manifold, H: float, t) -> np.ndarray:
+    """Curvature deficit rho_H = max((n-1)H - rho, 0) at base points t.
 
     rho_H vanishes exactly where Ric >= (n-1)H and measures the pointwise
-    failure of that lower bound elsewhere.  Returns (t, values); pass an
-    explicit t array to control the sampling.
+    failure of that lower bound elsewhere.
     """
-    if t is None:
-        t = np.linspace(0.0, m.L, 1025)
-        if m.boundary == "periodic":
-            t = t[:-1]
-    t = np.asarray(t, dtype=float)
-    rho = ricci_min(m, t)
-    return t, np.maximum((m.n - 1) * H - rho, 0.0)
+    return np.maximum((m.n - 1) * H - ricci_min(m, t), 0.0)
 
 
 def _knots(prof: WarpProfile):
@@ -524,36 +521,3 @@ def diameter(m: Manifold) -> DiameterBracket:
     hi = float(_antipodal_bounds(m).max()) + m.L / SWEEP_ROWS
     lo = math.hypot(m.L / 2.0, np.pi * prof.f_range()[0])
     return DiameterBracket(lo=lo, hi=hi, converged=True, grid=SWEEP_ROWS)
-
-
-# -- bundled report ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class GeometryReport:
-    """Everything the curvature CLI emits for one manifold."""
-
-    manifold: dict
-    p: float
-    H: float
-    t: np.ndarray
-    rho: np.ndarray
-    rho_H: np.ndarray
-    kbar: float
-    volume: float
-    diameter_lo: float
-    diameter_hi: float
-    diameter_converged: bool
-
-
-def geometry_report(m: Manifold, p: float, H: float,
-                    samples: int = 1024) -> GeometryReport:
-    t = np.linspace(0.0, m.L, samples + 1)
-    if m.boundary == "periodic":
-        t = t[:-1]
-    rho = ricci_min(m, t)
-    _, rh = rho_H_field(m, H, t)
-    bracket = diameter(m)
-    return GeometryReport(manifold=m.describe(), p=p, H=H, t=t, rho=rho,
-                          rho_H=rh, kbar=kbar(m, p, H), volume=volume(m),
-                          diameter_lo=bracket.lo, diameter_hi=bracket.hi,
-                          diameter_converged=bracket.converged)

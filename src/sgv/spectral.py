@@ -271,12 +271,6 @@ def _eigenpair(dis: Discretization, index: int, shift: float = 0.0) -> tuple:
     return lam, vec / np.sqrt(dis.mass)
 
 
-def rayleigh(dis: Discretization, phi: np.ndarray) -> float:
-    """Rayleigh quotient of midpoint samples against the pencil."""
-    v = phi * np.sqrt(dis.mass)
-    return float(v @ dis.apply_sym(v)) / float(v @ v)
-
-
 # -- public spectral results --------------------------------------------------
 
 @dataclass(frozen=True)
@@ -302,7 +296,6 @@ class EigenResult:
     history: tuple
     order: float
     degenerate: bool
-    rayleigh_raw: float
 
 
 def _normalize_profile(phi: np.ndarray) -> tuple:
@@ -414,11 +407,9 @@ def lambda1(m: Manifold, grids: Sequence[int] = DEFAULT_GRIDS) -> EigenResult:
         for c in candidates)
 
     u, a = eigenfunction_u(u_raw, mode)
-    rq = rayleigh(dis, u_raw)
     return EigenResult(lambda1=float(extrap), mode=mode, u=u, a=a,
                        t=dis.tm, history=tuple(zip(grids, lams)),
-                       order=float(order), degenerate=degenerate,
-                       rayleigh_raw=rq)
+                       order=float(order), degenerate=degenerate)
 
 
 # -- Schrodinger ground state -------------------------------------------------

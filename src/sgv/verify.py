@@ -47,8 +47,7 @@ def shift_potential(m: Manifold, delta: float) -> Callable:
     tm1 = tau_of(delta) - 1.0
 
     def V(t):
-        _, rho0 = rho_H_field(m, 0.0, t)
-        return 2.0 * tm1 * rho0
+        return 2.0 * tm1 * rho_H_field(m, 0.0, t)
 
     return V
 
@@ -165,7 +164,7 @@ def residual_order_study(m: Manifold, delta: float,
     for N in grids:
         gs = schrodinger_ground(m, V, N)
         J = build_J(gs, tau)
-        _, rho0 = rho_H_field(m, 0.0, gs.dis.tm)
+        rho0 = rho_H_field(m, 0.0, gs.dis.tm)
         residuals.append(residual_J_equation(gs.dis, J, rho0, tau,
                                              sigma_ref))
     orders = [float(np.log2(residuals[i] / residuals[i + 1]))
@@ -303,7 +302,8 @@ def sweep(manifold_specs: Sequence[dict], alpha_target: float, p: float,
     tasks = [(dict(s), alpha_target, p, C_s, Lambda_rough)
              for s in manifold_specs]
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # fork starts every worker at once: no more than there are rows
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             rows = list(pool.map(_run_sweep_row, tasks))
     else:
         rows = [_run_sweep_row(t) for t in tasks]

@@ -243,7 +243,7 @@ def test_criterion_09_constant_ledger():
     positive = all(t > 0.0 for t in eb.terms)
     alpha = gradient_constants(
         LedgerInput(n=2, p=2.0, D=math.pi, delta=0.01, C_s=2.0,
-                    Lambda_rough=0.5, sigma=0.0)).alpha
+                    Lambda_rough=0.5), 0.0).alpha
     alpha_err = abs(alpha - 0.65926)
     ok = (rel1 <= 1e-10 and feas and eb.A_moser > 1.0 and positive
           and alpha_err <= 1e-4)

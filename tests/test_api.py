@@ -7,6 +7,8 @@ Covers:
 - README's Python quick start runs verbatim and prints the values its
   comments state
 - no module of the package or the tests imports a name it never uses
+- every module-level function, class and constant of the package is
+  read somewhere in the package
 """
 
 import ast
@@ -74,6 +76,48 @@ def test_no_unused_imports():
     assert len(paths) > 10
     unused = [entry for path in paths for entry in _unused_imports(path)]
     assert not unused
+
+
+def _defined_names(tree: ast.Module) -> dict:
+    """Module-level functions, classes and constants, with their lines;
+    dunder names such as `__all__` and `__version__` are protocol."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not (
+                        target.id.startswith("__")
+                        and target.id.endswith("__")):
+                    names[target.id] = node.lineno
+    return names
+
+
+def _read_names(tree: ast.Module) -> set:
+    """Names a module reads; an `__all__` entry counts as a read."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+def test_no_dead_module_names():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "sgv").glob("*.py"))}
+    used = set().union(*map(_read_names, trees.values()))
+    dead = [f"{path.name}:{line} {name}"
+            for path, tree in trees.items()
+            for name, line in _defined_names(tree).items()
+            if name not in used]
+    assert not dead
 
 
 _NUMBER = re.compile(r"True|False|[-+]?\d+(?:\.\d+)?(?:e[-+]?\d+)?")

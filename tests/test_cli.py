@@ -8,9 +8,14 @@ output files must be byte-identical across reruns.
 import json
 import math
 
+import numpy as np
 import pytest
 
+import sgv.cli
+import sgv.geometry
+import sgv.verify
 from sgv.cli import main
+from sgv.geometry import ricci_min
 
 TWO_PI = 2.0 * math.pi
 
@@ -91,7 +96,39 @@ def test_curvature_arrays_flag(capsys):
                        "--beta", "0.3", "--samples", "64", "--arrays")
     assert code == 0
     payload = json.loads(out)
-    assert len(payload["rho"]) == 64
+    # the periodic grid drops its duplicate end t = L
+    assert payload["t"] == list(np.linspace(0.0, TWO_PI, 65)[:-1])
+    assert len(payload["rho"]) == len(payload["rho_H"]) == 64
+    rho = np.array(payload["rho"])
+    assert payload["rho_H"] == list(np.maximum(-rho, 0.0))  # H = 0
+    assert payload["ricci_min"] == rho.min()
+    assert payload["kbar"] == pytest.approx(0.17412387179430328,
+                                            rel=1e-13)
+    assert payload["volume"] == pytest.approx(TWO_PI ** 2, rel=1e-12)
+    assert payload["diameter_lo"] <= payload["diameter_hi"]
+    assert payload["manifold"]["kind"] == "cosine"
+
+
+def test_curvature_samples_ricci_once(capsys, monkeypatch):
+    # one ricci_min evaluation on the sample grid feeds rho and rho_H
+    grid = np.linspace(0.0, TWO_PI, 33)[:-1]
+    on_grid = []
+
+    def counting(m, t):
+        on_grid.append(np.array_equal(t, grid))
+        return ricci_min(m, t)
+
+    monkeypatch.setattr(sgv.geometry, "ricci_min", counting)
+    monkeypatch.setattr(sgv.cli, "ricci_min", counting)
+    code, out, _ = run(capsys, "curvature", "--manifold",
+                       "cosine-torus", "--L", str(TWO_PI), "--c", "1.0",
+                       "--beta", "0.3", "--H", "0.3", "--samples", "32",
+                       "--arrays")
+    assert code == 0
+    assert sum(on_grid) == 1
+    payload = json.loads(out)
+    rho = np.array(payload["rho"])
+    assert payload["rho_H"] == list(np.maximum(0.3 - rho, 0.0))
 
 
 def test_diameter_flat_closed_form(capsys):
@@ -272,6 +309,66 @@ def test_sweep_row_error_does_not_flip_exit(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["summary"]["errors"] == 1
     assert "error" in payload["records"][1]
+
+
+def test_sweep_flat_torus_with_beta_is_row_error(tmp_path, capsys):
+    cfg = write_sweep_config(tmp_path, manifolds=[
+        {"id": "flat", "kind": "flat-torus", "L": TWO_PI, "c": 0.1},
+        {"id": "flat-beta", "kind": "flat-torus", "L": TWO_PI,
+         "c": 0.1, "beta": 0.3},
+    ])
+    code, out, _ = run(capsys, "sweep", "--config", cfg)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["summary"]["errors"] == 1
+    assert payload["records"][1]["error"].startswith(
+        "ValueError: constant profile takes no beta")
+
+
+@pytest.mark.parametrize("setting, value", [
+    ("jobs", "2"), ("jobs", 0), ("jobs", 1.5), ("jobs", True),
+    ("alpha_target", "0.3"), ("p", True),
+    ("Lambda_rough", [0.5]), ("C_s", {"value": 2.0}),
+])
+def test_sweep_setting_of_wrong_type(tmp_path, capsys, setting, value):
+    cfg = write_sweep_config(tmp_path, **{setting: value})
+    code, out, err = run(capsys, "sweep", "--config", cfg)
+    assert code == 2
+    assert out == ""
+    assert setting in err
+
+
+def test_sweep_jobs_flag_below_one(tmp_path, capsys):
+    cfg = write_sweep_config(tmp_path)
+    code, _, err = run(capsys, "sweep", "--config", cfg, "--jobs", "0")
+    assert code == 2
+    assert "jobs = 0 must be an integer >= 1" in err
+
+
+def test_sweep_opens_no_more_workers_than_rows(monkeypatch):
+    opened = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(sgv.verify, "ProcessPoolExecutor", FakePool)
+    specs = [{"id": f"flat-{i}", "kind": "constant", "L": TWO_PI,
+              "c": 0.1 * (i + 1)} for i in range(3)]
+    for jobs in (64, 2):
+        rows, summary = sgv.verify.sweep(specs, 0.3, 2.0, 2.0, 0.5,
+                                         jobs=jobs)
+        assert summary["errors"] == 0
+    assert opened == [3, 2]
 
 
 # ===================================================================

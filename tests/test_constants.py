@@ -24,15 +24,16 @@ from sgv import (
     gradient_constants,
     moser_constant,
     reference_bounds,
+    z_sup,
 )
 from sgv.constants import DELTA_CAP, DELTA_MAX, _b_exponent_constant
 from sgv.errors import BadExponent, DeltaTooLarge, Unreachable
 
 
 def make_inputs(delta=0.1, n=2, p=2.0, D=math.pi, C_s=10.0,
-                Lambda_rough=0.01, sigma=None):
+                Lambda_rough=0.01):
     return LedgerInput(n=n, p=p, D=D, delta=delta, C_s=C_s,
-                       Lambda_rough=Lambda_rough, sigma=sigma)
+                       Lambda_rough=Lambda_rough)
 
 
 # ===================================================================
@@ -71,7 +72,9 @@ def test_basic_positivity_checks():
     with pytest.raises(ValueError):
         make_inputs(Lambda_rough=-1.0)
     with pytest.raises(ValueError):
-        make_inputs(sigma=-0.5)
+        gradient_constants(make_inputs(), -0.5)
+    with pytest.raises(ValueError):
+        build_ledger(make_inputs(), -0.5)
     with pytest.raises(ValueError):
         LedgerInput(n=1, p=2.0, D=1.0, delta=0.1, C_s=1.0,
                     Lambda_rough=1.0)
@@ -82,7 +85,7 @@ def test_basic_positivity_checks():
 # ===================================================================
 
 def test_tau_A_B_closed_forms():
-    g = gradient_constants(make_inputs(delta=0.1, sigma=0.0))
+    g = gradient_constants(make_inputs(delta=0.1), 0.0)
     assert g.tau == 17.0
     assert g.A == pytest.approx(2.0 * 0.1 * 1.1, rel=1e-15)
     assert g.B == pytest.approx(0.1 * 5.1 / 0.9, rel=1e-15)
@@ -91,7 +94,7 @@ def test_tau_A_B_closed_forms():
 def test_slope_and_alpha_frozen():
     g = gradient_constants(
         LedgerInput(n=2, p=2.0, D=math.pi, delta=0.01, C_s=2.0,
-                    Lambda_rough=0.5, sigma=0.0))
+                    Lambda_rough=0.5), 0.0)
     assert g.C1 == pytest.approx(1.4865343659421952, rel=1e-14)
     assert g.C2 == 0.0
     assert g.b == g.C1
@@ -99,30 +102,33 @@ def test_slope_and_alpha_frozen():
 
 
 def test_alpha_decreases_with_delta_at_zero_sigma():
-    alphas = [gradient_constants(make_inputs(delta=d, sigma=0.0)).alpha
+    alphas = [gradient_constants(make_inputs(delta=d), 0.0).alpha
               for d in (0.005, 0.01, 0.05, 0.1)]
     assert all(a > b for a, b in zip(alphas, alphas[1:]))
     assert alphas[2] == pytest.approx(0.31819969349876487, rel=1e-13)
 
 
 def test_offset_scales_linearly_in_sigma():
-    g1 = gradient_constants(make_inputs(delta=0.05, sigma=0.2))
-    g2 = gradient_constants(make_inputs(delta=0.05, sigma=0.4))
+    g1 = gradient_constants(make_inputs(delta=0.05), 0.2)
+    g2 = gradient_constants(make_inputs(delta=0.05), 0.4)
     assert g2.C2 == pytest.approx(2.0 * g1.C2, rel=1e-14)
     assert g1.C1 == g2.C1
 
 
-def test_explicit_sigma_overrides_input():
-    inp = make_inputs(delta=0.05, sigma=0.7)
-    g = gradient_constants(inp, sigma=0.0)
-    assert g.C2 == 0.0
-
-
 def test_lambda_tilde_line():
-    g = gradient_constants(make_inputs(delta=0.1, sigma=0.3))
+    g = gradient_constants(make_inputs(delta=0.1), 0.3)
     lam = 2.345
     assert g.lambda_tilde(lam) == pytest.approx(g.C1 * lam + g.C2,
                                                 rel=1e-15)
+
+
+def test_z_peak_is_z_sup_by_linearity():
+    # Z is linear in eta and sign(u) is 1 at the maximiser, so scaling
+    # the eta = 1 peak reproduces z_sup bit for bit
+    for i in range(1, 2002):
+        d = DELTA_CAP * i / 2001
+        g = gradient_constants(make_inputs(delta=d), 0.0)
+        assert g.z_peak == z_sup(1.0 + d)[1], d
 
 
 # ===================================================================
@@ -260,7 +266,7 @@ def test_ledger_dict_flattens_terms():
 
 
 def test_explicit_sigma_respected_in_ledger():
-    led = build_ledger(make_inputs(sigma=0.0))
+    led = build_ledger(make_inputs(), 0.0)
     assert led.sigma_used == 0.0
     assert led.grad.C2 == 0.0
 

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from sgv import (
     diameter,
-    geometry_report,
     kbar,
     lambda1,
     make_manifold,
@@ -70,6 +69,13 @@ def test_fiber_keyword_matches_circumference():
 def test_conflicting_fiber_and_c_rejected():
     with pytest.raises(ValueError):
         make_manifold("constant", L=1.0, c=1.0, fiber=0.1)
+
+
+def test_flat_torus_rejects_beta():
+    with pytest.raises(ValueError, match="takes no beta"):
+        make_manifold("constant", L=1.0, c=0.1, beta=0.3)
+    flat = make_manifold("constant", L=1.0, c=0.1, beta=0.0)
+    assert flat.profile.beta == 0.0
 
 
 def test_cosine_amplitude_one_rejected():
@@ -185,7 +191,7 @@ def test_sphere_pole_limit_finite():
 def test_rho_H_is_a_positive_part():
     m = make_cosine(beta=0.4)
     t = np.linspace(0.0, TWO_PI, 1001)
-    _, rh = rho_H_field(m, 0.0, t)
+    rh = rho_H_field(m, 0.0, t)
     rho = ricci_min(m, t)
     assert np.all(rh >= 0.0)
     assert np.max(np.abs(rh - np.maximum(-rho, 0.0))) == 0.0
@@ -194,7 +200,7 @@ def test_rho_H_is_a_positive_part():
 def test_rho_H_shifts_with_H():
     m = make_flat()
     t = np.linspace(0.0, m.L, 101)
-    _, rh = rho_H_field(m, 1.0, t)
+    rh = rho_H_field(m, 1.0, t)
     # flat: rho = 0, so rho_H = (n-1) H = 1 everywhere
     assert np.all(rh == 1.0)
 
@@ -249,7 +255,7 @@ def test_mean_curvature_cut_is_beta_over_pi():
         m = make_cosine(beta=beta)
         t = np.linspace(0.0, TWO_PI, 1_000_001)
         f = m.profile.f(t)
-        _, rh = rho_H_field(m, 0.0, t)
+        rh = rho_H_field(m, 0.0, t)
         got = np.trapezoid(rh * f, t) / np.trapezoid(f, t)
         assert got == pytest.approx(beta / math.pi, rel=1e-9), beta
 
@@ -489,18 +495,3 @@ def test_reflecting_a_spline_profile(spec):
     br, brr = diameter(m), diameter(mr)
     assert brr.lo == pytest.approx(br.lo, rel=1e-12)
     assert brr.hi == pytest.approx(br.hi, rel=1e-12)
-
-
-# ===================================================================
-# report assembly
-# ===================================================================
-
-def test_geometry_report_fields():
-    m = make_cosine(beta=0.3)
-    rep = geometry_report(m, 2.0, 0.0, samples=256)
-    assert rep.t.size == 256  # periodic grid drops the duplicate end
-    assert rep.rho.shape == rep.rho_H.shape == rep.t.shape
-    assert rep.kbar == pytest.approx(0.17412387179430328, rel=1e-13)
-    assert rep.volume == pytest.approx(TWO_PI ** 2, rel=1e-12)
-    assert rep.diameter_lo <= rep.diameter_hi
-    assert rep.manifold["kind"] == "cosine"

@@ -29,6 +29,7 @@ from sgv import (
     sweep,
 )
 import sgv._quadrature
+import sgv.constants
 import sgv.geometry
 import sgv.verify
 from sgv.errors import Unreachable
@@ -276,6 +277,43 @@ def test_record_solves_kbar_once_and_reuses_finest_ground(monkeypatch):
     assert rec.gradient_margin is not None
     assert rec.gradient_margin == check_gradient_estimate(m, rec.delta, g,
                                                           eig=eig)
+
+
+def test_record_reads_no_z_sup_and_derives_sigma_once(monkeypatch):
+    # z_peak comes from Z's linearity, and the a-priori sigma bound is
+    # derived by build_ledger, never inside gradient_constants
+    calls = {"z_sup": 0, "gradient_constants": 0, "eps_inside": 0}
+    inside = []
+    z_sup = sgv.constants.z_sup
+    epsilon_max = sgv.constants.epsilon_max
+    grad = sgv.constants.gradient_constants
+
+    def counted_z_sup(*args):
+        calls["z_sup"] += 1
+        return z_sup(*args)
+
+    def counted_eps(*args):
+        calls["eps_inside"] += bool(inside)
+        return epsilon_max(*args)
+
+    def counted_grad(*args, **kwargs):
+        calls["gradient_constants"] += 1
+        inside.append(True)
+        try:
+            return grad(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(sgv.constants, "z_sup", counted_z_sup)
+    monkeypatch.setattr(sgv.constants, "epsilon_max", counted_eps)
+    monkeypatch.setattr(sgv.verify, "epsilon_max", counted_eps)
+    monkeypatch.setattr(sgv.constants, "gradient_constants", counted_grad)
+    monkeypatch.setattr(sgv.verify, "gradient_constants", counted_grad)
+    rec = check_main_theorem(make_cosine(0.05), 0.3, 2.0, 2.0, 0.5)
+    assert rec.gradient_margin is not None
+    assert calls["gradient_constants"] > 64  # the delta grid, at least
+    assert calls["z_sup"] == 0
+    assert calls["eps_inside"] == 0
 
 
 # ===================================================================
