@@ -132,21 +132,21 @@ def adaptive_panels(func: Callable[[np.ndarray], np.ndarray],
 
 
 def sign_change_points(func: Callable[[np.ndarray], np.ndarray],
-                       a: float,
-                       b: float,
-                       scan: int = 1024,
+                       ts: np.ndarray,
+                       vs: np.ndarray,
                        refine_iters: int = 80) -> list[float]:
-    """Locate roots of a scalar function by scan + bisection.
+    """Locate roots of a scalar function from a scan + bisection.
 
-    Used to split integration panels where an integrand has a kink
-    (e.g. a positive-part operation crossing zero).  Every bracket is
-    bisected at once, one vectorized func call per iteration.  Returns
-    the crossing locations in increasing order; tangential touches
-    without sign change between scan nodes are not reported, which is
-    harmless for panel seeding.
+    ts is an increasing scan grid and vs = func(ts), which the caller
+    has usually computed already.  Used to split integration panels
+    where an integrand has a kink (e.g. a positive-part operation
+    crossing zero).  Every bracket of the scan is bisected at once, one
+    vectorized func call per iteration.  Returns the crossing locations
+    in increasing order; tangential touches without sign change between
+    scan nodes are not reported, which is harmless for panel seeding.
     """
-    ts = np.linspace(a, b, scan + 1)
-    vs = np.asarray(func(ts), dtype=float)
+    ts = np.asarray(ts, dtype=float)
+    vs = np.asarray(vs, dtype=float)
     zeros = ts[vs == 0.0]
     flip = np.nonzero(vs[:-1] * vs[1:] < 0.0)[0]
     lo, hi, flo = ts[flip], ts[flip + 1], vs[flip]

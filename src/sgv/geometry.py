@@ -17,7 +17,11 @@ S^{n-1} (n >= 3).  Two closure types are supported:
 Everything downstream (curvature fields, integral curvature norms,
 volumes, diameter brackets) is computed from the warp function and its
 derivatives, which are available in closed form for the built-in profile
-kinds and via a cubic spline for tabulated data.
+kinds and via a C2 cubic spline for tabulated data.  The spline is built
+here with numpy and one banded solve (see `_CubicSpline`): periodic, or
+clamped to the pole slopes f'(0) = 1, f'(L) = -1; a periodic spline
+wraps t to t mod L; and f''', constant on each piece, reads the piece to
+the right at a knot.
 
 Diameters come from the rotational symmetry, not from a search over the
 manifold: a pole-closed manifold has diameter exactly L, and on a torus
@@ -44,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from ._quadrature import adaptive_panels, sign_change_points
 from .errors import (BadExponent, BadPoleClosure, NoConvergence,
@@ -54,6 +58,131 @@ _CLOSURE_TOL = 1e-10
 _KINDS = ("constant", "cosine", "sine-sphere", "tabulated")
 
 
+class _CubicSpline:
+    """C2 cubic spline through (x, y) with one Horner piece per interval.
+
+    Clamped to f'(x[0]) = 1 and f'(x[-1]) = -1, the slopes of a smooth
+    pole closure, or periodic with period x[-1] - x[0].  The knot slopes
+    solve one tridiagonal system (de Boor, *A Practical Guide to
+    Splines*, 1978, ch. IV).  The periodic system's two cyclic corners
+    are removed with its last unknown through a second right-hand side
+    of the same banded solve.  This is the arithmetic of scipy's
+    CubicSpline, so the coefficients agree with it bit for bit on four
+    or more knots.
+
+    Piece i serves x[i] <= t < x[i+1], the first piece also t < x[0]
+    and the last also t >= x[-1]: at a knot every derivative reads the
+    piece to its right.  A periodic spline first maps t to
+    x[0] + (t - x[0]) mod period, so its f'''(x[-1]) reads the first
+    piece.
+    """
+
+    def __init__(self, x, y, periodic: bool):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        least = 3 if periodic else 2
+        if x.ndim != 1 or x.shape != y.shape or x.size < least:
+            raise ValueError(
+                "tabulated nodes and values must be 1-D arrays of one "
+                f"length, at least {least} for this boundary")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValueError("tabulated nodes and values must be finite")
+        h = np.diff(x)
+        if np.any(h <= 0.0):
+            raise ValueError("tabulated nodes must be strictly increasing")
+        slope = np.diff(y) / h
+        if periodic:
+            if not np.isclose(y[0], y[-1], rtol=1e-15, atol=1e-15):
+                raise ValueError(
+                    "periodic tabulated values must end where they start")
+            # unknowns s[0..m-1], s[m] = s[0], m = h.size; row i reads
+            # h[i] s[i-1] + 2 (h[i-1] + h[i]) s[i] + h[i-1] s[i+1] with
+            # indices mod m.  In band storage the unused corners
+            # ab[0, 0] = A[m-1, 0] and ab[2, -1] = A[0, m-1] hold the
+            # two wrapped terms.
+            hp = np.roll(h, 1)
+            ab = np.array([np.roll(hp, 1), 2.0 * (hp + h), np.roll(h, -1)])
+            rhs = 3.0 * (h * np.roll(slope, 1) + hp * slope)
+            # The corners are a rank-one term of the system in its last
+            # unknown.  Eliminate that unknown (the bordered form of the
+            # Sherman-Morrison formula): the leading m - 1 rows, solved
+            # for the right-hand side and for minus the last column, give
+            # s = u + s[m-1] w, and the last row then fixes s[m-1].
+            col = np.zeros(h.size - 1)
+            col[0] -= ab[2, -1]
+            col[-1] -= ab[0, -1]
+            uw = solve_banded((1, 1), ab[:, :-1],
+                              np.column_stack([rhs[:-1], col]))
+            u, w = uw[:, 0], uw[:, 1]
+            last = ((rhs[-1] - ab[0, 0] * u[0] - ab[2, -2] * u[-1])
+                    / (ab[1, -1] + ab[0, 0] * w[0] + ab[2, -2] * w[-1]))
+            s = u + last * w
+            s = np.concatenate([s, [last, s[0]]])
+        else:
+            ab = np.zeros((3, x.size))
+            ab[0, 2:] = h[:-1]
+            ab[1, 1:-1] = 2.0 * (h[:-1] + h[1:])
+            ab[1, [0, -1]] = 1.0
+            ab[2, :-2] = h[1:]
+            rhs = np.empty_like(x)
+            rhs[1:-1] = 3.0 * (h[1:] * slope[:-1] + h[:-1] * slope[1:])
+            rhs[0], rhs[-1] = 1.0, -1.0
+            s = solve_banded((1, 1), ab, rhs)
+        bend = (s[:-1] + s[1:] - 2.0 * slope) / h
+        self.x = x
+        self._inner = x[1:-1]
+        self.period = x[-1] - x[0] if periodic else None
+        # contiguous arrays, one gather each: piece i is
+        # ((c3[i] u + c2[i]) u + c1[i]) u + c0[i], u = t - x[i], and the
+        # scaled copies serve its derivatives
+        self.c0 = y[:-1]
+        self.c1 = s[:-1]
+        self.c2 = (slope - s[:-1]) / h - bend
+        self.c3 = bend / h
+        self._2c2 = 2.0 * self.c2
+        self._3c3 = 3.0 * self.c3
+        self._6c3 = 6.0 * self.c3
+
+    def __call__(self, t, nu: int = 0) -> np.ndarray:
+        """The nu-th derivative, nu = 0..3, at points t."""
+        t = np.asarray(t, dtype=float)
+        if self.period is not None:
+            # the wrap leaves t in [x[0], x[-1]) unchanged when x[0] = 0,
+            # as on every profile, so only the points outside pay for it
+            out = (t < self.x[0]) | (t >= self.x[-1])
+            if np.any(out):
+                t = np.where(out, self.x[0] + (t - self.x[0]) % self.period,
+                             t)
+        # the piece index with no clip: 0 below x[1], m - 1 from x[-2] on
+        i = self._inner.searchsorted(t, "right")
+        u = t - self.x[i]
+        if nu == 0:
+            return ((self.c3[i] * u + self.c2[i]) * u
+                    + self.c1[i]) * u + self.c0[i]
+        if nu == 1:
+            return (self._3c3[i] * u + self._2c2[i]) * u + self.c1[i]
+        if nu == 2:
+            return self._6c3[i] * u + self._2c2[i]
+        return self._6c3[i]
+
+    def slope_roots(self) -> np.ndarray:
+        """The roots of f' on each piece's closed interval.
+
+        Each piece's f' is the quadratic a u^2 + b u + c, solved in the
+        cancellation-free form q = -(b + sign(b) sqrt(b^2 - 4ac)) / 2,
+        with roots q/a and c/q.  Where f' is linear, c/q = -c/b is its
+        root.  Where f' vanishes identically there is none: f is
+        constant on that piece, and its knots hold its value.
+        """
+        a, b, c = self._3c3, self._2c2, self.c1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+            roots = np.concatenate([q / a, c / q])
+        width = np.tile(np.diff(self.x), 2)
+        keep = (roots >= 0.0) & (roots <= width)  # NaN fails both
+        return np.tile(self.x[:-1], 2)[keep] + roots[keep]
+
+
 @dataclass(frozen=True)
 class WarpProfile:
     """Warp function f on [0, L] with derivatives up to third order.
@@ -61,6 +190,13 @@ class WarpProfile:
     kind: one of "constant", "cosine", "sine-sphere", "tabulated".
     boundary: "periodic" or "pole-closed".
     c, beta parameterize the closed-form kinds; ts/fs hold tabulated data.
+
+    A tabulated f is the C2 cubic spline through (ts, fs): periodic, or
+    clamped to f'(0) = 1 and f'(L) = -1 when pole-closed.  A periodic
+    spline reads t as t mod L, so f(L) = f(0).  Its f''' is constant on
+    each piece and jumps at knots, where it reads the piece to the right;
+    at t = L a periodic f''' reads the first piece, a pole-closed one the
+    last.
     """
 
     kind: str
@@ -70,16 +206,15 @@ class WarpProfile:
     beta: float = 0.0
     ts: Optional[np.ndarray] = None
     fs: Optional[np.ndarray] = None
-    _spline: Optional[CubicSpline] = field(default=None, repr=False,
-                                           compare=False)
+    _spline: Optional[_CubicSpline] = field(default=None, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown profile kind {self.kind!r}")
         if self.kind == "tabulated":
-            bc = ("periodic" if self.boundary == "periodic"
-                  else ((1, 1.0), (1, -1.0)))
-            spline = CubicSpline(self.ts, self.fs, bc_type=bc)
+            spline = _CubicSpline(self.ts, self.fs,
+                                  self.boundary == "periodic")
             object.__setattr__(self, "_spline", spline)
 
     # -- evaluation -----------------------------------------------------
@@ -134,9 +269,10 @@ class WarpProfile:
     def f_range(self) -> tuple[float, float]:
         """The exact (min f, max f) over [0, L].
 
-        Closed forms for the built-in kinds; for a spline, its values at
-        the knots and at the roots of its derivative (NaN marks a piece
-        where f is constant, which its knots already cover).
+        Closed forms for the built-in kinds; for a spline, the extremes
+        of its values at the knots and at the closed-form roots of each
+        piece's quadratic f'.  A piece where f is constant has no such
+        root, and its knots hold its value.
         """
         if self.kind == "constant":
             return self.c, self.c
@@ -151,8 +287,7 @@ class WarpProfile:
     def _extremal_points(self) -> np.ndarray:
         """A spline's knots and the roots of its derivative: its extremes
         over any union of pieces lie among them."""
-        crit = self._spline.derivative().roots(extrapolate=False)
-        return np.concatenate([self.ts, crit[np.isfinite(crit)]])
+        return np.concatenate([self.ts, self._spline.slope_roots()])
 
 
 @dataclass(frozen=True)
@@ -373,7 +508,9 @@ def kbar(m: Manifold, p: float, H: float) -> float:
     dvals = deficit(scan_t)
     if np.max(dvals) <= 0.0:
         return 0.0
-    kinks = sign_change_points(deficit, 0.0, m.L)
+    # every 8th node is the 1,025-point grid linspace(0, L, 1025) bit for
+    # bit, so the kink search reuses the scan instead of evaluating again
+    kinks = sign_change_points(deficit, scan_t[::8], dvals[::8])
 
     def integrand(t):
         return np.maximum(deficit(t), 0.0) ** p * prof.f(t) ** (n - 1)

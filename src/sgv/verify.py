@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
@@ -273,6 +274,11 @@ class SweepRow:
     error: Optional[str]
 
 
+def _error_row(spec: dict, exc: Exception) -> SweepRow:
+    return SweepRow(manifold_id=spec.get("id", "row"), record=None,
+                    error=f"{type(exc).__name__}: {exc}")
+
+
 def _run_sweep_row(args) -> SweepRow:
     spec, alpha_target, p, C_s, Lambda_rough = args
     row_id = spec.get("id", "row")
@@ -284,9 +290,24 @@ def _run_sweep_row(args) -> SweepRow:
                                  manifold_id=row_id)
         return SweepRow(manifold_id=row_id, record=rec, error=None)
     except Exception as exc:  # per-row capture: the sweep must continue
-        return SweepRow(manifold_id=row_id,
-                        record=None,
-                        error=f"{type(exc).__name__}: {exc}")
+        return _error_row(spec, exc)
+
+
+def _pool_rows(tasks: list, workers: int) -> list:
+    """Each task's SweepRow from a pool of `workers` processes.
+
+    A worker that dies breaks the pool, and every row not finished by
+    then becomes a row with the BrokenProcessPool error.
+    """
+    rows = []
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_run_sweep_row, task) for task in tasks]
+        for task, future in zip(tasks, futures):
+            try:
+                rows.append(future.result())
+            except BrokenProcessPool as exc:
+                rows.append(_error_row(task[0], exc))
+    return rows
 
 
 def sweep(manifold_specs: Sequence[dict], alpha_target: float, p: float,
@@ -297,14 +318,20 @@ def sweep(manifold_specs: Sequence[dict], alpha_target: float, p: float,
     (including "kind").  Returns (rows, summary) where summary carries
     the minimum theorem margin among hypothesis-met rows and the largest
     deviation of the sharpness ratio from 1 among flat (constant-warp)
-    rows.  Row order follows input order regardless of jobs.
+    rows.  Row order follows input order regardless of jobs.  A row
+    whose worker process dies carries a BrokenProcessPool error.
     """
     tasks = [(dict(s), alpha_target, p, C_s, Lambda_rough)
              for s in manifold_specs]
     if jobs > 1 and len(tasks) > 1:
         # fork starts every worker at once: no more than there are rows
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            rows = list(pool.map(_run_sweep_row, tasks))
+        rows = _pool_rows(tasks, min(jobs, len(tasks)))
+        # A dead worker fails every row that had not finished.  Each of
+        # them runs again in a pool of its own, so the error stays with
+        # a row that kills its own worker and no row depends on timing.
+        rows = [_pool_rows([task], 1)[0]
+                if row.error and row.error.startswith("BrokenProcessPool")
+                else row for task, row in zip(tasks, rows)]
     else:
         rows = [_run_sweep_row(t) for t in tasks]
 

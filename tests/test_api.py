@@ -9,6 +9,8 @@ Covers:
 - no module of the package or the tests imports a name it never uses
 - every module-level function, class and constant of the package is
   read somewhere in the package
+- `import sgv.cli` loads scipy.linalg and none of scipy's heavier
+  subpackages, which would set the CLI's cold start
 """
 
 import ast
@@ -16,8 +18,11 @@ import contextlib
 import importlib.util
 import io
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import sgv
 import sgv.verify
@@ -42,6 +47,22 @@ def test_tracer_wraps_every_target():
     finally:
         uninstall()
     assert sgv.verify.lambda1 is original
+
+
+def test_cli_import_loads_only_scipy_linalg():
+    # scipy.interpolate alone brought in the other five and most of the
+    # cold start of `sgv`
+    heavy = {"scipy.interpolate", "scipy.special", "scipy.optimize",
+             "scipy.sparse", "scipy.spatial", "scipy.fft"}
+    code = "import sys, sgv.cli; print(' '.join(sys.modules))"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], check=True,
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    loaded = set(done.stdout.split())
+    assert "scipy.linalg" in loaded
+    assert not heavy & loaded
 
 
 def _unused_imports(path: pathlib.Path) -> list:

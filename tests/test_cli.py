@@ -7,6 +7,7 @@ output files must be byte-identical across reruns.
 
 import json
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -358,8 +359,10 @@ def test_sweep_opens_no_more_workers_than_rows(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def submit(self, fn, task):
+            future = Future()
+            future.set_result(fn(task))
+            return future
 
     monkeypatch.setattr(sgv.verify, "ProcessPoolExecutor", FakePool)
     specs = [{"id": f"flat-{i}", "kind": "constant", "L": TWO_PI,

@@ -7,6 +7,8 @@ Covers:
 - volume closed forms (torus area, 4*pi, 2*pi^2)
 - diameter: exact bracket for flat tori, D = L on pole-closed profiles,
   and brackets holding the exact diameter of near-flat cosine tori
+- the in-house spline against scipy's CubicSpline: f..f''' and the
+  roots of f' on both closures, and no roots on constant pieces
 - the n = 2 Ricci field against -f''/f, and the exact range of f
 - metamorphic checks: scaling a cosine torus, shifting a periodic spline,
   reflecting a spline profile t -> L - t
@@ -18,9 +20,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
+import sgv.geometry
 from sgv import (
     diameter,
     kbar,
@@ -31,7 +35,7 @@ from sgv import (
     volume,
 )
 from sgv.errors import BadExponent, BadPoleClosure, NonPositiveWarp
-from sgv.geometry import SWEEP_ROWS, _antipodal_bounds
+from sgv.geometry import SWEEP_ROWS, _antipodal_bounds, _CubicSpline
 
 TWO_PI = 2.0 * math.pi
 
@@ -234,6 +238,21 @@ def test_kbar_cosine_frozen_values():
         assert kbar(m, 2.0, 0.0) == pytest.approx(val, rel=1e-13)
 
 
+def test_kbar_scans_its_deficit_once(monkeypatch):
+    # the kink search reads every 8th node of the 8,193-point scan
+    # instead of evaluating the 1,025-point grid again
+    sizes = []
+
+    def recording(m, t):
+        sizes.append(np.size(t))
+        return ricci_min(m, t)
+
+    monkeypatch.setattr(sgv.geometry, "ricci_min", recording)
+    kbar(make_cosine(beta=0.3), 2.0, 0.0)
+    assert sizes.count(8193) == 1
+    assert 1025 not in sizes
+
+
 def test_kbar_against_direct_quadrature():
     # independent evaluation of (avg rho_0^2)^{1/2} with numpy only:
     # the volume weight is f dt, rho_0 = max(-beta cos/(1+beta cos), 0)
@@ -366,6 +385,82 @@ def test_antipodal_bounds_dominate_distances(c):
     gap = np.abs(i[:, None] - i[None, :])
     dt = m.L / SWEEP_ROWS * np.minimum(gap, SWEEP_ROWS - gap)
     assert np.all(U >= np.hypot(dt, math.pi * c * (1.0 - beta)) - 1e-12)
+
+
+# ===================================================================
+# the tabulated profile's spline against scipy's CubicSpline
+# ===================================================================
+
+def _assert_spline_matches_scipy(x, y, periodic, t):
+    """f..f''' at t, at every knot and piece midpoint, and at both ends
+    within 1e-12 of each derivative's max there; the roots of f' equal
+    as sets to 1e-12."""
+    ours = _CubicSpline(x, y, periodic)
+    ref = CubicSpline(x, y,
+                      bc_type="periodic" if periodic else ((1, 1.0), (1, -1.0)))
+    pts = np.concatenate([t, x, 0.5 * (x[:-1] + x[1:])])
+    for nu in range(4):
+        want = ref(pts, nu)
+        err = np.max(np.abs(ours(pts, nu) - want))
+        assert err <= 1e-12 * np.max(np.abs(want)), nu
+    want = ref.derivative().roots(extrapolate=False)
+    got = ours.slope_roots()
+    assert np.all(np.isfinite(want))
+    tol = 1e-12 * max(1.0, x[-1])
+    assert all(np.min(np.abs(got - r)) <= tol for r in want)
+    assert all(np.min(np.abs(want - r)) <= tol for r in got)
+
+
+@st.composite
+def _spline_data(draw):
+    n = draw(st.integers(5, 200))
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=n - 1,
+                         max_size=n - 1))
+    L = draw(st.floats(0.5, 10.0))
+    x = np.concatenate([[0.0], np.cumsum(gaps)])
+    x *= L / x[-1]
+    y = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n,
+                               max_size=n)))
+    periodic = draw(st.booleans())
+    if periodic:
+        y[-1] = y[0]
+    # near-constant data has near-constant pieces, where scipy reports
+    # NaN roots; test_spline_constant_pieces_have_no_slope_roots covers it
+    assume(np.ptp(y) >= 1e-3)
+    t = np.array(draw(st.lists(st.floats(0.0, L), min_size=1,
+                               max_size=64)))
+    return x, y, periodic, t
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=_spline_data())
+def test_spline_matches_scipy_cubic_spline(data):
+    _assert_spline_matches_scipy(*data)
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+def test_spline_matches_scipy_on_8193_knots(periodic):
+    L = TWO_PI if periodic else math.pi
+    x = np.linspace(0.0, L, 8193)
+    if periodic:
+        y = 1.0 + 0.3 * np.cos(x) + 0.1 * np.sin(3.0 * x)
+        y[-1] = y[0]
+    else:
+        y = np.sin(x) * (1.0 + 0.2 * np.sin(x) ** 2)
+        y[0] = y[-1] = 0.0
+    t = np.random.default_rng(8193).uniform(0.0, L, 4096)
+    _assert_spline_matches_scipy(x, y, periodic, t)
+
+
+def test_spline_constant_pieces_have_no_slope_roots():
+    # f' vanishes identically on every piece: scipy reports each piece's
+    # start followed by NaN, the in-house spline reports nothing (the
+    # exact f_range of this spline is in test_f_range_closed_forms)
+    x = np.linspace(0.0, 1.0, 9)
+    y = np.full(9, 0.7)
+    assert np.isnan(CubicSpline(x, y, bc_type="periodic").derivative()
+                    .roots(extrapolate=False)).any()
+    assert _CubicSpline(x, y, True).slope_roots().size == 0
 
 
 # ===================================================================

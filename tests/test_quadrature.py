@@ -152,13 +152,14 @@ def test_sign_change_points_match_scalar_bisection(m):
         return -ricci_min(m, t)
 
     want = scalar_sign_change_points(deficit, 0.0, m.L)
+    ts = np.linspace(0.0, m.L, 1025)
     func, calls = counted(deficit)
-    got = sign_change_points(func, 0.0, m.L)
+    got = sign_change_points(func, ts, deficit(ts))
     assert len(want) >= 2
     assert len(got) == len(want)
     assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-14 * m.L
-    # the scan, then one call per bisection step
-    assert calls["calls"] == 81
+    # the scan comes with the call: one func call per bisection step
+    assert calls["calls"] == 80
 
 
 def test_sign_change_points_keep_exact_zeros_in_order():
@@ -166,7 +167,8 @@ def test_sign_change_points_keep_exact_zeros_in_order():
     def func(t):
         return t * (t - 0.5) * (t - 1.0) * (t - 0.3)
 
-    got = sign_change_points(func, 0.0, 1.0, scan=8)
+    ts = np.linspace(0.0, 1.0, 9)
+    got = sign_change_points(func, ts, func(ts))
     assert got == scalar_sign_change_points(func, 0.0, 1.0, scan=8)
     assert got[0] == 0.0 and got[2] == 0.5 and got[3] == 1.0
     assert abs(got[1] - 0.3) <= 1e-15

@@ -7,11 +7,14 @@
 - residual order study: second-order decay against the converged shift
 - record assembly for the main theorem, sharpness ratios on flat tori,
   and one kbar and one ground state per grid in each record
-- sweep: per-row error capture, determinism across worker counts,
-  the out-of-hypothesis dumbbell rows, and a divergent kbar integral
+- sweep: per-row error capture, determinism across worker counts, a
+  worker process that dies, the out-of-hypothesis dumbbell rows, and a
+  divergent kbar integral
 """
 
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -365,6 +368,34 @@ def test_sweep_parallel_matches_serial():
     rows2, sum2 = sweep(specs, 0.3, 2.0, 2.0, 0.5, jobs=2)
     assert sum1 == sum2
     for a, b in zip(rows1, rows2):
+        assert a.record.to_dict() == b.record.to_dict()
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched make_manifold reaches only forked "
+                           "workers")
+def test_sweep_survives_a_dead_worker(monkeypatch):
+    # one row kills its worker process; the pool breaks, yet every row
+    # comes back and the others hold the records of a serial sweep
+    good = demo_specs()[:3]
+    killer = {"id": "killer", "kind": "constant", "L": 4.321, "c": 0.3}
+    specs = [good[0], killer, *good[1:]]
+    serial, _ = sweep(good, 0.3, 2.0, 2.0, 0.5, jobs=1)
+    inner = sgv.verify.make_manifold
+
+    def make_manifold(kind, **params):
+        if params["L"] == killer["L"]:
+            os._exit(1)
+        return inner(kind, **params)
+    monkeypatch.setattr(sgv.verify, "make_manifold", make_manifold)
+
+    rows, summary = sweep(specs, 0.3, 2.0, 2.0, 0.5, jobs=2)
+    assert [r.manifold_id for r in rows] == [s["id"] for s in specs]
+    assert summary["errors"] == 1
+    assert rows[1].record is None
+    assert rows[1].error.startswith("BrokenProcessPool: ")
+    for a, b in zip(serial, rows[:1] + rows[2:]):
+        assert b.error is None
         assert a.record.to_dict() == b.record.to_dict()
 
 
