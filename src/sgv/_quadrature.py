@@ -144,6 +144,9 @@ def sign_change_points(func: Callable[[np.ndarray], np.ndarray],
     vectorized func call per iteration.  Returns the crossing locations
     in increasing order; tangential touches without sign change between
     scan nodes are not reported, which is harmless for panel seeding.
+    The bisection stops early once a step moves no bracket: from then on
+    every step would repeat it, so the result is that of refine_iters
+    steps.
     """
     ts = np.asarray(ts, dtype=float)
     vs = np.asarray(vs, dtype=float)
@@ -155,7 +158,9 @@ def sign_change_points(func: Callable[[np.ndarray], np.ndarray],
             mid = 0.5 * (lo + hi)
             fm = np.asarray(func(mid), dtype=float)
             left = flo * fm <= 0.0
-            hi = np.where(left, mid, hi)
-            lo = np.where(left, lo, mid)
+            new_lo, new_hi = np.where(left, lo, mid), np.where(left, mid, hi)
             flo = np.where(left, flo, fm)
+            if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+                break
+            lo, hi = new_lo, new_hi
     return sorted([*zeros.tolist(), *(0.5 * (lo + hi)).tolist()])

@@ -30,6 +30,7 @@ always an upper bound (conservative for eps_max, which divides by it).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -131,6 +132,7 @@ def gradient_constants(inp: LedgerInput, sigma: float) -> GradientConstants:
                              C1=C1, C2=C2, b=b, alpha=alpha)
 
 
+@functools.lru_cache(maxsize=256)
 def moser_constant(C_s: float, p: float, n: int, psi_norm: float) -> float:
     """Upper bound on the iteration constant A_moser.
 
@@ -146,6 +148,9 @@ def moser_constant(C_s: float, p: float, n: int, psi_norm: float) -> float:
     The returned value (truncated product times exp of the tail bound)
     is therefore always an upper bound, within MOSER_TAIL_TOL relative of
     the true constant.
+
+    Results are cached: a record's delta scan asks for the same few
+    argument sets about a hundred times.
     """
     if p <= n / 2.0:
         raise BadExponent(f"p = {p} must exceed n/2 = {n / 2}")

@@ -266,6 +266,13 @@ class WarpProfile:
             return -np.cos(t / r) / r ** 2
         return self._spline(t, 3)
 
+    @property
+    def mirror_symmetric(self) -> bool:
+        """f(L - t) = f(t), known from the kind: constant and cosine
+        profiles.  Spline data is not inspected, so a spline is never
+        reported symmetric."""
+        return self.kind in ("constant", "cosine")
+
     def f_range(self) -> tuple[float, float]:
         """The exact (min f, max f) over [0, L].
 
@@ -553,16 +560,22 @@ def _meridian_relax(V: np.ndarray, h: float) -> np.ndarray:
     """min over i of V[i] + h * (circular |i - j|), for every row j.
 
     The exact meridian transform on a periodic lattice of spacing h, as
-    two running minima over two copies of the rows: forward onto the
-    second copy, backward onto the first, which between them reach every
-    row both ways round the circle.
+    a running minimum over two copies of the rows onto the second copy,
+    which reaches every row forward round the circle.  The backward
+    direction is the same pass on the mirrored rows i -> -i, mirrored
+    back, so the transform commutes with that mirror in rounding too.
+    Positions are taken from the middle of the two copies, which keeps
+    them, and so their rounding, at most L.
     """
     N = V.shape[0]
-    pos = h * np.arange(2 * N)[:, None]
-    X = np.concatenate([V, V])
-    fwd = np.minimum.accumulate(X - pos)[N:] + pos[N:]
-    bwd = np.minimum.accumulate((X + pos)[::-1])[::-1][:N] - pos[:N]
-    return np.minimum(fwd, bwd)
+    pos = h * np.arange(-N, N)[:, None]
+
+    def forward(X):
+        return np.minimum.accumulate(np.concatenate([X, X]) - pos)[N:] \
+            + pos[N:]
+
+    i = np.arange(N)
+    return np.minimum(forward(V), forward(V[-i])[-i])
 
 
 def _step_lengths(m: Manifold, h: float, dtheta: float) -> np.ndarray:
@@ -574,10 +587,18 @@ def _step_lengths(m: Manifold, h: float, dtheta: float) -> np.ndarray:
     over |d| cells spends 1/|d| of its parameter in each, so its length
     sqrt(dt^2 + f^2 dtheta^2) integrated is at most the mean of the cell
     values; at d = 0 it is f(t_j) dtheta exactly.
+
+    Each mean adds its cells in pairs from both ends inwards, an order
+    that reads the same on the mirrored segment, and a mirror-symmetric
+    profile is sampled on rows 0..N/2 only, so the lengths of a segment
+    and of its mirror image are equal in rounding too.
     """
     prof = m.profile
     N, B = SWEEP_ROWS, SWEEP_BAND
-    f = prof.f(h * np.arange(N + 1))
+    rows = np.arange(N + 1)
+    if prof.mirror_symmetric:
+        rows = np.minimum(rows, N - rows)
+    f = prof.f(h * rows)
     if prof.kind == "cosine":
         d2f_max = abs(prof.c * prof.beta) * (2.0 * np.pi / m.L) ** 2
     else:  # the spline's f'' is piecewise linear: extremes at knots
@@ -587,7 +608,12 @@ def _step_lengths(m: Manifold, h: float, dtheta: float) -> np.ndarray:
     W[B] = f[:-1] * dtheta
     for d in range(1, B + 1):
         s = np.sqrt((d * h) ** 2 + (cell * dtheta) ** 2)
-        mean = sum(np.roll(s, -q) for q in range(d)) / d  # cells j..j+d-1
+        # cells j..j+d-1, paired first with last
+        total = sum(np.roll(s, -q) + np.roll(s, q + 1 - d)
+                    for q in range(d // 2))
+        if d % 2:
+            total = total + np.roll(s, -(d // 2))
+        mean = total / d
         W[B + d] = mean
         W[B - d] = np.roll(mean, d)
     return W
@@ -602,12 +628,32 @@ def _antipodal_bounds(m: Manifold) -> np.ndarray:
     at most SWEEP_BAND rows, then the exact meridian transform.  Every
     entry is the length of an actual curve (up to rounding), hence an
     upper bound on the distance.
+
+    On a mirror-symmetric profile t -> L - t is an isometry that maps
+    row i of the lattice to row N - i (mod N), so the sweep runs only
+    the sources s = 0..N/2 and U[j, s] = U[(N - j) % N, N - s] fills
+    the rest: the mirror image of a curve is a curve of the same length.
+    Step lengths and the meridian transform are mirror-exact in
+    rounding, so the filled U is the one the full sweep computes, bit
+    for bit.
     """
-    N, B = SWEEP_ROWS, SWEEP_BAND
+    N = SWEEP_ROWS
     h = m.L / N
-    W = _step_lengths(m, h, np.pi / SWEEP_STEPS)[:, :, None]
+    W = _step_lengths(m, h, np.pi / SWEEP_STEPS)
+    if not m.profile.mirror_symmetric:
+        return _sweep(W, h, N)
+    V = _sweep(W, h, N // 2 + 1)
     i = np.arange(N)
-    gap = np.abs(i[:, None] - i[None, :])
+    return np.concatenate([V, V[-i][:, N // 2 - 1:0:-1]], axis=1)
+
+
+def _sweep(W: np.ndarray, h: float, sources: int) -> np.ndarray:
+    """The columns s = 0..sources-1 of `_antipodal_bounds`'s U, from the
+    step lengths W of `_step_lengths`; each column is swept on its own."""
+    N, B = SWEEP_ROWS, SWEEP_BAND
+    W = W[:, :, None]
+    i = np.arange(N)
+    gap = np.abs(i[:, None] - i[None, :sources])
     V = h * np.minimum(gap, N - gap)
     for _ in range(SWEEP_STEPS):
         ext = np.concatenate([V[N - B:], V, V[:B]])
@@ -645,9 +691,14 @@ def diameter(m: Manifold) -> DiameterBracket:
     (t1, theta1).  So D = max over (t0, t1) of g(t0, t1) =
     d((t0, 0), (t1, pi)).  `_antipodal_bounds` gives U >= g on the lattice
     of spacing h = L / N, and g is 1-Lipschitz in each endpoint along
-    meridians, so hi = max U + h.  For lo, a curve from (t, 0) to
-    (t + L/2, pi) has t-variation at least L/2 and integral of f |dtheta|
-    at least pi min f, so its length is at least hypot(L/2, pi min f).
+    meridians, so hi = max U + h.  A mirror-symmetric profile,
+    f(L - t) = f(t), makes (t, theta) -> (L - t, theta) an isometry.  It
+    maps the lattice onto itself and gives g(L - t0, L - t1) = g(t0, t1),
+    so the sweep runs from half the sources and mirrors the rest.
+
+    For lo, a curve from (t, 0) to (t + L/2, pi) has t-variation at least
+    L/2 and integral of f |dtheta| at least pi min f, so its length is at
+    least hypot(L/2, pi min f).
     """
     prof = m.profile
     if prof.kind == "constant":

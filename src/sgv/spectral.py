@@ -29,10 +29,19 @@ One entry point, `_eigenpair(dis, index, shift)`, returns the lowest
     Fourier start block (no randomness anywhere) then converges the
     lowest pair; index 1 on a k = 0 pencil projects the exactly known
     constant mode out each sweep.
+  * periodic pencils that commute with the reversal i -> N-1-i (a
+    mirror-symmetric profile, f(L - t) = f(t), on an even grid) split
+    into an even and an odd half: tridiagonal pencils on N/2 cells whose
+    end diagonals carry +-corner and +-e[N/2-1].  The pole-closed solver
+    solves both halves, the wanted vector is read off the merged
+    spectrum without iteration, and its Rayleigh quotient against B is
+    the value.  A value that ties across the halves goes back to the
+    iteration above.
 
-Both solvers resolve eigenvalues only to a few ulps of the Gershgorin
-scale of B (`_gershgorin`), which sets the iteration's stopping floor
-and the Richardson study's noise floor alike.
+All three resolve eigenvalues only to a few ulps of the Gershgorin
+scale of B (`_gershgorin`), which sets the iteration's stopping floor,
+the Richardson study's noise floor and the mirror split's tolerance for
+the rounding that keeps the assembled B from being exactly symmetric.
 
 Eigenvalues converge at second order in h; `lambda1` runs a three-grid
 Richardson study, checks the observed order, and returns the
@@ -42,7 +51,7 @@ extrapolated value.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 import scipy.linalg as sla
@@ -144,7 +153,7 @@ _MAX_SWEEPS = 160
 def _gershgorin(dis: Discretization) -> float:
     """Gershgorin bound on ||B||: the scale of the solvers' rounding.
 
-    Neither solver places an eigenvalue more accurately than a few ulps
+    No solver here places an eigenvalue more accurately than a few ulps
     of it, so grid differences below that are noise even when far above
     1e-13 * lam (a constant warp puts the fiber eigenvalue at nu_k / c^2
     on every grid).  It is ~4/h^2 here, far below the h^2 error the
@@ -253,17 +262,74 @@ def _corner_lowest(dis: Discretization, deflate: bool, shift: float) -> tuple:
     return float(theta[0]), x
 
 
+def _mirror_pair(dis: Discretization, index: int) -> Optional[tuple]:
+    """The index-th lowest eigenpair of a periodic B that commutes with
+    the reversal i -> N-1-i, or None where the split does not serve.
+
+    With R the reversal of N/2 entries, such a B maps [x, +-R x] to
+    [T_+- x, +-R T_+- x], where T_+- is the first half's tridiagonal
+    block with +-corner added to its first diagonal entry (the wrap to
+    the last cell) and +-e[N/2-1] to its last (the coupling across the
+    middle).  The spectrum of B is the union of those of T_+ and T_-.
+
+    The split applies when N is even and the assembled entries, a
+    Schrodinger potential on the diagonal included, match their mirror
+    images to within 16 eps of the Gershgorin scale, lambda1's noise
+    floor: the halves solve B' = B's first half and its mirror image,
+    so ||B' - B|| is at most that floor and so is every eigenvalue's
+    move (Weyl).  A mirror-symmetric profile, f(L - t) = f(t), keeps
+    the assembly rounding of a cosine torus or a flat torus that close.
+
+    It returns None, and the caller iterates, when the wanted value lies
+    within that floor of a value of the other half.  Such a pair is
+    double at working precision, and the split would return its pure
+    even or odd member, which on the base circle peaks h/2 off the
+    midpoint grid; `verify.check_gradient_estimate` reads that offset
+    as a gradient excess of about h^2/4 * lambda1.  Flat and near-flat
+    tori meet this on their lowest nonconstant k = 0 pair.
+
+    Bisection places the value only to about eps ||B||.  The returned
+    value is the Rayleigh quotient of the vector against B itself,
+    which is accurate to about eps ||B|| / sqrt(N) and takes up the
+    rounding between B and B' to first order.
+    """
+    d, e, corner = dis.sym_d, dis.sym_e, dis.sym_corner
+    floor = 16.0 * np.finfo(float).eps * _gershgorin(dis)
+    if d.size % 2 or (np.max(np.abs(d - d[::-1]))
+                      + 2.0 * np.max(np.abs(e - e[::-1]))) > floor:
+        return None
+    half = d.size // 2
+    halves = []
+    for sign in (1.0, -1.0):
+        d_half = d[:half].copy()
+        d_half[0] += sign * corner
+        d_half[-1] += sign * e[half - 1]
+        halves.append(sla.eigh_tridiagonal(d_half, e[:half - 1], select="i",
+                                           select_range=(0, index)))
+    ranked = sorted((float(w), side, j) for side, (ws, _) in enumerate(halves)
+                    for j, w in enumerate(ws))
+    lam, side, j = ranked[index]
+    if np.min(np.abs(halves[1 - side][0] - lam)) <= floor:
+        return None
+    h = halves[side][1][:, j]
+    vec = np.concatenate([h, (1.0 - 2.0 * side) * h[::-1]]) / np.sqrt(2.0)
+    return float(vec @ dis.apply_sym(vec)) / float(vec @ vec), vec
+
+
 def _eigenpair(dis: Discretization, index: int, shift: float = 0.0) -> tuple:
     """(eigenvalue, eigenfunction at the cell midpoints) of the pencil.
 
     index 0 is the lowest pair, index 1 the second lowest.  On a
     periodic pencil index 1 is the first pair above the constant mode,
     so it asks for an unshifted k = 0 pencil.  shift is where the
-    periodic shift-invert iteration starts (the tridiagonal solver
-    needs none).
+    periodic shift-invert iteration starts (the tridiagonal solvers
+    need none).
     """
     if dis.periodic:
-        lam, vec = _corner_lowest(dis, deflate=index == 1, shift=shift)
+        pair = _mirror_pair(dis, index)
+        if pair is None:
+            pair = _corner_lowest(dis, deflate=index == 1, shift=shift)
+        lam, vec = pair
     else:
         w, v = sla.eigh_tridiagonal(dis.sym_d, dis.sym_e, select="i",
                                     select_range=(0, index))

@@ -6,7 +6,8 @@ Covers:
 - integral curvature norms against an independent high-precision quadrature
 - volume closed forms (torus area, 4*pi, 2*pi^2)
 - diameter: exact bracket for flat tori, D = L on pole-closed profiles,
-  and brackets holding the exact diameter of near-flat cosine tori
+  brackets holding the exact diameter of near-flat cosine tori, and the
+  mirrored half sweep of cosine tori against the full sweep
 - the in-house spline against scipy's CubicSpline: f..f''' and the
   roots of f' on both closures, and no roots on constant pieces
 - the n = 2 Ricci field against -f''/f, and the exact range of f
@@ -35,7 +36,9 @@ from sgv import (
     volume,
 )
 from sgv.errors import BadExponent, BadPoleClosure, NonPositiveWarp
-from sgv.geometry import SWEEP_ROWS, _antipodal_bounds, _CubicSpline
+from sgv.geometry import (SWEEP_ROWS, SWEEP_STEPS, _antipodal_bounds,
+                          _CubicSpline, _meridian_relax, _step_lengths,
+                          _sweep)
 
 TWO_PI = 2.0 * math.pi
 
@@ -385,6 +388,66 @@ def test_antipodal_bounds_dominate_distances(c):
     gap = np.abs(i[:, None] - i[None, :])
     dt = m.L / SWEEP_ROWS * np.minimum(gap, SWEEP_ROWS - gap)
     assert np.all(U >= np.hypot(dt, math.pi * c * (1.0 - beta)) - 1e-12)
+
+
+# every (c, beta) of the benchmark's cosine catalog
+WAVY_ROWS = [(c, beta) for c in (0.2, 0.5, 1.0, 1.5)
+             for beta in (1e-8, 1e-5, 1e-3, 0.03, 0.1, 0.3)
+             if (c, beta) not in ((1.0, 1e-8), (1.0, 1e-5), (1.5, 0.1))]
+
+
+@pytest.mark.parametrize("c,beta", WAVY_ROWS)
+def test_mirrored_sweep_is_the_full_sweep(c, beta):
+    # step lengths and the meridian transform are mirror-exact, so the
+    # half sweep and its reflection are the full sweep bit for bit
+    m = make_cosine(beta, c=c)
+    h = m.L / SWEEP_ROWS
+    full = _sweep(_step_lengths(m, h, math.pi / SWEEP_STEPS), h, SWEEP_ROWS)
+    U = _antipodal_bounds(m)
+    assert np.array_equal(U, full)
+    i = np.arange(SWEEP_ROWS)
+    assert np.array_equal(U, U[-i][:, -i])
+
+
+def test_mirrored_sweep_matches_unsymmetrized_sweep(monkeypatch):
+    # sampled at every row, f(t_i) and f(t_{N-i}) differ by rounding;
+    # the full sweep over those samples moves hi by rounding only
+    his = [diameter(make_cosine(beta, c=c)).hi for c, beta in WAVY_ROWS]
+    monkeypatch.setattr(sgv.geometry.WarpProfile, "mirror_symmetric",
+                        property(lambda self: False))
+    for (c, beta), hi in zip(WAVY_ROWS, his):
+        full = diameter(make_cosine(beta, c=c)).hi
+        assert abs(hi - full) <= 4 * np.spacing(full), (c, beta)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no wider than double here")
+def test_sweep_hi_matches_extended_precision():
+    # the same sweep in long double: its max sits within 4 ulps of the
+    # double sweep's (at most 3 on every catalog row; with positions up
+    # to 2L instead of L the meridian transform's rounding left hi up to
+    # 11 ulps low, at (0.2, 0.1))
+    for c, beta in ((0.2, 0.1), (0.5, 1e-3), (0.5, 0.3), (1.0, 0.3)):
+        m = make_cosine(beta, c=c)
+        h = m.L / SWEEP_ROWS
+        W = _step_lengths(m, h, math.pi / SWEEP_STEPS)
+        hi = _antipodal_bounds(m).max()
+        wide = _sweep(W.astype(np.longdouble), np.longdouble(h), SWEEP_ROWS)
+        assert abs(hi - float(wide.max())) <= 4 * np.spacing(hi), (c, beta)
+
+
+def test_meridian_relax_commutes_with_the_mirror():
+    rng = np.random.default_rng(7)
+    V = rng.uniform(0.0, 4.0, size=(SWEEP_ROWS, 5))
+    h = 2.0 * math.pi / SWEEP_ROWS
+    i = np.arange(SWEEP_ROWS)
+    R = _meridian_relax(V, h)
+    assert np.array_equal(_meridian_relax(V[-i], h), R[-i])
+    # against the transform written out
+    gap = np.abs(i[:, None] - i[None, :])
+    D = h * np.minimum(gap, SWEEP_ROWS - gap)
+    want = np.min(V[:, None, :] + D[:, :, None], axis=0)
+    assert np.allclose(R, want, rtol=0.0, atol=4e-15)
 
 
 # ===================================================================

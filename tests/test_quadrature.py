@@ -7,7 +7,8 @@
   integrand whose rounding noise exceeds the budget raises long before
 - random polynomials on random breakpoints match their antiderivatives
 - the vectorized kink finder agrees with scalar bisection on curvature
-  deficits of a cosine torus and of periodic and pole-closed splines
+  deficits of a cosine torus and of periodic and pole-closed splines,
+  and its early stop returns the kinks of all 80 steps bit for bit
 """
 
 import math
@@ -131,6 +132,20 @@ def scalar_sign_change_points(func, a, b, scan=1024, refine_iters=80):
     return roots
 
 
+def fixed_step_bisection(func, ts, vs, steps=80):
+    """Every bracket of the scan bisected `steps` times, with no early
+    stop (reference)."""
+    flip = np.nonzero(vs[:-1] * vs[1:] < 0.0)[0]
+    lo, hi, flo = ts[flip], ts[flip + 1], vs[flip]
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        fm = func(mid)
+        left = flo * fm <= 0.0
+        lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
+        flo = np.where(left, flo, fm)
+    return sorted([*ts[vs == 0.0].tolist(), *(0.5 * (lo + hi)).tolist()])
+
+
 def _kink_manifolds():
     yield make_manifold("cosine", L=2.0 * math.pi, c=1.0, beta=0.3)
     ts = np.linspace(0.0, 2.0 * math.pi, 17)
@@ -158,8 +173,24 @@ def test_sign_change_points_match_scalar_bisection(m):
     assert len(want) >= 2
     assert len(got) == len(want)
     assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-14 * m.L
-    # the scan comes with the call: one func call per bisection step
-    assert calls["calls"] == 80
+    # the scan comes with the call: one func call per bisection step,
+    # none once the brackets freeze, and the kinks of all 80 steps
+    assert calls["calls"] < 80
+    assert got == fixed_step_bisection(deficit, ts, deficit(ts))
+
+
+def test_sign_change_points_stop_when_brackets_freeze():
+    # brackets of L/1024 reach adjacent doubles after about 45 halvings
+    m = make_manifold("cosine", L=2.0 * math.pi, c=1.0, beta=0.3)
+
+    def deficit(t):
+        return -ricci_min(m, t)
+
+    ts = np.linspace(0.0, m.L, 1025)
+    func, calls = counted(deficit)
+    got = sign_change_points(func, ts, deficit(ts))
+    assert calls["calls"] <= 46
+    assert got == fixed_step_bisection(deficit, ts, deficit(ts))
 
 
 def test_sign_change_points_keep_exact_zeros_in_order():

@@ -15,6 +15,7 @@ matrix oracle of the discrete pencil itself for the eigensolvers.
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -28,11 +29,13 @@ from sgv import (
     residual_J_equation,
     schrodinger_ground,
 )
+import sgv.spectral
 from sgv.errors import DegenerateRange, NonPositiveGround
 from sgv.spectral import (
     DEFAULT_GRIDS,
     _eigenpair,
     _extrapolate,
+    _mirror_pair,
     _mode_candidate,
     assemble,
     eigenfunction_u,
@@ -105,6 +108,50 @@ def shoot_sigma_tilde(beta, delta, L=TWO_PI):
     while mismatch(0.0) * mismatch(hi) > 0.0:
         hi *= 1.5
     return brentq(mismatch, 0.0, hi, xtol=1e-14, rtol=8.9e-16)
+
+
+def mp_lowest_vector(d, e, digits=40, sweeps=6):
+    """Unit eigenvector of the lowest eigenvalue of the symmetric
+    tridiagonal (d, e), by inverse iteration in mpmath at `digits`
+    digits, each sweep shifted just below the last Rayleigh quotient.
+    The double entries are taken exactly."""
+    with mpmath.workdps(digits):
+        d = [mpmath.mpf(float(v)) for v in d]
+        e = [mpmath.mpf(float(v)) for v in e] + [mpmath.mpf(0)]
+        n = len(d)
+        # Gershgorin: below the whole spectrum
+        lam = min(d[i] - abs(e[i]) - (abs(e[i - 1]) if i else 0)
+                  for i in range(n))
+        x = [mpmath.mpf(1)] * n
+        for _ in range(sweeps):
+            # Thomas algorithm for (T - lam) y = x
+            c, g = [], []
+            for i in range(n):
+                piv = d[i] - lam - (e[i - 1] * c[-1] if i else 0)
+                c.append(e[i] / piv)
+                g.append((x[i] - (e[i - 1] * g[-1] if i else 0)) / piv)
+            y = [g[-1]]
+            for i in range(n - 2, -1, -1):
+                y.append(g[i] - c[i] * y[-1])
+            y.reverse()
+            norm = mpmath.sqrt(mpmath.fsum(v * v for v in y))
+            x = [v / norm for v in y]
+            Tx = [d[i] * x[i] + (e[i - 1] * x[i - 1] if i else 0)
+                  + (e[i] * x[i + 1] if i < n - 1 else 0) for i in range(n)]
+            lam = (mpmath.fsum(a * b for a, b in zip(x, Tx))
+                   - mpmath.mpf(10) ** (2 - digits))
+        return np.array([float(v) for v in x])
+
+
+def make_pinched_spline(knots=65, phase=1.0):
+    """Periodic spline through samples of 1 + 0.9 cos(t - phase): the
+    pinched torus, turned by phase.  Off phase 0 its mirror axis misses
+    the grid's, so its pencils take the iterative periodic solver."""
+    ts = np.linspace(0.0, TWO_PI, knots)
+    fs = 1.0 + 0.9 * np.cos(ts - phase)
+    fs[-1] = fs[0]
+    return make_manifold("tabulated", L=TWO_PI, ts=ts, fs=fs,
+                         boundary="periodic")
 
 
 def make_asym_manifold(samples=513):
@@ -244,8 +291,10 @@ DENSE_CASES = {
     ("sphere3", 0, 1, False),
 ])
 def test_eigenpair_matches_dense_eigh(case, k, index, schrodinger):
-    m = DENSE_CASES[case]()
-    N = 64
+    check_against_dense(DENSE_CASES[case](), k, 64, index, schrodinger)
+
+
+def check_against_dense(m, k, N, index, schrodinger):
     dis = assemble(m, k, N)
     K, M = dense_pencil(m, k, N)
     root_m = np.sqrt(M)
@@ -270,6 +319,76 @@ def test_eigenpair_matches_dense_eigh(case, k, index, schrodinger):
         lap = dis.laplacian(phi)
         bound = 16.0 * np.finfo(float).eps * (np.abs(K) @ np.abs(phi)) / M
         assert np.all(np.abs(lap + (K @ phi) / M) <= bound)
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("this solver must not be called")
+
+
+MIRROR_CASES = [(0, 0, False), (0, 1, False), (1, 0, False), (0, 0, True)]
+
+
+@pytest.mark.parametrize("k,index,schrodinger", MIRROR_CASES)
+def test_mirror_split_matches_dense_eigh(monkeypatch, k, index, schrodinger):
+    # a cosine pencil on an even grid is served by the split alone
+    monkeypatch.setattr(sgv.spectral, "_corner_lowest", _unreachable)
+    m = DENSE_CASES["cosine"]()
+    assert _mirror_pair(assemble(m, k, 64), index) is not None
+    check_against_dense(m, k, 64, index, schrodinger)
+
+
+@pytest.mark.parametrize("k,index,schrodinger", MIRROR_CASES[1:])
+def test_odd_grid_falls_back_to_corner_solver(k, index, schrodinger):
+    m = DENSE_CASES["cosine"]()
+    assert _mirror_pair(assemble(m, k, 65), index) is None
+    check_against_dense(m, k, 65, index, schrodinger)
+
+
+def test_asymmetric_potential_falls_back_to_corner_solver():
+    # the split would solve the mirror image of the first half, so a
+    # potential that breaks the symmetry must not reach it
+    m = DENSE_CASES["cosine"]()
+    dis = assemble(m, 0, 64)
+    V = 0.4 * (1.0 + np.sin(dis.tm))
+    gs = schrodinger_ground(m, V, N=64)
+    assert _mirror_pair(replace(dis, sym_d=dis.sym_d - V), 0) is None
+    assert np.all(gs.w > 0.0)
+
+
+@pytest.mark.parametrize("m", [
+    make_manifold("constant", L=TWO_PI, c=0.1),
+    make_manifold("cosine", L=TWO_PI, c=0.1, beta=0.0),
+    make_manifold("cosine", L=TWO_PI, c=0.5, beta=1e-8),
+], ids=["flat", "cosine-b0", "cosine-b1e-8"])
+def test_mirror_split_leaves_tied_pairs_to_corner_solver(m):
+    # the base circle's cos/sin pair is double at working precision on
+    # flat and near-flat tori; the split would return a pure-parity
+    # member, so the pair goes to the iterative solver.  Lower single
+    # pairs of the same pencils stay with the split.
+    assert _mirror_pair(assemble(m, 0, 256), 1) is None
+    assert _mirror_pair(assemble(m, 0, 256), 0) is not None
+    assert _mirror_pair(assemble(m, 1, 256), 0) is not None
+
+
+def test_mirror_split_ground_state_matches_dense_eigh_at_2048():
+    # the production grid: the split's vector lies within 1e-11 of
+    # dense eigh of the written-out pencil (2e-13 measured; the
+    # iterative periodic solver's is 6e-11 away)
+    m = make_manifold("cosine", L=TWO_PI, c=1.0, beta=0.3)
+    N = 2048
+    dis = assemble(m, 0, N)
+    V = shift_potential(m, 0.1)(dis.tm)
+    K, M = dense_pencil(m, 0, N)
+    root_m = np.sqrt(M)
+    B = K / np.outer(root_m, root_m) - np.diag(V)
+    vals, vecs = sla.eigh(B, subset_by_index=[0, 0])
+    lam, phi = _eigenpair(replace(dis, sym_d=dis.sym_d - V), 0)
+    v = phi * root_m
+    v /= np.linalg.norm(v)
+    want = vecs[:, 0] * np.sign(vecs[:, 0] @ v)
+    assert np.max(np.abs(v - want)) <= 1e-11
+    floor = 16.0 * np.finfo(float).eps * np.abs(B).sum(axis=1).max()
+    assert abs(lam - vals[0]) <= floor
 
 
 def test_richardson_history_and_order():
@@ -365,11 +484,43 @@ def test_ground_state_normalization():
 
 
 def test_localized_ground_state_rejected_cleanly():
-    # beta = 0.9 buries the far side of the well below rounding; the
-    # solver must refuse rather than return a signed mess
+    # the turned pinched torus takes the iterative periodic solver,
+    # whose rounding buries the far side of the well; it must refuse
+    # rather than return a signed mess
+    for knots in (65, 129, 257):
+        m = make_pinched_spline(knots)
+        with pytest.raises(NonPositiveGround):
+            schrodinger_ground(m, shift_potential(m, 0.1), N=1024)
+
+
+def test_mirror_symmetric_spline_takes_the_split(monkeypatch):
+    # symmetry is read off the assembled pencil, not the profile kind:
+    # the untouched pinched spline splits and keeps a positive ground state
+    monkeypatch.setattr(sgv.spectral, "_corner_lowest", _unreachable)
+    m = make_pinched_spline(65, phase=0.0)
+    gs = schrodinger_ground(m, shift_potential(m, 0.1), N=1024)
+    assert np.all(gs.w > 0.0)
+
+
+def test_pinched_cosine_ground_state_matches_mpmath_oracle():
+    # the mirror split resolves the pinched cosine torus's ground state,
+    # down to its 3e-20 tail, to the relative accuracy of a 40-digit
+    # inverse iteration on the same half pencil (3.2e-14 measured)
     m = make_manifold("cosine", L=TWO_PI, c=1.0, beta=0.9)
-    with pytest.raises(NonPositiveGround):
-        schrodinger_ground(m, shift_potential(m, 0.1), N=1024)
+    N = 1024
+    dis = assemble(m, 0, N)
+    V = shift_potential(m, 0.1)(dis.tm)
+    gs = schrodinger_ground(m, V, N=N)
+    half = N // 2
+    d = dis.sym_d[:half] - V[:half]
+    d[0] += dis.sym_corner
+    d[-1] += dis.sym_e[half - 1]
+    h = mp_lowest_vector(d, dis.sym_e[:half - 1])
+    assert np.min(h) < 1e-19
+    w = np.concatenate([h, h[::-1]]) / np.sqrt(dis.mass)
+    w /= np.sqrt(np.sum(w * w * dis.mass) / np.sum(dis.mass))
+    assert np.all(gs.w > 0.0)
+    assert np.max(np.abs(gs.w - w) / w) <= 5e-14
 
 
 def test_potential_length_checked():

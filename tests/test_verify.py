@@ -6,7 +6,8 @@
 - J bounds and the pointwise gradient certificate
 - residual order study: second-order decay against the converged shift
 - record assembly for the main theorem, sharpness ratios on flat tori,
-  and one kbar and one ground state per grid in each record
+  one kbar and one ground state per grid in each record, and one Moser
+  product per distinct argument set
 - sweep: per-row error capture, determinism across worker counts, a
   worker process that dies, the out-of-hypothesis dumbbell rows, and a
   divergent kbar integral
@@ -224,6 +225,40 @@ def test_record_flat_torus_sharpness():
     assert rec.diameter_converged
 
 
+def test_cosine_record_at_zero_amplitude_is_the_flat_record():
+    # beta = 0 assembles the flat torus's pencils bit for bit, so every
+    # spectral field, the gradient margin included, is the flat one and
+    # passes the same gate; only the diameter takes the sweep
+    flat = check_main_theorem(make_manifold("constant", L=TWO_PI, c=0.1),
+                              0.5, 2.0, 2.0, 0.5).to_dict()
+    cos = check_main_theorem(make_manifold("cosine", L=TWO_PI, c=0.1),
+                             0.5, 2.0, 2.0, 0.5).to_dict()
+    differ = {k for k in flat if flat[k] != cos[k]}
+    assert differ <= {"manifold_id", "diameter_hi", "bound",
+                      "theorem_margin", "sharpness_ratio"}
+    assert cos["hypothesis_met"]
+    assert cos["gradient_margin"] <= 1e-6 * cos["lambda_tilde"]
+
+
+def test_record_computes_each_moser_product_once(monkeypatch):
+    # the delta scan asks for a handful of argument sets about a hundred
+    # times; each is computed once, and the cached value is the product
+    cached = sgv.constants.moser_constant
+    seen = []
+
+    def moser_constant(*args):
+        seen.append(args)
+        return cached(*args)
+
+    monkeypatch.setattr(sgv.constants, "moser_constant", moser_constant)
+    cached.cache_clear()
+    check_main_theorem(make_cosine(0.05), 0.3, 2.0, 2.0, 0.5)
+    distinct = set(seen)
+    assert cached.cache_info().misses <= len(distinct) < len(seen)
+    for args in distinct:
+        assert cached(*args) == cached.__wrapped__(*args)
+
+
 def test_record_round_sphere():
     m = make_manifold("sine-sphere", n=2, L=math.pi)
     rec = check_main_theorem(m, 0.3, 2.0, 2.0, 0.5)
@@ -411,10 +446,15 @@ def test_dumbbell_certificates_fail_their_windows():
 
 
 def test_sweep_pinched_row_survives_certificate_failure():
-    # beta = 0.9 localizes the ground state beyond double precision;
-    # the certificates come back as None but the row is still usable
-    specs = [{"id": "pinched", "kind": "cosine", "L": TWO_PI, "c": 1.0,
-              "beta": 0.9}]
+    # a spline through 1 + 0.9 cos(t - 1), whose mirror axis misses the
+    # grid's, takes the iterative periodic solver, which loses the
+    # localized ground state to rounding; the certificates come back as
+    # None but the row is still usable
+    ts = np.linspace(0.0, TWO_PI, 65)
+    fs = 1.0 + 0.9 * np.cos(ts - 1.0)
+    fs[-1] = fs[0]
+    specs = [{"id": "pinched", "kind": "tabulated", "L": TWO_PI, "ts": ts,
+              "fs": fs, "boundary": "periodic"}]
     rows, summary = sweep(specs, 0.5, 2.0, 2.0, 0.5)
     assert summary["errors"] == 0
     rec = rows[0].record
