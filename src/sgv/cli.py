@@ -208,8 +208,9 @@ def _record_gate_failures(rec) -> list:
     if rec.J_deviation is None or rec.J_deviation > rec.delta + 1e-9:
         fails.append(f"J deviation {rec.J_deviation} exceeds "
                      f"delta = {rec.delta}")
-    if rec.gradient_margin is not None and rec.lambda_tilde is not None \
-            and rec.gradient_margin > 1e-6 * rec.lambda_tilde:
+    if rec.gradient_margin is None:
+        fails.append("gradient estimate: margin = None")
+    elif rec.gradient_margin > 1e-6 * rec.lambda_tilde:
         fails.append(f"gradient estimate margin "
                      f"{rec.gradient_margin:.6e} above tolerance")
     return fails

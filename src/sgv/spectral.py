@@ -15,33 +15,29 @@ and handles the pole-closed case naturally because the edge weight
 f^{n-1} vanishes at the poles -- no boundary condition is imposed beyond
 what the geometry already encodes.
 
-One entry point, `_eigenpair(dis, index, shift)`, returns the lowest
-(index 0) or second-lowest (index 1) pair of either closure type:
+One entry point, `_eigenpair(dis, index)`, returns the lowest (index 0)
+or second-lowest (index 1) pair of either closure type, each from one
+route without subspace iteration (at most a scalar root solve):
 
   * pole-closed pencils are symmetric tridiagonal after the congruence
     B = M^{-1/2} K M^{-1/2}; LAPACK's bisection + inverse iteration
-    (scipy.linalg.eigh_tridiagonal) returns the selected pair
+    (scipy.linalg.eigh_tridiagonal) returns the selected vector
     deterministically.
-  * periodic pencils add one corner entry.  B is tridiagonal plus the
-    rank-one update u u^T with u supported on the first and last
-    entries, so (B - s)^{-1} is two banded solves and a Sherman-Morrison
-    correction.  A fixed-shift subspace iteration on a deterministic
-    Fourier start block (no randomness anywhere) then converges the
-    lowest pair; index 1 on a k = 0 pencil projects the exactly known
-    constant mode out each sweep.
   * periodic pencils that commute with the reversal i -> N-1-i (a
     mirror-symmetric profile, f(L - t) = f(t), on an even grid) split
-    into an even and an odd half: tridiagonal pencils on N/2 cells whose
-    end diagonals carry +-corner and +-e[N/2-1].  The pole-closed solver
-    solves both halves, the wanted vector is read off the merged
-    spectrum without iteration, and its Rayleigh quotient against B is
-    the value.  A value that ties across the halves goes back to the
-    iteration above.
+    into an even and an odd half, tridiagonal pencils on N/2 cells
+    (`_mirror_pair`).
+  * every other periodic pencil is tridiagonal plus the rank-one corner
+    update u u^T, so its pairs are roots of a secular equation between
+    the interlacing eigenvalues of the cut-open tridiagonal
+    (`_rank_one_pair`).
 
-All three resolve eigenvalues only to a few ulps of the Gershgorin
-scale of B (`_gershgorin`), which sets the iteration's stopping floor,
-the Richardson study's noise floor and the mirror split's tolerance for
-the rounding that keeps the assembled B from being exactly symmetric.
+The value is always the Rayleigh quotient of the returned vector against
+B.  Every route resolves eigenvalues only to a few ulps of the
+Gershgorin scale of B; 16 eps of it (`_noise_floor`) is the Richardson
+study's noise floor, the rank-one solver's deflation floor and the
+mirror split's tolerance for the rounding that keeps the assembled B
+from being exactly symmetric.
 
 Eigenvalues converge at second order in h; `lambda1` runs a three-grid
 Richardson study, checks the observed order, and returns the
@@ -146,131 +142,147 @@ def assemble(m: Manifold, k: int, N: int) -> Discretization:
 
 # -- eigensolvers -------------------------------------------------------------
 
-# subspace sweeps the periodic solver may take before giving up
-_MAX_SWEEPS = 160
+# secular-equation steps the rank-one solver may take before giving up
+_MAX_STEPS = 64
 
 
-def _gershgorin(dis: Discretization) -> float:
-    """Gershgorin bound on ||B||: the scale of the solvers' rounding.
+def _noise_floor(dis: Discretization) -> float:
+    """16 eps times the Gershgorin bound on ||B||: the solvers' rounding.
 
     No solver here places an eigenvalue more accurately than a few ulps
-    of it, so grid differences below that are noise even when far above
-    1e-13 * lam (a constant warp puts the fiber eigenvalue at nu_k / c^2
-    on every grid).  It is ~4/h^2 here, far below the h^2 error the
-    values carry anyway.
+    of ||B||, so grid differences below that are noise even when far
+    above 1e-13 * lam (a constant warp puts the fiber eigenvalue at
+    nu_k / c^2 on every grid).  ||B|| is ~4/h^2 here, far below the h^2
+    error the values carry anyway.
     """
-    return float(np.max(np.abs(dis.sym_d)) + 2.0 * np.max(np.abs(dis.sym_e))
-                 + abs(dis.sym_corner))
+    return 16.0 * np.finfo(float).eps * float(
+        np.max(np.abs(dis.sym_d)) + 2.0 * np.max(np.abs(dis.sym_e))
+        + abs(dis.sym_corner))
 
 
-def _corner_lowest(dis: Discretization, deflate: bool, shift: float) -> tuple:
-    """Lowest eigenpair of tridiagonal-plus-corner B by shift-invert
-    subspace iteration with Sherman-Morrison banded solves.
+def _rank_one_pair(dis: Discretization, index: int) -> np.ndarray:
+    """Unit eigenvector of the index-th lowest pair of a periodic B.
 
-    deflate projects out the constant mode of a k = 0 pencil, so the
-    pair returned is the lowest above it; the shift then moves down by
-    half the first Fourier mode's Rayleigh quotient, which puts the
-    target closest to the shift with a healthy separation ratio.
+    B = T + u u^T, with T = B cut open (the corner c < 0 moved onto both
+    end diagonals) and u = sqrt(-c) (e_0 - e_{N-1}).  The eigenvalues of
+    B interlace those of T, so the wanted one is the root in
+    [mu_index, mu_index+1] of f(lam) = 1 + u^T (T - lam)^{-1} u, which
+    rises between the poles mu_j (Bunch, Nielsen & Sorensen 1978, Numer.
+    Math. 31:31).  One eigh_tridiagonal call gives T's pairs 0..index+1
+    and z = V^T u; their terms z_j^2 / (mu_j - lam) are summed apart
+    from the smooth rest u'^T (T - lam)^{-1} u', u' = u - V z, one banded
+    solve per step, kept a quarter floor off every mu_j (a first-order
+    step covers the offset).  A pole with |z_j| ||u|| below the floor
+    16 eps ||B|| is deflated, and a deflated end of the bracket holds the
+    root unless f changes sign just inside it.  Else the root is solved
+    from the nearer pole, that pole's term exact and every other slope
+    on the far pole (R.-C. Li 1993, LAPACK Working Note 89; LAPACK's
+    dlaed4), safeguarded by bisection.  The vector, (T - lam)^{-1} u or
+    a deflated v_j, is polished by inverse iteration on B through the
+    Sherman-Morrison formula.
     """
-    d = dis.sym_d
-    e = dis.sym_e
-    c = dis.sym_corner
-    N = d.size
-    if c >= 0.0:
-        raise ValueError("periodic corner entry must be negative")
-    gamma = np.sqrt(-c)
-    u = np.zeros(N)
-    u[0] = gamma
-    u[-1] = -gamma
-    d_t = d.copy()
-    d_t[0] += c
-    d_t[-1] += c
+    d, e, c = dis.sym_d, dis.sym_e, dis.sym_corner
+    u = np.zeros(d.size)
+    u[[0, -1]] = np.sqrt(-c), -np.sqrt(-c)
+    d_t = np.r_[d[0] + c, d[1:-1], d[-1] + c]
+    mu, V = sla.eigh_tridiagonal(d_t, e, select="i",
+                                 select_range=(0, index + 1))
+    z = V.T @ u
+    u_rest = u - V @ z
+    eps = np.finfo(float).eps
+    floor = _noise_floor(dis)
+    live = np.abs(z) * np.sqrt(-2.0 * c) > floor
+    upper, lower = np.r_[0.0, e], np.r_[e, 0.0]
 
-    # deterministic Fourier start block in symmetric coordinates
-    t = dis.tm
-    w = 2.0 * np.pi / dis.manifold.L
-    if deflate:
-        cols = [np.cos(w * t), np.sin(w * t), np.cos(2.0 * w * t)]
-    else:
-        cols = [np.ones_like(t), np.cos(w * t), np.sin(w * t)]
-    root_m = np.sqrt(dis.mass)
-    X = np.stack(cols, axis=1) * root_m[:, None]
-    kernel = root_m / np.linalg.norm(root_m)
-    if deflate:
-        x0 = X[:, 0]
-        shift -= 0.5 * abs(float(x0 @ dis.apply_sym(x0)) / float(x0 @ x0))
-        X -= kernel[:, None] * (kernel @ X)[None, :]
-    X, _ = np.linalg.qr(X)
+    def band(o, tau):
+        """Banded T - (o + tau + off); off keeps the shift clear of mu."""
+        g = (mu - o) - tau
+        near = g[np.argmin(np.abs(g))]
+        off = near - np.copysign(max(abs(near), 0.25 * floor), near)
+        return [upper, (d_t - o) - (tau + off), lower], off
 
-    s = shift
-    for attempt in range(6):
-        ab = np.zeros((3, N))
-        ab[0, 1:] = e
-        ab[1, :] = d_t - s
-        ab[2, :-1] = e
-        try:
-            w_vec = sla.solve_banded((1, 1), ab, u)
-        except np.linalg.LinAlgError:
-            s = s * 1.1 - 1e-8 * (1.0 + abs(s))
-            continue
-        denom = 1.0 + u @ w_vec
-        if abs(denom) < 1e-12:
-            s = s * 1.1 - 1e-8 * (1.0 + abs(s))
-            continue
-        break
-    else:
-        raise NoConvergence("could not factor the shifted periodic pencil")
+    def secular(o, tau):
+        """f, f', (T - lam)^{-1} u', the live gaps mu_j - lam and the
+        rounding of f, at lam = o + tau."""
+        ab, off = band(o, tau)
+        x = sla.solve_banded((1, 1), ab, u_rest)
+        x -= V @ (V.T @ x)
+        xx = x @ x
+        rest = u_rest @ x - off * xx
+        if off != 0.0:
+            y = sla.solve_banded((1, 1), ab, x)
+            x = x - off * (y - V @ (V.T @ y))
+        gaps = (mu[live] - o) - tau
+        terms = z[live] ** 2 / gaps
+        noise = 4.0 * eps * (1.0 + np.abs(terms).sum() + abs(rest)) \
+            + floor / 16.0 * xx
+        return (1.0 + terms.sum() + rest, (terms / gaps).sum() + xx, x,
+                gaps, noise)
 
-    floor = 8.0 * np.finfo(float).eps * _gershgorin(dis)
-    theta_prev = None
-    stable = 0
-    res_best = np.inf
-    stalled = 0
-    for _ in range(_MAX_SWEEPS):
-        Y = sla.solve_banded((1, 1), ab, X)
-        Y -= np.outer(w_vec, (u @ Y) / denom)
-        if deflate:
-            Y -= kernel[:, None] * (kernel @ Y)[None, :]
-        Q, _ = np.linalg.qr(Y)
-        H = Q.T @ dis.apply_sym(Q)
-        H = 0.5 * (H + H.T)
-        theta, S = np.linalg.eigh(H)
-        X = Q @ S
-        if theta_prev is not None:
-            tol = 1e-14 * (abs(theta[0]) + abs(s)) + floor
-            stable = stable + 1 if abs(theta[0] - theta_prev) <= tol else 0
-        theta_prev = theta[0]
-        if stable < 2:
-            continue
-        # Value settled; now polish the vector until the Ritz residual
-        # reaches the rounding floor (value stagnation alone leaves the
-        # vector ~8 eps ||B|| short, which downstream residual studies
-        # can see).  Accept on the floor or on three stalled sweeps.
-        x = X[:, 0]
-        res = float(np.max(np.abs(dis.apply_sym(x) - x * theta[0])))
-        if res <= floor:
+    def polish(o, tau, y, steps):
+        """y after inverse-iteration steps on B at o + tau; whole banded
+        solves, since projecting off V keeps V's rounded tails."""
+        ab, _ = band(o, tau)
+        for _ in range(steps):
+            t, w = sla.solve_banded((1, 1), ab, np.c_[y, u]).T
+            y = (1.0 + u @ w) * t - (u @ t) * w
+            y /= np.linalg.norm(y)
+        return y
+
+    lo, hi = mu[index], mu[index + 1]
+    inside = min(0.5 * floor, 0.25 * (hi - lo))
+    for j, tau in ((index, inside), (index + 1, -inside)):
+        # a deflated end holds the root unless f changes sign inside; v_j
+        # lacks B's tail beyond the cut, so it takes two steps
+        if not live[j] and secular(mu[j], tau)[0] * tau >= 0.0:
+            return polish(mu[j], tau, V[:, j], 2)
+
+    # origin: the live end nearer the root, which lies above the
+    # midpoint where f < 0 there
+    f, df, x, gaps, noise = secular(lo, 0.5 * (hi - lo))
+    o = hi if live[index + 1] and (f < 0.0 or not live[index]) else lo
+    j = index if o == lo else index + 1
+    z_o2 = z[j] ** 2 if live[j] else 0.0
+    tau = 0.5 * (lo + hi) - o
+    t_lo, t_hi = (tau, hi - o) if f < 0.0 else (lo - o, tau)
+    for _ in range(_MAX_STEPS):
+        if abs(f) <= noise:
             break
-        if res >= 0.5 * res_best:
-            stalled += 1
-            if stalled >= 3:
-                break
-        else:
-            stalled = 0
-        res_best = min(res_best, res)
+        # model f ~ m + z_o^2 / (d_o - eta) + s_far / (d_far - eta): the
+        # origin's pole term exact, every other slope on the far pole;
+        # one root of the model lies between the poles, none other in
+        # the bracket
+        d_o, d_far = -tau, lo + hi - 2.0 * o - tau
+        s_far = d_far * d_far * (df - z_o2 / (tau * tau))
+        m = f - z_o2 / d_o - s_far / d_far
+        b = m * (d_o + d_far) + z_o2 + s_far
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = 0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * m * f * d_o
+                                               * d_far), b))
+            steps = tau + np.array([q / m, f * d_o * d_far / q])
+        step = next((t for t in steps if t_lo < t < t_hi),
+                    0.5 * (t_lo + t_hi))
+        if abs(step - tau) <= 2.0 * eps * abs(tau):
+            break
+        tau = step
+        f, df, x, gaps, noise = secular(o, tau)
+        t_lo, t_hi = (tau, t_hi) if f < 0.0 else (t_lo, tau)
     else:
-        raise NoConvergence("periodic eigensolver did not settle")
-    return float(theta[0]), x
+        raise NoConvergence("secular equation did not settle")
+    return polish(o, tau, V[:, live] @ (z[live] / gaps) + x, 1)
 
 
-def _mirror_pair(dis: Discretization, index: int) -> Optional[tuple]:
-    """The index-th lowest eigenpair of a periodic B that commutes with
-    the reversal i -> N-1-i, or None where the split does not serve.
+def _mirror_pair(dis: Discretization, index: int) -> Optional[np.ndarray]:
+    """Unit eigenvector of the index-th lowest pair of a periodic B that
+    commutes with the reversal i -> N-1-i, or None where the split does
+    not serve.
 
     With R the reversal of N/2 entries, such a B maps [x, +-R x] to
     [T_+- x, +-R T_+- x], where T_+- is the first half's tridiagonal
     block with +-corner added to its first diagonal entry (the wrap to
     the last cell) and +-e[N/2-1] to its last (the coupling across the
-    middle).  The spectrum of B is the union of those of T_+ and T_-.
+    middle).  The spectrum of B is the union of those of T_+ and T_-,
+    and the wanted vector is read off the merged spectrum.
 
     The split applies when N is even and the assembled entries, a
     Schrodinger potential on the diagonal included, match their mirror
@@ -279,22 +291,11 @@ def _mirror_pair(dis: Discretization, index: int) -> Optional[tuple]:
     so ||B' - B|| is at most that floor and so is every eigenvalue's
     move (Weyl).  A mirror-symmetric profile, f(L - t) = f(t), keeps
     the assembly rounding of a cosine torus or a flat torus that close.
-
-    It returns None, and the caller iterates, when the wanted value lies
-    within that floor of a value of the other half.  Such a pair is
-    double at working precision, and the split would return its pure
-    even or odd member, which on the base circle peaks h/2 off the
-    midpoint grid; `verify.check_gradient_estimate` reads that offset
-    as a gradient excess of about h^2/4 * lambda1.  Flat and near-flat
-    tori meet this on their lowest nonconstant k = 0 pair.
-
-    Bisection places the value only to about eps ||B||.  The returned
-    value is the Rayleigh quotient of the vector against B itself,
-    which is accurate to about eps ||B|| / sqrt(N) and takes up the
-    rounding between B and B' to first order.
+    A pair that is double across the halves (the base circle of a flat
+    torus) returns its pure even or odd member.
     """
     d, e, corner = dis.sym_d, dis.sym_e, dis.sym_corner
-    floor = 16.0 * np.finfo(float).eps * _gershgorin(dis)
+    floor = _noise_floor(dis)
     if d.size % 2 or (np.max(np.abs(d - d[::-1]))
                       + 2.0 * np.max(np.abs(e - e[::-1]))) > floor:
         return None
@@ -308,32 +309,29 @@ def _mirror_pair(dis: Discretization, index: int) -> Optional[tuple]:
                                            select_range=(0, index)))
     ranked = sorted((float(w), side, j) for side, (ws, _) in enumerate(halves)
                     for j, w in enumerate(ws))
-    lam, side, j = ranked[index]
-    if np.min(np.abs(halves[1 - side][0] - lam)) <= floor:
-        return None
+    _, side, j = ranked[index]
     h = halves[side][1][:, j]
-    vec = np.concatenate([h, (1.0 - 2.0 * side) * h[::-1]]) / np.sqrt(2.0)
-    return float(vec @ dis.apply_sym(vec)) / float(vec @ vec), vec
+    return np.concatenate([h, (1.0 - 2.0 * side) * h[::-1]]) / np.sqrt(2.0)
 
 
-def _eigenpair(dis: Discretization, index: int, shift: float = 0.0) -> tuple:
+def _eigenpair(dis: Discretization, index: int) -> tuple:
     """(eigenvalue, eigenfunction at the cell midpoints) of the pencil.
 
-    index 0 is the lowest pair, index 1 the second lowest.  On a
-    periodic pencil index 1 is the first pair above the constant mode,
-    so it asks for an unshifted k = 0 pencil.  shift is where the
-    periodic shift-invert iteration starts (the tridiagonal solvers
-    need none).
+    index 0 is the lowest pair, index 1 the second lowest (on a k = 0
+    pencil without potential, the first above the constants).  The
+    value is the Rayleigh quotient of the route's vector against B:
+    bisection places a value only to about eps ||B||, the quotient to
+    about eps ||B|| / sqrt(N), and it takes up the rounding between B
+    and the split's mirrored halves to first order.
     """
     if dis.periodic:
-        pair = _mirror_pair(dis, index)
-        if pair is None:
-            pair = _corner_lowest(dis, deflate=index == 1, shift=shift)
-        lam, vec = pair
+        vec = _mirror_pair(dis, index)
+        if vec is None:
+            vec = _rank_one_pair(dis, index)
     else:
-        w, v = sla.eigh_tridiagonal(dis.sym_d, dis.sym_e, select="i",
-                                    select_range=(0, index))
-        lam, vec = float(w[index]), v[:, index]
+        vec = sla.eigh_tridiagonal(dis.sym_d, dis.sym_e, select="i",
+                                   select_range=(0, index))[1][:, index]
+    lam = float(vec @ dis.apply_sym(vec)) / float(vec @ vec)
     return lam, vec / np.sqrt(dis.mass)
 
 
@@ -345,10 +343,11 @@ class EigenResult:
 
     lambda1 is the Richardson-extrapolated value;
     history holds (N, raw eigenvalue) per grid for the winning fiber
-    mode.  u is the normalized base profile of the eigenfunction: for
-    mode 0 it is the full eigenfunction with sup 1 / inf -1 after the
-    shift a; for modes k >= 1 the manifold eigenfunction is
-    u(t) cos(k theta) and the stored profile has max |u| = 1 with a = 0.
+    mode.  u is the normalized base profile of the eigenfunction (see
+    `eigenfunction_u`): for mode 0 it is the full eigenfunction with
+    continuous sup 1 / inf -1 after the shift a; for modes k >= 1 the
+    manifold eigenfunction is u(t) Y(theta) with Y a fiber harmonic and
+    the stored profile has continuous sup |u| = 1 with a = 0.
     degenerate flags a runner-up mode within 1e-9 relative -- the
     eigenspace is then 2-dimensional or more and the eigenfunction
     returned is one deterministic member of it.
@@ -364,40 +363,48 @@ class EigenResult:
     degenerate: bool
 
 
-def _normalize_profile(phi: np.ndarray) -> tuple:
-    """Scale/shift so sup = 1 and inf = -1; returns (u, a)."""
-    hi = float(np.max(phi))
-    lo = float(np.min(phi))
-    spread = hi - lo
-    if spread <= 1e-13 * max(abs(hi), abs(lo), 1.0):
-        raise DegenerateRange("eigenfunction is numerically constant")
-    s = 2.0 / spread
-    scaled = s * phi
-    a = float((np.max(scaled) + np.min(scaled)) / 2.0)
-    if a < 0.0:
-        scaled = -scaled
-        a = -a
-    return scaled - a, a
+def _peak(y: np.ndarray, periodic: bool) -> float:
+    """Max of the quadratic through the grid maximum of y and its two
+    neighbour cells: the continuous sup to second order in h, which can
+    lie up to h/2 off the grid.  A periodic grid wraps its neighbours; a
+    pole-closed end cell reflects across its pole, because the function
+    is even in the distance to the pole."""
+    i = int(np.argmax(y))
+    if periodic:
+        left, right = y[i - 1], y[(i + 1) % y.size]
+    else:
+        left, right = y[max(i - 1, 0)], y[min(i + 1, y.size - 1)]
+    curv = left - 2.0 * y[i] + right
+    return float(y[i] - (right - left) ** 2 / (8.0 * curv) if curv < 0.0
+                 else y[i])
 
 
-def eigenfunction_u(phi: np.ndarray, mode: int = 0) -> tuple:
-    """Normalize a base-profile eigenfunction per the comparison setup.
+def eigenfunction_u(phi: np.ndarray, dis: Discretization) -> tuple:
+    """Normalize a base-profile eigenfunction of the pencil dis per the
+    comparison setup, by the extrema of the continuous function
+    (`_peak`), not of its samples.
 
     Mode 0: affine-normalize so the function has sup exactly 1 and inf
     exactly -1; the returned shift a lies in [0, 1).  Modes k >= 1: the
     fiber factor already attains +-1, so the profile is scaled to
-    max |u| = 1 and a = 0.
+    sup |u| = 1, with the larger extremum positive, and a = 0.
     """
     phi = np.asarray(phi, dtype=float)
-    if mode == 0:
-        return _normalize_profile(phi)
-    peak = float(np.max(np.abs(phi)))
+    hi = _peak(phi, dis.periodic)
+    lo = -_peak(-phi, dis.periodic)
+    if dis.k == 0:
+        spread = hi - lo
+        if spread <= 1e-13 * max(abs(hi), abs(lo), 1.0):
+            raise DegenerateRange("eigenfunction is numerically constant")
+        s = 2.0 / spread
+        a = s * (hi + lo) / 2.0
+        if a < 0.0:
+            s, a = -s, -a
+        return s * phi - a, a
+    peak = max(hi, -lo)
     if peak <= 0.0:
         raise DegenerateRange("zero eigenfunction profile")
-    u = phi / peak
-    if abs(float(np.max(u))) < abs(float(np.min(u))):
-        u = -u  # put the larger extremum on the positive side
-    return u, 0.0
+    return phi / (peak if hi >= -lo else -peak), 0.0
 
 
 def _mode_candidate(m: Manifold, k: int, grids: Sequence[int]):
@@ -444,19 +451,17 @@ def lambda1(m: Manifold, grids: Sequence[int] = DEFAULT_GRIDS) -> EigenResult:
     f_max = m.profile.f_range()[1]
     candidates = []  # (extrap, k, lams, u_raw, dis, order, floor)
     best = None
-    k = 0
-    while k <= MAX_MODES:
+    for k in range(MAX_MODES + 1):
         nu = float(k * (k + m.n - 2))
         if best is not None and k >= 1:
             if nu / f_max ** 2 > best[0] * (1.0 + 1e-9):
                 break
         lams, u_raw, dis = _mode_candidate(m, k, grids)
-        floor = 16.0 * np.finfo(float).eps * _gershgorin(dis)
+        floor = _noise_floor(dis)
         extrap, order, at_floor = _extrapolate(lams, floor=floor)
         candidates.append((extrap, k, lams, u_raw, dis, order, at_floor))
         if best is None or extrap < best[0] * (1.0 - 1e-9):
             best = candidates[-1]
-        k += 1
     else:
         raise NoConvergence("fiber-mode sweep exhausted MAX_MODES")
 
@@ -472,7 +477,7 @@ def lambda1(m: Manifold, grids: Sequence[int] = DEFAULT_GRIDS) -> EigenResult:
         c[1] != mode and abs(c[0] - extrap) <= 1e-6 * max(abs(extrap), 1e-30)
         for c in candidates)
 
-    u, a = eigenfunction_u(u_raw, mode)
+    u, a = eigenfunction_u(u_raw, dis)
     return EigenResult(lambda1=float(extrap), mode=mode, u=u, a=a,
                        t=dis.tm, history=tuple(zip(grids, lams)),
                        order=float(order), degenerate=degenerate)
@@ -521,21 +526,15 @@ def schrodinger_ground(m: Manifold,
         # would otherwise leak sign noise into sigma margins.
         return GroundState(sigma_tilde=0.0, w=np.ones(N), w_bar=1.0,
                            dis=dis)
-    # periodic shift: below the whole spectrum of the shifted pencil,
-    # by half the first Fourier mode's Laplace eigenvalue
-    shift = -max(float(np.max(Varr)), 0.0) - 0.5 * (2.0 * np.pi / m.L) ** 2
-    mu0, w = _eigenpair(replace(dis, sym_d=dis.sym_d - Varr), 0, shift)
+    mu0, w = _eigenpair(replace(dis, sym_d=dis.sym_d - Varr), 0)
     vol = float(np.sum(dis.mass))
-    mean = float(np.sum(w * dis.mass)) / vol
-    if mean < 0.0:
+    if np.sum(w * dis.mass) < 0.0:
         w = -w
-        mean = -mean
     if np.min(w) <= 0.0:
         if np.min(w) < -1e-10 * np.max(np.abs(w)):
             raise SignChange("ground state changes sign")
         raise NonPositiveGround("ground state has non-positive entries")
-    norm = np.sqrt(float(np.sum(w * w * dis.mass)) / vol)
-    w = w / norm
+    w = w / np.sqrt(float(np.sum(w * w * dis.mass)) / vol)
     w_bar = float(np.sum(w * dis.mass)) / vol
     return GroundState(sigma_tilde=-mu0, w=w, w_bar=w_bar, dis=dis)
 

@@ -109,11 +109,14 @@ def check_gradient_estimate(m: Manifold, delta: float,
     """Max over the grid of Q = J|grad u|^2 - lt (1-u^2) - 2 a l1 Z(u).
 
     lt = C1 * lambda1 + C2 with the constants as passed (build them with
-    the measured sigma for the sharpest valid line).  For fiber modes
-    k >= 1 the eigenfunction is profile(t) * harmonic(theta); Q is
-    linear in the harmonic's squared value, so its max over the fiber is
-    attained at one of the two branch values, both checked.  Returns the
-    signed margin max Q (must be <= ~1e-6 * lt when hypotheses hold).
+    the measured sigma for the sharpest valid line).  lambda1 lies in
+    fiber mode 0 or 1, because each mode's pencil rises with nu_k.  In
+    mode 1 the eigenfunction is profile(t) * Y(theta), with Y the
+    degree-1 zonal harmonic of S^{n-1}, and |grad Y|^2 = 1 - Y^2 on
+    every sphere (cos theta on the circle); Q is linear in Y^2, so its
+    max over the fiber is attained at one of the two branch values
+    Y^2 in {0, 1}, both checked.  Returns the signed margin max Q (must
+    be <= ~1e-6 * lt when hypotheses hold).
     """
     if eig is None:
         eig = lambda1(m)
@@ -134,14 +137,10 @@ def check_gradient_estimate(m: Manifold, delta: float,
         q = J * grad * grad - lt * (1.0 - u * u) \
             - 2.0 * eig.a * lam * z_value(np.clip(u, -1.0, 1.0), eta)
         return float(np.max(q[sl]))
-    if m.n > 2:
-        raise NotImplementedError(
-            "fiber-mode >= 1 gradient check needs the fiber harmonic's "
-            "gradient field, only wired for circle fibers (n = 2)")
-    # circle fiber: harmonic cos(k theta); branches at cos^2 in {0, 1}
+    if eig.mode > 1:
+        raise ValueError("lambda1 lies in fiber mode 0 or 1")
     f_mid = m.profile.f(eig.t)
-    nu = float(eig.mode * eig.mode)
-    q0 = J * (nu / (f_mid * f_mid)) * u * u - lt
+    q0 = J * u * u / (f_mid * f_mid) - lt
     q1 = J * grad * grad - lt * (1.0 - u * u)
     return float(max(np.max(q0[sl]), np.max(q1[sl])))
 

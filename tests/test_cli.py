@@ -8,6 +8,7 @@ output files must be byte-identical across reruns.
 import json
 import math
 from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -297,6 +298,22 @@ def test_sweep_flags_override_config(tmp_path, capsys):
     rec = json.loads(out)["records"][0]
     assert rec["alpha"] >= 0.25
     assert rec["delta"] > 0.0535  # larger than the alpha = 0.3 root
+
+
+def test_gate_fails_in_hypothesis_record_without_gradient_margin():
+    # a certificate that could not be computed fails the gate inside
+    # the hypothesis, for the gradient estimate as for sigma; outside
+    # it the record is informational
+    rec = sgv.verify.check_main_theorem(
+        sgv.geometry.make_manifold("constant", L=TWO_PI, c=0.1),
+        0.5, 2.0, 2.0, 0.5)
+    assert rec.hypothesis_met
+    assert sgv.cli._record_gate_failures(rec) == []
+    missing = replace(rec, gradient_margin=None)
+    assert any("gradient" in f
+               for f in sgv.cli._record_gate_failures(missing))
+    assert sgv.cli._record_gate_failures(
+        replace(missing, hypothesis_met=False)) == []
 
 
 def test_sweep_row_error_does_not_flip_exit(tmp_path, capsys):

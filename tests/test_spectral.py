@@ -12,18 +12,23 @@ plus the closed forms on flat tori and round spheres, and a dense
 matrix oracle of the discrete pencil itself for the eigensolvers.
 """
 
+import importlib.util
 import math
+import pathlib
 from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from sgv import (
     build_J,
+    check_main_theorem,
     lambda1,
     make_manifold,
     residual_J_equation,
@@ -37,6 +42,7 @@ from sgv.spectral import (
     _extrapolate,
     _mirror_pair,
     _mode_candidate,
+    _peak,
     assemble,
     eigenfunction_u,
 )
@@ -110,34 +116,55 @@ def shoot_sigma_tilde(beta, delta, L=TWO_PI):
     return brentq(mismatch, 0.0, hi, xtol=1e-14, rtol=8.9e-16)
 
 
-def mp_lowest_vector(d, e, digits=40, sweeps=6):
+def mp_lowest_vector(d, e, corner=0.0, lam=None, digits=40, sweeps=6):
     """Unit eigenvector of the lowest eigenvalue of the symmetric
-    tridiagonal (d, e), by inverse iteration in mpmath at `digits`
-    digits, each sweep shifted just below the last Rayleigh quotient.
-    The double entries are taken exactly."""
+    tridiagonal (d, e), plus `corner` at (0, -1) and (-1, 0), by inverse
+    iteration in mpmath at `digits` digits.  The first sweep is shifted
+    to lam (default: below the whole spectrum), each later one just
+    below the last Rayleigh quotient.  The corner enters as the
+    rank-one update u u^T of the cut-open tridiagonal, through the
+    Sherman-Morrison formula.  The double entries are taken exactly."""
     with mpmath.workdps(digits):
         d = [mpmath.mpf(float(v)) for v in d]
         e = [mpmath.mpf(float(v)) for v in e] + [mpmath.mpf(0)]
+        c = mpmath.mpf(float(corner))
         n = len(d)
-        # Gershgorin: below the whole spectrum
-        lam = min(d[i] - abs(e[i]) - (abs(e[i - 1]) if i else 0)
-                  for i in range(n))
+        d_cut = list(d)
+        d_cut[0] += c
+        d_cut[-1] += c
+        g = mpmath.sqrt(-c)
+        u = [g] + [mpmath.mpf(0)] * (n - 2) + [-g]
+        if lam is None:
+            # Gershgorin: below the whole spectrum
+            lam = min(d[i] - abs(e[i]) - (abs(e[i - 1]) if i else 0)
+                      for i in range(n)) - abs(c)
+        lam = mpmath.mpf(float(lam))
+
+        def solve(rhs):
+            # Thomas algorithm for (T - lam) y = rhs, T cut open
+            cs, gs = [], []
+            for i in range(n):
+                piv = d_cut[i] - lam - (e[i - 1] * cs[-1] if i else 0)
+                cs.append(e[i] / piv)
+                gs.append((rhs[i] - (e[i - 1] * gs[-1] if i else 0)) / piv)
+            y = [gs[-1]]
+            for i in range(n - 2, -1, -1):
+                y.append(gs[i] - cs[i] * y[-1])
+            return y[::-1]
+
         x = [mpmath.mpf(1)] * n
         for _ in range(sweeps):
-            # Thomas algorithm for (T - lam) y = x
-            c, g = [], []
-            for i in range(n):
-                piv = d[i] - lam - (e[i - 1] * c[-1] if i else 0)
-                c.append(e[i] / piv)
-                g.append((x[i] - (e[i - 1] * g[-1] if i else 0)) / piv)
-            y = [g[-1]]
-            for i in range(n - 2, -1, -1):
-                y.append(g[i] - c[i] * y[-1])
-            y.reverse()
+            y = solve(x)
+            if c:
+                w = solve(u)
+                ratio = (g * (y[0] - y[-1])) / (1 + g * (w[0] - w[-1]))
+                y = [a - ratio * b for a, b in zip(y, w)]
             norm = mpmath.sqrt(mpmath.fsum(v * v for v in y))
             x = [v / norm for v in y]
             Tx = [d[i] * x[i] + (e[i - 1] * x[i - 1] if i else 0)
                   + (e[i] * x[i + 1] if i < n - 1 else 0) for i in range(n)]
+            Tx[0] += c * x[-1]
+            Tx[-1] += c * x[0]
             lam = (mpmath.fsum(a * b for a, b in zip(x, Tx))
                    - mpmath.mpf(10) ** (2 - digits))
         return np.array([float(v) for v in x])
@@ -146,7 +173,7 @@ def mp_lowest_vector(d, e, digits=40, sweeps=6):
 def make_pinched_spline(knots=65, phase=1.0):
     """Periodic spline through samples of 1 + 0.9 cos(t - phase): the
     pinched torus, turned by phase.  Off phase 0 its mirror axis misses
-    the grid's, so its pencils take the iterative periodic solver."""
+    the grid's, so its pencils take the rank-one secular solver."""
     ts = np.linspace(0.0, TWO_PI, knots)
     fs = 1.0 + 0.9 * np.cos(ts - phase)
     fs[-1] = fs[0]
@@ -299,14 +326,12 @@ def check_against_dense(m, k, N, index, schrodinger):
     K, M = dense_pencil(m, k, N)
     root_m = np.sqrt(M)
     B = K / np.outer(root_m, root_m)
-    shift = 0.0
     if schrodinger:
         V = 0.4 * (1.0 + np.cos(dis.tm))
         B -= np.diag(V)
         dis = replace(dis, sym_d=dis.sym_d - V)
-        shift = -float(np.max(V)) - 0.5 * (TWO_PI / m.L) ** 2
     vals, vecs = np.linalg.eigh(B)
-    lam, phi = _eigenpair(dis, index, shift)
+    lam, phi = _eigenpair(dis, index)
     eps_norm = np.finfo(float).eps * np.linalg.norm(B, 2)
     assert abs(lam - vals[index]) <= 16.0 * eps_norm
     # the wanted pair is simple, so its vector is determined up to sign
@@ -331,7 +356,7 @@ MIRROR_CASES = [(0, 0, False), (0, 1, False), (1, 0, False), (0, 0, True)]
 @pytest.mark.parametrize("k,index,schrodinger", MIRROR_CASES)
 def test_mirror_split_matches_dense_eigh(monkeypatch, k, index, schrodinger):
     # a cosine pencil on an even grid is served by the split alone
-    monkeypatch.setattr(sgv.spectral, "_corner_lowest", _unreachable)
+    monkeypatch.setattr(sgv.spectral, "_rank_one_pair", _unreachable)
     m = DENSE_CASES["cosine"]()
     assert _mirror_pair(assemble(m, k, 64), index) is not None
     check_against_dense(m, k, 64, index, schrodinger)
@@ -339,6 +364,7 @@ def test_mirror_split_matches_dense_eigh(monkeypatch, k, index, schrodinger):
 
 @pytest.mark.parametrize("k,index,schrodinger", MIRROR_CASES[1:])
 def test_odd_grid_falls_back_to_corner_solver(k, index, schrodinger):
+    # the corner solver is the rank-one secular solve, `_rank_one_pair`
     m = DENSE_CASES["cosine"]()
     assert _mirror_pair(assemble(m, k, 65), index) is None
     check_against_dense(m, k, 65, index, schrodinger)
@@ -346,7 +372,8 @@ def test_odd_grid_falls_back_to_corner_solver(k, index, schrodinger):
 
 def test_asymmetric_potential_falls_back_to_corner_solver():
     # the split would solve the mirror image of the first half, so a
-    # potential that breaks the symmetry must not reach it
+    # potential that breaks the symmetry must not reach it; the rank-one
+    # corner solver, `_rank_one_pair`, takes it
     m = DENSE_CASES["cosine"]()
     dis = assemble(m, 0, 64)
     V = 0.4 * (1.0 + np.sin(dis.tm))
@@ -360,20 +387,78 @@ def test_asymmetric_potential_falls_back_to_corner_solver():
     make_manifold("cosine", L=TWO_PI, c=0.1, beta=0.0),
     make_manifold("cosine", L=TWO_PI, c=0.5, beta=1e-8),
 ], ids=["flat", "cosine-b0", "cosine-b1e-8"])
-def test_mirror_split_leaves_tied_pairs_to_corner_solver(m):
+def test_mirror_split_takes_tied_pairs(monkeypatch, m):
     # the base circle's cos/sin pair is double at working precision on
-    # flat and near-flat tori; the split would return a pure-parity
-    # member, so the pair goes to the iterative solver.  Lower single
-    # pairs of the same pencils stay with the split.
-    assert _mirror_pair(assemble(m, 0, 256), 1) is None
-    assert _mirror_pair(assemble(m, 0, 256), 0) is not None
-    assert _mirror_pair(assemble(m, 1, 256), 0) is not None
+    # flat and near-flat tori; the split returns its pure-parity member,
+    # which peaks h/2 off the midpoint grid, and the gradient check,
+    # which reads the continuous peak, passes it
+    monkeypatch.setattr(sgv.spectral, "_rank_one_pair", _unreachable)
+    for k, index in ((0, 1), (0, 0), (1, 0)):
+        assert _mirror_pair(assemble(m, k, 256), index) is not None
+    rec = check_main_theorem(m, 0.5, 2.0, 2.0, 0.5)
+    assert rec.gradient_margin <= 1e-6 * rec.lambda_tilde
+
+
+@settings(max_examples=40, deadline=None)
+@given(knots=st.integers(17, 65), N=st.integers(64, 256),
+       k=st.integers(0, 1), index=st.integers(0, 1),
+       log_amp=st.floats(-9.0, -0.7), potential=st.floats(0.0, 2.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_rank_one_solver_matches_dense_eigh(knots, N, k, index, log_amp,
+                                            potential, seed):
+    # random mirror-asymmetric periodic splines, from wavy down to a
+    # flat base plus 1e-9, whose base-circle pair is then near double,
+    # with and without a random Schrodinger potential
+    rng = np.random.default_rng(seed)
+    ts = np.linspace(0.0, TWO_PI, knots)
+    fs = 1.0 + 10.0 ** log_amp * rng.standard_normal(knots)
+    fs[-1] = fs[0]
+    m = make_manifold("tabulated", L=TWO_PI, ts=ts, fs=fs,
+                      boundary="periodic")
+    dis = assemble(m, k, N)
+    K, M = dense_pencil(m, k, N)
+    root_m = np.sqrt(M)
+    B = K / np.outer(root_m, root_m)
+    if potential:
+        V = potential * rng.random(N)
+        B -= np.diag(V)
+        dis = replace(dis, sym_d=dis.sym_d - V)
+    assert _mirror_pair(dis, index) is None
+    lam, phi = _eigenpair(dis, index)
+    floor = 16.0 * np.finfo(float).eps * np.linalg.norm(B, 2)
+    assert abs(lam - np.linalg.eigvalsh(B)[index]) <= floor
+    v = phi * root_m
+    v /= np.linalg.norm(v)
+    assert np.max(np.abs(B @ v - lam * v)) <= floor
+
+
+def test_periodic_reference_rows_match_benchmark_reference():
+    # the benchmark's stored lambda1 and mode of its 27 periodic catalog
+    # rows (cosine tori and periodic splines), at the benchmark's own
+    # tolerance, so a drifting periodic solver fails here first
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads",
+        pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+        / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    reference = workloads.load_reference()
+    rows = [r for r in workloads.reference_rows()
+            if r.get("boundary", "periodic") == "periodic"]
+    assert len(rows) == 27
+    for row in rows:
+        params = {key: v for key, v in row.items() if key not in ("id",
+                                                                   "kind")}
+        e = lambda1(make_manifold(row["kind"], **params))
+        want = reference[row["id"]]
+        assert e.mode == want["mode"], row["id"]
+        assert e.lambda1 == pytest.approx(
+            want["lambda1"], rel=workloads.REFERENCE_RTOL), row["id"]
 
 
 def test_mirror_split_ground_state_matches_dense_eigh_at_2048():
     # the production grid: the split's vector lies within 1e-11 of
-    # dense eigh of the written-out pencil (2e-13 measured; the
-    # iterative periodic solver's is 6e-11 away)
+    # dense eigh of the written-out pencil (2e-13 measured)
     m = make_manifold("cosine", L=TWO_PI, c=1.0, beta=0.3)
     N = 2048
     dis = assemble(m, 0, N)
@@ -412,10 +497,34 @@ def test_lambda1_deterministic():
 # ===================================================================
 
 def test_mode0_u_attains_both_extremes():
+    # the continuous function attains +-1; its samples, up to h/2 off
+    # its extrema, stay within [-1, 1] by about h^2 lambda1 / 8
     e = lambda1(make_asym_manifold())
-    assert float(np.max(e.u)) == pytest.approx(1.0, abs=1e-15)
-    assert float(np.min(e.u)) == pytest.approx(-1.0, abs=1e-15)
+    assert _peak(e.u, True) == pytest.approx(1.0, abs=1e-15)
+    assert -_peak(-e.u, True) == pytest.approx(-1.0, abs=1e-15)
+    h = e.t[1] - e.t[0]
+    for extreme in (np.max(e.u), -np.min(e.u)):
+        assert 1.0 - h * h * e.lambda1 / 8.0 <= extreme <= 1.0
     assert 0.0 <= e.a < 1.0
+
+
+def test_peak_reads_the_continuous_extremum():
+    # samples of cos t at cell midpoints, both closures: the quadratic
+    # through the three cells around the grid maximum recovers sup = 1
+    # to O(h^4) (it lies up to h/2 off the grid), where the samples
+    # fall short by O(h^2); a pole-closed end cell reflects across the
+    # pole, and a periodic grid wraps
+    for N, shift in ((64, 0.0), (64, 0.3), (257, 0.2)):
+        h = TWO_PI / N
+        t = (np.arange(N) + 0.5) * h
+        y = np.cos(t - shift * h)
+        assert 1.0 - np.max(y) > 1e-5
+        assert abs(_peak(y, True) - 1.0) <= h ** 4
+        assert abs(_peak(np.roll(y, N // 3), True) - 1.0) <= h ** 4
+    h = math.pi / 64
+    y = np.cos((np.arange(64) + 0.5) * h)
+    assert abs(_peak(y, False) - 1.0) <= h ** 4
+    assert abs(_peak(-y, False) - 1.0) <= h ** 4
 
 
 def test_mode1_u_plain_peak_normalization():
@@ -426,8 +535,9 @@ def test_mode1_u_plain_peak_normalization():
 
 
 def test_eigenfunction_u_rejects_constants():
+    dis = assemble(make_manifold("constant", L=TWO_PI, c=0.1), 0, 32)
     with pytest.raises(DegenerateRange):
-        eigenfunction_u(np.ones(32), mode=0)
+        eigenfunction_u(np.ones(32), dis)
 
 
 def test_extrapolate_floor_reports_nominal_order():
@@ -484,19 +594,43 @@ def test_ground_state_normalization():
 
 
 def test_localized_ground_state_rejected_cleanly():
-    # the turned pinched torus takes the iterative periodic solver,
-    # whose rounding buries the far side of the well; it must refuse
-    # rather than return a signed mess
+    # at delta = 0.003 the turned pinched torus's ground state falls to
+    # 1.6e-113 relative on the far side of the well (a 100-digit inverse
+    # iteration); rounding leaves entries of -2e-78 there, so the solver
+    # must refuse rather than return a signed mess
     for knots in (65, 129, 257):
         m = make_pinched_spline(knots)
         with pytest.raises(NonPositiveGround):
-            schrodinger_ground(m, shift_potential(m, 0.1), N=1024)
+            schrodinger_ground(m, shift_potential(m, 0.003), N=1024)
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.03])
+def test_turned_pinched_ground_state_matches_mpmath_oracle(delta):
+    # the rank-one solver resolves the turned pinched torus's ground
+    # state down to its tail (2e-20 at delta = 0.1; 2e-36 at 0.03, where
+    # the coupling across the cut is below the deflation floor), to the
+    # relative accuracy of a 40-digit inverse iteration on the full
+    # periodic pencil (5.5e-14 and 1.3e-14 measured; dense eigh leaves
+    # entries of -1e-15)
+    m = make_pinched_spline(65)
+    N = 1024
+    dis = assemble(m, 0, N)
+    V = shift_potential(m, delta)(dis.tm)
+    gs = schrodinger_ground(m, V, N=N)
+    lam0 = -gs.sigma_tilde
+    x = mp_lowest_vector(dis.sym_d - V, dis.sym_e, dis.sym_corner,
+                         lam=lam0 - 1e-6 * abs(lam0), sweeps=4)
+    w = np.abs(x) / np.sqrt(dis.mass)
+    w /= np.sqrt(np.sum(w * w * dis.mass) / np.sum(dis.mass))
+    assert np.min(w) < 1e-19 * np.max(w)
+    assert np.all(gs.w > 0.0)
+    assert np.max(np.abs(gs.w - w) / w) <= 1e-12
 
 
 def test_mirror_symmetric_spline_takes_the_split(monkeypatch):
     # symmetry is read off the assembled pencil, not the profile kind:
     # the untouched pinched spline splits and keeps a positive ground state
-    monkeypatch.setattr(sgv.spectral, "_corner_lowest", _unreachable)
+    monkeypatch.setattr(sgv.spectral, "_rank_one_pair", _unreachable)
     m = make_pinched_spline(65, phase=0.0)
     gs = schrodinger_ground(m, shift_potential(m, 0.1), N=1024)
     assert np.all(gs.w > 0.0)

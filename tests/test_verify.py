@@ -16,6 +16,7 @@
 import math
 import multiprocessing
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -173,13 +174,50 @@ def test_gradient_grid_mismatch_rejected():
         check_gradient_estimate(m, 0.1, g, eig=eig, ground=gs)
 
 
-def test_gradient_higher_dim_fiber_mode_unsupported():
-    m = make_manifold("constant", L=TWO_PI, c=2.0, n=3)
-    li = LedgerInput(n=3, p=2.0, D=4.0, delta=0.1, C_s=2.0,
+def test_gradient_rejects_fiber_mode_above_one():
+    # the mode-1 branches use the degree-1 harmonic's fiber factor 1; a
+    # caller's eigenpair in a higher mode must not be checked with it
+    m = make_manifold("constant", L=TWO_PI, c=3.0)
+    li = LedgerInput(n=2, p=2.0, D=4.0, delta=0.1, C_s=2.0,
                      Lambda_rough=0.5)
     g = gradient_constants(li, sigma=0.0)
-    with pytest.raises(NotImplementedError):
-        check_gradient_estimate(m, 0.1, g)
+    eig = lambda1(m)
+    assert eig.mode == 1
+    with pytest.raises(ValueError):
+        check_gradient_estimate(m, 0.1, g, eig=replace(eig, mode=2))
+
+
+@pytest.mark.parametrize("m", [
+    make_manifold("constant", L=TWO_PI, c=0.1),
+    make_cosine(1e-8, c=0.2),
+], ids=["flat", "cosine"])
+def test_gradient_gate_fails_below_lambda_tilde(m):
+    # at alpha_target = 0.9 the line's slope C1 is within 10 % of 1, so
+    # the record passes the gate and 0.9 of its line lies below lambda1:
+    # a real violation, which must fail the same gate
+    rec = check_main_theorem(m, 0.9, 2.0, 2.0, 0.5)
+    assert rec.gradient_margin <= 1e-6 * rec.lambda_tilde
+    li = LedgerInput(n=2, p=2.0, D=rec.diameter_hi, delta=rec.delta,
+                     C_s=2.0, Lambda_rough=0.5)
+    g = gradient_constants(li, sigma=max(rec.sigma_measured, 0.0))
+    assert g.lambda_tilde(rec.lambda1) == rec.lambda_tilde
+    low = replace(g, C1=0.9 * g.C1, C2=0.9 * g.C2)
+    margin = check_gradient_estimate(m, rec.delta, low)
+    assert margin > 1e-6 * low.lambda_tilde(rec.lambda1)
+
+
+def test_gradient_certificate_on_circle_times_sphere():
+    # S^1 x S^2 with a fat fiber: lambda1 = 2 / c^2 in fiber mode 1,
+    # where the degree-1 harmonic's |grad Y|^2 = 1 - Y^2 gives the
+    # circle's two branches in every dimension
+    m = make_manifold("constant", L=TWO_PI, c=3.0, n=3)
+    rec = check_main_theorem(m, 0.5, 4.0, 2.0, 0.5)
+    assert rec.mode == 1
+    assert rec.lambda1 == pytest.approx(2.0 / 9.0, rel=1e-9)
+    assert rec.hypothesis_met
+    assert rec.gradient_margin is not None
+    assert math.isfinite(rec.gradient_margin)
+    assert rec.gradient_margin <= 1e-6 * rec.lambda_tilde
 
 
 # ===================================================================
@@ -447,15 +485,16 @@ def test_dumbbell_certificates_fail_their_windows():
 
 def test_sweep_pinched_row_survives_certificate_failure():
     # a spline through 1 + 0.9 cos(t - 1), whose mirror axis misses the
-    # grid's, takes the iterative periodic solver, which loses the
-    # localized ground state to rounding; the certificates come back as
-    # None but the row is still usable
+    # grid's, takes the rank-one periodic solver; alpha_target 0.8
+    # selects delta = 0.0032, where the ground state's far tail (1e-109
+    # relative) is lost to rounding and the solver refuses it.  The
+    # certificates come back as None but the row is still usable
     ts = np.linspace(0.0, TWO_PI, 65)
     fs = 1.0 + 0.9 * np.cos(ts - 1.0)
     fs[-1] = fs[0]
     specs = [{"id": "pinched", "kind": "tabulated", "L": TWO_PI, "ts": ts,
               "fs": fs, "boundary": "periodic"}]
-    rows, summary = sweep(specs, 0.5, 2.0, 2.0, 0.5)
+    rows, summary = sweep(specs, 0.8, 2.0, 2.0, 0.5)
     assert summary["errors"] == 0
     rec = rows[0].record
     assert not rec.hypothesis_met
