@@ -31,6 +31,9 @@ MAX_POINTS = 1 << 23
 _STEADY = 1e-5
 _STALL_RATIO = 0.99
 _STALLS = 6
+# most halvings of a sign-change bracket; a scan cell of L / 1024 reaches
+# adjacent doubles after about 45, where the bisection stops
+_BISECTIONS = 80
 
 
 def _gauss(func: Callable[[np.ndarray], np.ndarray],
@@ -133,8 +136,7 @@ def adaptive_panels(func: Callable[[np.ndarray], np.ndarray],
 
 def sign_change_points(func: Callable[[np.ndarray], np.ndarray],
                        ts: np.ndarray,
-                       vs: np.ndarray,
-                       refine_iters: int = 80) -> list[float]:
+                       vs: np.ndarray) -> list[float]:
     """Locate roots of a scalar function from a scan + bisection.
 
     ts is an increasing scan grid and vs = func(ts), which the caller
@@ -145,7 +147,7 @@ def sign_change_points(func: Callable[[np.ndarray], np.ndarray],
     in increasing order; tangential touches without sign change between
     scan nodes are not reported, which is harmless for panel seeding.
     The bisection stops early once a step moves no bracket: from then on
-    every step would repeat it, so the result is that of refine_iters
+    every step would repeat it, so the result is that of _BISECTIONS
     steps.
     """
     ts = np.asarray(ts, dtype=float)
@@ -154,7 +156,7 @@ def sign_change_points(func: Callable[[np.ndarray], np.ndarray],
     flip = np.nonzero(vs[:-1] * vs[1:] < 0.0)[0]
     lo, hi, flo = ts[flip], ts[flip + 1], vs[flip]
     if flip.size:
-        for _ in range(refine_iters):
+        for _ in range(_BISECTIONS):
             mid = 0.5 * (lo + hi)
             fm = np.asarray(func(mid), dtype=float)
             left = flo * fm <= 0.0

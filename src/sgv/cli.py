@@ -57,11 +57,9 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _add_manifold_flags(sp, torus_only: bool = False) -> None:
-    choices = ["flat-torus", "cosine-torus"]
-    if not torus_only:
-        choices.append("sphere")
-    sp.add_argument("--manifold", required=True, choices=choices,
+def _add_manifold_flags(sp) -> None:
+    sp.add_argument("--manifold", required=True,
+                    choices=["flat-torus", "cosine-torus", "sphere"],
                     help="manifold family")
     sp.add_argument("--L", type=float, required=True,
                     help="base interval length (sphere: its diameter)")

@@ -17,7 +17,11 @@ S^{n-1} (n >= 3).  Two closure types are supported:
 Everything downstream (curvature fields, integral curvature norms,
 volumes, diameter brackets) is computed from the warp function and its
 derivatives, which are available in closed form for the built-in profile
-kinds and via a C2 cubic spline for tabulated data.  The spline is built
+kinds and via a C2 cubic spline for tabulated data.  A profile gives
+them through two methods: `WarpProfile.f(t)` the values alone, which
+assembly, quadrature and the diameter read, and `WarpProfile.jet(t)`
+the tuple (f, f', f'', f''') at the same points, which the curvature
+reads; a spline's jet costs one piece search.  The spline is built
 here with numpy and one banded solve (see `_CubicSpline`): periodic, or
 clamped to the pole slopes f'(0) = 1, f'(L) = -1; a periodic spline
 wraps t to t mod L; and f''', constant on each piece, reads the piece to
@@ -143,8 +147,8 @@ class _CubicSpline:
         self._3c3 = 3.0 * self.c3
         self._6c3 = 6.0 * self.c3
 
-    def __call__(self, t, nu: int = 0) -> np.ndarray:
-        """The nu-th derivative, nu = 0..3, at points t."""
+    def _locate(self, t) -> tuple:
+        """The piece index i of points t and their offsets u = t - x[i]."""
         t = np.asarray(t, dtype=float)
         if self.period is not None:
             # the wrap leaves t in [x[0], x[-1]) unchanged when x[0] = 0,
@@ -155,15 +159,22 @@ class _CubicSpline:
                              t)
         # the piece index with no clip: 0 below x[1], m - 1 from x[-2] on
         i = self._inner.searchsorted(t, "right")
-        u = t - self.x[i]
-        if nu == 0:
-            return ((self.c3[i] * u + self.c2[i]) * u
-                    + self.c1[i]) * u + self.c0[i]
-        if nu == 1:
-            return (self._3c3[i] * u + self._2c2[i]) * u + self.c1[i]
-        if nu == 2:
-            return self._6c3[i] * u + self._2c2[i]
-        return self._6c3[i]
+        return i, t - self.x[i]
+
+    def __call__(self, t) -> np.ndarray:
+        """The values at points t."""
+        i, u = self._locate(t)
+        return ((self.c3[i] * u + self.c2[i]) * u
+                + self.c1[i]) * u + self.c0[i]
+
+    def jet(self, t) -> tuple:
+        """(f, f', f'', f''') at points t, from one piece search."""
+        i, u = self._locate(t)
+        return (((self.c3[i] * u + self.c2[i]) * u + self.c1[i]) * u
+                + self.c0[i],
+                (self._3c3[i] * u + self._2c2[i]) * u + self.c1[i],
+                self._6c3[i] * u + self._2c2[i],
+                self._6c3[i])
 
     def slope_roots(self) -> np.ndarray:
         """The roots of f' on each piece's closed interval.
@@ -190,6 +201,9 @@ class WarpProfile:
     kind: one of "constant", "cosine", "sine-sphere", "tabulated".
     boundary: "periodic" or "pole-closed".
     c, beta parameterize the closed-form kinds; ts/fs hold tabulated data.
+
+    `f(t)` gives the values and `jet(t)` the tuple (f, f', f'', f''') at
+    points t, whose first entry is `f(t)` bit for bit.
 
     A tabulated f is the C2 cubic spline through (ts, fs): periodic, or
     clamped to f'(0) = 1 and f'(L) = -1 when pole-closed.  A periodic
@@ -230,41 +244,24 @@ class WarpProfile:
             return r * np.sin(t / r)
         return self._spline(t)
 
-    def df(self, t):
+    def jet(self, t) -> tuple:
+        """(f, f', f'', f''') at points t: f as `f` gives it, each
+        derivative in closed form or from the spline's one piece search."""
         t = np.asarray(t, dtype=float)
+        if self.kind == "tabulated":
+            return self._spline.jet(t)
         if self.kind == "constant":
-            return np.zeros_like(t)
+            zero = np.zeros_like(t)
+            return self.f(t), zero, zero, zero
         if self.kind == "cosine":
             w = 2.0 * np.pi / self.L
-            return -self.c * self.beta * w * np.sin(w * t)
-        if self.kind == "sine-sphere":
-            r = self.L / np.pi
-            return np.cos(t / r)
-        return self._spline(t, 1)
-
-    def d2f(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "constant":
-            return np.zeros_like(t)
-        if self.kind == "cosine":
-            w = 2.0 * np.pi / self.L
-            return -self.c * self.beta * w * w * np.cos(w * t)
-        if self.kind == "sine-sphere":
-            r = self.L / np.pi
-            return -np.sin(t / r) / r
-        return self._spline(t, 2)
-
-    def d3f(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "constant":
-            return np.zeros_like(t)
-        if self.kind == "cosine":
-            w = 2.0 * np.pi / self.L
-            return self.c * self.beta * w ** 3 * np.sin(w * t)
-        if self.kind == "sine-sphere":
-            r = self.L / np.pi
-            return -np.cos(t / r) / r ** 2
-        return self._spline(t, 3)
+            sin, cos = np.sin(w * t), np.cos(w * t)
+            return (self.f(t), -self.c * self.beta * w * sin,
+                    -self.c * self.beta * w * w * cos,
+                    self.c * self.beta * w ** 3 * sin)
+        r = self.L / np.pi
+        sin, cos = np.sin(t / r), np.cos(t / r)
+        return r * sin, cos, -sin / r, -cos / r ** 2
 
     @property
     def mirror_symmetric(self) -> bool:
@@ -350,10 +347,9 @@ def _validate(profile: WarpProfile, n: int) -> None:
     if f_min <= 0.0:
         raise NonPositiveWarp(
             f"warp function reaches {f_min:.3g} <= 0 on the interior")
-    f0 = float(profile.f(0.0))
-    fL = float(profile.f(L))
-    d0 = float(profile.df(0.0))
-    dL = float(profile.df(L))
+    ends = profile.jet(np.array([0.0, L]))
+    f0, fL = map(float, ends[0])
+    d0, dL = map(float, ends[1])
     if profile.boundary == "pole-closed":
         if abs(f0) > _CLOSURE_TOL * scale or abs(fL) > _CLOSURE_TOL * scale:
             raise BadPoleClosure(
@@ -431,22 +427,15 @@ def ricci_min(m: Manifold, t) -> np.ndarray:
     by its smooth limit -(n-1) f'''/f', which coincides with the radial
     value there.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    f = m.profile.f(t)
-    d2f = m.profile.d2f(t)
+    f, df, d2f, d3f = m.profile.jet(np.atleast_1d(t))
+    n = m.n
+    # each branch is evaluated everywhere and kept where it applies
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rad = -(n - 1) * d2f / f
+        fib = -d2f / f + (n - 2) * (1.0 - df * df) / (f ** 2)
+        pole = -(n - 1) * d3f / df
     near = np.abs(f) < 1e-8 * max(1.0, m.L)
-    safe = ~near
-    out = np.empty_like(f)
-    if np.any(safe):
-        df = m.profile.df(t[safe])
-        rad = -(m.n - 1) * d2f[safe] / f[safe]
-        fib = -d2f[safe] / f[safe] + (m.n - 2) * (1.0 - df * df) / (f[safe] ** 2)
-        out[safe] = np.minimum(rad, fib)
-    if np.any(near):
-        df = m.profile.df(t[near])
-        d3f = m.profile.d3f(t[near])
-        out[near] = -(m.n - 1) * d3f / df
-    return out
+    return np.where(near, pole, np.minimum(rad, fib))
 
 
 def rho_H_field(m: Manifold, H: float, t) -> np.ndarray:
@@ -499,7 +488,7 @@ def kbar(m: Manifold, p: float, H: float) -> float:
     n = m.n
     if m.boundary == "pole-closed" and p >= n:
         for pole in (0.0, m.L):
-            d2f = float(prof.d2f(pole))
+            d2f = float(prof.jet(pole)[2])
             # a smooth closure has f'' = 0 at the pole; the closed forms
             # miss it by rounding only
             if d2f * m.L > _CLOSURE_TOL:
@@ -551,10 +540,6 @@ class DiameterBracket:
     converged: bool
     grid: int
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 def _meridian_relax(V: np.ndarray, h: float) -> np.ndarray:
     """min over i of V[i] + h * (circular |i - j|), for every row j.
@@ -602,7 +587,7 @@ def _step_lengths(m: Manifold, h: float, dtheta: float) -> np.ndarray:
     if prof.kind == "cosine":
         d2f_max = abs(prof.c * prof.beta) * (2.0 * np.pi / m.L) ** 2
     else:  # the spline's f'' is piecewise linear: extremes at knots
-        d2f_max = float(np.max(np.abs(prof.d2f(prof.ts))))
+        d2f_max = float(np.max(np.abs(prof.jet(prof.ts)[2])))
     cell = np.maximum(f[:-1], f[1:]) + d2f_max * h * h / 8.0
     W = np.empty((2 * B + 1, N))
     W[B] = f[:-1] * dtheta

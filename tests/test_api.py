@@ -8,7 +8,8 @@ Covers:
   comments state
 - no module of the package or the tests imports a name it never uses
 - every module-level function, class and constant of the package is
-  read somewhere in the package
+  read somewhere in the package, and every method and property of its
+  classes is read there as an attribute
 - `import sgv.cli` loads scipy.linalg and none of scipy's heavier
   subpackages, which would set the CLI's cold start
 """
@@ -138,6 +139,29 @@ def test_no_dead_module_names():
             for path, tree in trees.items()
             for name, line in _defined_names(tree).items()
             if name not in used]
+    assert not dead
+
+
+def _class_members(tree: ast.Module) -> list:
+    """(`Class.name`, name, line) of every method and property defined in
+    a class body; dunder methods are protocol."""
+    return [(f"{node.name}.{item.name}", item.name, item.lineno)
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for item in node.body if isinstance(item, ast.FunctionDef)
+            and not (item.name.startswith("__")
+                     and item.name.endswith("__"))]
+
+
+def test_no_dead_class_members():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "sgv").glob("*.py"))}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    dead = [f"{path.name}:{line} {member}"
+            for path, tree in trees.items()
+            for member, name, line in _class_members(tree)
+            if name not in read]
     assert not dead
 
 

@@ -10,6 +10,9 @@ Covers:
   mirrored half sweep of cosine tori against the full sweep
 - the in-house spline against scipy's CubicSpline: f..f''' and the
   roots of f' on both closures, and no roots on constant pieces
+- the profile's jet: its f is `f` bit for bit on every kind, its
+  closed-form derivatives are the expressions written out, and
+  `ricci_min` searches a spline's pieces once
 - the n = 2 Ricci field against -f''/f, and the exact range of f
 - metamorphic checks: scaling a cosine torus, shifting a periodic spline,
   reflecting a spline profile t -> L - t
@@ -462,9 +465,9 @@ def _assert_spline_matches_scipy(x, y, periodic, t):
     ref = CubicSpline(x, y,
                       bc_type="periodic" if periodic else ((1, 1.0), (1, -1.0)))
     pts = np.concatenate([t, x, 0.5 * (x[:-1] + x[1:])])
-    for nu in range(4):
+    for nu, got in enumerate(ours.jet(pts)):
         want = ref(pts, nu)
-        err = np.max(np.abs(ours(pts, nu) - want))
+        err = np.max(np.abs(got - want))
         assert err <= 1e-12 * np.max(np.abs(want)), nu
     want = ref.derivative().roots(extrapolate=False)
     got = ours.slope_roots()
@@ -527,6 +530,77 @@ def test_spline_constant_pieces_have_no_slope_roots():
 
 
 # ===================================================================
+# the profile's jet: f and its derivatives from one evaluation
+# ===================================================================
+
+JET_PROFILES = {
+    "constant": lambda: make_flat(c=0.25),
+    "cosine": lambda: make_cosine(beta=0.3, c=2.0),
+    "cosine-negative": lambda: make_cosine(beta=-0.7, c=0.4, L=3.3),
+    "sphere-n2": lambda: make_manifold("sine-sphere", n=2, L=2.7),
+    "sphere-n3": lambda: make_manifold("sine-sphere", n=3, L=5.3),
+    "pole-spline": lambda: _sphere_spline(33, 0.2),
+    "periodic-spline": lambda: make_manifold(
+        "tabulated", L=TWO_PI, ts=np.linspace(0.0, TWO_PI, 17),
+        fs=1.0 + 0.3 * np.cos(np.linspace(0.0, TWO_PI, 17)),
+        boundary="periodic"),
+}
+SPLINES = ("pole-spline", "periodic-spline")
+
+
+def _closed_form_derivatives(p, t):
+    """f', f'', f''' of a closed-form profile, each written out as its
+    own expression: the reference the jet must equal bit for bit."""
+    if p.kind == "constant":
+        return np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
+    if p.kind == "cosine":
+        w = 2.0 * np.pi / p.L
+        return (-p.c * p.beta * w * np.sin(w * t),
+                -p.c * p.beta * w * w * np.cos(w * t),
+                p.c * p.beta * w ** 3 * np.sin(w * t))
+    r = p.L / np.pi
+    return np.cos(t / r), -np.sin(t / r) / r, -np.cos(t / r) / r ** 2
+
+
+@pytest.mark.parametrize("name", JET_PROFILES)
+def test_jet_starts_with_f(name):
+    p = JET_PROFILES[name]().profile
+    t = np.concatenate([np.linspace(0.0, p.L, 1001), [-0.3, p.L + 0.7]])
+    jet = p.jet(t)
+    assert len(jet) == 4
+    assert all(d.shape == t.shape for d in jet)
+    assert np.array_equal(jet[0], p.f(t))
+    # a scalar point gives the same values as 0-d arrays
+    assert [float(d) for d in p.jet(1.1)] == [float(d[0])
+                                              for d in p.jet([1.1])]
+
+
+@pytest.mark.parametrize("name", [k for k in JET_PROFILES
+                                  if k not in SPLINES])
+def test_jet_matches_closed_form_derivatives(name):
+    p = JET_PROFILES[name]().profile
+    t = np.linspace(0.0, p.L, 1001)
+    for got, want in zip(p.jet(t)[1:], _closed_form_derivatives(p, t)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", SPLINES)
+def test_ricci_min_searches_spline_pieces_once(name, monkeypatch):
+    m = JET_PROFILES[name]()
+    searches = []
+    locate = _CubicSpline._locate
+
+    def counting(self, t):
+        searches.append(np.size(t))
+        return locate(self, t)
+
+    monkeypatch.setattr(_CubicSpline, "_locate", counting)
+    t = np.linspace(0.0, m.L, 513)
+    ricci_min(m, t)
+    assert searches == [t.size]
+
+
+# ===================================================================
 # exact range of f, and ricci_min at n = 2
 # ===================================================================
 
@@ -574,10 +648,12 @@ def test_ricci_min_n2_is_gauss_curvature(m):
     # the general formula's fiber term carries the factor n - 2 = 0
     p = m.profile
     t = np.linspace(0.0, m.L, 257)[1:-1]
-    assert np.all(ricci_min(m, t) == -p.d2f(t) / p.f(t))
+    f, _, d2f, _ = p.jet(t)
+    assert np.all(ricci_min(m, t) == -d2f / f)
     if m.boundary == "pole-closed":
         poles = np.array([0.0, m.L])
-        assert np.all(ricci_min(m, poles) == -p.d3f(poles) / p.df(poles))
+        _, df, _, d3f = p.jet(poles)
+        assert np.all(ricci_min(m, poles) == -d3f / df)
 
 
 # ===================================================================

@@ -264,6 +264,28 @@ def test_constant_fiber_mode_exact_on_every_grid():
     assert e.lambda1 == pytest.approx(0.5, abs=4e-9)
 
 
+def test_lambda1_solves_only_fiber_modes_0_and_1(monkeypatch):
+    # a bulge of height 5 makes nu_k / max f^2 small, so no lower bound
+    # rules out mode 1, 2 or 3; modes k >= 2 lie above mode 1 anyway
+    ts = np.linspace(0.0, TWO_PI, 129)
+    fs = 1.0 + 4.0 * np.exp(-((ts - math.pi) / 0.3) ** 2)
+    fs[-1] = fs[0]
+    m = make_manifold("tabulated", L=TWO_PI, ts=ts, fs=fs,
+                      boundary="periodic")
+    modes = []
+
+    def counting(m, k, grids):
+        modes.append(k)
+        return _mode_candidate(m, k, grids)
+
+    monkeypatch.setattr(sgv.spectral, "_mode_candidate", counting)
+    e = lambda1(m)
+    assert modes == [0, 1]
+    assert e.mode == 1
+    assert e.lambda1 == 0.5110954087097276  # as with modes 0-3 all solved
+    assert not e.degenerate
+
+
 # ===================================================================
 # perturbed profiles vs the Galerkin oracle
 # ===================================================================
