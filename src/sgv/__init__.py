@@ -24,8 +24,8 @@ from .errors import (BadExponent, BadPoleClosure, ConfigError,
                      HypothesisViolation, NoConvergence,
                      NonPositiveGround, NonPositiveWarp, RatioOutOfRange,
                      SgvError, SignChange, Unreachable)
-from .geometry import (DiameterBracket, Manifold, WarpProfile, diameter,
-                       kbar, make_manifold, rho_H_field, ricci_min, volume)
+from .geometry import (DiameterBracket, Manifold, diameter, kbar,
+                       make_manifold, rho_H_field, ricci_min, volume)
 from .modelode import (check_model_inequalities, ode_residual,
                        sharpness_integral, z_deriv, z_second, z_sup,
                        z_value)
@@ -47,8 +47,8 @@ __all__ = [
     "DeltaTooLarge", "EmptySeries", "HypothesisViolation",
     "NoConvergence", "NonPositiveGround", "NonPositiveWarp",
     "RatioOutOfRange", "SgvError", "SignChange", "Unreachable",
-    "DiameterBracket", "Manifold", "WarpProfile", "diameter", "kbar",
-    "make_manifold", "rho_H_field", "ricci_min", "volume",
+    "DiameterBracket", "Manifold", "diameter", "kbar", "make_manifold",
+    "rho_H_field", "ricci_min", "volume",
     "check_model_inequalities", "ode_residual", "sharpness_integral",
     "z_deriv", "z_second", "z_sup", "z_value",
     "EigenResult", "GroundState", "build_J", "lambda1",

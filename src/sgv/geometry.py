@@ -17,15 +17,16 @@ S^{n-1} (n >= 3).  Two closure types are supported:
 Everything downstream (curvature fields, integral curvature norms,
 volumes, diameter brackets) is computed from the warp function and its
 derivatives, which are available in closed form for the built-in profile
-kinds and via a C2 cubic spline for tabulated data.  A profile gives
-them through two methods: `WarpProfile.f(t)` the values alone, which
-assembly, quadrature and the diameter read, and `WarpProfile.jet(t)`
-the tuple (f, f', f'', f''') at the same points, which the curvature
-reads; a spline's jet costs one piece search.  The spline is built
-here with numpy and one banded solve (see `_CubicSpline`): periodic, or
-clamped to the pole slopes f'(0) = 1, f'(L) = -1; a periodic spline
-wraps t to t mod L; and f''', constant on each piece, reads the piece to
-the right at a knot.
+kinds and via a C2 cubic spline for tabulated data.  One frozen type,
+`Manifold`, holds the warp function, its closure and the dimension n,
+and checks them all on construction.  It gives f through two methods:
+`Manifold.f(t)` the values alone, which assembly, quadrature and the
+diameter read, and `Manifold.jet(t)` the tuple (f, f', f'', f''') at
+the same points, which the curvature reads; a spline's jet costs one
+piece search.  The spline is built here with numpy and one banded
+solve (see `_CubicSpline`): periodic, or clamped to the pole slopes
+f'(0) = 1, f'(L) = -1; a periodic spline wraps t to t mod L; and f''',
+constant on each piece, reads the piece to the right at a knot.
 
 Diameters come from the rotational symmetry, not from a search over the
 manifold: a pole-closed manifold has diameter exactly L, and on a torus
@@ -195,15 +196,18 @@ class _CubicSpline:
 
 
 @dataclass(frozen=True)
-class WarpProfile:
-    """Warp function f on [0, L] with derivatives up to third order.
+class Manifold:
+    """The closed warped product g = dt^2 + f(t)^2 g_fiber of dimension n.
 
     kind: one of "constant", "cosine", "sine-sphere", "tabulated".
     boundary: "periodic" or "pole-closed".
     c, beta parameterize the closed-form kinds; ts/fs hold tabulated data.
+    Construction checks every field, so every Manifold is valid;
+    `make_manifold` is the keyword front end for each kind.
 
-    `f(t)` gives the values and `jet(t)` the tuple (f, f', f'', f''') at
-    points t, whose first entry is `f(t)` bit for bit.
+    `f(t)` gives the values of the warp function f and `jet(t)` the
+    tuple (f, f', f'', f''') at points t, whose first entry is `f(t)`
+    bit for bit.
 
     A tabulated f is the C2 cubic spline through (ts, fs): periodic, or
     clamped to f'(0) = 1 and f'(L) = -1 when pole-closed.  A periodic
@@ -216,6 +220,7 @@ class WarpProfile:
     kind: str
     L: float
     boundary: str
+    n: int
     c: float = 0.0
     beta: float = 0.0
     ts: Optional[np.ndarray] = None
@@ -225,11 +230,51 @@ class WarpProfile:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown profile kind {self.kind!r}")
+            raise ValueError(f"unknown manifold kind {self.kind!r}")
         if self.kind == "tabulated":
             spline = _CubicSpline(self.ts, self.fs,
                                   self.boundary == "periodic")
             object.__setattr__(self, "_spline", spline)
+        L = self.L
+        if not (L > 0.0) or not np.isfinite(L):
+            raise ValueError("base length L must be positive and finite")
+        if int(self.n) != self.n or self.n < 2:
+            raise ValueError(
+                f"dimension n = {self.n} must be an integer >= 2")
+        object.__setattr__(self, "n", int(self.n))
+        # exact extremes; a pole-closed profile is 0 at its ends, so its
+        # minimum is taken over the open interval (0, L)
+        f_min, scale = self.f_range()
+        if self.kind == "sine-sphere":
+            f_min = scale  # r sin(t / r) > 0 on (0, L)
+        elif self.kind == "tabulated" and self.boundary == "pole-closed":
+            pts = self._extremal_points()
+            f_min = float(np.min(self.f(pts[(pts > 0.0) & (pts < L)])))
+        if not (np.isfinite(f_min) and np.isfinite(scale)):
+            raise NonPositiveWarp(
+                "warp function is not finite on the interior")
+        if f_min <= 0.0:
+            raise NonPositiveWarp(
+                f"warp function reaches {f_min:.3g} <= 0 on the interior")
+        ends = self.jet(np.array([0.0, L]))
+        f0, fL = map(float, ends[0])
+        d0, dL = map(float, ends[1])
+        if self.boundary == "pole-closed":
+            if (abs(f0) > _CLOSURE_TOL * scale
+                    or abs(fL) > _CLOSURE_TOL * scale):
+                raise BadPoleClosure(
+                    f"pole values f(0)={f0:.3g}, f(L)={fL:.3g} are not zero")
+            if abs(d0 - 1.0) > _CLOSURE_TOL or abs(dL + 1.0) > _CLOSURE_TOL:
+                raise BadPoleClosure(
+                    f"pole slopes f'(0)={d0:.6g}, f'(L)={dL:.6g} "
+                    "must be +1 and -1 for a smooth closure")
+        elif self.boundary == "periodic":
+            if (abs(f0 - fL) > _CLOSURE_TOL * scale
+                    or abs(d0 - dL) > _CLOSURE_TOL):
+                raise ValueError("periodic profile must match value and "
+                                 "slope at t=0 and t=L")
+        else:
+            raise ValueError(f"unknown boundary {self.boundary!r}")
 
     # -- evaluation -----------------------------------------------------
 
@@ -293,77 +338,22 @@ class WarpProfile:
         over any union of pieces lie among them."""
         return np.concatenate([self.ts, self._spline.slope_roots()])
 
-
-@dataclass(frozen=True)
-class Manifold:
-    """A closed warped-product manifold of dimension n."""
-
-    profile: WarpProfile
-    n: int
-
-    @property
-    def L(self) -> float:
-        return self.profile.L
-
-    @property
-    def boundary(self) -> str:
-        return self.profile.boundary
-
     def describe(self) -> dict:
-        p = self.profile
-        out = {"kind": p.kind, "boundary": p.boundary, "n": self.n,
-               "L": p.L}
-        if p.kind in ("constant", "cosine"):
-            out["c"] = p.c
-            out["fiber"] = 2.0 * np.pi * p.c
-        if p.kind == "cosine":
-            out["beta"] = p.beta
-        if p.kind == "tabulated":
-            out["samples"] = int(p.ts.size)
+        out = {"kind": self.kind, "boundary": self.boundary, "n": self.n,
+               "L": self.L}
+        if self.kind in ("constant", "cosine"):
+            out["c"] = self.c
+            out["fiber"] = 2.0 * np.pi * self.c
+        if self.kind == "cosine":
+            out["beta"] = self.beta
+        if self.kind == "tabulated":
+            out["samples"] = int(self.ts.size)
         return out
 
 
 def _fiber_volume(n: int) -> float:
     """Volume of the unit fiber: 2*pi for a circle, |S^{n-1}| otherwise."""
     return 2.0 * np.pi ** (n / 2.0) / math.gamma(n / 2.0)
-
-
-def _validate(profile: WarpProfile, n: int) -> None:
-    L = profile.L
-    if not (L > 0.0) or not np.isfinite(L):
-        raise ValueError("base length L must be positive and finite")
-    if n < 2:
-        raise ValueError("dimension n must be >= 2")
-    # exact extremes; a pole-closed profile is 0 at its ends, so its
-    # minimum is taken over the open interval (0, L)
-    f_min, scale = profile.f_range()
-    if profile.kind == "sine-sphere":
-        f_min = scale  # r sin(t / r) > 0 on (0, L)
-    elif profile.kind == "tabulated" and profile.boundary == "pole-closed":
-        pts = profile._extremal_points()
-        f_min = float(np.min(profile.f(pts[(pts > 0.0) & (pts < L)])))
-    if not (np.isfinite(f_min) and np.isfinite(scale)):
-        raise NonPositiveWarp("warp function is not finite on the interior")
-    if f_min <= 0.0:
-        raise NonPositiveWarp(
-            f"warp function reaches {f_min:.3g} <= 0 on the interior")
-    ends = profile.jet(np.array([0.0, L]))
-    f0, fL = map(float, ends[0])
-    d0, dL = map(float, ends[1])
-    if profile.boundary == "pole-closed":
-        if abs(f0) > _CLOSURE_TOL * scale or abs(fL) > _CLOSURE_TOL * scale:
-            raise BadPoleClosure(
-                f"pole values f(0)={f0:.3g}, f(L)={fL:.3g} are not zero")
-        if abs(d0 - 1.0) > _CLOSURE_TOL or abs(dL + 1.0) > _CLOSURE_TOL:
-            raise BadPoleClosure(
-                f"pole slopes f'(0)={d0:.6g}, f'(L)={dL:.6g} "
-                "must be +1 and -1 for a smooth closure")
-    elif profile.boundary == "periodic":
-        if abs(f0 - fL) > _CLOSURE_TOL * scale or abs(d0 - dL) > _CLOSURE_TOL:
-            raise ValueError(
-                "periodic profile must match value and slope at t=0 and t=L")
-    else:
-        raise ValueError(f"unknown boundary {profile.boundary!r}")
 
 
 def make_manifold(kind: str,
@@ -376,7 +366,7 @@ def make_manifold(kind: str,
                   ts: Optional[np.ndarray] = None,
                   fs: Optional[np.ndarray] = None,
                   boundary: Optional[str] = None) -> Manifold:
-    """Build and validate a manifold.
+    """Build a manifold of one kind from keyword arguments.
 
     For torus kinds ("constant", "cosine") the fiber size is one degree
     of freedom, expressible either as the mean warp c or as the fiber
@@ -397,11 +387,9 @@ def make_manifold(kind: str,
                              "use kind 'cosine'")
         if kind == "cosine" and abs(beta) >= 1.0:
             raise NonPositiveWarp(f"|beta| = {abs(beta)} >= 1 pinches the warp")
-        profile = WarpProfile(kind=kind, L=float(L), boundary="periodic",
-                              c=float(c), beta=float(beta))
-    elif kind == "sine-sphere":
-        profile = WarpProfile(kind=kind, L=float(L), boundary="pole-closed")
-    elif kind == "tabulated":
+        return Manifold(kind=kind, L=float(L), boundary="periodic", n=n,
+                        c=float(c), beta=float(beta))
+    if kind == "tabulated":
         if ts is None or fs is None:
             raise ValueError("tabulated profile needs ts and fs arrays")
         if boundary not in ("periodic", "pole-closed"):
@@ -410,12 +398,10 @@ def make_manifold(kind: str,
         fs = np.asarray(fs, dtype=float)
         if ts[0] != 0.0 or abs(ts[-1] - L) > 1e-12 * L:
             raise ValueError("tabulated nodes must span [0, L]")
-        profile = WarpProfile(kind=kind, L=float(L), boundary=boundary,
-                              ts=ts, fs=fs)
-    else:
-        raise ValueError(f"unknown manifold kind {kind!r}")
-    _validate(profile, n)
-    return Manifold(profile=profile, n=int(n))
+        return Manifold(kind=kind, L=float(L), boundary=boundary, n=n,
+                        ts=ts, fs=fs)
+    # the round sphere; the constructor rejects an unknown kind
+    return Manifold(kind=kind, L=float(L), boundary="pole-closed", n=n)
 
 
 # -- curvature --------------------------------------------------------------
@@ -427,7 +413,12 @@ def ricci_min(m: Manifold, t) -> np.ndarray:
     by its smooth limit -(n-1) f'''/f', which coincides with the radial
     value there.
     """
-    f, df, d2f, d3f = m.profile.jet(np.atleast_1d(t))
+    return _ricci_and_warp(m, t)[0]
+
+
+def _ricci_and_warp(m: Manifold, t) -> tuple:
+    """(`ricci_min`, f) at base points t, both from one jet."""
+    f, df, d2f, d3f = m.jet(np.atleast_1d(t))
     n = m.n
     # each branch is evaluated everywhere and kept where it applies
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -435,7 +426,7 @@ def ricci_min(m: Manifold, t) -> np.ndarray:
         fib = -d2f / f + (n - 2) * (1.0 - df * df) / (f ** 2)
         pole = -(n - 1) * d3f / df
     near = np.abs(f) < 1e-8 * max(1.0, m.L)
-    return np.where(near, pole, np.minimum(rad, fib))
+    return np.where(near, pole, np.minimum(rad, fib)), f
 
 
 def rho_H_field(m: Manifold, H: float, t) -> np.ndarray:
@@ -447,21 +438,20 @@ def rho_H_field(m: Manifold, H: float, t) -> np.ndarray:
     return np.maximum((m.n - 1) * H - ricci_min(m, t), 0.0)
 
 
-def _knots(prof: WarpProfile):
+def _knots(m: Manifold):
     """Interior knots of a tabulated profile, () for the closed forms.
 
     The cubic spline's f''' jumps at every knot, so each curvature field
     has a kink there: integration panels should start split at them.
     """
-    return prof.ts[1:-1] if prof.kind == "tabulated" else ()
+    return m.ts[1:-1] if m.kind == "tabulated" else ()
 
 
 def _warp_integral(m: Manifold) -> float:
     """Integral of f^{n-1} over [0, L]: the volume over vol(unit fiber)."""
-    prof = m.profile
     n = m.n
-    return adaptive_panels(lambda t: prof.f(t) ** (n - 1), 0.0, m.L,
-                           breakpoints=_knots(prof), rel_tol=1e-13)
+    return adaptive_panels(lambda t: m.f(t) ** (n - 1), 0.0, m.L,
+                           breakpoints=_knots(m), rel_tol=1e-13)
 
 
 def volume(m: Manifold) -> float:
@@ -484,11 +474,10 @@ def kbar(m: Manifold, p: float, H: float) -> float:
     """
     if p <= m.n / 2.0:
         raise BadExponent(f"p = {p} must exceed n/2 = {m.n / 2.0}")
-    prof = m.profile
     n = m.n
     if m.boundary == "pole-closed" and p >= n:
         for pole in (0.0, m.L):
-            d2f = float(prof.jet(pole)[2])
+            d2f = float(m.jet(pole)[2])
             # a smooth closure has f'' = 0 at the pole; the closed forms
             # miss it by rounding only
             if d2f * m.L > _CLOSURE_TOL:
@@ -509,10 +498,11 @@ def kbar(m: Manifold, p: float, H: float) -> float:
     kinks = sign_change_points(deficit, scan_t[::8], dvals[::8])
 
     def integrand(t):
-        return np.maximum(deficit(t), 0.0) ** p * prof.f(t) ** (n - 1)
+        rho, f = _ricci_and_warp(m, t)
+        return np.maximum((n - 1) * H - rho, 0.0) ** p * f ** (n - 1)
 
     num = adaptive_panels(integrand, 0.0, m.L,
-                          breakpoints=[*kinks, *_knots(prof)],
+                          breakpoints=[*kinks, *_knots(m)],
                           rel_tol=1e-11, abs_floor=1e-300)
     return float((num / _warp_integral(m)) ** (1.0 / p))
 
@@ -578,16 +568,15 @@ def _step_lengths(m: Manifold, h: float, dtheta: float) -> np.ndarray:
     profile is sampled on rows 0..N/2 only, so the lengths of a segment
     and of its mirror image are equal in rounding too.
     """
-    prof = m.profile
     N, B = SWEEP_ROWS, SWEEP_BAND
     rows = np.arange(N + 1)
-    if prof.mirror_symmetric:
+    if m.mirror_symmetric:
         rows = np.minimum(rows, N - rows)
-    f = prof.f(h * rows)
-    if prof.kind == "cosine":
-        d2f_max = abs(prof.c * prof.beta) * (2.0 * np.pi / m.L) ** 2
+    f = m.f(h * rows)
+    if m.kind == "cosine":
+        d2f_max = abs(m.c * m.beta) * (2.0 * np.pi / m.L) ** 2
     else:  # the spline's f'' is piecewise linear: extremes at knots
-        d2f_max = float(np.max(np.abs(prof.jet(prof.ts)[2])))
+        d2f_max = float(np.max(np.abs(m.jet(m.ts)[2])))
     cell = np.maximum(f[:-1], f[1:]) + d2f_max * h * h / 8.0
     W = np.empty((2 * B + 1, N))
     W[B] = f[:-1] * dtheta
@@ -625,7 +614,7 @@ def _antipodal_bounds(m: Manifold) -> np.ndarray:
     N = SWEEP_ROWS
     h = m.L / N
     W = _step_lengths(m, h, np.pi / SWEEP_STEPS)
-    if not m.profile.mirror_symmetric:
+    if not m.mirror_symmetric:
         return _sweep(W, h, N)
     V = _sweep(W, h, N // 2 + 1)
     i = np.arange(N)
@@ -685,12 +674,11 @@ def diameter(m: Manifold) -> DiameterBracket:
     L/2 and integral of f |dtheta| at least pi min f, so its length is at
     least hypot(L/2, pi min f).
     """
-    prof = m.profile
-    if prof.kind == "constant":
-        d = math.hypot(m.L / 2.0, np.pi * prof.c)
+    if m.kind == "constant":
+        d = math.hypot(m.L / 2.0, np.pi * m.c)
         return DiameterBracket(lo=d, hi=d, converged=True, grid=0)
     if m.boundary == "pole-closed":
         return DiameterBracket(lo=m.L, hi=m.L, converged=True, grid=0)
     hi = float(_antipodal_bounds(m).max()) + m.L / SWEEP_ROWS
-    lo = math.hypot(m.L / 2.0, np.pi * prof.f_range()[0])
+    lo = math.hypot(m.L / 2.0, np.pi * m.f_range()[0])
     return DiameterBracket(lo=lo, hi=hi, converged=True, grid=SWEEP_ROWS)

@@ -210,8 +210,7 @@ def check_model_inequalities(eta: float,
             "min_margin": min(m1, m2, m3)}
 
 
-def sharpness_integral(a: float, b: float, eta: float,
-                       rel_tol: float = 1e-12) -> float:
+def sharpness_integral(a: float, b: float, eta: float) -> float:
     """Lower-bound integral of the final comparison step.
 
     I(a, b; eta) = int_0^1 (1 - x^2)^{-1/2}
@@ -233,8 +232,8 @@ def sharpness_integral(a: float, b: float, eta: float,
     Gauss weights are positive, so the computed E is >= 0 for every q and
     exactly 0.0 when q == 0.  The result is therefore >= math.pi in
     floating point and == math.pi at a = 0, whatever the BLAS summation
-    order.  rel_tol is measured against max(|E|, pi) <= I, so the
-    quadrature error of E is within rel_tol of I.
+    order.  The relative tolerance 1e-12 is measured against
+    max(|E|, pi) <= I, so the quadrature error of E is at most 1e-12 I.
 
     Raises RatioOutOfRange when a sampled |q| reaches 1 (signals b < eta
     misuse, where the ceiling no longer protects the integrand).
@@ -270,5 +269,5 @@ def sharpness_integral(a: float, b: float, eta: float,
         return q / (s_minus * (1.0 + s_minus)) - q / (s_plus * (1.0 + s_plus))
 
     return math.pi + adaptive_panels(excess, 0.0, np.pi / 2.0,
-                                     breakpoints=breaks, rel_tol=rel_tol,
+                                     breakpoints=breaks, rel_tol=1e-12,
                                      abs_floor=math.pi)

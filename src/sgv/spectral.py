@@ -66,7 +66,6 @@ class Discretization:
 
     manifold: Manifold
     k: int
-    N: int
     h: float
     tm: np.ndarray          # cell midpoints, shape (N,)
     mass: np.ndarray        # M diagonal: f(tm)^{n-1} h
@@ -79,12 +78,10 @@ class Discretization:
         return self.manifold.boundary == "periodic"
 
     def apply_sym(self, x: np.ndarray) -> np.ndarray:
-        """B @ x for vectors or column blocks."""
-        rows = (slice(None),) + (None,) * (x.ndim - 1)
-        e = self.sym_e[rows]
-        y = self.sym_d[rows] * x
-        y[1:] += e * x[:-1]
-        y[:-1] += e * x[1:]
+        """B @ x for a vector x."""
+        y = self.sym_d * x
+        y[1:] += self.sym_e * x[:-1]
+        y[:-1] += self.sym_e * x[1:]
         if self.sym_corner != 0.0:
             y[0] += self.sym_corner * x[-1]
             y[-1] += self.sym_corner * x[0]
@@ -111,7 +108,7 @@ def assemble(m: Manifold, k: int, N: int) -> Discretization:
     h = L / N
     edges = np.arange(N + 1) * h
     tm = (np.arange(N) + 0.5) * h
-    f_edge = m.profile.f(edges)
+    f_edge = m.f(edges)
     if m.boundary == "pole-closed":
         f_edge = f_edge.copy()
         f_edge[0] = 0.0
@@ -121,7 +118,7 @@ def assemble(m: Manifold, k: int, N: int) -> Discretization:
         f_edge = f_edge.copy()
         f_edge[-1] = f_edge[0]
     edge_w = f_edge ** (m.n - 1)
-    f_mid = m.profile.f(tm)
+    f_mid = m.f(tm)
     mass = f_mid ** (m.n - 1) * h
     nu = float(k * (k + m.n - 2))
     pot = nu * f_mid ** (m.n - 3) * h
@@ -134,7 +131,7 @@ def assemble(m: Manifold, k: int, N: int) -> Discretization:
     corner = 0.0
     if m.boundary == "periodic":
         corner = float(-edge_w[0] / h * inv_sqrt_m[0] * inv_sqrt_m[-1])
-    return Discretization(manifold=m, k=k, N=N, h=h, tm=tm, mass=mass,
+    return Discretization(manifold=m, k=k, h=h, tm=tm, mass=mass,
                           sym_d=sym_d, sym_e=sym_e, sym_corner=corner)
 
 
@@ -457,7 +454,7 @@ def lambda1(m: Manifold, grids: Sequence[int] = DEFAULT_GRIDS) -> EigenResult:
 
     zero = candidate(0)
     one = None
-    if not (m.n - 1) / m.profile.f_range()[1] ** 2 > zero[0] * (1.0 + 1e-9):
+    if not (m.n - 1) / m.f_range()[1] ** 2 > zero[0] * (1.0 + 1e-9):
         one = candidate(1)
     best = one if one and one[0] < zero[0] * (1.0 - 1e-9) else zero
 
@@ -501,7 +498,7 @@ class GroundState:
 
 def schrodinger_ground(m: Manifold,
                        V: Union[Callable, np.ndarray],
-                       N: int = 1024) -> GroundState:
+                       N: int) -> GroundState:
     """Ground state of the fiber-symmetric Schrodinger pencil.
 
     V may be a callable of t or midpoint samples of length N.  The top

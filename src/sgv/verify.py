@@ -139,7 +139,7 @@ def check_gradient_estimate(m: Manifold, delta: float,
         return float(np.max(q[sl]))
     if eig.mode > 1:
         raise ValueError("lambda1 lies in fiber mode 0 or 1")
-    f_mid = m.profile.f(eig.t)
+    f_mid = m.f(eig.t)
     q0 = J * u * u / (f_mid * f_mid) - lt
     q1 = J * grad * grad - lt * (1.0 - u * u)
     return float(max(np.max(q0[sl]), np.max(q1[sl])))
@@ -252,7 +252,7 @@ def check_main_theorem(m: Manifold, alpha_target: float, p: float,
 
     bound = alpha * math.pi ** 2 / dia.hi ** 2
     return VerificationRecord(
-        manifold_id=manifold_id or m.describe().get("kind", "manifold"),
+        manifold_id=manifold_id or m.kind,
         n=m.n, p=p, delta=delta, kbar=kb, eps_max=eps.eps_max,
         hypothesis_met=hypothesis_met, lambda1=eig.lambda1,
         diameter_lo=dia.lo, diameter_hi=dia.hi, alpha=alpha, bound=bound,

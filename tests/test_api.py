@@ -10,6 +10,9 @@ Covers:
 - every module-level function, class and constant of the package is
   read somewhere in the package, and every method and property of its
   classes is read there as an attribute
+- every field of the package's dataclasses is read as an attribute in
+  the package, the tests or the benchmark, unless its class serializes
+  through `dataclasses.fields`
 - `import sgv.cli` loads scipy.linalg and none of scipy's heavier
   subpackages, which would set the CLI's cold start
 """
@@ -161,6 +164,43 @@ def test_no_dead_class_members():
     dead = [f"{path.name}:{line} {member}"
             for path, tree in trees.items()
             for member, name, line in _class_members(tree)
+            if name not in read]
+    assert not dead
+
+
+def _dataclass_fields(tree: ast.Module) -> list:
+    """(`Class.name`, name, line) of every field of a dataclass whose
+    methods do not serialize it through `dataclasses.fields`, which reads
+    every field by name."""
+    out = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list)):
+            continue
+        if any(isinstance(call, ast.Call)
+               and ast.unparse(call.func).split(".")[-1] == "fields"
+               for call in ast.walk(node)):
+            continue
+        out += [(f"{node.name}.{item.target.id}", item.target.id,
+                 item.lineno) for item in node.body
+                if isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)]
+    return out
+
+
+def test_no_dead_dataclass_fields():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "sgv").glob("*.py"))}
+    readers = [ast.parse(path.read_text(encoding="utf-8"))
+               for folder in ("src/sgv", "tests", "perfbench")
+               for path in sorted((ROOT / folder).glob("*.py"))]
+    read = {node.attr for tree in readers for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    fields = [entry for tree in trees.values()
+              for entry in _dataclass_fields(tree)]
+    assert any(member == "DiameterBracket.lo" for member, _, _ in fields)
+    dead = [f"{member} (line {line})" for member, name, line in fields
             if name not in read]
     assert not dead
 

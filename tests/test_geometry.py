@@ -11,16 +11,20 @@ Covers:
 - the in-house spline against scipy's CubicSpline: f..f''' and the
   roots of f' on both closures, and no roots on constant pieces
 - the profile's jet: its f is `f` bit for bit on every kind, its
-  closed-form derivatives are the expressions written out, and
-  `ricci_min` searches a spline's pieces once
+  closed-form derivatives are the expressions written out,
+  `ricci_min` searches a spline's pieces once, and `kbar`'s integrand
+  reads its weight f from the jet its curvature reads
 - the n = 2 Ricci field against -f''/f, and the exact range of f
 - metamorphic checks: scaling a cosine torus, shifting a periodic spline,
   reflecting a spline profile t -> L - t
-- constructor validation (exact positivity of f, non-finite warps) and
-  the p > n/2 exponent gate
+- constructor validation (exact positivity of f, non-finite warps, an
+  integer dimension), the same errors from `Manifold` built directly as
+  from `make_manifold`, and the p > n/2 exponent gate
 """
 
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -30,6 +34,7 @@ from scipy.interpolate import CubicSpline
 
 import sgv.geometry
 from sgv import (
+    Manifold,
     diameter,
     kbar,
     lambda1,
@@ -61,14 +66,14 @@ def make_flat(c=0.1, L=TWO_PI, n=2):
 def test_constant_profile_is_constant():
     m = make_flat(c=0.25)
     t = np.linspace(0.0, m.L, 64)
-    assert np.all(m.profile.f(t) == 0.25)
+    assert np.all(m.f(t) == 0.25)
     assert m.describe()["fiber"] == pytest.approx(TWO_PI * 0.25)
 
 
 def test_cosine_profile_values():
     m = make_cosine(beta=0.3, c=2.0)
-    assert m.profile.f(np.array([0.0]))[0] == pytest.approx(2.0 * 1.3)
-    assert m.profile.f(np.array([math.pi]))[0] == pytest.approx(2.0 * 0.7)
+    assert m.f(np.array([0.0]))[0] == pytest.approx(2.0 * 1.3)
+    assert m.f(np.array([math.pi]))[0] == pytest.approx(2.0 * 0.7)
 
 
 def test_fiber_keyword_matches_circumference():
@@ -85,7 +90,7 @@ def test_flat_torus_rejects_beta():
     with pytest.raises(ValueError, match="takes no beta"):
         make_manifold("constant", L=1.0, c=0.1, beta=0.3)
     flat = make_manifold("constant", L=1.0, c=0.1, beta=0.0)
-    assert flat.profile.beta == 0.0
+    assert flat.beta == 0.0
 
 
 def test_cosine_amplitude_one_rejected():
@@ -137,6 +142,48 @@ def test_pole_closed_spline_dip_rejected():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         make_manifold("moebius", L=1.0)
+
+
+_POLE_TS = np.linspace(0.0, math.pi, 129)
+# make_manifold's arguments, and the fields of the same manifold built
+# directly: each is invalid in one field
+INVALID = {
+    "unknown-kind": (dict(kind="moebius", L=1.0),
+                     dict(boundary="pole-closed")),
+    "zero-length": (dict(kind="sine-sphere", L=0.0),
+                    dict(boundary="pole-closed")),
+    "dimension-one": (dict(kind="sine-sphere", L=3.0, n=1),
+                      dict(boundary="pole-closed")),
+    "dimension-2.5": (dict(kind="sine-sphere", L=3.0, n=2.5),
+                      dict(boundary="pole-closed")),
+    "negative-warp": (dict(kind="constant", L=1.0, c=-0.1),
+                      dict(boundary="periodic")),
+    "infinite-warp": (dict(kind="constant", L=1.0, c=math.inf),
+                      dict(boundary="periodic")),
+    "open-poles": (dict(kind="tabulated", L=math.pi, ts=_POLE_TS,
+                        fs=np.sin(_POLE_TS) + 0.05,
+                        boundary="pole-closed"), {}),
+}
+
+
+@pytest.mark.parametrize("case", INVALID)
+def test_manifold_validates_on_construction(case):
+    kwargs, fields = INVALID[case]
+    fields = {"n": 2, **kwargs, **fields}
+    errors = []
+    for build in (lambda: make_manifold(**kwargs),
+                  lambda: Manifold(**fields)):
+        with pytest.raises((ValueError, NonPositiveWarp,
+                            BadPoleClosure)) as info:
+            build()
+        errors.append((info.type, str(info.value)))
+    assert errors[0] == errors[1]
+
+
+def test_non_integer_dimension_rejected():
+    with pytest.raises(ValueError, match=r"n = 2.5 must be an integer"):
+        make_manifold("sine-sphere", L=3.0, n=2.5)
+    assert make_manifold("sine-sphere", L=3.0, n=3.0).n == 3
 
 
 def test_describe_round_trip():
@@ -279,7 +326,7 @@ def test_mean_curvature_cut_is_beta_over_pi():
     for beta in (0.05, 0.3, 0.9):
         m = make_cosine(beta=beta)
         t = np.linspace(0.0, TWO_PI, 1_000_001)
-        f = m.profile.f(t)
+        f = m.f(t)
         rh = rho_H_field(m, 0.0, t)
         got = np.trapezoid(rh * f, t) / np.trapezoid(f, t)
         assert got == pytest.approx(beta / math.pi, rel=1e-9), beta
@@ -416,7 +463,7 @@ def test_mirrored_sweep_matches_unsymmetrized_sweep(monkeypatch):
     # sampled at every row, f(t_i) and f(t_{N-i}) differ by rounding;
     # the full sweep over those samples moves hi by rounding only
     his = [diameter(make_cosine(beta, c=c)).hi for c, beta in WAVY_ROWS]
-    monkeypatch.setattr(sgv.geometry.WarpProfile, "mirror_symmetric",
+    monkeypatch.setattr(Manifold, "mirror_symmetric",
                         property(lambda self: False))
     for (c, beta), hi in zip(WAVY_ROWS, his):
         full = diameter(make_cosine(beta, c=c)).hi
@@ -548,39 +595,39 @@ JET_PROFILES = {
 SPLINES = ("pole-spline", "periodic-spline")
 
 
-def _closed_form_derivatives(p, t):
+def _closed_form_derivatives(m, t):
     """f', f'', f''' of a closed-form profile, each written out as its
     own expression: the reference the jet must equal bit for bit."""
-    if p.kind == "constant":
+    if m.kind == "constant":
         return np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
-    if p.kind == "cosine":
-        w = 2.0 * np.pi / p.L
-        return (-p.c * p.beta * w * np.sin(w * t),
-                -p.c * p.beta * w * w * np.cos(w * t),
-                p.c * p.beta * w ** 3 * np.sin(w * t))
-    r = p.L / np.pi
+    if m.kind == "cosine":
+        w = 2.0 * np.pi / m.L
+        return (-m.c * m.beta * w * np.sin(w * t),
+                -m.c * m.beta * w * w * np.cos(w * t),
+                m.c * m.beta * w ** 3 * np.sin(w * t))
+    r = m.L / np.pi
     return np.cos(t / r), -np.sin(t / r) / r, -np.cos(t / r) / r ** 2
 
 
 @pytest.mark.parametrize("name", JET_PROFILES)
 def test_jet_starts_with_f(name):
-    p = JET_PROFILES[name]().profile
-    t = np.concatenate([np.linspace(0.0, p.L, 1001), [-0.3, p.L + 0.7]])
-    jet = p.jet(t)
+    m = JET_PROFILES[name]()
+    t = np.concatenate([np.linspace(0.0, m.L, 1001), [-0.3, m.L + 0.7]])
+    jet = m.jet(t)
     assert len(jet) == 4
     assert all(d.shape == t.shape for d in jet)
-    assert np.array_equal(jet[0], p.f(t))
+    assert np.array_equal(jet[0], m.f(t))
     # a scalar point gives the same values as 0-d arrays
-    assert [float(d) for d in p.jet(1.1)] == [float(d[0])
-                                              for d in p.jet([1.1])]
+    assert [float(d) for d in m.jet(1.1)] == [float(d[0])
+                                              for d in m.jet([1.1])]
 
 
 @pytest.mark.parametrize("name", [k for k in JET_PROFILES
                                   if k not in SPLINES])
 def test_jet_matches_closed_form_derivatives(name):
-    p = JET_PROFILES[name]().profile
-    t = np.linspace(0.0, p.L, 1001)
-    for got, want in zip(p.jet(t)[1:], _closed_form_derivatives(p, t)):
+    m = JET_PROFILES[name]()
+    t = np.linspace(0.0, m.L, 1001)
+    for got, want in zip(m.jet(t)[1:], _closed_form_derivatives(m, t)):
         assert np.array_equal(got, want)
 
 
@@ -600,21 +647,58 @@ def test_ricci_min_searches_spline_pieces_once(name, monkeypatch):
     assert searches == [t.size]
 
 
+def test_kbar_reads_its_weight_from_the_curvature_jet(monkeypatch):
+    # the benchmark's 10 catalog splines: kbar's integrand takes f from
+    # the jet its curvature reads, so a second piece search of the same
+    # points (the weight read through `f`) gives the same values and
+    # costs 24,384 more located points
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads",
+        pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+        / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    manifolds = [make_manifold("tabulated", **{
+        k: v for k, v in row.items() if k not in ("id", "kind")})
+        for row in workloads.reference_rows() if row["kind"] == "tabulated"]
+    assert len(manifolds) == 10
+    located = []
+    locate = _CubicSpline._locate
+
+    def counting(self, t):
+        located.append(np.size(t))
+        return locate(self, t)
+
+    monkeypatch.setattr(_CubicSpline, "_locate", counting)
+    values = [kbar(m, 2.0, 0.0) for m in manifolds]
+    assert sum(located) == 130_774
+    # the integrand alone takes the second search; the scan and the kink
+    # search keep reading `ricci_min` from one jet
+    one_jet = sgv.geometry._ricci_and_warp
+    monkeypatch.setattr(sgv.geometry, "ricci_min",
+                        lambda m, t: one_jet(m, t)[0])
+    monkeypatch.setattr(sgv.geometry, "_ricci_and_warp",
+                        lambda m, t: (one_jet(m, t)[0], m.f(t)))
+    located.clear()
+    assert [kbar(m, 2.0, 0.0) for m in manifolds] == values
+    assert sum(located) == 155_158
+
+
 # ===================================================================
 # exact range of f, and ricci_min at n = 2
 # ===================================================================
 
 def test_f_range_closed_forms():
-    assert make_cosine(beta=-0.3, c=2.0).profile.f_range() == (
+    assert make_cosine(beta=-0.3, c=2.0).f_range() == (
         2.0 * 0.7, 2.0 * 1.3)
-    assert make_flat(c=0.25).profile.f_range() == (0.25, 0.25)
-    lo, hi = make_manifold("sine-sphere", n=2, L=5.0).profile.f_range()
+    assert make_flat(c=0.25).f_range() == (0.25, 0.25)
+    lo, hi = make_manifold("sine-sphere", n=2, L=5.0).f_range()
     assert lo == 0.0 and hi == 5.0 / math.pi
     # a constant spline's derivative vanishes identically on every piece
     ts = np.linspace(0.0, 1.0, 9)
     flat = make_manifold("tabulated", L=1.0, ts=ts, fs=np.full(9, 0.7),
                          boundary="periodic")
-    assert flat.profile.f_range() == (0.7, 0.7)
+    assert flat.f_range() == (0.7, 0.7)
 
 
 def test_f_range_finds_spline_peak_between_samples():
@@ -624,10 +708,10 @@ def test_f_range_finds_spline_peak_between_samples():
     fs[-1] = fs[0]
     m = make_manifold("tabulated", L=TWO_PI, ts=ts, fs=fs,
                       boundary="periodic")
-    lo, hi = m.profile.f_range()
-    sampled = float(np.max(m.profile.f(np.linspace(0.0, TWO_PI, 4097))))
+    lo, hi = m.f_range()
+    sampled = float(np.max(m.f(np.linspace(0.0, TWO_PI, 4097))))
     assert hi > sampled
-    dense = m.profile.f(np.linspace(0.0, TWO_PI, 1 << 20))
+    dense = m.f(np.linspace(0.0, TWO_PI, 1 << 20))
     assert hi >= dense.max() and hi - dense.max() < 1e-10
     assert lo <= dense.min() and dense.min() - lo < 1e-10
 
@@ -646,13 +730,12 @@ N2_PROFILES = st.one_of(
 @given(m=N2_PROFILES)
 def test_ricci_min_n2_is_gauss_curvature(m):
     # the general formula's fiber term carries the factor n - 2 = 0
-    p = m.profile
     t = np.linspace(0.0, m.L, 257)[1:-1]
-    f, _, d2f, _ = p.jet(t)
+    f, _, d2f, _ = m.jet(t)
     assert np.all(ricci_min(m, t) == -d2f / f)
     if m.boundary == "pole-closed":
         poles = np.array([0.0, m.L])
-        _, df, _, d3f = p.jet(poles)
+        _, df, _, d3f = m.jet(poles)
         assert np.all(ricci_min(m, poles) == -d3f / df)
 
 

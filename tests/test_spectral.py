@@ -192,13 +192,13 @@ def dense_pencil(m, k, N):
     """Dense stiffness K and mass diagonal M of the flux-form mode-k
     pencil, written out from the profile entry by entry."""
     h = m.L / N
-    f_edge = m.profile.f(np.arange(N + 1) * h)
+    f_edge = m.f(np.arange(N + 1) * h)
     if m.boundary == "pole-closed":
         f_edge[0] = f_edge[-1] = 0.0
     else:
         f_edge[-1] = f_edge[0]
     ew = f_edge ** (m.n - 1) / h
-    f_mid = m.profile.f((np.arange(N) + 0.5) * h)
+    f_mid = m.f((np.arange(N) + 0.5) * h)
     K = np.zeros((N, N))
     for i in range(N):
         j = (i + 1) % N

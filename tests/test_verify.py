@@ -427,12 +427,16 @@ def test_sweep_captures_row_errors():
         {"id": "ok", "kind": "constant", "L": TWO_PI, "c": 0.1},
         {"id": "broken", "kind": "cosine", "L": TWO_PI, "c": 1.0,
          "beta": 1.5},
+        {"id": "half-dim", "kind": "sine-sphere", "L": 3.0, "n": 2.5},
     ]
     rows, summary = sweep(specs, 0.5, 2.0, 2.0, 0.5)
-    assert summary["errors"] == 1
+    assert summary["errors"] == 2
     assert rows[0].error is None
     assert rows[1].record is None
     assert "NonPositiveWarp" in rows[1].error
+    assert rows[2].record is None
+    assert rows[2].error == \
+        "ValueError: dimension n = 2.5 must be an integer >= 2"
 
 
 def test_sweep_parallel_matches_serial():
