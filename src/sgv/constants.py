@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -68,8 +69,12 @@ class LedgerInput:
     Lambda_rough: float
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 2:
-            raise ValueError(f"n = {self.n} must be an integer >= 2")
+        n = self.n
+        # a bool is no dimension, and int() fails on inf and nan
+        if (isinstance(n, bool) or not isinstance(n, numbers.Real)
+                or not (math.isfinite(n) and n == int(n) and n >= 2)):
+            raise ValueError(f"n = {n!r} must be an integer >= 2")
+        object.__setattr__(self, "n", int(n))
         if self.p <= self.n / 2.0:
             raise BadExponent(f"p = {self.p} must exceed n/2 = {self.n / 2}")
         if self.D <= 0.0:

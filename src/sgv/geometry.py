@@ -30,9 +30,14 @@ constant on each piece, reads the piece to the right at a knot.
 
 Diameters come from the rotational symmetry, not from a search over the
 manifold: a pole-closed manifold has diameter exactly L, and on a torus
-the farthest point from (t0, 0) lies on the antipodal meridian, so one
-sweep over the fiber angle bounds every antipodal distance at once (see
-`diameter` for the proofs).
+the farthest point from (t0, 0) lies on the antipodal meridian.  Every
+curve to that meridian crosses the meridian theta = pi/2 on its way, and
+the rotation theta -> theta + pi/2 is an isometry that carries the
+meridian theta = 0 to theta = pi/2.  So one sweep over the fiber angle
+from 0 to pi/2 bounds both halves of every such curve, and one min-plus
+product over the crossing point joins them into a bound on every
+antipodal distance (see `diameter` and `_antipodal_bounds` for the
+proofs).
 
 Curvature conventions.  The smallest eigenvalue of the Ricci tensor at a
 point t is
@@ -49,6 +54,7 @@ what `ricci_min` evaluates.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -238,10 +244,12 @@ class Manifold:
         L = self.L
         if not (L > 0.0) or not np.isfinite(L):
             raise ValueError("base length L must be positive and finite")
-        if int(self.n) != self.n or self.n < 2:
-            raise ValueError(
-                f"dimension n = {self.n} must be an integer >= 2")
-        object.__setattr__(self, "n", int(self.n))
+        n = self.n
+        # a bool is no dimension, and int() fails on inf and nan
+        if (isinstance(n, bool) or not isinstance(n, numbers.Real)
+                or not (math.isfinite(n) and n == int(n) and n >= 2)):
+            raise ValueError(f"dimension n = {n!r} must be an integer >= 2")
+        object.__setattr__(self, "n", int(n))
         # exact extremes; a pole-closed profile is 0 at its ends, so its
         # minimum is taken over the open interval (0, L)
         f_min, scale = self.f_range()
@@ -510,7 +518,8 @@ def kbar(m: Manifold, p: float, H: float) -> float:
 # -- diameter ---------------------------------------------------------------
 
 # Lattice of the periodic sweep: rows per period, theta steps over
-# [0, pi], and the largest row offset of one straight step.
+# [0, pi] (the sweep runs the first half of them, to pi/2), and the
+# largest row offset of one straight step.
 SWEEP_ROWS = 128
 SWEEP_STEPS = 16
 SWEEP_BAND = 16
@@ -534,20 +543,25 @@ class DiameterBracket:
 def _meridian_relax(V: np.ndarray, h: float) -> np.ndarray:
     """min over i of V[i] + h * (circular |i - j|), for every row j.
 
-    The exact meridian transform on a periodic lattice of spacing h, as
-    a running minimum over two copies of the rows onto the second copy,
-    which reaches every row forward round the circle.  The backward
-    direction is the same pass on the mirrored rows i -> -i, mirrored
-    back, so the transform commutes with that mirror in rounding too.
-    Positions are taken from the middle of the two copies, which keeps
-    them, and so their rounding, at most L.
+    The exact meridian transform on a periodic lattice of spacing h.
+    Forward round the circle, row j is reached from the rows i <= j over
+    h (j - i), a running minimum, and from every row over the wrap
+    h (N + j - i), whose least value is one column minimum that seeds
+    the running minimum at row 0.  The backward direction is the same
+    pass on the mirrored rows i -> -i, mirrored back, so the transform
+    commutes with that mirror in rounding too.  The running minimum
+    takes its positions from the middle of the rows, |pos| <= L/2, which
+    keeps their rounding, and so the rounding of hi, small; the wrap
+    takes those positions less L.
     """
     N = V.shape[0]
-    pos = h * np.arange(-N, N)[:, None]
+    pos = h * (np.arange(N) - N // 2)[:, None]
+    wrap = h * (np.arange(N) - N // 2 - N)[:, None]
 
     def forward(X):
-        return np.minimum.accumulate(np.concatenate([X, X]) - pos)[N:] \
-            + pos[N:]
+        Y = X - pos
+        np.minimum(Y[0], np.min(X - wrap, axis=0), out=Y[0])
+        return np.minimum.accumulate(Y, axis=0) + pos
 
     i = np.arange(N)
     return np.minimum(forward(V), forward(V[-i])[-i])
@@ -580,13 +594,16 @@ def _step_lengths(m: Manifold, h: float, dtheta: float) -> np.ndarray:
     cell = np.maximum(f[:-1], f[1:]) + d2f_max * h * h / 8.0
     W = np.empty((2 * B + 1, N))
     W[B] = f[:-1] * dtheta
+    j = np.arange(N)
     for d in range(1, B + 1):
         s = np.sqrt((d * h) ** 2 + (cell * dtheta) ** 2)
-        # cells j..j+d-1, paired first with last
-        total = sum(np.roll(s, -q) + np.roll(s, q + 1 - d)
-                    for q in range(d // 2))
+        # cells j..j+d-1, the pair q = (j + q, j + d - 1 - q) in row q,
+        # summed over q in order
+        q = np.arange(d // 2)[:, None]
+        total = np.add.reduce(s[(j + q) % N] + s[(j + d - 1 - q) % N],
+                              axis=0)
         if d % 2:
-            total = total + np.roll(s, -(d // 2))
+            total = total + s[(j + d // 2) % N]
         mean = total / d
         W[B + d] = mean
         W[B - d] = np.roll(mean, d)
@@ -596,40 +613,72 @@ def _step_lengths(m: Manifold, h: float, dtheta: float) -> np.ndarray:
 def _antipodal_bounds(m: Manifold) -> np.ndarray:
     """U[j, s] >= d((t_s, 0), (t_j, pi)) on the lattice t_i = i L / N.
 
-    A min-plus sweep over theta = 0 .. pi in SWEEP_STEPS equal steps.
-    The state V[j, s] is the length of a curve from (t_s, 0) to
-    (t_j, theta); each step takes one straight coordinate segment over
-    at most SWEEP_BAND rows, then the exact meridian transform.  Every
-    entry is the length of an actual curve (up to rounding), hence an
-    upper bound on the distance.
+    A min-plus sweep over theta = 0 .. pi/2 in SWEEP_STEPS / 2 steps of
+    pi / SWEEP_STEPS gives Q[i, s] >= d((t_s, 0), (t_i, pi/2)) (see
+    `_sweep`).  The rotation (t, theta) -> (t, theta + pi/2) is an
+    isometry, so a curve from (t_s, 0) to (t_i, pi/2) followed by the
+    rotated image of one from (t_i, 0) to (t_j, pi/2) reaches (t_j, pi),
+    and
+
+        U[j, s] = min over i of Q[j, i] + Q[i, s],
+
+    one min-plus product, bounds every antipodal distance.  Every entry
+    is the length of a curve made of lattice segments and meridian arcs
+    (up to rounding).  Nothing is lost by the join, since every curve to
+    theta = pi crosses theta = pi/2: as min-plus matrices, with A a band
+    step and M the meridian transform, Q = (MA)^(K/2) M for
+    K = SWEEP_STEPS, and M is idempotent, so
+    Q Q = (MA)^(K/2) (MA)^(K/2) M = (MA)^K M.  In exact arithmetic U is
+    the bound of the full sweep of K steps over [0, pi], from the same
+    lattice curves; only rounding differs.
 
     On a mirror-symmetric profile t -> L - t is an isometry that maps
     row i of the lattice to row N - i (mod N), so the sweep runs only
-    the sources s = 0..N/2 and U[j, s] = U[(N - j) % N, N - s] fills
-    the rest: the mirror image of a curve is a curve of the same length.
-    Step lengths and the meridian transform are mirror-exact in
-    rounding, so the filled U is the one the full sweep computes, bit
-    for bit.
+    the sources s = 0..N/2, Q[j, s] = Q[(N - j) % N, N - s] fills the
+    rest of Q before the product, which forms the columns s <= N/2 of
+    U, and U[j, s] = U[(N - j) % N, N - s] fills the rest of U: the
+    mirror image of a curve is a curve of the same length.  Step lengths
+    and the meridian transform are mirror-exact in rounding, and the
+    product adds the same pairs of entries, so the filled U is the one
+    the all-sources route computes, bit for bit.
     """
     N = SWEEP_ROWS
     h = m.L / N
     W = _step_lengths(m, h, np.pi / SWEEP_STEPS)
-    if not m.mirror_symmetric:
-        return _sweep(W, h, N)
-    V = _sweep(W, h, N // 2 + 1)
+    S = N // 2 + 1 if m.mirror_symmetric else N
     i = np.arange(N)
-    return np.concatenate([V, V[-i][:, N // 2 - 1:0:-1]], axis=1)
+
+    def mirrored(X):
+        """X from every source: the columns S..N-1 filled by
+        X[j, s] = X[(N - j) % N, N - s] when only 0..N/2 were formed."""
+        if S == N:
+            return X
+        return np.concatenate([X, X[-i][:, N // 2 - 1:0:-1]], axis=1)
+
+    Q = mirrored(_sweep(W, h, S))
+    U = Q[:, :1] + Q[:1, :S]
+    pair = np.empty_like(U)
+    for k in range(1, N):
+        np.add(Q[:, k:k + 1], Q[k:k + 1, :S], out=pair)
+        np.minimum(U, pair, out=U)
+    return mirrored(U)
 
 
 def _sweep(W: np.ndarray, h: float, sources: int) -> np.ndarray:
-    """The columns s = 0..sources-1 of `_antipodal_bounds`'s U, from the
-    step lengths W of `_step_lengths`; each column is swept on its own."""
+    """Q[i, s] >= d((t_s, 0), (t_i, pi/2)) for the sources
+    s = 0..sources-1, from the step lengths W of `_step_lengths`.
+
+    The state V[j, s] is the length of a curve from (t_s, 0) to
+    (t_j, theta); each of SWEEP_STEPS / 2 steps takes one straight
+    coordinate segment over at most SWEEP_BAND rows, then the exact
+    meridian transform.  Each column is swept on its own.
+    """
     N, B = SWEEP_ROWS, SWEEP_BAND
     W = W[:, :, None]
     i = np.arange(N)
     gap = np.abs(i[:, None] - i[None, :sources])
     V = h * np.minimum(gap, N - gap)
-    for _ in range(SWEEP_STEPS):
+    for _ in range(SWEEP_STEPS // 2):
         ext = np.concatenate([V[N - B:], V, V[:B]])
         step = ext[:N] + W[0]
         for k in range(1, 2 * B + 1):
@@ -665,7 +714,14 @@ def diameter(m: Manifold) -> DiameterBracket:
     (t1, theta1).  So D = max over (t0, t1) of g(t0, t1) =
     d((t0, 0), (t1, pi)).  `_antipodal_bounds` gives U >= g on the lattice
     of spacing h = L / N, and g is 1-Lipschitz in each endpoint along
-    meridians, so hi = max U + h.  A mirror-symmetric profile,
+    meridians, so hi = max U + h.  It sweeps theta only to pi/2: a curve
+    to (t1, pi) crosses theta = pi/2 at some t, and the rotation by pi/2
+    is an isometry, so g(t0, t1) is the least over t of
+    d((t0, 0), (t, pi/2)) + d((t, 0), (t1, pi/2)), one min-plus product
+    of the half sweep with itself.  The meridian transform M is
+    idempotent, so with A a step of the sweep, (MA)^8 M (MA)^8 M =
+    (MA)^16 M: in exact arithmetic the product is the bound of the
+    16-step sweep over [0, pi], from the same lattice curves.  A mirror-symmetric profile,
     f(L - t) = f(t), makes (t, theta) -> (L - t, theta) an isometry.  It
     maps the lattice onto itself and gives g(L - t0, L - t1) = g(t0, t1),
     so the sweep runs from half the sources and mirrors the rest.

@@ -80,6 +80,20 @@ def test_basic_positivity_checks():
                     Lambda_rough=1.0)
 
 
+def test_dimension_must_be_an_integer():
+    # each with its own message and n shown by repr, not int()'s error
+    for n, shown in ((math.inf, "inf"), (math.nan, "nan"), ("3", "'3'"),
+                     (True, "True"), (2.5, "2.5")):
+        with pytest.raises(ValueError) as info:
+            make_inputs(n=n, p=4.0)
+        assert str(info.value) == f"n = {shown} must be an integer >= 2"
+
+
+def test_integral_float_dimension_is_stored_as_int():
+    n = make_inputs(n=3.0).n
+    assert n == 3 and type(n) is int
+
+
 # ===================================================================
 # gradient-line constants
 # ===================================================================

@@ -6,8 +6,13 @@ Covers:
 - integral curvature norms against an independent high-precision quadrature
 - volume closed forms (torus area, 4*pi, 2*pi^2)
 - diameter: exact bracket for flat tori, D = L on pole-closed profiles,
-  brackets holding the exact diameter of near-flat cosine tori, and the
-  mirrored half sweep of cosine tori against the full sweep
+  brackets holding the exact diameter of near-flat cosine tori, sweep
+  bounds above the flat lower bound on near-flat tori and the periodic
+  catalog splines, the mirrored route of cosine tori against the
+  all-sources route bit for bit, the half sweep joined by one min-plus
+  product against the 16-step sweep over [0, pi] kept here as the
+  oracle (in long double, and its step lengths bit for bit), and a
+  count of the meridian transforms one diameter runs
 - the in-house spline against scipy's CubicSpline: f..f''' and the
   roots of f' on both closures, and no roots on constant pieces
 - the profile's jet: its f is `f` bit for bit on every kind, its
@@ -18,8 +23,9 @@ Covers:
 - metamorphic checks: scaling a cosine torus, shifting a periodic spline,
   reflecting a spline profile t -> L - t
 - constructor validation (exact positivity of f, non-finite warps, an
-  integer dimension), the same errors from `Manifold` built directly as
-  from `make_manifold`, and the p > n/2 exponent gate
+  integer dimension, also against inf, nan, strings and bools), the
+  same errors from `Manifold` built directly as from `make_manifold`,
+  and the p > n/2 exponent gate
 """
 
 import importlib.util
@@ -45,8 +51,7 @@ from sgv import (
 )
 from sgv.errors import BadExponent, BadPoleClosure, NonPositiveWarp
 from sgv.geometry import (SWEEP_ROWS, SWEEP_STEPS, _antipodal_bounds,
-                          _CubicSpline, _meridian_relax, _step_lengths,
-                          _sweep)
+                          _CubicSpline, _meridian_relax, _step_lengths)
 
 TWO_PI = 2.0 * math.pi
 
@@ -181,9 +186,21 @@ def test_manifold_validates_on_construction(case):
 
 
 def test_non_integer_dimension_rejected():
-    with pytest.raises(ValueError, match=r"n = 2.5 must be an integer"):
-        make_manifold("sine-sphere", L=3.0, n=2.5)
-    assert make_manifold("sine-sphere", L=3.0, n=3.0).n == 3
+    # each with its own message and n shown by repr, not int()'s error
+    for n, shown in ((math.inf, "inf"), (math.nan, "nan"), ("3", "'3'"),
+                     (True, "True"), (2.5, "2.5")):
+        for build in (lambda: make_manifold("sine-sphere", L=3.0, n=n),
+                      lambda: Manifold(kind="sine-sphere", L=3.0,
+                                       boundary="pole-closed", n=n)):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == \
+                f"dimension n = {shown} must be an integer >= 2"
+
+
+def test_integral_float_dimension_is_stored_as_int():
+    n = make_manifold("sine-sphere", L=3.0, n=3.0).n
+    assert n == 3 and type(n) is int
 
 
 def test_describe_round_trip():
@@ -427,34 +444,125 @@ def test_near_flat_cosine_bracket_holds_exact_diameter(c):
     assert br.grid == SWEEP_ROWS
 
 
-@pytest.mark.parametrize("c", NEAR_FLAT_C)
-def test_antipodal_bounds_dominate_distances(c):
-    # f >= c (1 - beta), so distances are at least those of the flat
-    # torus of that radius: hypot(circular dt, pi c (1 - beta))
-    beta = 1e-9
-    m = make_cosine(beta=beta, c=c)
+def _catalog_manifolds(periodic_only=False):
+    """The manifolds of the benchmark's catalog, perfbench/workloads.py's
+    `reference_rows`: 22 cosine tori, 5 pole-closed and 5 periodic
+    splines; the 27 periodic ones when periodic_only."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads",
+        pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+        / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    manifolds = [make_manifold(row["kind"], **{
+        k: v for k, v in row.items() if k not in ("id", "kind")})
+        for row in workloads.reference_rows()]
+    return [m for m in manifolds
+            if m.boundary == "periodic" or not periodic_only]
+
+
+def _periodic_catalog_splines():
+    return [m for m in _catalog_manifolds(periodic_only=True)
+            if m.kind == "tabulated"]
+
+
+# The sweep this package ran before the meet-in-the-middle join, kept as
+# the oracle: SWEEP_STEPS steps over [0, pi], step lengths summed with
+# np.roll, and the meridian transform as a running minimum over two
+# copies of the rows.
+
+def _roll_step_lengths(m, h, dtheta):
+    N, B = SWEEP_ROWS, sgv.geometry.SWEEP_BAND
+    rows = np.arange(N + 1)
+    if m.mirror_symmetric:
+        rows = np.minimum(rows, N - rows)
+    f = m.f(h * rows)
+    if m.kind == "cosine":
+        d2f_max = abs(m.c * m.beta) * (2.0 * np.pi / m.L) ** 2
+    else:
+        d2f_max = float(np.max(np.abs(m.jet(m.ts)[2])))
+    cell = np.maximum(f[:-1], f[1:]) + d2f_max * h * h / 8.0
+    W = np.empty((2 * B + 1, N))
+    W[B] = f[:-1] * dtheta
+    for d in range(1, B + 1):
+        s = np.sqrt((d * h) ** 2 + (cell * dtheta) ** 2)
+        total = sum(np.roll(s, -q) + np.roll(s, q + 1 - d)
+                    for q in range(d // 2))
+        if d % 2:
+            total = total + np.roll(s, -(d // 2))
+        mean = total / d
+        W[B + d] = mean
+        W[B - d] = np.roll(mean, d)
+    return W
+
+
+def _two_copy_meridian_relax(V, h):
+    N = V.shape[0]
+    pos = h * np.arange(-N, N)[:, None]
+
+    def forward(X):
+        return np.minimum.accumulate(np.concatenate([X, X]) - pos)[N:] \
+            + pos[N:]
+
+    i = np.arange(N)
+    return np.minimum(forward(V), forward(V[-i])[-i])
+
+
+def _full_sweep(W, h):
+    """U[j, s] >= d((t_s, 0), (t_j, pi)) from every source, in the dtype
+    of W and h."""
+    N, B = SWEEP_ROWS, sgv.geometry.SWEEP_BAND
+    W = W[:, :, None]
+    i = np.arange(N)
+    gap = np.abs(i[:, None] - i[None, :])
+    V = h * np.minimum(gap, N - gap)
+    for _ in range(SWEEP_STEPS):
+        ext = np.concatenate([V[N - B:], V, V[:B]])
+        step = ext[:N] + W[0]
+        for k in range(1, 2 * B + 1):
+            np.minimum(step, ext[k:k + N] + W[k], out=step)
+        V = _two_copy_meridian_relax(step, h)
+    return V
+
+
+@pytest.mark.parametrize("case", [
+    *NEAR_FLAT_C,
+    *[pytest.param(k, id=f"periodic-spline-{k}") for k in range(5)],
+])
+def test_antipodal_bounds_dominate_distances(case):
+    # a curve from (t_s, 0) to (t_j, pi) has t-variation at least the
+    # circular dt and integral of f |dtheta| at least pi min f; the
+    # near-flat cosine tori (c = case) and the periodic catalog splines
+    if isinstance(case, float):
+        m = make_cosine(beta=1e-9, c=case)
+    else:
+        m = _periodic_catalog_splines()[case]
     U = _antipodal_bounds(m)
     i = np.arange(SWEEP_ROWS)
     gap = np.abs(i[:, None] - i[None, :])
     dt = m.L / SWEEP_ROWS * np.minimum(gap, SWEEP_ROWS - gap)
-    assert np.all(U >= np.hypot(dt, math.pi * c * (1.0 - beta)) - 1e-12)
+    assert np.all(U >= np.hypot(dt, math.pi * m.f_range()[0]) - 1e-12)
 
 
-# every (c, beta) of the benchmark's cosine catalog
+# every (c, beta) of the benchmark's cosine catalog but the dumbbell
 WAVY_ROWS = [(c, beta) for c in (0.2, 0.5, 1.0, 1.5)
              for beta in (1e-8, 1e-5, 1e-3, 0.03, 0.1, 0.3)
              if (c, beta) not in ((1.0, 1e-8), (1.0, 1e-5), (1.5, 0.1))]
 
 
 @pytest.mark.parametrize("c,beta", WAVY_ROWS)
-def test_mirrored_sweep_is_the_full_sweep(c, beta):
-    # step lengths and the meridian transform are mirror-exact, so the
-    # half sweep and its reflection are the full sweep bit for bit
+def test_mirrored_sweep_is_the_full_sweep(c, beta, monkeypatch):
+    # step lengths and the meridian transform are mirror-exact and the
+    # join adds the same pairs, so the half sweep and its reflection
+    # are the all-sources route over the same step lengths bit for bit
     m = make_cosine(beta, c=c)
     h = m.L / SWEEP_ROWS
-    full = _sweep(_step_lengths(m, h, math.pi / SWEEP_STEPS), h, SWEEP_ROWS)
+    W = _step_lengths(m, h, math.pi / SWEEP_STEPS)
     U = _antipodal_bounds(m)
-    assert np.array_equal(U, full)
+    monkeypatch.setattr(sgv.geometry, "_step_lengths", lambda *args: W)
+    monkeypatch.setattr(Manifold, "mirror_symmetric",
+                        property(lambda self: False))
+    assert np.array_equal(U, _antipodal_bounds(m))
     i = np.arange(SWEEP_ROWS)
     assert np.array_equal(U, U[-i][:, -i])
 
@@ -470,20 +578,55 @@ def test_mirrored_sweep_matches_unsymmetrized_sweep(monkeypatch):
         assert abs(hi - full) <= 4 * np.spacing(full), (c, beta)
 
 
+def test_step_lengths_match_the_roll_form():
+    # one gather per offset and a reduction over the pairs in order add
+    # what the np.roll sum adds, in the same order
+    for m in _catalog_manifolds(periodic_only=True):
+        h = m.L / SWEEP_ROWS
+        assert np.array_equal(_step_lengths(m, h, math.pi / SWEEP_STEPS),
+                              _roll_step_lengths(m, h,
+                                                 math.pi / SWEEP_STEPS))
+
+
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
                     reason="long double is no wider than double here")
 def test_sweep_hi_matches_extended_precision():
-    # the same sweep in long double: its max sits within 4 ulps of the
-    # double sweep's (at most 3 on every catalog row; with positions up
-    # to 2L instead of L the meridian transform's rounding left hi up to
-    # 11 ulps low, at (0.2, 0.1))
-    for c, beta in ((0.2, 0.1), (0.5, 1e-3), (0.5, 0.3), (1.0, 0.3)):
-        m = make_cosine(beta, c=c)
+    # the full sweep over [0, pi] in long double: its max sits within 4
+    # ulps of the max of the double half sweep joined by the min-plus
+    # product (at most 3 on every periodic catalog row; with the
+    # meridian transform's positions in [0, L) instead of centred, 5 at
+    # (0.5, 1e-3))
+    manifolds = _catalog_manifolds(periodic_only=True)
+    assert len(manifolds) == 27
+    for m in manifolds:
         h = m.L / SWEEP_ROWS
-        W = _step_lengths(m, h, math.pi / SWEEP_STEPS)
+        W = _roll_step_lengths(m, h, math.pi / SWEEP_STEPS)
         hi = _antipodal_bounds(m).max()
-        wide = _sweep(W.astype(np.longdouble), np.longdouble(h), SWEEP_ROWS)
-        assert abs(hi - float(wide.max())) <= 4 * np.spacing(hi), (c, beta)
+        wide = _full_sweep(W.astype(np.longdouble), np.longdouble(h))
+        assert abs(hi - float(wide.max())) <= 4 * np.spacing(hi), \
+            m.describe()
+
+
+@pytest.mark.parametrize("build, transforms", [
+    (lambda: make_cosine(beta=0.3, c=0.5), SWEEP_STEPS // 2),
+    (lambda: _periodic_catalog_splines()[0], SWEEP_STEPS // 2),
+    (lambda: make_flat(c=0.2), 0),
+    (lambda: make_manifold("sine-sphere", n=3, L=math.pi), 0),
+])
+def test_diameter_runs_half_the_meridian_transforms(build, transforms,
+                                                    monkeypatch):
+    # one transform per step of the half sweep; a closed form runs none
+    m = build()
+    calls = []
+    relax = sgv.geometry._meridian_relax
+
+    def counting(V, h):
+        calls.append(V.shape)
+        return relax(V, h)
+
+    monkeypatch.setattr(sgv.geometry, "_meridian_relax", counting)
+    diameter(m)
+    assert len(calls) == transforms
 
 
 def test_meridian_relax_commutes_with_the_mirror():
@@ -652,15 +795,7 @@ def test_kbar_reads_its_weight_from_the_curvature_jet(monkeypatch):
     # the jet its curvature reads, so a second piece search of the same
     # points (the weight read through `f`) gives the same values and
     # costs 24,384 more located points
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads",
-        pathlib.Path(__file__).resolve().parent.parent / "perfbench"
-        / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    manifolds = [make_manifold("tabulated", **{
-        k: v for k, v in row.items() if k not in ("id", "kind")})
-        for row in workloads.reference_rows() if row["kind"] == "tabulated"]
+    manifolds = [m for m in _catalog_manifolds() if m.kind == "tabulated"]
     assert len(manifolds) == 10
     located = []
     locate = _CubicSpline._locate

@@ -428,15 +428,19 @@ def test_sweep_captures_row_errors():
         {"id": "broken", "kind": "cosine", "L": TWO_PI, "c": 1.0,
          "beta": 1.5},
         {"id": "half-dim", "kind": "sine-sphere", "L": 3.0, "n": 2.5},
+        {"id": "inf-dim", "kind": "sine-sphere", "L": 3.0,
+         "n": math.inf},
     ]
     rows, summary = sweep(specs, 0.5, 2.0, 2.0, 0.5)
-    assert summary["errors"] == 2
+    assert summary["errors"] == 3
     assert rows[0].error is None
     assert rows[1].record is None
     assert "NonPositiveWarp" in rows[1].error
     assert rows[2].record is None
     assert rows[2].error == \
         "ValueError: dimension n = 2.5 must be an integer >= 2"
+    assert rows[3].error == \
+        "ValueError: dimension n = inf must be an integer >= 2"
 
 
 def test_sweep_parallel_matches_serial():
