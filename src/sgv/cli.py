@@ -74,9 +74,7 @@ def _add_manifold_flags(sp) -> None:
 
 def _manifold_from_args(args):
     kind = _MANIFOLD_KINDS[args.manifold]
-    if kind == "sine-sphere":
-        return make_manifold(kind, L=args.L, n=args.n)
-    if args.c is None and args.fiber is None:
+    if kind != "sine-sphere" and args.c is None and args.fiber is None:
         raise ConfigError(f"{args.manifold} needs --c or --fiber")
     return make_manifold(kind, L=args.L, n=args.n, c=args.c,
                          fiber=args.fiber, beta=args.beta)

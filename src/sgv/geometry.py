@@ -37,7 +37,9 @@ meridian theta = 0 to theta = pi/2.  So one sweep over the fiber angle
 from 0 to pi/2 bounds both halves of every such curve, and one min-plus
 product over the crossing point joins them into a bound on every
 antipodal distance (see `diameter` and `_antipodal_bounds` for the
-proofs).
+proofs).  The route reads the values of f, not its kind: a constant
+periodic f has D in closed form, and one whose samples match their
+mirror image, f(L - t) = f(t), is swept from half its sources.
 
 Curvature conventions.  The smallest eigenvalue of the Ricci tensor at a
 point t is
@@ -66,7 +68,11 @@ from .errors import (BadExponent, BadPoleClosure, NoConvergence,
                      NonPositiveWarp)
 
 _CLOSURE_TOL = 1e-10
-_KINDS = ("constant", "cosine", "sine-sphere", "tabulated")
+# the fields beyond L and n each kind reads, and its closure if it has one
+_KINDS = {"constant": ("c",), "cosine": ("c", "beta"), "sine-sphere": (),
+          "tabulated": ("ts", "fs")}
+_CLOSURES = {"constant": "periodic", "cosine": "periodic",
+             "sine-sphere": "pole-closed"}
 
 
 class _CubicSpline:
@@ -206,10 +212,10 @@ class Manifold:
     """The closed warped product g = dt^2 + f(t)^2 g_fiber of dimension n.
 
     kind: one of "constant", "cosine", "sine-sphere", "tabulated".
-    boundary: "periodic" or "pole-closed".
+    boundary: "periodic" or "pole-closed"; a closed-form kind has one.
     c, beta parameterize the closed-form kinds; ts/fs hold tabulated data.
-    Construction checks every field, so every Manifold is valid;
-    `make_manifold` is the keyword front end for each kind.
+    Construction checks every field and rejects one its kind does not
+    read, so every Manifold is valid; `make_manifold` is the front end.
 
     `f(t)` gives the values of the warp function f and `jet(t)` the
     tuple (f, f', f'', f''') at points t, whose first entry is `f(t)`
@@ -237,13 +243,27 @@ class Manifold:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown manifold kind {self.kind!r}")
-        if self.kind == "tabulated":
-            spline = _CubicSpline(self.ts, self.fs,
-                                  self.boundary == "periodic")
-            object.__setattr__(self, "_spline", spline)
+        if self.boundary not in ("periodic", "pole-closed"):
+            raise ValueError(f"unknown boundary {self.boundary!r}")
+        if self.boundary != _CLOSURES.get(self.kind, self.boundary):
+            raise ValueError(f"{self.kind} profile is "
+                             f"{_CLOSURES[self.kind]}, not {self.boundary}")
+        for name in ("c", "beta", "ts", "fs"):
+            value = getattr(self, name)
+            # c and beta read 0 when not given, ts and fs None
+            if (name not in _KINDS[self.kind] and value is not None
+                    and (np.ndim(value) or value != 0.0)):
+                raise ValueError(f"{self.kind} profile takes no {name}")
         L = self.L
         if not (L > 0.0) or not np.isfinite(L):
             raise ValueError("base length L must be positive and finite")
+        if self.kind == "tabulated":
+            spline = _CubicSpline(self.ts, self.fs,
+                                  self.boundary == "periodic")
+            if spline.x[0] != 0.0 or abs(spline.x[-1] - L) > 1e-12 * L:
+                raise ValueError("tabulated nodes must span [0, L]")
+            object.__setattr__(self, "ts", spline.x)
+            object.__setattr__(self, "_spline", spline)
         n = self.n
         # a bool is no dimension, and int() fails on inf and nan
         if (isinstance(n, bool) or not isinstance(n, numbers.Real)
@@ -276,13 +296,10 @@ class Manifold:
                 raise BadPoleClosure(
                     f"pole slopes f'(0)={d0:.6g}, f'(L)={dL:.6g} "
                     "must be +1 and -1 for a smooth closure")
-        elif self.boundary == "periodic":
-            if (abs(f0 - fL) > _CLOSURE_TOL * scale
-                    or abs(d0 - dL) > _CLOSURE_TOL):
-                raise ValueError("periodic profile must match value and "
-                                 "slope at t=0 and t=L")
-        else:
-            raise ValueError(f"unknown boundary {self.boundary!r}")
+        elif (abs(f0 - fL) > _CLOSURE_TOL * scale
+              or abs(d0 - dL) > _CLOSURE_TOL):
+            raise ValueError("periodic profile must match value and "
+                             "slope at t=0 and t=L")
 
     # -- evaluation -----------------------------------------------------
 
@@ -315,13 +332,6 @@ class Manifold:
         r = self.L / np.pi
         sin, cos = np.sin(t / r), np.cos(t / r)
         return r * sin, cos, -sin / r, -cos / r ** 2
-
-    @property
-    def mirror_symmetric(self) -> bool:
-        """f(L - t) = f(t), known from the kind: constant and cosine
-        profiles.  Spline data is not inspected, so a spline is never
-        reported symmetric."""
-        return self.kind in ("constant", "cosine")
 
     def f_range(self) -> tuple[float, float]:
         """The exact (min f, max f) over [0, L].
@@ -374,42 +384,21 @@ def make_manifold(kind: str,
                   ts: Optional[np.ndarray] = None,
                   fs: Optional[np.ndarray] = None,
                   boundary: Optional[str] = None) -> Manifold:
-    """Build a manifold of one kind from keyword arguments.
-
-    For torus kinds ("constant", "cosine") the fiber size is one degree
-    of freedom, expressible either as the mean warp c or as the fiber
-    circumference 2*pi*c; passing both requires them to be consistent.
-    beta is the cosine amplitude; a constant profile takes none.
-    "sine-sphere" is the round sphere of diameter L.  "tabulated" takes
-    node/value arrays and either boundary type.
+    """Build a manifold of one kind from keyword arguments; `Manifold`
+    checks them.  A torus kind's fiber size is the mean warp c or the
+    fiber circumference 2*pi*c, and both given must agree; beta is the
+    cosine amplitude.  "sine-sphere" is the round sphere of diameter L.
+    The boundary defaults to the kind's own; "tabulated" needs it given.
     """
-    if kind in ("constant", "cosine"):
-        if c is None and fiber is None:
-            raise ValueError(f"{kind} profile needs c or fiber")
+    if fiber is not None:
         if c is None:
             c = fiber / (2.0 * np.pi)
-        elif fiber is not None and abs(fiber - 2.0 * np.pi * c) > 1e-12 * abs(fiber):
+        elif abs(fiber - 2.0 * np.pi * c) > 1e-12 * abs(fiber):
             raise ValueError("fiber and c are inconsistent: fiber = 2*pi*c")
-        if kind == "constant" and beta != 0.0:
-            raise ValueError("constant profile takes no beta; "
-                             "use kind 'cosine'")
-        if kind == "cosine" and abs(beta) >= 1.0:
-            raise NonPositiveWarp(f"|beta| = {abs(beta)} >= 1 pinches the warp")
-        return Manifold(kind=kind, L=float(L), boundary="periodic", n=n,
-                        c=float(c), beta=float(beta))
-    if kind == "tabulated":
-        if ts is None or fs is None:
-            raise ValueError("tabulated profile needs ts and fs arrays")
-        if boundary not in ("periodic", "pole-closed"):
-            raise ValueError("tabulated profile needs an explicit boundary")
-        ts = np.asarray(ts, dtype=float)
-        fs = np.asarray(fs, dtype=float)
-        if ts[0] != 0.0 or abs(ts[-1] - L) > 1e-12 * L:
-            raise ValueError("tabulated nodes must span [0, L]")
-        return Manifold(kind=kind, L=float(L), boundary=boundary, n=n,
-                        ts=ts, fs=fs)
-    # the round sphere; the constructor rejects an unknown kind
-    return Manifold(kind=kind, L=float(L), boundary="pole-closed", n=n)
+    return Manifold(kind=kind, L=float(L), n=n,
+                    boundary=boundary or _CLOSURES.get(kind),
+                    c=0.0 if c is None else float(c), beta=float(beta),
+                    ts=ts, fs=fs)
 
 
 # -- curvature --------------------------------------------------------------
@@ -567,9 +556,11 @@ def _meridian_relax(V: np.ndarray, h: float) -> np.ndarray:
     return np.minimum(forward(V), forward(V[-i])[-i])
 
 
-def _step_lengths(m: Manifold, h: float, dtheta: float) -> np.ndarray:
+def _step_lengths(m: Manifold, f: np.ndarray, h: float,
+                  dtheta: float) -> np.ndarray:
     """Upper bounds W[B + d, j] on the straight coordinate segment from
-    (t_{j+d}, theta) to (t_j, theta + dtheta), for |d| <= B.
+    (t_{j+d}, theta) to (t_j, theta + dtheta), for |d| <= B, from the
+    samples f[i] = f(t_i) on the rows i = 0..N.
 
     On each lattice cell f is at most the larger endpoint value plus
     max|f''| h^2 / 8 (f lies below its chord plus that bulge).  A segment
@@ -578,15 +569,11 @@ def _step_lengths(m: Manifold, h: float, dtheta: float) -> np.ndarray:
     values; at d = 0 it is f(t_j) dtheta exactly.
 
     Each mean adds its cells in pairs from both ends inwards, an order
-    that reads the same on the mirrored segment, and a mirror-symmetric
-    profile is sampled on rows 0..N/2 only, so the lengths of a segment
-    and of its mirror image are equal in rounding too.
+    that reads the same on the mirrored segment, so on samples that are
+    their own mirror image, f[N - i] = f[i], the lengths of a segment and
+    of its mirror image are equal in rounding too.
     """
     N, B = SWEEP_ROWS, SWEEP_BAND
-    rows = np.arange(N + 1)
-    if m.mirror_symmetric:
-        rows = np.minimum(rows, N - rows)
-    f = m.f(h * rows)
     if m.kind == "cosine":
         d2f_max = abs(m.c * m.beta) * (2.0 * np.pi / m.L) ** 2
     else:  # the spline's f'' is piecewise linear: extremes at knots
@@ -608,6 +595,13 @@ def _step_lengths(m: Manifold, h: float, dtheta: float) -> np.ndarray:
         W[B + d] = mean
         W[B - d] = np.roll(mean, d)
     return W
+
+
+def _mirrored(f: np.ndarray) -> bool:
+    """Whether samples f on rows 0..N match f[N - i] to 16 eps max f,
+    the floor `spectral._mirror_pair` puts on the pencils of f."""
+    return (np.max(np.abs(f - f[::-1]))
+            <= 16.0 * np.finfo(float).eps * np.max(f))
 
 
 def _antipodal_bounds(m: Manifold) -> np.ndarray:
@@ -632,20 +626,26 @@ def _antipodal_bounds(m: Manifold) -> np.ndarray:
     the bound of the full sweep of K steps over [0, pi], from the same
     lattice curves; only rounding differs.
 
-    On a mirror-symmetric profile t -> L - t is an isometry that maps
-    row i of the lattice to row N - i (mod N), so the sweep runs only
-    the sources s = 0..N/2, Q[j, s] = Q[(N - j) % N, N - s] fills the
-    rest of Q before the product, which forms the columns s <= N/2 of
-    U, and U[j, s] = U[(N - j) % N, N - s] fills the rest of U: the
-    mirror image of a curve is a curve of the same length.  Step lengths
-    and the meridian transform are mirror-exact in rounding, and the
-    product adds the same pairs of entries, so the filled U is the one
-    the all-sources route computes, bit for bit.
+    f is sampled once, on the rows 0..N.  Where the samples match their
+    mirror image (`_mirrored`), the first half of them serves both
+    halves, and t -> L - t maps the sampled profile onto itself and row
+    i of the lattice to row N - i (mod N).  So the sweep runs only the
+    sources s = 0..N/2, Q[j, s] = Q[(N - j) % N, N - s] fills the rest
+    of Q before the product, which forms the columns s <= N/2 of U, and
+    U[j, s] = U[(N - j) % N, N - s] fills the rest of U: the mirror
+    image of a curve is a curve of the same length.  Step lengths and
+    the meridian transform are mirror-exact in rounding, and the product
+    adds the same pairs of entries, so the filled U is the one the
+    all-sources route computes from the same samples, bit for bit.
     """
     N = SWEEP_ROWS
     h = m.L / N
-    W = _step_lengths(m, h, np.pi / SWEEP_STEPS)
-    S = N // 2 + 1 if m.mirror_symmetric else N
+    rows = np.arange(N + 1)
+    f = m.f(h * rows)
+    S = N // 2 + 1 if _mirrored(f) else N
+    if S < N:
+        f = f[np.minimum(rows, N - rows)]
+    W = _step_lengths(m, f, h, np.pi / SWEEP_STEPS)
     i = np.arange(N)
 
     def mirrored(X):
@@ -696,8 +696,6 @@ def diameter(m: Manifold) -> DiameterBracket:
     (t, x) -> (t, angle(x0, x)) does not lengthen curves.  So every case
     below is a statement about that surface.
 
-    Constant warp: the flat torus, D = hypot(L/2, pi c) exactly.
-
     Pole-closed, any f: D = L exactly.  A curve from x to the pole t = 0
     has t-variation at least t_x, and the meridian attains it, so
     d(x, pole) = t_x and likewise L - t_x to the other pole.  Hence
@@ -721,20 +719,22 @@ def diameter(m: Manifold) -> DiameterBracket:
     of the half sweep with itself.  The meridian transform M is
     idempotent, so with A a step of the sweep, (MA)^8 M (MA)^8 M =
     (MA)^16 M: in exact arithmetic the product is the bound of the
-    16-step sweep over [0, pi], from the same lattice curves.  A mirror-symmetric profile,
-    f(L - t) = f(t), makes (t, theta) -> (L - t, theta) an isometry.  It
-    maps the lattice onto itself and gives g(L - t0, L - t1) = g(t0, t1),
-    so the sweep runs from half the sources and mirrors the rest.
+    16-step sweep over [0, pi], from the same lattice curves.  Where f
+    on the lattice matches its mirror image, (t, theta) -> (L - t, theta)
+    is an isometry that maps the lattice onto itself, g(L - t0, L - t1)
+    = g(t0, t1), and the sweep runs from half the sources.
 
     For lo, a curve from (t, 0) to (t + L/2, pi) has t-variation at least
     L/2 and integral of f |dtheta| at least pi min f, so its length is at
-    least hypot(L/2, pi min f).
+    least hypot(L/2, pi min f).  A straight coordinate curve is at most
+    hypot(L/2, pi max f) long, so where min f = max f (`f_range`), a
+    constant warp, lo is D exactly and no sweep runs.
     """
-    if m.kind == "constant":
-        d = math.hypot(m.L / 2.0, np.pi * m.c)
-        return DiameterBracket(lo=d, hi=d, converged=True, grid=0)
     if m.boundary == "pole-closed":
         return DiameterBracket(lo=m.L, hi=m.L, converged=True, grid=0)
+    f_min, f_max = m.f_range()
+    lo = math.hypot(m.L / 2.0, np.pi * f_min)
+    if f_min == f_max:
+        return DiameterBracket(lo=lo, hi=lo, converged=True, grid=0)
     hi = float(_antipodal_bounds(m).max()) + m.L / SWEEP_ROWS
-    lo = math.hypot(m.L / 2.0, np.pi * m.f_range()[0])
     return DiameterBracket(lo=lo, hi=hi, converged=True, grid=SWEEP_ROWS)

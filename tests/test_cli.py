@@ -80,6 +80,15 @@ def test_flat_torus_with_beta_rejected(capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("flag", ["--c", "--beta"])
+def test_sphere_with_torus_flag_rejected(capsys, flag):
+    # a sphere reads neither; the flag is an error, not ignored
+    code, _, err = run(capsys, "diameter", "--manifold", "sphere",
+                       "--L", "3.0", flag, "0.5")
+    assert code == 2
+    assert f"takes no {flag[2:]}" in err
+
+
 def test_curvature_cosine(capsys):
     code, out, _ = run(capsys, "curvature", "--manifold",
                        "cosine-torus", "--L", str(TWO_PI), "--c", "1.0",
@@ -330,17 +339,22 @@ def test_sweep_row_error_does_not_flip_exit(tmp_path, capsys):
 
 
 def test_sweep_flat_torus_with_beta_is_row_error(tmp_path, capsys):
+    # a sphere takes no beta either
     cfg = write_sweep_config(tmp_path, manifolds=[
         {"id": "flat", "kind": "flat-torus", "L": TWO_PI, "c": 0.1},
         {"id": "flat-beta", "kind": "flat-torus", "L": TWO_PI,
          "c": 0.1, "beta": 0.3},
+        {"id": "sphere-beta", "kind": "sphere", "L": math.pi,
+         "beta": 0.5},
     ])
     code, out, _ = run(capsys, "sweep", "--config", cfg)
     assert code == 0
     payload = json.loads(out)
-    assert payload["summary"]["errors"] == 1
+    assert payload["summary"]["errors"] == 2
     assert payload["records"][1]["error"].startswith(
         "ValueError: constant profile takes no beta")
+    assert payload["records"][2]["error"] == \
+        "ValueError: sine-sphere profile takes no beta"
 
 
 @pytest.mark.parametrize("setting, value", [

@@ -5,11 +5,15 @@ Covers:
 - the exact mean |rho_0| = beta/pi identity of the cosine family
 - integral curvature norms against an independent high-precision quadrature
 - volume closed forms (torus area, 4*pi, 2*pi^2)
-- diameter: exact bracket for flat tori, D = L on pole-closed profiles,
-  brackets holding the exact diameter of near-flat cosine tori, sweep
-  bounds above the flat lower bound on near-flat tori and the periodic
-  catalog splines, the mirrored route of cosine tori against the
-  all-sources route bit for bit, the half sweep joined by one min-plus
+- diameter: the exact bracket of every constant warp (flat tori, a
+  beta = 0 cosine torus, a constant spline), D = L on pole-closed
+  profiles, brackets holding the exact diameter of near-flat cosine
+  tori, sweep bounds above the flat lower bound on near-flat tori and
+  the periodic catalog splines, the half-source route read off the
+  samples of f as `_mirror_pair` reads it off the pencil (on all 27
+  periodic catalog rows), the mirrored route of cosine tori and of the
+  mirror-symmetric spline against the all-sources route bit for bit,
+  the half sweep joined by one min-plus
   product against the 16-step sweep over [0, pi] kept here as the
   oracle (in long double, and its step lengths bit for bit), and a
   count of the meridian transforms one diameter runs
@@ -23,14 +27,16 @@ Covers:
 - metamorphic checks: scaling a cosine torus, shifting a periodic spline,
   reflecting a spline profile t -> L - t
 - constructor validation (exact positivity of f, non-finite warps, an
-  integer dimension, also against inf, nan, strings and bools), the
-  same errors from `Manifold` built directly as from `make_manifold`,
-  and the p > n/2 exponent gate
+  integer dimension, also against inf, nan, strings and bools, a field
+  the kind does not read, a closure not the kind's, tabulated nodes
+  that do not span [0, L]), the same errors from `Manifold` built
+  directly as from `make_manifold`, and the p > n/2 exponent gate
 """
 
 import importlib.util
 import math
 import pathlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -52,6 +58,7 @@ from sgv import (
 from sgv.errors import BadExponent, BadPoleClosure, NonPositiveWarp
 from sgv.geometry import (SWEEP_ROWS, SWEEP_STEPS, _antipodal_bounds,
                           _CubicSpline, _meridian_relax, _step_lengths)
+from sgv.spectral import _mirror_pair, assemble
 
 TWO_PI = 2.0 * math.pi
 
@@ -150,30 +157,55 @@ def test_unknown_kind_rejected():
 
 
 _POLE_TS = np.linspace(0.0, math.pi, 129)
-# make_manifold's arguments, and the fields of the same manifold built
-# directly: each is invalid in one field
+_TORUS_TS = np.linspace(0.0, TWO_PI, 17)
+_TORUS_FS = 1.0 + 0.3 * np.cos(_TORUS_TS)
+# make_manifold's arguments, the fields of the same manifold built
+# directly, and the start of the message: each is invalid in one field
 INVALID = {
     "unknown-kind": (dict(kind="moebius", L=1.0),
-                     dict(boundary="pole-closed")),
+                     dict(boundary="pole-closed"), "unknown manifold kind"),
     "zero-length": (dict(kind="sine-sphere", L=0.0),
-                    dict(boundary="pole-closed")),
+                    dict(boundary="pole-closed"), "base length L"),
     "dimension-one": (dict(kind="sine-sphere", L=3.0, n=1),
-                      dict(boundary="pole-closed")),
+                      dict(boundary="pole-closed"), "dimension n = 1"),
     "dimension-2.5": (dict(kind="sine-sphere", L=3.0, n=2.5),
-                      dict(boundary="pole-closed")),
+                      dict(boundary="pole-closed"), "dimension n = 2.5"),
     "negative-warp": (dict(kind="constant", L=1.0, c=-0.1),
-                      dict(boundary="periodic")),
+                      dict(boundary="periodic"), "warp function reaches"),
     "infinite-warp": (dict(kind="constant", L=1.0, c=math.inf),
-                      dict(boundary="periodic")),
+                      dict(boundary="periodic"), "warp function is not"),
     "open-poles": (dict(kind="tabulated", L=math.pi, ts=_POLE_TS,
                         fs=np.sin(_POLE_TS) + 0.05,
-                        boundary="pole-closed"), {}),
+                        boundary="pole-closed"), {}, "pole values"),
+    # each kind takes only the fields it reads, on its own closure
+    "sphere-with-c-and-beta": (dict(kind="sine-sphere", L=3.0, c=1.0,
+                                    beta=0.5),
+                               dict(boundary="pole-closed"),
+                               "sine-sphere profile takes no c"),
+    "pole-closed-cosine": (dict(kind="cosine", L=TWO_PI, c=1.0, beta=0.1,
+                                boundary="pole-closed"), {},
+                           "cosine profile is periodic, not pole-closed"),
+    "cosine-with-samples": (dict(kind="cosine", L=TWO_PI, c=1.0,
+                                 beta=0.1, ts=_TORUS_TS, fs=_TORUS_FS),
+                            dict(boundary="periodic"),
+                            "cosine profile takes no ts"),
+    "tabulated-with-c": (dict(kind="tabulated", L=TWO_PI, c=1.0,
+                              ts=_TORUS_TS, fs=_TORUS_FS,
+                              boundary="periodic"), {},
+                         "tabulated profile takes no c"),
+    "constant-with-beta": (dict(kind="constant", L=1.0, c=0.1, beta=0.5),
+                           dict(boundary="periodic"),
+                           "constant profile takes no beta"),
+    "nodes-short-of-L": (dict(kind="tabulated", L=2.0 * TWO_PI,
+                              ts=_TORUS_TS, fs=_TORUS_FS,
+                              boundary="periodic"), {},
+                         "tabulated nodes must span [0, L]"),
 }
 
 
 @pytest.mark.parametrize("case", INVALID)
 def test_manifold_validates_on_construction(case):
-    kwargs, fields = INVALID[case]
+    kwargs, fields, message = INVALID[case]
     fields = {"n": 2, **kwargs, **fields}
     errors = []
     for build in (lambda: make_manifold(**kwargs),
@@ -183,6 +215,7 @@ def test_manifold_validates_on_construction(case):
             build()
         errors.append((info.type, str(info.value)))
     assert errors[0] == errors[1]
+    assert errors[0][1].startswith(message)
 
 
 def test_non_integer_dimension_rejected():
@@ -383,6 +416,22 @@ def test_flat_diameter_closed_form():
     assert br.converged
 
 
+@pytest.mark.parametrize("build", [
+    lambda: make_cosine(beta=0.0, c=1.0),
+    lambda: make_cosine(beta=0.0, c=0.3, n=3),
+    lambda: make_manifold("tabulated", L=TWO_PI, ts=_TORUS_TS,
+                          fs=np.full(17, 1.0), boundary="periodic"),
+], ids=["cosine-beta-0", "cosine-beta-0-n3", "constant-spline"])
+def test_constant_warp_diameter_is_closed_form(build):
+    # min f = max f: the closed form of the flat torus, whatever the kind
+    # (the sweep gave hi = 4.4920 against D = 4.4429 on a beta = 0 cosine)
+    m = build()
+    br = diameter(m)
+    want = math.hypot(m.L / 2.0, math.pi * m.f_range()[0])
+    assert br.lo == br.hi == want
+    assert br.grid == 0
+
+
 def test_sphere_diameter_bracket():
     m = make_manifold("sine-sphere", n=2, L=math.pi)
     br = diameter(m)
@@ -471,12 +520,28 @@ def _periodic_catalog_splines():
 # np.roll, and the meridian transform as a running minimum over two
 # copies of the rows.
 
-def _roll_step_lengths(m, h, dtheta):
+def _sweep_inputs(m):
+    """The samples f that `_antipodal_bounds(m)` hands `_step_lengths`,
+    and the number of sources it sweeps."""
+    seen = {}
+    step_lengths, sweep = sgv.geometry._step_lengths, sgv.geometry._sweep
+
+    def spy_steps(m, f, h, dtheta):
+        seen["f"] = f
+        return step_lengths(m, f, h, dtheta)
+
+    def spy_sweep(W, h, sources):
+        seen["sources"] = sources
+        return sweep(W, h, sources)
+
+    with mock.patch.object(sgv.geometry, "_step_lengths", spy_steps), \
+            mock.patch.object(sgv.geometry, "_sweep", spy_sweep):
+        _antipodal_bounds(m)
+    return seen["f"], seen["sources"]
+
+
+def _roll_step_lengths(m, f, h, dtheta):
     N, B = SWEEP_ROWS, sgv.geometry.SWEEP_BAND
-    rows = np.arange(N + 1)
-    if m.mirror_symmetric:
-        rows = np.minimum(rows, N - rows)
-    f = m.f(h * rows)
     if m.kind == "cosine":
         d2f_max = abs(m.c * m.beta) * (2.0 * np.pi / m.L) ** 2
     else:
@@ -557,11 +622,12 @@ def test_mirrored_sweep_is_the_full_sweep(c, beta, monkeypatch):
     # are the all-sources route over the same step lengths bit for bit
     m = make_cosine(beta, c=c)
     h = m.L / SWEEP_ROWS
-    W = _step_lengths(m, h, math.pi / SWEEP_STEPS)
+    f, sources = _sweep_inputs(m)
+    assert sources == SWEEP_ROWS // 2 + 1
+    W = _step_lengths(m, f, h, math.pi / SWEEP_STEPS)
     U = _antipodal_bounds(m)
     monkeypatch.setattr(sgv.geometry, "_step_lengths", lambda *args: W)
-    monkeypatch.setattr(Manifold, "mirror_symmetric",
-                        property(lambda self: False))
+    monkeypatch.setattr(sgv.geometry, "_mirrored", lambda f: False)
     assert np.array_equal(U, _antipodal_bounds(m))
     i = np.arange(SWEEP_ROWS)
     assert np.array_equal(U, U[-i][:, -i])
@@ -571,11 +637,37 @@ def test_mirrored_sweep_matches_unsymmetrized_sweep(monkeypatch):
     # sampled at every row, f(t_i) and f(t_{N-i}) differ by rounding;
     # the full sweep over those samples moves hi by rounding only
     his = [diameter(make_cosine(beta, c=c)).hi for c, beta in WAVY_ROWS]
-    monkeypatch.setattr(Manifold, "mirror_symmetric",
-                        property(lambda self: False))
+    monkeypatch.setattr(sgv.geometry, "_mirrored", lambda f: False)
     for (c, beta), hi in zip(WAVY_ROWS, his):
         full = diameter(make_cosine(beta, c=c)).hi
         assert abs(hi - full) <= 4 * np.spacing(full), (c, beta)
+
+
+def test_sweep_route_agrees_with_the_mirror_split():
+    # the sweep reads mirror symmetry off its samples of f, as
+    # `_mirror_pair` reads it off the assembled pencil: every cosine
+    # torus and the spline with a = 0.05, b = 0 take the half route, the
+    # four splines with a sin 2t term keep every source
+    routes = []
+    for m in _catalog_manifolds(periodic_only=True):
+        half = _sweep_inputs(m)[1] == SWEEP_ROWS // 2 + 1
+        assert half == (_mirror_pair(assemble(m, 0, 2048), 1) is not None)
+        routes.append(half)
+    assert len(routes) == 27 and sum(routes) == 23
+
+
+def test_mirror_symmetric_spline_sweeps_half_the_sources(monkeypatch):
+    # its samples mirror to 1.1e-16 relative, and the half route gives
+    # the all-sources hi bit for bit
+    m = _periodic_catalog_splines()[2]
+    assert m.ts.size == 33 and m.f_range()[1] == pytest.approx(1.05)
+    f, sources = _sweep_inputs(m)
+    assert sources == SWEEP_ROWS // 2 + 1
+    assert np.array_equal(f, f[::-1])
+    hi = diameter(m).hi
+    monkeypatch.setattr(sgv.geometry, "_mirrored", lambda f: False)
+    assert _sweep_inputs(m)[1] == SWEEP_ROWS
+    assert diameter(m).hi == hi
 
 
 def test_step_lengths_match_the_roll_form():
@@ -583,8 +675,9 @@ def test_step_lengths_match_the_roll_form():
     # what the np.roll sum adds, in the same order
     for m in _catalog_manifolds(periodic_only=True):
         h = m.L / SWEEP_ROWS
-        assert np.array_equal(_step_lengths(m, h, math.pi / SWEEP_STEPS),
-                              _roll_step_lengths(m, h,
+        f = _sweep_inputs(m)[0]
+        assert np.array_equal(_step_lengths(m, f, h, math.pi / SWEEP_STEPS),
+                              _roll_step_lengths(m, f, h,
                                                  math.pi / SWEEP_STEPS))
 
 
@@ -600,7 +693,8 @@ def test_sweep_hi_matches_extended_precision():
     assert len(manifolds) == 27
     for m in manifolds:
         h = m.L / SWEEP_ROWS
-        W = _roll_step_lengths(m, h, math.pi / SWEEP_STEPS)
+        W = _roll_step_lengths(m, _sweep_inputs(m)[0], h,
+                               math.pi / SWEEP_STEPS)
         hi = _antipodal_bounds(m).max()
         wide = _full_sweep(W.astype(np.longdouble), np.longdouble(h))
         assert abs(hi - float(wide.max())) <= 4 * np.spacing(hi), \
