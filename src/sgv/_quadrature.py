@@ -4,9 +4,9 @@ All definite integrals in the toolkit go through `adaptive_panels`, which
 integrates with a fixed-order Gauss rule and bisects only the panels that
 are not yet resolved, as in QUADPACK's QAG (Piessens, de Doncker-Kapenga,
 Ueberhuber & Kahaner, *QUADPACK*, Springer 1983).  A pole or a kink then
-costs points near itself, not across the whole interval.  Breakpoints let
-callers pre-split at known kinks so every panel sees a smooth integrand
-and the Gauss rule keeps its nominal order.
+costs points near itself, not across the whole interval.  Breakpoints,
+placed near kinks by `sign_change_points`, pre-split the panels so each
+sees a smooth integrand and the Gauss rule keeps its nominal order.
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ MAX_POINTS = 1 << 23
 _STEADY = 1e-5
 _STALL_RATIO = 0.99
 _STALLS = 6
-# most halvings of a sign-change bracket; a scan cell of L / 1024 reaches
-# adjacent doubles after about 45, where the bisection stops
-_BISECTIONS = 80
 
 
 def _gauss(func: Callable[[np.ndarray], np.ndarray],
@@ -137,32 +134,27 @@ def adaptive_panels(func: Callable[[np.ndarray], np.ndarray],
 def sign_change_points(func: Callable[[np.ndarray], np.ndarray],
                        ts: np.ndarray,
                        vs: np.ndarray) -> list[float]:
-    """Locate roots of a scalar function from a scan + bisection.
+    """Locate roots of a scalar function from a scan + one chord step.
 
     ts is an increasing scan grid and vs = func(ts), which the caller
-    has usually computed already.  Used to split integration panels
-    where an integrand has a kink (e.g. a positive-part operation
-    crossing zero).  Every bracket of the scan is bisected at once, one
-    vectorized func call per iteration.  Returns the crossing locations
-    in increasing order; tangential touches without sign change between
-    scan nodes are not reported, which is harmless for panel seeding.
-    The bisection stops early once a step moves no bracket: from then on
-    every step would repeat it, so the result is that of _BISECTIONS
-    steps.
+    has computed already.  Used to split integration panels where an
+    integrand has a kink (e.g. a positive-part operation crossing zero).
+    Each bracket where vs changes sign takes its chord's root, then one
+    regula falsi step, all brackets in one vectorized func call: a panel
+    edge need not sit on its kink to rounding, since the adaptive
+    bisection resolves the sliver between them.  Returns the crossings
+    and the scan's exact zeros in increasing order; tangential touches
+    without sign change between scan nodes are not reported, which is
+    harmless for panel seeding.
     """
-    ts = np.asarray(ts, dtype=float)
-    vs = np.asarray(vs, dtype=float)
-    zeros = ts[vs == 0.0]
+    points = ts[vs == 0.0].tolist()
     flip = np.nonzero(vs[:-1] * vs[1:] < 0.0)[0]
-    lo, hi, flo = ts[flip], ts[flip + 1], vs[flip]
     if flip.size:
-        for _ in range(_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            fm = np.asarray(func(mid), dtype=float)
-            left = flo * fm <= 0.0
-            new_lo, new_hi = np.where(left, lo, mid), np.where(left, mid, hi)
-            flo = np.where(left, flo, fm)
-            if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-                break
-            lo, hi = new_lo, new_hi
-    return sorted([*zeros.tolist(), *(0.5 * (lo + hi)).tolist()])
+        a, b, fa, fb = ts[flip], ts[flip + 1], vs[flip], vs[flip + 1]
+        x = a - fa * (b - a) / (fb - fa)
+        fx = np.asarray(func(x), dtype=float)
+        left = fa * fx < 0.0   # the sign changes in [a, x]
+        a, b = np.where(left, a, x), np.where(left, x, b)
+        fa, fb = np.where(left, fa, fx), np.where(left, fx, fb)
+        points += (a - fa * (b - a) / (fb - fa)).tolist()
+    return sorted(points)

@@ -59,7 +59,7 @@ def _setup_logging() -> None:
 
 def _add_manifold_flags(sp) -> None:
     sp.add_argument("--manifold", required=True,
-                    choices=["flat-torus", "cosine-torus", "sphere"],
+                    choices=_MANIFOLD_KINDS,
                     help="manifold family")
     sp.add_argument("--L", type=float, required=True,
                     help="base interval length (sphere: its diameter)")
@@ -248,7 +248,7 @@ def _load_sweep_config(args):
                 raise ConfigError(
                     f"unknown manifold keys: {', '.join(sorted(bad))}")
             kind = spec.get("kind")
-            if kind not in _MANIFOLD_KINDS and kind != "tabulated":
+            if kind not in (*_MANIFOLD_KINDS, "tabulated"):  # ==, no hash
                 raise ConfigError(
                     f"unknown manifold kind {kind!r}; choose from "
                     + ", ".join(sorted(_MANIFOLD_KINDS)) + ", tabulated")

@@ -155,7 +155,7 @@ def moser_constant(C_s: float, p: float, n: int, psi_norm: float) -> float:
     the true constant.
 
     Results are cached: a record's delta scan asks for the same few
-    argument sets about a hundred times.
+    argument sets about fifty times.
     """
     if p <= n / 2.0:
         raise BadExponent(f"p = {p} must exceed n/2 = {n / 2}")
@@ -336,12 +336,12 @@ def delta_for_alpha(alpha_target: float, n: int, p: float, D: float,
     delta -> eps_max(delta) -> sigma bound 4 eps_max -> alpha(delta) is
     evaluated by `build_ledger` (sigma, when given, replaces the bound,
     e.g. 0 for exact-solution studies).  No global monotonicity of
-    alpha(delta) is assumed: the scan keeps the largest qualifying grid
-    point and bisects against its larger neighbor.  Returns (delta,
-    alpha_there).
+    alpha(delta) is assumed: the scan runs from the top of the grid down
+    and stops at the first qualifying point, the largest one, then
+    bisects against its larger neighbor.  Returns (delta, alpha_there).
 
-    Raises Unreachable -- carrying best_alpha and best_delta -- when no
-    grid point reaches the target.
+    Raises Unreachable -- carrying best_alpha and best_delta, the first
+    maximum over the grid -- when no grid point reaches the target.
     """
     if not (0.0 < alpha_target < 1.0):
         raise ValueError(f"alpha_target = {alpha_target} not in (0, 1)")
@@ -353,15 +353,17 @@ def delta_for_alpha(alpha_target: float, n: int, p: float, D: float,
 
     grid = [_DELTA_GRID_LO * (DELTA_CAP / _DELTA_GRID_LO) ** (i / (
         _DELTA_GRID_POINTS - 1.0)) for i in range(_DELTA_GRID_POINTS)]
-    alphas = [alpha_of(d) for d in grid]
-    qualifying = [i for i, a in enumerate(alphas) if a >= alpha_target]
-    if not qualifying:
+    alphas = {}
+    for i in reversed(range(len(grid))):
+        alphas[i] = alpha_of(grid[i])
+        if alphas[i] >= alpha_target:
+            break
+    else:
         i_best = max(range(len(grid)), key=lambda i: alphas[i])
         raise Unreachable(
             f"target alpha {alpha_target} unreachable; best "
             f"{alphas[i_best]:.9g} at delta = {grid[i_best]:.6g}",
             best_alpha=alphas[i_best], best_delta=grid[i_best])
-    i = max(qualifying)
     lo, a_lo = grid[i], alphas[i]
     if i + 1 >= len(grid):
         return lo, a_lo

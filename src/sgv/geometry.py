@@ -461,9 +461,9 @@ def kbar(m: Manifold, p: float, H: float) -> float:
     (mean of rho_H^p against the volume measure)^(1/p).
 
     Requires p > n/2.  The integrand has kinks where (n-1)H - rho changes
-    sign and at a tabulated profile's knots, so panels are pre-split
-    there before the adaptive bisection; without the split the Gauss
-    rule would stall at low order across the kink.
+    sign, read off the deficit's own scan, and at a tabulated profile's
+    knots, so panels are pre-split there before the adaptive bisection;
+    without the split the Gauss rule would stall across the kink.
 
     Raises NoConvergence at once for a pole-closed profile with f'' > 0
     at a pole when p >= n: the deficit grows like (2n-3) f''/t there, so
@@ -490,9 +490,7 @@ def kbar(m: Manifold, p: float, H: float) -> float:
     dvals = deficit(scan_t)
     if np.max(dvals) <= 0.0:
         return 0.0
-    # every 8th node is the 1,025-point grid linspace(0, L, 1025) bit for
-    # bit, so the kink search reuses the scan instead of evaluating again
-    kinks = sign_change_points(deficit, scan_t[::8], dvals[::8])
+    kinks = sign_change_points(deficit, scan_t, dvals)
 
     def integrand(t):
         rho, f = _ricci_and_warp(m, t)

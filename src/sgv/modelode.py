@@ -247,7 +247,8 @@ def sharpness_integral(a: float, b: float, eta: float) -> float:
         x = np.sin(phi)
         return (2.0 * a / b) * z_ratio_lin(x, eta)
 
-    probe = q_of_phi(np.linspace(0.0, np.pi / 2.0, 4097))
+    grid = np.linspace(0.0, np.pi / 2.0, 4097)
+    probe = q_of_phi(grid)
     if np.max(np.abs(probe)) >= 1.0:
         raise RatioOutOfRange(
             f"|q| reached {np.max(np.abs(probe)):.6g} >= 1; "
@@ -258,7 +259,6 @@ def sharpness_integral(a: float, b: float, eta: float) -> float:
     breaks: list[float] = []
     hot = np.abs(probe) > 0.9
     if np.any(hot):
-        grid = np.linspace(0.0, np.pi / 2.0, 4097)
         flips = np.nonzero(hot[1:] != hot[:-1])[0]
         breaks = [float(grid[i]) for i in flips]
 

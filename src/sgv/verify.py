@@ -278,6 +278,13 @@ def _error_row(spec: dict, exc: Exception) -> SweepRow:
                     error=f"{type(exc).__name__}: {exc}")
 
 
+def _flat(spec: dict) -> bool:
+    """Periodic with min f = max f, `diameter`'s rule for a flat torus."""
+    m = make_manifold(**{k: v for k, v in spec.items() if k != "id"})
+    f_min, f_max = m.f_range()
+    return m.boundary == "periodic" and f_min == f_max
+
+
 def _run_sweep_row(args) -> SweepRow:
     spec, alpha_target, p, C_s, Lambda_rough = args
     row_id = spec.get("id", "row")
@@ -316,9 +323,9 @@ def sweep(manifold_specs: Sequence[dict], alpha_target: float, p: float,
     Each spec dict holds an "id" plus make_manifold keyword arguments
     (including "kind").  Returns (rows, summary) where summary carries
     the minimum theorem margin among hypothesis-met rows and the largest
-    deviation of the sharpness ratio from 1 among flat (constant-warp)
-    rows.  Row order follows input order regardless of jobs.  A row
-    whose worker process dies carries a BrokenProcessPool error.
+    deviation of the sharpness ratio from 1 among flat rows (periodic,
+    constant warp).  Row order follows input order regardless of jobs.
+    A row whose worker process dies carries a BrokenProcessPool error.
     """
     tasks = [(dict(s), alpha_target, p, C_s, Lambda_rough)
              for s in manifold_specs]
@@ -338,7 +345,7 @@ def sweep(manifold_specs: Sequence[dict], alpha_target: float, p: float,
                if r.record is not None and r.record.hypothesis_met]
     flat_devs = [abs(r.record.sharpness_ratio - 1.0)
                  for r, s in zip(rows, manifold_specs)
-                 if r.record is not None and s.get("kind") == "constant"]
+                 if r.record is not None and _flat(s)]
     summary = {
         "rows": len(rows),
         "errors": sum(1 for r in rows if r.error is not None),

@@ -3,7 +3,8 @@
 Covers:
 - every name in sgv.__all__ resolves
 - the benchmark tracer (perfbench/tracer.py) can wrap every attribute it
-  looks up, so a deleted or renamed function fails here first
+  looks up, so a deleted or renamed function fails here first, and
+  counts one kink search and one func call in a traced `kbar`
 - README's Python quick start runs verbatim and prints the values its
   comments state
 - no module of the package or the tests imports a name it never uses
@@ -45,9 +46,16 @@ def test_tracer_wraps_every_target():
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     original = sgv.verify.lambda1
-    uninstall = tracer.install(tracer.Tracer())
+    tr = tracer.Tracer()
+    uninstall = tracer.install(tr)
     try:
         assert sgv.verify.lambda1 is not original
+        # a wrapped function whose signature the tracer no longer fits
+        # fails here, not in the benchmark's traced pass
+        m = sgv.make_manifold("cosine", L=2.0 * math.pi, c=1.0, beta=0.3)
+        sgv.geometry.kbar(m, 2.0, 0.0)
+        assert tr.counts["quadrature.sign_change_points.calls"] == 1
+        assert tr.counts["quadrature.sign_change_points.func_calls"] == 1
     finally:
         uninstall()
     assert sgv.verify.lambda1 is original

@@ -283,6 +283,18 @@ def test_sweep_unknown_manifold_key(tmp_path, capsys):
     assert "twist" in err
 
 
+@pytest.mark.parametrize("kind", [["sphere"], {"name": "sphere"},
+                                  "klein-bottle"])
+def test_sweep_unknown_manifold_kind(tmp_path, capsys, kind):
+    # a list or an object is no kind either: a config error, not a
+    # TypeError out of the dict lookup
+    cfg = write_sweep_config(tmp_path, manifolds=[
+        {"id": "x", "kind": kind, "L": 3.0}])
+    code, _, err = run(capsys, "sweep", "--config", cfg)
+    assert code == 2
+    assert "unknown manifold kind" in err
+
+
 def test_sweep_missing_settings(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"manifolds": [

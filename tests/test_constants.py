@@ -7,7 +7,8 @@ algebra re-derived in the test plus a few frozen regression values:
 - the certified upper bound on the iteration constant
 - the four admissibility terms and their closed forms
 - the feasibility boundary (term one sits exactly on it)
-- the largest-delta search, including the unreachable branch
+- the largest-delta search, including the unreachable branch, and its
+  top-down scan against a full-grid reference
 - classical reference bounds
 """
 
@@ -26,6 +27,7 @@ from sgv import (
     reference_bounds,
     z_sup,
 )
+import sgv.constants
 from sgv.constants import DELTA_CAP, DELTA_MAX, _b_exponent_constant
 from sgv.errors import BadExponent, DeltaTooLarge, Unreachable
 
@@ -311,6 +313,61 @@ def test_delta_for_alpha_unreachable():
         delta_for_alpha(0.99, 2, 2.0, 4.6, 2.0, 0.5)
     assert 0.0 < exc.value.best_alpha < 0.99
     assert 0.0 < exc.value.best_delta <= DELTA_CAP
+
+
+def full_grid_delta_for_alpha(alpha_target, n, p, D, C_s, Lambda_rough,
+                              sigma=None):
+    """Every grid point evaluated, then the largest qualifying one
+    bisected against its neighbor (reference)."""
+    def alpha_of(d):
+        li = LedgerInput(n=n, p=p, D=D, delta=d, C_s=C_s,
+                         Lambda_rough=Lambda_rough)
+        return build_ledger(li, sigma).grad.alpha
+
+    lo_d = sgv.constants._DELTA_GRID_LO
+    points = sgv.constants._DELTA_GRID_POINTS
+    grid = [lo_d * (DELTA_CAP / lo_d) ** (i / (points - 1.0))
+            for i in range(points)]
+    alphas = [alpha_of(d) for d in grid]
+    qualifying = [i for i, a in enumerate(alphas) if a >= alpha_target]
+    if not qualifying:
+        i_best = max(range(len(grid)), key=lambda i: alphas[i])
+        return "unreachable", alphas[i_best], grid[i_best]
+    i = max(qualifying)
+    lo, a_lo = grid[i], alphas[i]
+    if i + 1 >= len(grid):
+        return lo, a_lo
+    hi = grid[i + 1]
+    while hi - lo > sgv.constants._DELTA_REFINE_REL * hi:
+        mid = 0.5 * (lo + hi)
+        a_mid = alpha_of(mid)
+        if a_mid >= alpha_target:
+            lo, a_lo = mid, a_mid
+        else:
+            hi = mid
+    return lo, a_lo
+
+
+# 1e-6: the top grid point qualifies; 0.99: no point does
+@pytest.mark.parametrize("alpha_target, sigma", [
+    (0.5, None), (0.3, None), (0.5, 0.0), (1e-6, None), (0.99, None)])
+def test_delta_for_alpha_scans_from_the_top(monkeypatch, alpha_target,
+                                            sigma):
+    args = (alpha_target, 2, 2.0, 4.6, 2.0, 0.5, sigma)
+    want = full_grid_delta_for_alpha(*args)
+    ledgers = []
+    build = sgv.constants.build_ledger
+    monkeypatch.setattr(sgv.constants, "build_ledger",
+                        lambda *a: ledgers.append(a) or build(*a))
+    if want[0] == "unreachable":
+        with pytest.raises(Unreachable) as exc:
+            delta_for_alpha(*args)
+        assert (exc.value.best_alpha, exc.value.best_delta) == want[1:]
+        assert len(ledgers) == sgv.constants._DELTA_GRID_POINTS
+    else:
+        assert delta_for_alpha(*args) == want
+        # the scan stops at the largest qualifying point
+        assert len(ledgers) < sgv.constants._DELTA_GRID_POINTS
 
 
 def test_delta_for_alpha_target_validated():

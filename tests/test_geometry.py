@@ -23,6 +23,8 @@ Covers:
   closed-form derivatives are the expressions written out,
   `ricci_min` searches a spline's pieces once, and `kbar`'s integrand
   reads its weight f from the jet its curvature reads
+- `kbar`'s kinks from one chord step against 80-step bisection: the
+  same kbar to 1 ulp on all 32 catalog rows
 - the n = 2 Ricci field against -f''/f, and the exact range of f
 - metamorphic checks: scaling a cosine torus, shifting a periodic spline,
   reflecting a spline profile t -> L - t
@@ -900,7 +902,7 @@ def test_kbar_reads_its_weight_from_the_curvature_jet(monkeypatch):
 
     monkeypatch.setattr(_CubicSpline, "_locate", counting)
     values = [kbar(m, 2.0, 0.0) for m in manifolds]
-    assert sum(located) == 130_774
+    assert sum(located) == 129_382
     # the integrand alone takes the second search; the scan and the kink
     # search keep reading `ricci_min` from one jet
     one_jet = sgv.geometry._ricci_and_warp
@@ -910,7 +912,33 @@ def test_kbar_reads_its_weight_from_the_curvature_jet(monkeypatch):
                         lambda m, t: (one_jet(m, t)[0], m.f(t)))
     located.clear()
     assert [kbar(m, 2.0, 0.0) for m in manifolds] == values
-    assert sum(located) == 155_158
+    assert sum(located) == 153_766
+
+
+def fixed_step_bisection(func, ts, vs, steps=80):
+    """Every bracket of the scan bisected `steps` times (reference)."""
+    flip = np.nonzero(vs[:-1] * vs[1:] < 0.0)[0]
+    lo, hi, flo = ts[flip], ts[flip + 1], vs[flip]
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        fm = func(mid)
+        left = flo * fm <= 0.0
+        lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
+        flo = np.where(left, flo, fm)
+    return sorted([*ts[vs == 0.0].tolist(), *(0.5 * (lo + hi)).tolist()])
+
+
+def test_kbar_kinks_need_no_bisection(monkeypatch):
+    # a panel edge one chord step from the kink gives the Gauss sum of
+    # one bisected to rounding: kbar on every catalog row within 1 ulp
+    manifolds = _catalog_manifolds()
+    assert len(manifolds) == 32
+    shipped = [kbar(m, 2.0, 0.0) for m in manifolds]
+    monkeypatch.setattr(sgv.geometry, "sign_change_points",
+                        fixed_step_bisection)
+    bisected = [kbar(m, 2.0, 0.0) for m in manifolds]
+    assert all(abs(a - b) <= np.spacing(b)
+               for a, b in zip(shipped, bisected))
 
 
 # ===================================================================

@@ -6,9 +6,9 @@
 - a divergent integral raises NoConvergence within MAX_POINTS, and an
   integrand whose rounding noise exceeds the budget raises long before
 - random polynomials on random breakpoints match their antiderivatives
-- the vectorized kink finder agrees with scalar bisection on curvature
-  deficits of a cosine torus and of periodic and pole-closed splines,
-  and its early stop returns the kinks of all 80 steps bit for bit
+- the kink finder's one chord step, from kbar's 8,193-point scan,
+  agrees with scalar bisection on curvature deficits of a cosine torus
+  and of periodic and pole-closed splines, with one func call
 """
 
 import math
@@ -132,20 +132,6 @@ def scalar_sign_change_points(func, a, b, scan=1024, refine_iters=80):
     return roots
 
 
-def fixed_step_bisection(func, ts, vs, steps=80):
-    """Every bracket of the scan bisected `steps` times, with no early
-    stop (reference)."""
-    flip = np.nonzero(vs[:-1] * vs[1:] < 0.0)[0]
-    lo, hi, flo = ts[flip], ts[flip + 1], vs[flip]
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        fm = func(mid)
-        left = flo * fm <= 0.0
-        lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
-        flo = np.where(left, flo, fm)
-    return sorted([*ts[vs == 0.0].tolist(), *(0.5 * (lo + hi)).tolist()])
-
-
 def _kink_manifolds():
     yield make_manifold("cosine", L=2.0 * math.pi, c=1.0, beta=0.3)
     ts = np.linspace(0.0, 2.0 * math.pi, 17)
@@ -163,43 +149,39 @@ def _kink_manifolds():
 @pytest.mark.parametrize("m", list(_kink_manifolds()),
                          ids=["cosine", "periodic-spline", "pole-spline"])
 def test_sign_change_points_match_scalar_bisection(m):
+    # kbar's own 8,193-point scan; one chord step per bracket places the
+    # kinks close enough to split panels (measured: 0, 1.5e-14 and
+    # 1.4e-12 of L from the 80-step bisection)
     def deficit(t):
         return -ricci_min(m, t)
 
     want = scalar_sign_change_points(deficit, 0.0, m.L)
-    ts = np.linspace(0.0, m.L, 1025)
+    ts = np.linspace(0.0, m.L, 8193)
     func, calls = counted(deficit)
     got = sign_change_points(func, ts, deficit(ts))
     assert len(want) >= 2
     assert len(got) == len(want)
-    assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-14 * m.L
-    # the scan comes with the call: one func call per bisection step,
-    # none once the brackets freeze, and the kinks of all 80 steps
-    assert calls["calls"] < 80
-    assert got == fixed_step_bisection(deficit, ts, deficit(ts))
-
-
-def test_sign_change_points_stop_when_brackets_freeze():
-    # brackets of L/1024 reach adjacent doubles after about 45 halvings
-    m = make_manifold("cosine", L=2.0 * math.pi, c=1.0, beta=0.3)
-
-    def deficit(t):
-        return -ricci_min(m, t)
-
-    ts = np.linspace(0.0, m.L, 1025)
-    func, calls = counted(deficit)
-    got = sign_change_points(func, ts, deficit(ts))
-    assert calls["calls"] <= 46
-    assert got == fixed_step_bisection(deficit, ts, deficit(ts))
+    assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-11 * m.L
+    # the scan comes with the call: every bracket's step in one call
+    assert calls["calls"] == 1
 
 
 def test_sign_change_points_keep_exact_zeros_in_order():
     # exact zeros on the scan nodes 0, 0.5 and 1, a crossing at 0.3
-    def func(t):
+    def quartic(t):
         return t * (t - 0.5) * (t - 1.0) * (t - 0.3)
 
-    ts = np.linspace(0.0, 1.0, 9)
-    got = sign_change_points(func, ts, func(ts))
-    assert got == scalar_sign_change_points(func, 0.0, 1.0, scan=8)
+    ts = np.linspace(0.0, 1.0, 1025)
+    func, calls = counted(quartic)
+    got = sign_change_points(func, ts, quartic(ts))
+    assert len(got) == 4
     assert got[0] == 0.0 and got[2] == 0.5 and got[3] == 1.0
-    assert abs(got[1] - 0.3) <= 1e-15
+    # a chord's root misses by about (f''/2f') e h for a bracket of
+    # width h whose endpoint misses by e, so the step from the chord
+    # root misses by about (f''/f')^2 h^3 / 16; twice that is allowed
+    poly = np.polynomial.Polynomial.fromroots([0.0, 0.3, 0.5, 1.0])
+    slope, bend = poly.deriv(1)(0.3), poly.deriv(2)(0.3)
+    h = ts[1] - ts[0]
+    assert abs(got[1] - 0.3) <= (bend / slope) ** 2 * h ** 3 / 8.0
+    assert calls["calls"] == 1
+

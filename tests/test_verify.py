@@ -387,7 +387,8 @@ def test_record_reads_no_z_sup_and_derives_sigma_once(monkeypatch):
     monkeypatch.setattr(sgv.verify, "gradient_constants", counted_grad)
     rec = check_main_theorem(make_cosine(0.05), 0.3, 2.0, 2.0, 0.5)
     assert rec.gradient_margin is not None
-    assert calls["gradient_constants"] > 64  # the delta grid, at least
+    # the delta search's ledgers and the record's own
+    assert calls["gradient_constants"] > 1
     assert calls["z_sup"] == 0
     assert calls["eps_inside"] == 0
 
@@ -420,6 +421,21 @@ def test_sweep_demo_family():
     assert summary["min_theorem_margin"] > 0.0
     assert summary["max_flat_sharpness_deviation"] == pytest.approx(
         0.04, abs=1e-8)
+
+
+def test_sweep_reads_flatness_from_the_warp():
+    # a beta = 0 cosine torus is a flat torus: its warp, not its kind,
+    # puts it in the flat summary, as it gives `diameter` its closed form
+    flat = {"id": "flat-cos", "kind": "cosine", "L": TWO_PI, "c": 0.1,
+            "beta": 0.0}
+    rows, summary = sweep([flat], 0.3, 2.0, 2.0, 0.5)
+    ratio = rows[0].record.sharpness_ratio
+    assert ratio == pytest.approx(1.01, abs=1e-9)
+    assert summary["max_flat_sharpness_deviation"] == abs(ratio - 1.0)
+    wavy = {**flat, "id": "wavy", "beta": 1e-8}
+    sphere = {"id": "sphere", "kind": "sine-sphere", "L": math.pi}
+    _, summary = sweep([wavy, sphere], 0.3, 2.0, 2.0, 0.5)
+    assert summary["max_flat_sharpness_deviation"] is None
 
 
 def test_sweep_captures_row_errors():
