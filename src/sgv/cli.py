@@ -171,8 +171,7 @@ def _cmd_ledger(args) -> int:
 def _cmd_ode_check(args) -> int:
     margins = check_model_inequalities(args.eta, 1.0 - args.delta,
                                        min(args.eta, 1.0 + args.delta),
-                                       u_grid=args.u_grid,
-                                       j_grid=args.j_grid)
+                                       u_grid=args.u_grid)
     u = np.linspace(-1.0 + ENDPOINT_GAP, 1.0 - ENDPOINT_GAP, args.u_grid)
     resid = float(np.max(np.abs(ode_residual(u, args.eta))))
     payload = dict(margins)
@@ -272,11 +271,12 @@ def _load_sweep_config(args):
         raise ConfigError("missing sweep settings: "
                           + ", ".join(missing)
                           + " (set via config file or flags)")
-    # exact types: a bool, though an int subclass, is no number here
+    # exact types (a bool is no number here); NaN fails both bounds
     for key in _SWEEP_NUMBERS:
-        if type(merged[key]) not in (int, float):
+        if (type(merged[key]) not in (int, float)
+                or not -math.inf < merged[key] < math.inf):
             raise ConfigError(f"sweep setting {key} = {merged[key]!r} "
-                              "must be a number")
+                              "must be a finite number")
     if type(merged["jobs"]) is not int or merged["jobs"] < 1:
         raise ConfigError(f"jobs = {merged['jobs']!r} must be an "
                           "integer >= 1")
@@ -381,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=float, default=0.1,
                     help="half-width of the tested J range")
     sp.add_argument("--u-grid", type=int, default=100_000)
-    sp.add_argument("--j-grid", type=int, default=11)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_ode_check)
 

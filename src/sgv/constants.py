@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BadExponent, DeltaTooLarge, NoConvergence, Unreachable
+from .errors import (DeltaTooLarge, NoConvergence, Unreachable,
+                     require_dimension, require_exponent, require_positive)
 from .modelode import z_sup
 
 DELTA_MAX = math.sqrt(10.0) - 3.0
@@ -69,24 +69,14 @@ class LedgerInput:
     Lambda_rough: float
 
     def __post_init__(self):
-        n = self.n
-        # a bool is no dimension, and int() fails on inf and nan
-        if (isinstance(n, bool) or not isinstance(n, numbers.Real)
-                or not (math.isfinite(n) and n == int(n) and n >= 2)):
-            raise ValueError(f"n = {n!r} must be an integer >= 2")
-        object.__setattr__(self, "n", int(n))
-        if self.p <= self.n / 2.0:
-            raise BadExponent(f"p = {self.p} must exceed n/2 = {self.n / 2}")
-        if self.D <= 0.0:
-            raise ValueError(f"D = {self.D} must be positive")
+        object.__setattr__(self, "n", require_dimension(self.n, "n"))
+        require_exponent(self.p, self.n)
+        require_positive("D", self.D)
         if not (0.0 < self.delta <= DELTA_CAP):
             raise DeltaTooLarge(
                 f"delta = {self.delta} outside (0, {DELTA_CAP:.9f}]")
-        if self.C_s <= 0.0:
-            raise ValueError(f"C_s = {self.C_s} must be positive")
-        if self.Lambda_rough <= 0.0:
-            raise ValueError(
-                f"Lambda_rough = {self.Lambda_rough} must be positive")
+        require_positive("C_s", self.C_s)
+        require_positive("Lambda_rough", self.Lambda_rough)
 
 
 @dataclass(frozen=True)
@@ -117,7 +107,7 @@ def gradient_constants(inp: LedgerInput, sigma: float) -> GradientConstants:
     """Closed-form constants of the gradient estimate for one delta and
     ground-state shift sigma."""
     d = inp.delta
-    if sigma < 0.0:
+    if not (sigma >= 0.0):
         raise ValueError(f"sigma = {sigma} must be >= 0")
     tau = tau_of(d)
     A = 2.0 * d * (1.0 + d)
@@ -157,12 +147,10 @@ def moser_constant(C_s: float, p: float, n: int, psi_norm: float) -> float:
     Results are cached: a record's delta scan asks for the same few
     argument sets about fifty times.
     """
-    if p <= n / 2.0:
-        raise BadExponent(f"p = {p} must exceed n/2 = {n / 2}")
-    if psi_norm < 1.0:
-        raise ValueError(f"psi_norm = {psi_norm} must be >= 1")
-    if C_s <= 0.0:
-        raise ValueError("C_s must be positive")
+    require_exponent(p, n)
+    if not (1.0 <= psi_norm < math.inf):
+        raise ValueError(f"psi_norm = {psi_norm} must be finite and >= 1")
+    require_positive("C_s", C_s)
     s = 2.0 * p / n
     r = (s + 1.0) / 2.0
     mu = r * n / (r * n - 2.0)
@@ -270,10 +258,8 @@ def gallot_feasible(eps: float, n: int, p: float, D: float):
 
     Returns (feasible, alpha_tilde).
     """
-    if p <= n / 2.0:
-        raise BadExponent(f"p = {p} must exceed n/2 = {n / 2}")
-    if D <= 0.0:
-        raise ValueError("D must be positive")
+    require_exponent(p, n)
+    require_positive("D", D)
     B_pn, alpha_tilde = _volume_rate(p, n, D)
     grow = math.expm1(B_pn * alpha_tilde * D)
     rhs = (n - 1.0) * alpha_tilde ** 2 * (
@@ -384,8 +370,7 @@ def reference_bounds(n: int, H: float, D: float, s: float = 0.5) -> dict:
     Returns a dict with keys lichnerowicz (None unless H > 0),
     zhong_yang, yang (None unless H < 0), shi_zhang.
     """
-    if D <= 0.0:
-        raise ValueError("D must be positive")
+    require_positive("D", D)
     if not (0.0 < s < 1.0):
         raise ValueError("s must lie in (0, 1)")
     base = math.pi ** 2 / D ** 2

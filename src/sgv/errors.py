@@ -1,9 +1,14 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the admissibility rules.
 
 Every failure mode that a caller can reasonably branch on gets its own
 class; plain ValueError is reserved for malformed arguments that indicate
 a programming error rather than a geometric or numerical condition.
+Three rules, `require_dimension`, `require_exponent` and `require_positive`,
+say once what the theorem admits, in comparisons that NaN and +-inf fail.
 """
+
+import math
+import numbers
 
 
 class SgvError(Exception):
@@ -20,7 +25,7 @@ class BadPoleClosure(SgvError):
 
 
 class BadExponent(SgvError):
-    """An integrability exponent p <= n/2, outside the admissible range."""
+    """An integrability exponent p outside the admissible range (n/2, inf)."""
 
 
 class NoConvergence(SgvError):
@@ -78,3 +83,23 @@ class EmptySeries(SgvError):
 
 class ConfigError(SgvError):
     """Malformed run configuration (unknown keys, bad values, bad JSON)."""
+
+
+def require_dimension(n, label: str) -> int:
+    """n as an int; ValueError unless n is an integer >= 2 (no bool)."""
+    if (isinstance(n, bool) or not isinstance(n, numbers.Real)
+            or not (math.isfinite(n) and n == int(n) and n >= 2)):
+        raise ValueError(f"{label} = {n!r} must be an integer >= 2")
+    return int(n)
+
+
+def require_exponent(p: float, n: int) -> None:
+    """BadExponent unless n/2 < p < inf."""
+    if not (n / 2.0 < p < math.inf):
+        raise BadExponent(f"p = {p} must be finite and exceed n/2 = {n / 2}")
+
+
+def require_positive(name: str, value: float) -> None:
+    """ValueError unless 0 < value < inf."""
+    if not (0.0 < value < math.inf):
+        raise ValueError(f"{name} = {value} must be positive and finite")

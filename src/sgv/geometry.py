@@ -56,7 +56,6 @@ what `ricci_min` evaluates.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -64,8 +63,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from ._quadrature import adaptive_panels, sign_change_points
-from .errors import (BadExponent, BadPoleClosure, NoConvergence,
-                     NonPositiveWarp)
+from .errors import (BadPoleClosure, NoConvergence, NonPositiveWarp,
+                     require_dimension, require_exponent)
 
 _CLOSURE_TOL = 1e-10
 # the fields beyond L and n each kind reads, and its closure if it has one
@@ -264,12 +263,8 @@ class Manifold:
                 raise ValueError("tabulated nodes must span [0, L]")
             object.__setattr__(self, "ts", spline.x)
             object.__setattr__(self, "_spline", spline)
-        n = self.n
-        # a bool is no dimension, and int() fails on inf and nan
-        if (isinstance(n, bool) or not isinstance(n, numbers.Real)
-                or not (math.isfinite(n) and n == int(n) and n >= 2)):
-            raise ValueError(f"dimension n = {n!r} must be an integer >= 2")
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n",
+                           require_dimension(self.n, "dimension n"))
         # exact extremes; a pole-closed profile is 0 at its ends, so its
         # minimum is taken over the open interval (0, L)
         f_min, scale = self.f_range()
@@ -469,8 +464,7 @@ def kbar(m: Manifold, p: float, H: float) -> float:
     at a pole when p >= n: the deficit grows like (2n-3) f''/t there, so
     the integrand grows like t^(n-1-p) and the integral diverges.
     """
-    if p <= m.n / 2.0:
-        raise BadExponent(f"p = {p} must exceed n/2 = {m.n / 2.0}")
+    require_exponent(p, m.n)
     n = m.n
     if m.boundary == "pole-closed" and p >= n:
         for pole in (0.0, m.L):

@@ -35,7 +35,7 @@ import numpy as np
 
 from ._quadrature import adaptive_panels
 from .errors import (EndpointSecondDerivative, HypothesisViolation,
-                     RatioOutOfRange)
+                     RatioOutOfRange, require_positive)
 
 _PSI_SWITCH = 0.25
 # distance from u = +-1 of the inequality grid's end points
@@ -75,8 +75,7 @@ def _unit_profile(u_abs: np.ndarray) -> np.ndarray:
 
 
 def _check_domain(u: np.ndarray, eta: float) -> None:
-    if eta <= 0.0:
-        raise ValueError(f"eta = {eta} must be positive")
+    require_positive("eta", eta)
     if np.any(np.abs(u) > 1.0):
         raise ValueError("u outside [-1, 1]")
 
@@ -161,8 +160,7 @@ def z_sup(eta: float):
     Z' vanishes exactly where sqrt(1 - u^2) = pi/4, i.e. at
     u* = sqrt(1 - pi^2/16), the unique interior critical point.
     """
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
+    require_positive("eta", eta)
     ustar = np.sqrt(1.0 - np.pi ** 2 / 16.0)
     return float(ustar), float(z_value(float(ustar), eta))
 
@@ -170,8 +168,7 @@ def z_sup(eta: float):
 def check_model_inequalities(eta: float,
                              J_lo: float,
                              J_hi: float,
-                             u_grid: int = 100_000,
-                             j_grid: int = 11) -> dict:
+                             u_grid: int = 100_000) -> dict:
     """Worst-case margins of the three pointwise comparison inequalities.
 
     Over u in [-1 + ENDPOINT_GAP, 1 - ENDPOINT_GAP] and J in
@@ -182,15 +179,16 @@ def check_model_inequalities(eta: float,
        m3 = eta (1 - u^2) - 2 |Z|            (amplitude ceiling)
 
     are all provably >= 0 when 1 < eta and J <= eta; the returned margins
-    are their grid minima.  m1 -> 0 and m3 -> 0 at the endpoints, so the
+    are their minima over the u grid and, m1 being monotone in J even when
+    rounded, over {J_lo, J_hi}.  m1 -> 0 and m3 -> 0 at the endpoints, so the
     product Z'' * Z is evaluated through the endpoint-stable ratio
     Z / sqrt(1 - u^2) to keep roundoff far below certification slack.
 
     Raises HypothesisViolation if J_hi > eta (the inequalities are
-    simply false beyond that ceiling) and ValueError for eta <= 1.
+    simply false beyond that ceiling) and ValueError unless 1 < eta < inf.
     """
-    if eta <= 1.0:
-        raise ValueError(f"eta = {eta} must exceed 1")
+    if not (1.0 < eta < math.inf):
+        raise ValueError(f"eta = {eta} must be finite and exceed 1")
     if J_hi > eta:
         raise HypothesisViolation(f"J_hi = {J_hi} exceeds eta = {eta}")
     if not (0.0 < J_lo <= J_hi):
@@ -200,9 +198,7 @@ def check_model_inequalities(eta: float,
     # -2 Z'' Z = (8 eta / pi) * u * (Z / sqrt(1 - u^2)) without blowup
     prod = (8.0 * eta / np.pi) * u * z_ratio_sqrt(u, eta)
     base = zp * zp / eta + zp
-    m1 = np.inf
-    for J in np.linspace(J_lo, J_hi, j_grid):
-        m1 = min(m1, float(np.min(base + prod / J)))
+    m1 = min(float(np.min(base + prod / J)) for J in (J_lo, J_hi))
     zv = z_value(u, eta)
     m2 = float(np.min(2.0 * zv - u * zp + eta))
     m3 = float(np.min(eta * (1.0 - u) * (1.0 + u) - 2.0 * np.abs(zv)))
@@ -240,8 +236,8 @@ def sharpness_integral(a: float, b: float, eta: float) -> float:
     """
     if not (0.0 <= a < 1.0):
         raise ValueError(f"a = {a} must lie in [0, 1)")
-    if eta <= 0.0 or b <= 0.0:
-        raise ValueError("b and eta must be positive")
+    require_positive("b", b)
+    require_positive("eta", eta)
 
     def q_of_phi(phi):
         x = np.sin(phi)

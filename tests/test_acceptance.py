@@ -144,8 +144,7 @@ def test_criterion_04_model_inequality_margins():
     worst_resid = 0.0
     u = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 100_000)
     for eta in ETAS:
-        out = check_model_inequalities(eta, 2.0 - eta, eta,
-                                       u_grid=100_000, j_grid=11)
+        out = check_model_inequalities(eta, 2.0 - eta, eta, u_grid=100_000)
         worst_margin = min(worst_margin, out["min_margin"])
         worst_resid = max(worst_resid,
                           float(np.max(ode_residual(u, eta))))

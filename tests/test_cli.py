@@ -203,6 +203,42 @@ def test_ode_check_passes(capsys):
                                               rel=1e-12)
 
 
+def test_ode_check_has_no_j_grid(capsys):
+    # the J range is read at its two ends, where m1 has its minimum
+    with pytest.raises(SystemExit) as exc:
+        main(["ode-check", "--eta", "1.1", "--j-grid", "11"])
+    assert exc.value.code == 2
+
+
+LEDGER_ARGS = ("ledger", "--n", "2", "--p", "2", "--delta", "0.1",
+               "--Lambda", "0.5")
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (("verify", "--manifold", "cosine-torus", "--L", "6.2832",
+      "--c", "0.5", "--beta", "1e-8", "--alpha-target", "0.3",
+      "--Cs", "2", "--Lambda", "inf"),
+     "Lambda_rough = inf must be positive and finite"),
+    (LEDGER_ARGS + ("--D", "nan", "--Cs", "2"),
+     "D = nan must be positive and finite"),
+    (LEDGER_ARGS + ("--D", "3", "--Cs", "inf"),
+     "C_s = inf must be positive and finite"),
+])
+def test_non_finite_input_is_config_error(capsys, argv, shown):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"config error: {shown}\n"
+
+
+def test_infinite_exponent_is_bad_exponent(capsys):
+    code, out, err = run(capsys, *LEDGER_ARGS, "--D", "3", "--Cs", "2",
+                         "--p", "inf")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("invariant violation (BadExponent): p = inf")
+
+
 def test_verify_flat_torus(capsys):
     code, out, _ = run(capsys, "verify", "--manifold", "flat-torus",
                        "--L", str(TWO_PI), "--c", "0.1",
@@ -373,6 +409,9 @@ def test_sweep_flat_torus_with_beta_is_row_error(tmp_path, capsys):
     ("jobs", "2"), ("jobs", 0), ("jobs", 1.5), ("jobs", True),
     ("alpha_target", "0.3"), ("p", True),
     ("Lambda_rough", [0.5]), ("C_s", {"value": 2.0}),
+    # json reads NaN and Infinity as floats
+    ("C_s", math.nan), ("Lambda_rough", math.inf), ("p", -math.inf),
+    ("alpha_target", math.nan),
 ])
 def test_sweep_setting_of_wrong_type(tmp_path, capsys, setting, value):
     cfg = write_sweep_config(tmp_path, **{setting: value})

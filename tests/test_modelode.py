@@ -168,6 +168,18 @@ def test_margin_keys_and_min():
                                     out["oscillation"], out["amplitude"])
 
 
+@pytest.mark.parametrize("eta, J_lo, J_hi", [
+    (1.1, 0.9, 1.1), (1.0001, 0.5, 1.0), (1.3, 1.2, 1.25), (2.0, 0.1, 2.0),
+])
+def test_gradient_form_is_the_minimum_over_the_J_range(eta, J_lo, J_hi):
+    # bit for bit: m1 is monotone in J at each u, also when rounded
+    out = check_model_inequalities(eta, J_lo, J_hi, u_grid=2001)
+    dense = min(
+        check_model_inequalities(eta, J, J, u_grid=2001)["gradient_form"]
+        for J in np.linspace(J_lo, J_hi, 1001))
+    assert out["gradient_form"] == dense
+
+
 def test_ceiling_enforced():
     with pytest.raises(HypothesisViolation):
         check_model_inequalities(1.1, 0.9, 1.1000001)
