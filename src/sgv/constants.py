@@ -36,7 +36,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (DeltaTooLarge, NoConvergence, Unreachable,
-                     require_dimension, require_exponent, require_positive)
+                     require_dimension, require_exponent, require_finite,
+                     require_positive)
 from .modelode import z_sup
 
 DELTA_MAX = math.sqrt(10.0) - 3.0
@@ -147,6 +148,7 @@ def moser_constant(C_s: float, p: float, n: int, psi_norm: float) -> float:
     Results are cached: a record's delta scan asks for the same few
     argument sets about fifty times.
     """
+    n = require_dimension(n, "n")
     require_exponent(p, n)
     if not (1.0 <= psi_norm < math.inf):
         raise ValueError(f"psi_norm = {psi_norm} must be finite and >= 1")
@@ -258,6 +260,7 @@ def gallot_feasible(eps: float, n: int, p: float, D: float):
 
     Returns (feasible, alpha_tilde).
     """
+    n = require_dimension(n, "n")
     require_exponent(p, n)
     require_positive("D", D)
     B_pn, alpha_tilde = _volume_rate(p, n, D)
@@ -370,6 +373,8 @@ def reference_bounds(n: int, H: float, D: float, s: float = 0.5) -> dict:
     Returns a dict with keys lichnerowicz (None unless H > 0),
     zhong_yang, yang (None unless H < 0), shi_zhang.
     """
+    n = require_dimension(n, "n")
+    require_finite("H", H)
     require_positive("D", D)
     if not (0.0 < s < 1.0):
         raise ValueError("s must lie in (0, 1)")

@@ -3,8 +3,9 @@
 Every failure mode that a caller can reasonably branch on gets its own
 class; plain ValueError is reserved for malformed arguments that indicate
 a programming error rather than a geometric or numerical condition.
-Three rules, `require_dimension`, `require_exponent` and `require_positive`,
-say once what the theorem admits, in comparisons that NaN and +-inf fail.
+Four rules, `require_dimension`, `require_exponent`, `require_positive` and
+`require_finite`, say once what the theorem admits, in comparisons that NaN
+and +-inf fail.
 """
 
 import math
@@ -103,3 +104,9 @@ def require_positive(name: str, value: float) -> None:
     """ValueError unless 0 < value < inf."""
     if not (0.0 < value < math.inf):
         raise ValueError(f"{name} = {value} must be positive and finite")
+
+
+def require_finite(name: str, value: float) -> None:
+    """ValueError unless -inf < value < inf."""
+    if not (-math.inf < value < math.inf):
+        raise ValueError(f"{name} = {value} must be finite")

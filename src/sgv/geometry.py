@@ -64,7 +64,7 @@ from scipy.linalg import solve_banded
 
 from ._quadrature import adaptive_panels, sign_change_points
 from .errors import (BadPoleClosure, NoConvergence, NonPositiveWarp,
-                     require_dimension, require_exponent)
+                     require_dimension, require_exponent, require_finite)
 
 _CLOSURE_TOL = 1e-10
 # the fields beyond L and n each kind reads, and its closure if it has one
@@ -336,9 +336,7 @@ class Manifold:
         piece's quadratic f'.  A piece where f is constant has no such
         root, and its knots hold its value.
         """
-        if self.kind == "constant":
-            return self.c, self.c
-        if self.kind == "cosine":
+        if self.kind in ("constant", "cosine"):  # a constant has beta 0
             return (self.c * (1.0 - abs(self.beta)),
                     self.c * (1.0 + abs(self.beta)))
         if self.kind == "sine-sphere":
@@ -455,16 +453,18 @@ def kbar(m: Manifold, p: float, H: float) -> float:
     """Normalized integral curvature norm
     (mean of rho_H^p against the volume measure)^(1/p).
 
-    Requires p > n/2.  The integrand has kinks where (n-1)H - rho changes
-    sign, read off the deficit's own scan, and at a tabulated profile's
-    knots, so panels are pre-split there before the adaptive bisection;
-    without the split the Gauss rule would stall across the kink.
+    Requires p > n/2 and a finite H.  The integrand has kinks where
+    (n-1)H - rho changes sign, read off the deficit's own scan, and at a
+    tabulated profile's knots, so panels are pre-split there before the
+    adaptive bisection; without the split the Gauss rule would stall
+    across the kink.
 
     Raises NoConvergence at once for a pole-closed profile with f'' > 0
     at a pole when p >= n: the deficit grows like (2n-3) f''/t there, so
     the integrand grows like t^(n-1-p) and the integral diverges.
     """
     require_exponent(p, m.n)
+    require_finite("H", H)
     n = m.n
     if m.boundary == "pole-closed" and p >= n:
         for pole in (0.0, m.L):
@@ -704,29 +704,28 @@ def diameter(m: Manifold) -> DiameterBracket:
     (t1, theta1).  So D = max over (t0, t1) of g(t0, t1) =
     d((t0, 0), (t1, pi)).  `_antipodal_bounds` gives U >= g on the lattice
     of spacing h = L / N, and g is 1-Lipschitz in each endpoint along
-    meridians, so hi = max U + h.  It sweeps theta only to pi/2: a curve
-    to (t1, pi) crosses theta = pi/2 at some t, and the rotation by pi/2
-    is an isometry, so g(t0, t1) is the least over t of
-    d((t0, 0), (t, pi/2)) + d((t, 0), (t1, pi/2)), one min-plus product
-    of the half sweep with itself.  The meridian transform M is
-    idempotent, so with A a step of the sweep, (MA)^8 M (MA)^8 M =
-    (MA)^16 M: in exact arithmetic the product is the bound of the
-    16-step sweep over [0, pi], from the same lattice curves.  Where f
-    on the lattice matches its mirror image, (t, theta) -> (L - t, theta)
-    is an isometry that maps the lattice onto itself, g(L - t0, L - t1)
-    = g(t0, t1), and the sweep runs from half the sources.
+    meridians, so hi = max U + h.  `_antipodal_bounds` sweeps theta only
+    to pi/2 and joins the halves with one min-plus product, from half the
+    sources where f on the lattice matches its mirror image.
 
     For lo, a curve from (t, 0) to (t + L/2, pi) has t-variation at least
     L/2 and integral of f |dtheta| at least pi min f, so its length is at
-    least hypot(L/2, pi min f).  A straight coordinate curve is at most
-    hypot(L/2, pi max f) long, so where min f = max f (`f_range`), a
-    constant warp, lo is D exactly and no sweep runs.
+    least hypot(L/2, pi min f).  Every antipodal pair is joined by a
+    straight coordinate curve, t linear in theta over [0, pi] with
+    |dt| <= L/2, of length int sqrt((dt/pi)^2 + f^2) dtheta <=
+    hypot(L/2, pi max f) =: S.  The sweep's hi is never below lo + h: N
+    is even, so (t, t + L/2) is a lattice pair and max U >= lo.  So
+    where S <= lo + h, S is hi, no wider than the sweep's, and no sweep
+    runs; a constant warp has S = lo, D exactly.  Neither end is rounded
+    outward: lo is not, and U is a curve length up to rounding.
     """
     if m.boundary == "pole-closed":
         return DiameterBracket(lo=m.L, hi=m.L, converged=True, grid=0)
     f_min, f_max = m.f_range()
     lo = math.hypot(m.L / 2.0, np.pi * f_min)
-    if f_min == f_max:
-        return DiameterBracket(lo=lo, hi=lo, converged=True, grid=0)
-    hi = float(_antipodal_bounds(m).max()) + m.L / SWEEP_ROWS
+    straight = math.hypot(m.L / 2.0, np.pi * f_max)
+    h = m.L / SWEEP_ROWS
+    if straight <= lo + h:
+        return DiameterBracket(lo=lo, hi=straight, converged=True, grid=0)
+    hi = float(_antipodal_bounds(m).max()) + h
     return DiameterBracket(lo=lo, hi=hi, converged=True, grid=SWEEP_ROWS)

@@ -279,7 +279,7 @@ def _error_row(spec: dict, exc: Exception) -> SweepRow:
 
 
 def _flat(spec: dict) -> bool:
-    """Periodic with min f = max f, `diameter`'s rule for a flat torus."""
+    """Periodic with min f = max f: a flat torus, whose diameter is exact."""
     m = make_manifold(**{k: v for k, v in spec.items() if k != "id"})
     f_min, f_max = m.f_range()
     return m.boundary == "periodic" and f_min == f_max

@@ -223,6 +223,12 @@ LEDGER_ARGS = ("ledger", "--n", "2", "--p", "2", "--delta", "0.1",
      "D = nan must be positive and finite"),
     (LEDGER_ARGS + ("--D", "3", "--Cs", "inf"),
      "C_s = inf must be positive and finite"),
+    (("curvature", "--manifold", "cosine-torus", "--L", "6.2832",
+      "--c", "1.0", "--beta", "0.3", "--H", "nan"),
+     "H = nan must be finite"),
+    (("kbar", "--manifold", "cosine-torus", "--L", "6.2832",
+      "--c", "1.0", "--beta", "0.3", "--p", "2", "--H=-inf"),
+     "H = -inf must be finite"),
 ])
 def test_non_finite_input_is_config_error(capsys, argv, shown):
     code, out, err = run(capsys, *argv)

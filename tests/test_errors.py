@@ -5,6 +5,8 @@ Lambda_rough, eta and b.  Every entry point that reads one of them must
 reject NaN, +inf, -inf and 0.0 with the rule's own error: BadExponent
 for p, ValueError otherwise.  A comparison of the form `x <= 0.0` lets
 NaN through, so each case here fails if its rule is written that way.
+The curvature level H may be any finite number, and the dimension n
+any integer >= 2.
 """
 
 import math
@@ -53,6 +55,35 @@ def test_entry_point_rejects_inadmissible_value(case, value):
         CASES[case](value)
 
 
+# (entry point, quantity) -> a call with that quantity set to v, for the
+# quantities that admit 0 and either sign
+FINITE_CASES = {
+    "kbar-H": lambda v: kbar(WAVY, 2.0, v),
+    "reference_bounds-H": lambda v: reference_bounds(2, v, 3.0),
+}
+DIMENSION_CASES = {
+    "moser_constant-n": lambda v: moser_constant(2.0, 2.0, v, 1.0),
+    "gallot_feasible-n": lambda v: gallot_feasible(1e-4, v, 2.0, 3.5),
+    "reference_bounds-n": lambda v: reference_bounds(v, -1.0, 3.0),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("case", sorted(FINITE_CASES))
+def test_entry_point_rejects_non_finite_value(case, value):
+    with pytest.raises(ValueError, match=f"H = {value} must be finite"):
+        FINITE_CASES[case](value)
+
+
+@pytest.mark.parametrize("value", [1, 0, 2.5, math.nan, math.inf, True],
+                         ids=["one", "zero", "2.5", "nan", "inf", "bool"])
+@pytest.mark.parametrize("case", sorted(DIMENSION_CASES))
+def test_entry_point_rejects_inadmissible_dimension(case, value):
+    with pytest.raises(ValueError, match=r"n = .* must be an integer >= 2"):
+        DIMENSION_CASES[case](value)
+
+
 def test_sigma_nan_is_rejected():
     with pytest.raises(ValueError, match="sigma = nan must be >= 0"):
         gradient_constants(LedgerInput(**LEDGER), math.nan)
@@ -61,3 +92,9 @@ def test_sigma_nan_is_rejected():
 def test_valid_inputs_pass_every_rule():
     for case, call in CASES.items():
         call(2.0 if case.endswith("-p") else 1.1)
+    for call in FINITE_CASES.values():
+        for H in (-1.0, 0.0, 1e-3):
+            call(H)
+    for call in DIMENSION_CASES.values():
+        for n in (2, 3, 3.0):
+            call(n)

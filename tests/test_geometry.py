@@ -8,8 +8,11 @@ Covers:
 - diameter: the exact bracket of every constant warp (flat tori, a
   beta = 0 cosine torus, a constant spline), D = L on pole-closed
   profiles, brackets holding the exact diameter of near-flat cosine
-  tori, sweep bounds above the flat lower bound on near-flat tori and
-  the periodic catalog splines, the half-source route read off the
+  tori, the closed-form hi on exactly the 13 periodic catalog rows
+  where the straight curve fits under lo + h (the sweep's hi never
+  below it there, and above the sweep's elsewhere), sweep bounds
+  above the flat lower bound on near-flat tori and the periodic
+  catalog splines, the half-source route read off the
   samples of f as `_mirror_pair` reads it off the pencil (on all 27
   periodic catalog rows), the mirrored route of cosine tori and of the
   mirror-symmetric spline against the all-sources route bit for bit,
@@ -487,12 +490,14 @@ NEAR_FLAT_C = [0.05, 0.2, 1.0, 3.0]
 @pytest.mark.parametrize("c", NEAR_FLAT_C)
 def test_near_flat_cosine_bracket_holds_exact_diameter(c):
     # at beta -> 0 the torus is flat and D = hypot(L/2, pi c); the graph
-    # search sat 0.03-0.23 above it, and 2e-15 below it at c = 1
+    # search sat 0.03-0.23 above it, and 2e-15 below it at c = 1; the
+    # straight curve gives hi to 1e-7, with no sweep
     m = make_cosine(beta=1e-9, c=c)
     br = diameter(m)
     exact = math.hypot(math.pi, math.pi * c)
     assert br.lo <= exact <= br.hi <= 1.02 * exact
-    assert br.grid == SWEEP_ROWS
+    assert br.grid == 0
+    assert (br.hi - br.lo) <= 1e-7 * br.hi
 
 
 def _catalog_manifolds(periodic_only=False):
@@ -510,6 +515,25 @@ def _catalog_manifolds(periodic_only=False):
         for row in workloads.reference_rows()]
     return [m for m in manifolds
             if m.boundary == "periodic" or not periodic_only]
+
+
+def test_closed_form_hi_exactly_where_the_sweep_cannot_beat_it():
+    # the sweep's hi is max U + h with max U >= lo, so where the straight
+    # curve fits under lo + h it is the bracket's hi, and elsewhere it
+    # lies above the sweep's
+    closed = 0
+    for m in _catalog_manifolds(periodic_only=True):
+        br = diameter(m)
+        straight = math.hypot(m.L / 2.0, math.pi * m.f_range()[1])
+        sweep_hi = float(_antipodal_bounds(m).max()) + m.L / SWEEP_ROWS
+        if straight <= br.lo + m.L / SWEEP_ROWS:
+            closed += 1
+            assert (br.grid, br.hi) == (0, straight), m.describe()
+            assert sweep_hi >= straight, m.describe()
+        else:
+            assert (br.grid, br.hi) == (SWEEP_ROWS, sweep_hi), m.describe()
+            assert straight > br.hi, m.describe()
+    assert closed == 13
 
 
 def _periodic_catalog_splines():
@@ -637,11 +661,13 @@ def test_mirrored_sweep_is_the_full_sweep(c, beta, monkeypatch):
 
 def test_mirrored_sweep_matches_unsymmetrized_sweep(monkeypatch):
     # sampled at every row, f(t_i) and f(t_{N-i}) differ by rounding;
-    # the full sweep over those samples moves hi by rounding only
-    his = [diameter(make_cosine(beta, c=c)).hi for c, beta in WAVY_ROWS]
+    # the full sweep over those samples moves max U by rounding only,
+    # also on the rows where `diameter` takes the closed form
+    his = [_antipodal_bounds(make_cosine(beta, c=c)).max()
+           for c, beta in WAVY_ROWS]
     monkeypatch.setattr(sgv.geometry, "_mirrored", lambda f: False)
     for (c, beta), hi in zip(WAVY_ROWS, his):
-        full = diameter(make_cosine(beta, c=c)).hi
+        full = _antipodal_bounds(make_cosine(beta, c=c)).max()
         assert abs(hi - full) <= 4 * np.spacing(full), (c, beta)
 
 
@@ -707,6 +733,7 @@ def test_sweep_hi_matches_extended_precision():
     (lambda: make_cosine(beta=0.3, c=0.5), SWEEP_STEPS // 2),
     (lambda: _periodic_catalog_splines()[0], SWEEP_STEPS // 2),
     (lambda: make_flat(c=0.2), 0),
+    (lambda: make_cosine(beta=1e-8, c=0.5), 0),
     (lambda: make_manifold("sine-sphere", n=3, L=math.pi), 0),
 ])
 def test_diameter_runs_half_the_meridian_transforms(build, transforms,
