@@ -42,8 +42,9 @@ _MANIFOLD_KINDS = {
 
 _SWEEP_NUMBERS = ("alpha_target", "p", "C_s", "Lambda_rough")
 _SWEEP_KEYS = {"manifolds", "jobs", *_SWEEP_NUMBERS}
-_MANIFOLD_SPEC_KEYS = {"id", "kind", "n", "L", "c", "fiber", "beta",
-                       "ts", "fs", "boundary"}
+_MANIFOLD_NUMBERS = {"n", "L", "c", "fiber", "beta"}
+_MANIFOLD_SPEC_KEYS = {"id", "kind", "ts", "fs", "boundary",
+                       *_MANIFOLD_NUMBERS}
 
 
 def _setup_logging() -> None:
@@ -239,6 +240,9 @@ def _load_sweep_config(args):
         if unknown:
             raise ConfigError(
                 f"unknown config keys: {', '.join(sorted(unknown))}")
+        if type(cfg.get("manifolds", [])) is not list:
+            raise ConfigError(f"manifolds = {cfg['manifolds']!r} must be a "
+                              "list of objects")
         for spec in cfg.get("manifolds", []):
             if not isinstance(spec, dict):
                 raise ConfigError("each manifold entry must be an object")
@@ -246,6 +250,15 @@ def _load_sweep_config(args):
             if bad:
                 raise ConfigError(
                     f"unknown manifold keys: {', '.join(sorted(bad))}")
+            # exact types, as for the sweep settings: make_manifold would
+            # read "3" or true as 3.0 or 1.0
+            for key in _MANIFOLD_NUMBERS.intersection(spec):
+                if type(spec[key]) not in (int, float):
+                    raise ConfigError(f"manifold {key} = {spec[key]!r} "
+                                      "must be a number")
+            if type(spec.get("id", "")) is not str:
+                raise ConfigError(f"manifold id = {spec['id']!r} must be "
+                                  "a string")
             kind = spec.get("kind")
             if kind not in (*_MANIFOLD_KINDS, "tabulated"):  # ==, no hash
                 raise ConfigError(

@@ -591,7 +591,7 @@ def _step_lengths(m: Manifold, f: np.ndarray, h: float,
 
 def _mirrored(f: np.ndarray) -> bool:
     """Whether samples f on rows 0..N match f[N - i] to 16 eps max f,
-    the floor `spectral._mirror_pair` puts on the pencils of f."""
+    the floor `spectral._mirror_halves` puts on the pencils of f."""
     return (np.max(np.abs(f - f[::-1]))
             <= 16.0 * np.finfo(float).eps * np.max(f))
 

@@ -15,9 +15,10 @@ and handles the pole-closed case naturally because the edge weight
 f^{n-1} vanishes at the poles -- no boundary condition is imposed beyond
 what the geometry already encodes.
 
-One entry point, `_eigenpair(dis, index)`, returns the lowest (index 0)
-or second-lowest (index 1) pair of either closure type, each from one
-route without subspace iteration (at most a scalar root solve):
+One entry point, `_eigenpair(dis, index, start)`, returns the lowest
+(index 0) or second-lowest (index 1) pair of either closure type, each
+from one route without subspace iteration (at most a scalar root
+solve).  Without start:
 
   * pole-closed pencils are symmetric tridiagonal after the congruence
     B = M^{-1/2} K M^{-1/2}; LAPACK's bisection + inverse iteration
@@ -26,18 +27,28 @@ route without subspace iteration (at most a scalar root solve):
   * periodic pencils that commute with the reversal i -> N-1-i (a
     mirror-symmetric profile, f(L - t) = f(t), on an even grid) split
     into an even and an odd half, tridiagonal pencils on N/2 cells
-    (`_mirror_pair`).
+    (`_mirror_halves`, `_mirror_pair`).
   * every other periodic pencil is tridiagonal plus the rank-one corner
     update u u^T, so its pairs are roots of a secular equation between
     the interlacing eigenvalues of the cut-open tridiagonal
     (`_rank_one_pair`).
 
+A Richardson chain solves the same pencil on grids N, 2N, 4N, and from
+the second grid on `start` is the pair of the grid below.  Interpolated
+onto the finer grid, it starts Rayleigh-quotient iteration, one O(N)
+tridiagonal solve per step on the same route's pencil (the half of the
+start's parity, or T + u u^T through Sherman-Morrison), and Sturm counts
+at the Rayleigh quotient plus and minus the residual certify that the
+vector is the index-th pair (`_continued_pair`).  Where the certificate
+fails, or the split finds the pair tied across its halves (the base
+circle of a flat torus), the route above runs instead.
+
 The value is always the Rayleigh quotient of the returned vector against
 B.  Every route resolves eigenvalues only to a few ulps of the
 Gershgorin scale of B; 16 eps of it (`_noise_floor`) is the Richardson
-study's noise floor, the rank-one solver's deflation floor and the
-mirror split's tolerance for the rounding that keeps the assembled B
-from being exactly symmetric.
+study's noise floor, the rank-one solver's deflation floor, the mirror
+split's tolerance for the rounding that keeps the assembled B from being
+exactly symmetric, its tie threshold and the continued route's margin.
 
 Eigenvalues converge at second order in h; `lambda1` runs a three-grid
 Richardson study, checks the observed order, and returns the
@@ -79,13 +90,7 @@ class Discretization:
 
     def apply_sym(self, x: np.ndarray) -> np.ndarray:
         """B @ x for a vector x."""
-        y = self.sym_d * x
-        y[1:] += self.sym_e * x[:-1]
-        y[:-1] += self.sym_e * x[1:]
-        if self.sym_corner != 0.0:
-            y[0] += self.sym_corner * x[-1]
-            y[-1] += self.sym_corner * x[0]
-        return y
+        return _apply(self.sym_d, self.sym_e, x, self.sym_corner)
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
         """Laplace-Beltrami -M^{-1} K of midpoint samples (k = 0 pencil).
@@ -96,6 +101,19 @@ class Discretization:
         root_m = np.sqrt(self.mass)
         return -self.apply_sym(np.asarray(values, dtype=float) * root_m) \
             / root_m
+
+
+def _apply(d: np.ndarray, e: np.ndarray, x: np.ndarray,
+           corner: float = 0.0) -> np.ndarray:
+    """(d, e) @ x for the symmetric tridiagonal with diagonal d and
+    off-diagonal e, plus `corner` at (0, -1) and (-1, 0)."""
+    y = d * x
+    y[1:] += e * x[:-1]
+    y[:-1] += e * x[1:]
+    if corner != 0.0:
+        y[0] += corner * x[-1]
+        y[-1] += corner * x[0]
+    return y
 
 
 def assemble(m: Manifold, k: int, N: int) -> Discretization:
@@ -137,7 +155,8 @@ def assemble(m: Manifold, k: int, N: int) -> Discretization:
 
 # -- eigensolvers -------------------------------------------------------------
 
-# secular-equation steps the rank-one solver may take before giving up
+# steps the rank-one secular solve or a Rayleigh-quotient iteration may
+# take before giving up
 _MAX_STEPS = 64
 
 
@@ -155,31 +174,63 @@ def _noise_floor(dis: Discretization) -> float:
         + abs(dis.sym_corner))
 
 
+def _solve(diag: np.ndarray, e: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solution x of (diag, e) x = rhs for the symmetric tridiagonal with
+    diagonal diag and off-diagonal e: one O(N) LAPACK dgtsv."""
+    x, info = sla.lapack.dgtsv(e, diag, e, rhs)[3:]
+    if info:
+        raise np.linalg.LinAlgError("singular tridiagonal system")
+    return x
+
+
+def _sherman_morrison(diag: np.ndarray, e: np.ndarray, u: np.ndarray,
+                      y: np.ndarray) -> np.ndarray:
+    """(T + u u^T)^{-1} y times the scalar 1 + u^T T^{-1} u, for T the
+    tridiagonal (diag, e): one solve with the two columns y and u."""
+    t, w = _solve(diag, e, np.c_[y, u]).T
+    return (1.0 + u @ w) * t - (u @ t) * w
+
+
+def _below(d: np.ndarray, e: np.ndarray, s: float) -> int:
+    """Number of eigenvalues of the symmetric tridiagonal (d, e) at or
+    below s: LAPACK dstebz on (-inf, s] with a tolerance as wide as the
+    interval, so it takes its Sturm counts and does not bisect."""
+    return int(sla.lapack.dstebz(d, e, 1, -np.inf, s, 0, 0, np.inf,
+                                 b"E")[0])
+
+
+def _cut_open(dis: Discretization) -> tuple:
+    """(diagonal of T, u) with B = T + u u^T: T is B cut open, its
+    corner c < 0 moved onto both end diagonals, and
+    u = sqrt(-c) (e_0 - e_{N-1})."""
+    d, c = dis.sym_d, dis.sym_corner
+    u = np.zeros(d.size)
+    u[[0, -1]] = np.sqrt(-c), -np.sqrt(-c)
+    return np.r_[d[0] + c, d[1:-1], d[-1] + c], u
+
+
 def _rank_one_pair(dis: Discretization, index: int) -> np.ndarray:
     """Unit eigenvector of the index-th lowest pair of a periodic B.
 
-    B = T + u u^T, with T = B cut open (the corner c < 0 moved onto both
-    end diagonals) and u = sqrt(-c) (e_0 - e_{N-1}).  The eigenvalues of
+    B = T + u u^T, with T = B cut open (`_cut_open`).  The eigenvalues of
     B interlace those of T, so the wanted one is the root in
     [mu_index, mu_index+1] of f(lam) = 1 + u^T (T - lam)^{-1} u, which
     rises between the poles mu_j (Bunch, Nielsen & Sorensen 1978, Numer.
     Math. 31:31).  One eigh_tridiagonal call gives T's pairs 0..index+1
     and z = V^T u; their terms z_j^2 / (mu_j - lam) are summed apart
-    from the smooth rest u'^T (T - lam)^{-1} u', u' = u - V z, one banded
-    solve per step, kept a quarter floor off every mu_j (a first-order
-    step covers the offset).  A pole with |z_j| ||u|| below the floor
-    16 eps ||B|| is deflated, and a deflated end of the bracket holds the
-    root unless f changes sign just inside it.  Else the root is solved
-    from the nearer pole, that pole's term exact and every other slope
-    on the far pole (R.-C. Li 1993, LAPACK Working Note 89; LAPACK's
-    dlaed4), safeguarded by bisection.  The vector, (T - lam)^{-1} u or
-    a deflated v_j, is polished by inverse iteration on B through the
-    Sherman-Morrison formula.
+    from the smooth rest u'^T (T - lam)^{-1} u', u' = u - V z, one
+    tridiagonal solve per step, kept a quarter floor off every mu_j (a
+    first-order step covers the offset).  A pole with |z_j| ||u|| below
+    the floor 16 eps ||B|| is deflated, and a deflated end of the bracket
+    holds the root unless f changes sign just inside it.  Else the root
+    is solved from the nearer pole, that pole's term exact and every
+    other slope on the far pole (R.-C. Li 1993, LAPACK Working Note 89;
+    LAPACK's dlaed4), safeguarded by bisection.  The vector,
+    (T - lam)^{-1} u or a deflated v_j, is polished by inverse iteration
+    on B through the Sherman-Morrison formula (`_sherman_morrison`).
     """
-    d, e, c = dis.sym_d, dis.sym_e, dis.sym_corner
-    u = np.zeros(d.size)
-    u[[0, -1]] = np.sqrt(-c), -np.sqrt(-c)
-    d_t = np.r_[d[0] + c, d[1:-1], d[-1] + c]
+    e, c = dis.sym_e, dis.sym_corner
+    d_t, u = _cut_open(dis)
     mu, V = sla.eigh_tridiagonal(d_t, e, select="i",
                                  select_range=(0, index + 1))
     z = V.T @ u
@@ -187,25 +238,25 @@ def _rank_one_pair(dis: Discretization, index: int) -> np.ndarray:
     eps = np.finfo(float).eps
     floor = _noise_floor(dis)
     live = np.abs(z) * np.sqrt(-2.0 * c) > floor
-    upper, lower = np.r_[0.0, e], np.r_[e, 0.0]
 
     def band(o, tau):
-        """Banded T - (o + tau + off); off keeps the shift clear of mu."""
+        """Diagonal of T - (o + tau + off); off keeps the shift clear of
+        mu."""
         g = (mu - o) - tau
         near = g[np.argmin(np.abs(g))]
         off = near - np.copysign(max(abs(near), 0.25 * floor), near)
-        return [upper, (d_t - o) - (tau + off), lower], off
+        return (d_t - o) - (tau + off), off
 
     def secular(o, tau):
         """f, f', (T - lam)^{-1} u', the live gaps mu_j - lam and the
         rounding of f, at lam = o + tau."""
-        ab, off = band(o, tau)
-        x = sla.solve_banded((1, 1), ab, u_rest)
+        diag, off = band(o, tau)
+        x = _solve(diag, e, u_rest)
         x -= V @ (V.T @ x)
         xx = x @ x
         rest = u_rest @ x - off * xx
         if off != 0.0:
-            y = sla.solve_banded((1, 1), ab, x)
+            y = _solve(diag, e, x)
             x = x - off * (y - V @ (V.T @ y))
         gaps = (mu[live] - o) - tau
         terms = z[live] ** 2 / gaps
@@ -217,10 +268,9 @@ def _rank_one_pair(dis: Discretization, index: int) -> np.ndarray:
     def polish(o, tau, y, steps):
         """y after inverse-iteration steps on B at o + tau; whole banded
         solves, since projecting off V keeps V's rounded tails."""
-        ab, _ = band(o, tau)
+        diag, _ = band(o, tau)
         for _ in range(steps):
-            t, w = sla.solve_banded((1, 1), ab, np.c_[y, u]).T
-            y = (1.0 + u @ w) * t - (u @ t) * w
+            y = _sherman_morrison(diag, e, u, y)
             y /= np.linalg.norm(y)
         return y
 
@@ -267,8 +317,8 @@ def _rank_one_pair(dis: Discretization, index: int) -> np.ndarray:
     return polish(o, tau, V[:, live] @ (z[live] / gaps) + x, 1)
 
 
-def _mirror_pair(dis: Discretization, index: int) -> Optional[np.ndarray]:
-    """Unit eigenvector of the index-th lowest pair of a periodic B that
+def _mirror_halves(dis: Discretization) -> Optional[tuple]:
+    """The half pencils (d_+, e_half), (d_-, e_half) of a periodic B that
     commutes with the reversal i -> N-1-i, or None where the split does
     not serve.
 
@@ -276,8 +326,7 @@ def _mirror_pair(dis: Discretization, index: int) -> Optional[np.ndarray]:
     [T_+- x, +-R T_+- x], where T_+- is the first half's tridiagonal
     block with +-corner added to its first diagonal entry (the wrap to
     the last cell) and +-e[N/2-1] to its last (the coupling across the
-    middle).  The spectrum of B is the union of those of T_+ and T_-,
-    and the wanted vector is read off the merged spectrum.
+    middle).  The spectrum of B is the union of those of T_+ and T_-.
 
     The split applies when N is even and the assembled entries, a
     Schrodinger potential on the diagonal included, match their mirror
@@ -286,8 +335,6 @@ def _mirror_pair(dis: Discretization, index: int) -> Optional[np.ndarray]:
     so ||B' - B|| is at most that floor and so is every eigenvalue's
     move (Weyl).  A mirror-symmetric profile, f(L - t) = f(t), keeps
     the assembly rounding of a cosine torus or a flat torus that close.
-    A pair that is double across the halves (the base circle of a flat
-    torus) returns its pure even or odd member.
     """
     d, e, corner = dis.sym_d, dis.sym_e, dis.sym_corner
     floor = _noise_floor(dis)
@@ -300,34 +347,156 @@ def _mirror_pair(dis: Discretization, index: int) -> Optional[np.ndarray]:
         d_half = d[:half].copy()
         d_half[0] += sign * corner
         d_half[-1] += sign * e[half - 1]
-        halves.append(sla.eigh_tridiagonal(d_half, e[:half - 1], select="i",
-                                           select_range=(0, index)))
-    ranked = sorted((float(w), side, j) for side, (ws, _) in enumerate(halves)
-                    for j, w in enumerate(ws))
-    _, side, j = ranked[index]
-    h = halves[side][1][:, j]
+        halves.append((d_half, e[:half - 1]))
+    return tuple(halves)
+
+
+def _unfold(h: np.ndarray, side: int) -> np.ndarray:
+    """The unit vector of B whose first half is the unit vector h of the
+    even (side 0) or odd (side 1) half pencil."""
     return np.concatenate([h, (1.0 - 2.0 * side) * h[::-1]]) / np.sqrt(2.0)
 
 
-def _eigenpair(dis: Discretization, index: int) -> tuple:
-    """(eigenvalue, eigenfunction at the cell midpoints) of the pencil.
+def _mirror_pair(dis: Discretization, index: int) -> Optional[tuple]:
+    """(unit eigenvector of the index-th lowest pair, tied) of a periodic
+    B that the mirror split serves (`_mirror_halves`), or None.
+
+    The wanted vector is read off the merged spectra of the halves.  A
+    pair that is double across the halves to within the noise floor (the
+    base circle of a flat or near-flat torus) returns its pure even or
+    odd member, flagged as tied.
+    """
+    halves = _mirror_halves(dis)
+    if halves is None:
+        return None
+    solved = [sla.eigh_tridiagonal(d, e, select="i", select_range=(0, index))
+              for d, e in halves]
+    ranked = sorted((float(w), side, j) for side, (ws, _) in enumerate(solved)
+                    for j, w in enumerate(ws))
+    w, side, j = ranked.pop(index)
+    tied = min(abs(v - w) for v, *_ in ranked) <= _noise_floor(dis)
+    return _unfold(solved[side][1][:, j], side), tied
+
+
+def _continued_pair(dis: Discretization, index: int,
+                    start: tuple) -> Optional[np.ndarray]:
+    """Unit eigenvector of the index-th lowest pair of B by Rayleigh-
+    quotient iteration from start, or None where it is not certified.
+
+    start = (value, midpoint samples, tm) is the same pencil's pair on
+    another grid.  Its samples, interpolated onto this grid, start
+    inverse iteration shifted to its value, each later step shifted to
+    the Rayleigh quotient of the last iterate: one O(N) tridiagonal solve
+    per step, the mirror split's half pencil of the start's parity, or
+    B = T + u u^T through the Sherman-Morrison formula.  The iteration
+    converges cubically (Parlett, The Symmetric Eigenvalue Problem,
+    1980, ch. 4); it stops once the residual is down to eps ||B||, the
+    rounding of B x itself, or stops falling.  The vector is then as
+    accurate as bisection's: to about eps ||B|| / gap.
+
+    The vector is accepted only when Sturm counts at sigma -+ rho find
+    exactly index and index + 1 eigenvalues at or below, where sigma is
+    its Rayleigh quotient and rho its residual norm ||B x - sigma x||
+    plus the noise floor: the interval [sigma - rho, sigma + rho] holds
+    an eigenvalue (Parlett ch. 4), so it holds exactly the index-th.
+    The split counts over both halves at once, as one block-diagonal
+    tridiagonal.  The periodic B counts as T plus the inertia of
+    1 + u^T (T - s)^{-1} u less one (Haynsworth 1968, Linear Algebra
+    Appl. 1:73, on the pencil bordered by u).
+    """
+    value, samples, tm = start
+    x = np.interp(dis.tm, tm, samples,
+                  period=dis.manifold.L if dis.periodic else None)
+    x = x * np.sqrt(dis.mass)
+    d, e, u = dis.sym_d, dis.sym_e, None
+    apply, count_d, count_e, side = dis.apply_sym, d, e, None
+    halves = _mirror_halves(dis) if dis.periodic else None
+    if halves is not None:
+        half = d.size // 2
+        mirrored = x[half:][::-1]
+        side = int(x[:half] @ mirrored < 0.0)
+        (d_even, e), (d_odd, _) = halves
+        d = (d_even, d_odd)[side]
+        x = x[:half] + (1.0 - 2.0 * side) * mirrored
+        count_d, count_e = np.r_[d_even, d_odd], np.r_[e, 0.0, e]
+
+        def apply(v):
+            return _apply(d, e, v)
+    elif dis.periodic:
+        d, u = _cut_open(dis)
+        count_d = d
+
+    def below(s):
+        """Eigenvalues of B (or of both halves) at or below s."""
+        n = _below(count_d, count_e, s)
+        if u is not None:
+            n += int(1.0 + u @ _solve(d - s, e, u) > 0.0) - 1
+        return n
+
+    def measured(y):
+        """(unit y, its Rayleigh quotient, its residual norm)."""
+        y = y / np.linalg.norm(y)
+        by = apply(y)
+        q = float(y @ by)
+        return y, q, float(np.linalg.norm(by - q * y))
+
+    floor = _noise_floor(dis)
+    best, sigma = measured(x), value
+    for _ in range(_MAX_STEPS):
+        if best[2] <= floor / 16.0:
+            break   # eps ||B||, the rounding of B x itself
+        try:
+            y = _solve(d - sigma, e, best[0]) if u is None \
+                else _sherman_morrison(d - sigma, e, u, best[0])
+        except np.linalg.LinAlgError:
+            break   # sigma is an eigenvalue to the last bit
+        step = measured(y)
+        if step[2] >= best[2]:
+            break
+        best, sigma = step, step[1]
+    x, sigma, r = best
+    rho = r + floor
+    if below(sigma - rho) != index or below(sigma + rho) != index + 1:
+        return None
+    return x if side is None else _unfold(x, side)
+
+
+def _eigenpair(dis: Discretization, index: int,
+               start: Optional[tuple] = None) -> tuple:
+    """(eigenvalue, eigenfunction at the cell midpoints, next start) of
+    the pencil.
 
     index 0 is the lowest pair, index 1 the second lowest (on a k = 0
-    pencil without potential, the first above the constants).  The
-    value is the Rayleigh quotient of the route's vector against B:
+    pencil without potential, the first above the constants).  start is
+    the same pencil's pair on a coarser grid, as the last call returned
+    it: where given, `_continued_pair` refines it, and the route below
+    runs only where its certificate fails.  Without start the route
+    follows the pencil: bisection (eigh_tridiagonal) on a pole-closed
+    pencil, the mirror split or else the rank-one secular solve on a
+    periodic one.  The next start is (value, eigenfunction, tm), or None
+    where the pair is tied or its certificate failed, so a finer grid
+    solves it afresh.
+
+    The value is the Rayleigh quotient of the route's vector against B:
     bisection places a value only to about eps ||B||, the quotient to
     about eps ||B|| / sqrt(N), and it takes up the rounding between B
     and the split's mirrored halves to first order.
     """
-    if dis.periodic:
-        vec = _mirror_pair(dis, index)
-        if vec is None:
+    vec = None if start is None else _continued_pair(dis, index, start)
+    ends_chain = start is not None and vec is None
+    if vec is None and dis.periodic:
+        split = _mirror_pair(dis, index)
+        if split is None:
             vec = _rank_one_pair(dis, index)
-    else:
+        else:
+            vec, tied = split
+            ends_chain = ends_chain or tied
+    elif vec is None:
         vec = sla.eigh_tridiagonal(dis.sym_d, dis.sym_e, select="i",
                                    select_range=(0, index))[1][:, index]
     lam = float(vec @ dis.apply_sym(vec)) / float(vec @ vec)
-    return lam, vec / np.sqrt(dis.mass)
+    phi = vec / np.sqrt(dis.mass)
+    return lam, phi, None if ends_chain else (lam, phi, dis.tm)
 
 
 # -- public spectral results --------------------------------------------------
@@ -403,12 +572,13 @@ def eigenfunction_u(phi: np.ndarray, dis: Discretization) -> tuple:
 
 
 def _mode_candidate(m: Manifold, k: int, grids: Sequence[int]):
-    """Raw eigenvalues of mode k across grids, plus the finest grid's
-    eigenfunction and pencil."""
-    lams = []
+    """Raw eigenvalues of mode k across grids, each grid's pair continued
+    from the grid before, plus the finest grid's eigenfunction and
+    pencil."""
+    lams, start = [], None
     for N in grids:
         dis = assemble(m, k, N)
-        lam, phi = _eigenpair(dis, 1 if k == 0 else 0)
+        lam, phi, start = _eigenpair(dis, 1 if k == 0 else 0, start)
         lams.append(lam)
     return lams, phi, dis
 
@@ -483,13 +653,16 @@ class GroundState:
 
     sigma_tilde is the largest sigma with (Delta + V) w = sigma w; the
     eigenfunction w is positive, normalized to unit quadratic mean, and
-    sampled at the cell midpoints of the discretization dis.
+    sampled at the cell midpoints of the discretization dis.  next_start
+    is the pencil's pair that a finer grid's solve continues from (see
+    `_eigenpair`), or None.
     """
 
     sigma_tilde: float
     w: np.ndarray
     w_bar: float
     dis: Discretization
+    next_start: Optional[tuple] = None
 
     @property
     def t(self) -> np.ndarray:
@@ -498,10 +671,13 @@ class GroundState:
 
 def schrodinger_ground(m: Manifold,
                        V: Union[Callable, np.ndarray],
-                       N: int) -> GroundState:
+                       N: int,
+                       start: Optional[GroundState] = None) -> GroundState:
     """Ground state of the fiber-symmetric Schrodinger pencil.
 
-    V may be a callable of t or midpoint samples of length N.  The top
+    V may be a callable of t or midpoint samples of length N.  start is
+    the same potential's ground state on a coarser grid, whose pair this
+    solve continues (`_eigenpair`).  The top
     of the spectrum of Delta + V equals -mu_0 where mu_0 is the lowest
     eigenvalue of the quadratic form pencil
     (K - M diag(V)) x = mu M x; V >= 0 makes sigma_tilde >= 0 because
@@ -518,7 +694,8 @@ def schrodinger_ground(m: Manifold,
         # would otherwise leak sign noise into sigma margins.
         return GroundState(sigma_tilde=0.0, w=np.ones(N), w_bar=1.0,
                            dis=dis)
-    mu0, w = _eigenpair(replace(dis, sym_d=dis.sym_d - Varr), 0)
+    mu0, w, next_start = _eigenpair(replace(dis, sym_d=dis.sym_d - Varr), 0,
+                                    start.next_start if start else None)
     vol = float(np.sum(dis.mass))
     if np.sum(w * dis.mass) < 0.0:
         w = -w
@@ -528,7 +705,8 @@ def schrodinger_ground(m: Manifold,
         raise NonPositiveGround("ground state has non-positive entries")
     w = w / np.sqrt(float(np.sum(w * w * dis.mass)) / vol)
     w_bar = float(np.sum(w * dis.mass)) / vol
-    return GroundState(sigma_tilde=-mu0, w=w, w_bar=w_bar, dis=dis)
+    return GroundState(sigma_tilde=-mu0, w=w, w_bar=w_bar, dis=dis,
+                       next_start=next_start)
 
 
 def build_J(gs: GroundState, tau: float) -> np.ndarray:

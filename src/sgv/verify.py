@@ -53,6 +53,18 @@ def shift_potential(m: Manifold, delta: float) -> Callable:
     return V
 
 
+def _ground_chain(m: Manifold, delta: float,
+                 grids: Sequence[int] = DEFAULT_GRIDS) -> list:
+    """Ground states of the shift potential on each grid, each solve
+    continued from the grid before."""
+    V = shift_potential(m, delta)
+    chain, gs = [], None
+    for N in grids:
+        gs = schrodinger_ground(m, V, N, start=gs)
+        chain.append(gs)
+    return chain
+
+
 @dataclass(frozen=True)
 class SigmaCheck:
     """Measured ground-state shift against its a-priori ceiling."""
@@ -77,27 +89,23 @@ def check_sigma_bound(m: Manifold, delta: float, p: float,
     already has it.
     """
     tau = tau_of(delta)
-    V = shift_potential(m, delta)
-    history = []
-    for N in DEFAULT_GRIDS:
-        gs = schrodinger_ground(m, V, N)
-        history.append((N, gs.sigma_tilde))
-    vals = [st for _, st in history]
+    chain = _ground_chain(m, delta)
+    vals = [gs.sigma_tilde for gs in chain]
     st, _, _ = _extrapolate(vals, floor=1e-12 * max(abs(vals[-1]), 1e-30))
     sigma = st / (tau - 1.0)
     if kb is None:
         kb = kbar(m, p, 0.0)
     return SigmaCheck(sigma=sigma, margin=4.0 * kb - sigma, sigma_tilde=st,
-                      tau=tau, kbar=kb, ground=gs, history=tuple(history))
+                      tau=tau, kbar=kb, ground=chain[-1],
+                      history=tuple(zip(DEFAULT_GRIDS, vals)))
 
 
 def check_J_bounds(m: Manifold, delta: float,
                    ground: Optional[GroundState] = None) -> float:
-    """Max deviation |J - 1| of the transformed ground state (solved on
-    the finest default grid unless given)."""
+    """Max deviation |J - 1| of the transformed ground state (the finest
+    of `_ground_chain` unless given, as in `check_sigma_bound`)."""
     if ground is None:
-        ground = schrodinger_ground(m, shift_potential(m, delta),
-                                    DEFAULT_GRIDS[-1])
+        ground = _ground_chain(m, delta)[-1]
     J = build_J(ground, tau_of(delta))
     return float(np.max(np.abs(J - 1.0)))
 
@@ -116,13 +124,13 @@ def check_gradient_estimate(m: Manifold, delta: float,
     every sphere (cos theta on the circle); Q is linear in Y^2, so its
     max over the fiber is attained at one of the two branch values
     Y^2 in {0, 1}, both checked.  Returns the signed margin max Q (must
-    be <= ~1e-6 * lt when hypotheses hold).
+    be <= ~1e-6 * lt when hypotheses hold).  Without ground, the ground
+    state is the finest of `_ground_chain` on eig's grids.
     """
     if eig is None:
         eig = lambda1(m)
     if ground is None:
-        N = eig.t.size
-        ground = schrodinger_ground(m, shift_potential(m, delta), N)
+        ground = _ground_chain(m, delta, [N for N, _ in eig.history])[-1]
     if ground.t.size != eig.t.size:
         raise ValueError("ground state and eigenfunction grids differ")
     J = build_J(ground, tau_of(delta))

@@ -427,6 +427,36 @@ def test_sweep_setting_of_wrong_type(tmp_path, capsys, setting, value):
     assert setting in err
 
 
+@pytest.mark.parametrize("manifolds, fragment", [
+    (5, "manifolds = 5 must be a list"),
+    (None, "manifolds = None must be a list"),
+    ({"kind": "sphere", "L": 3.0}, "must be a list"),
+    ([{"kind": "sphere", "L": "3"}], "manifold L = '3' must be a number"),
+    ([{"kind": "sphere", "L": True}], "manifold L = True must be a number"),
+    ([{"kind": "sphere", "L": 3.0, "n": "3"}], "manifold n = '3'"),
+    ([{"kind": "flat-torus", "L": TWO_PI, "c": False}], "manifold c = False"),
+    ([{"kind": "flat-torus", "L": TWO_PI, "fiber": "0.6"}],
+     "manifold fiber = '0.6'"),
+    ([{"kind": "cosine-torus", "L": TWO_PI, "c": 1.0, "beta": "0.1"}],
+     "manifold beta = '0.1'"),
+    ([{"id": ["x"], "kind": "sphere", "L": 3.0}],
+     "manifold id = ['x'] must be a string"),
+])
+def test_sweep_manifold_entry_of_wrong_type(tmp_path, capsys, manifolds,
+                                            fragment):
+    # a config error, exit 2: not a crash (exit 1), nor a row that runs
+    # L = "3" as 3.0 or writes a list into manifold_id
+    cfg = write_sweep_config(tmp_path)
+    data = json.loads(open(cfg, encoding="utf-8").read())
+    data["manifolds"] = manifolds
+    with open(cfg, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    code, out, err = run(capsys, "sweep", "--config", cfg)
+    assert code == 2
+    assert out == ""
+    assert fragment in err
+
+
 def test_sweep_jobs_flag_below_one(tmp_path, capsys):
     cfg = write_sweep_config(tmp_path)
     code, _, err = run(capsys, "sweep", "--config", cfg, "--jobs", "0")

@@ -47,7 +47,7 @@ from sgv.spectral import (
     eigenfunction_u,
 )
 from sgv.constants import tau_of
-from sgv.verify import shift_potential
+from sgv.verify import check_sigma_bound, shift_potential
 
 TWO_PI = 2.0 * math.pi
 
@@ -282,7 +282,7 @@ def test_lambda1_solves_only_fiber_modes_0_and_1(monkeypatch):
     e = lambda1(m)
     assert modes == [0, 1]
     assert e.mode == 1
-    assert e.lambda1 == 0.5110954087097276  # as with modes 0-3 all solved
+    assert e.lambda1 == 0.5110954087106913  # as with modes 0-3 all solved
     assert not e.degenerate
 
 
@@ -299,7 +299,7 @@ def test_cosine_torus_vs_galerkin():
     assert e.lambda1 == pytest.approx(want, rel=1e-10)
     assert e.mode == 1  # the perturbation lowers the fiber mode first
     # frozen regression value
-    assert e.lambda1 == pytest.approx(0.9962890506921853, rel=1e-12)
+    assert e.lambda1 == pytest.approx(0.9962890506937009, rel=1e-12)
 
 
 def test_asym_tabulated_vs_galerkin():
@@ -331,19 +331,24 @@ DENSE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case,k,index,schrodinger", [
+DENSE_PAIRS = [
     ("cosine", 0, 1, False), ("cosine", 1, 0, False),
     ("cosine", 0, 0, True),
     ("spline", 0, 1, False), ("spline", 1, 0, False),
     ("spline", 0, 0, True),
     ("sphere2", 0, 1, False), ("sphere2", 1, 0, False),
     ("sphere3", 0, 1, False),
-])
+]
+
+
+@pytest.mark.parametrize("case,k,index,schrodinger", DENSE_PAIRS)
 def test_eigenpair_matches_dense_eigh(case, k, index, schrodinger):
     check_against_dense(DENSE_CASES[case](), k, 64, index, schrodinger)
 
 
-def check_against_dense(m, k, N, index, schrodinger):
+def check_against_dense(m, k, N, index, schrodinger, start=None):
+    """Check `_eigenpair` (continued from start, if given) against dense
+    eigh of the written-out pencil; returns its next start."""
     dis = assemble(m, k, N)
     K, M = dense_pencil(m, k, N)
     root_m = np.sqrt(M)
@@ -353,7 +358,7 @@ def check_against_dense(m, k, N, index, schrodinger):
         B -= np.diag(V)
         dis = replace(dis, sym_d=dis.sym_d - V)
     vals, vecs = np.linalg.eigh(B)
-    lam, phi = _eigenpair(dis, index)
+    lam, phi, next_start = _eigenpair(dis, index, start)
     eps_norm = np.finfo(float).eps * np.linalg.norm(B, 2)
     assert abs(lam - vals[index]) <= 16.0 * eps_norm
     # the wanted pair is simple, so its vector is determined up to sign
@@ -366,6 +371,7 @@ def check_against_dense(m, k, N, index, schrodinger):
         lap = dis.laplacian(phi)
         bound = 16.0 * np.finfo(float).eps * (np.abs(K) @ np.abs(phi)) / M
         assert np.all(np.abs(lap + (K @ phi) / M) <= bound)
+    return next_start
 
 
 def _unreachable(*args, **kwargs):
@@ -373,6 +379,79 @@ def _unreachable(*args, **kwargs):
 
 
 MIRROR_CASES = [(0, 0, False), (0, 1, False), (1, 0, False), (0, 0, True)]
+
+
+@pytest.mark.parametrize("case,k,index,schrodinger", list(dict.fromkeys(
+    DENSE_PAIRS + [("cosine", *case) for case in MIRROR_CASES])))
+def test_continued_pair_matches_dense_eigh(monkeypatch, case, k, index,
+                                           schrodinger):
+    # the pair solved at N = 32 starts the Rayleigh-quotient iteration at
+    # N = 64 on every route (pole-closed, mirror split, rank-one corner),
+    # which then needs no bisection
+    m = DENSE_CASES[case]()
+    start = check_against_dense(m, k, 32, index, schrodinger)
+    assert start is not None
+    monkeypatch.setattr(sla, "eigh_tridiagonal", _unreachable)
+    assert check_against_dense(m, k, 64, index, schrodinger,
+                               start) is not None
+
+
+@pytest.mark.parametrize("case", ["cosine", "spline", "sphere2"])
+def test_continued_pair_from_the_wrong_pair(case):
+    # index 0's pair as the start of index 1: the iteration finds index
+    # 0 again, its Sturm counts refuse it, and the route without a start
+    # returns index 1; the chain then solves afresh
+    m = DENSE_CASES[case]()
+    start = check_against_dense(m, 0, 32, 0, False)
+    assert check_against_dense(m, 0, 64, 1, False, start) is None
+
+
+@pytest.mark.parametrize("m", [
+    make_manifold("constant", L=TWO_PI, c=0.1),
+    make_manifold("cosine", L=TWO_PI, c=0.1, beta=0.0),
+    make_manifold("cosine", L=TWO_PI, c=0.5, beta=1e-8),
+], ids=["flat", "cosine-b0", "cosine-b1e-8"])
+def test_tied_pair_takes_the_route_without_start(m):
+    # the base circle's cos/sin pair is double across the mirror halves:
+    # the split flags it, so the chain does not continue it, and a start
+    # given anyway fails its certificate and returns, bit for bit, the
+    # pair of the route without a start
+    coarse = assemble(m, 0, 128)
+    lam, phi, next_start = _eigenpair(coarse, 1)
+    assert next_start is None
+    dis = assemble(m, 0, 256)
+    want = _eigenpair(dis, 1)
+    got = _eigenpair(dis, 1, (lam, phi, coarse.tm))
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1])
+    assert got[2] is want[2] is None
+
+
+@pytest.mark.parametrize("solve, calls", [
+    # the first grid bisects each solved mode; 1024 and 2048 continue it
+    (lambda: lambda1(make_manifold("sine-sphere", n=2, L=math.pi)), 2),
+    (lambda: lambda1(make_manifold("sine-sphere", n=3, L=math.pi)), 2),
+    # both mirror halves at N = 512, none after
+    (lambda: check_sigma_bound(make_manifold("cosine", L=TWO_PI, c=1.0,
+                                             beta=0.3), 0.1, 2.0, kb=1.0),
+     2),
+    # the flat torus's base-circle pair is tied on every grid: both
+    # halves of every grid, as without the chain
+    (lambda: lambda1(make_manifold("constant", L=TWO_PI, c=0.1)),
+     2 * len(DEFAULT_GRIDS)),
+], ids=["sphere2", "sphere3", "sigma-cos-c1-b0.3", "flat-tied"])
+def test_chain_bisects_only_where_it_cannot_continue(monkeypatch, solve,
+                                                      calls):
+    # without the chain, every grid bisects: 6, 6, 6 and 6 calls
+    counted = []
+    inner = sla.eigh_tridiagonal
+
+    def counting(*args, **kwargs):
+        counted.append(1)
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(sla, "eigh_tridiagonal", counting)
+    solve()
+    assert len(counted) == calls
 
 
 @pytest.mark.parametrize("k,index,schrodinger", MIRROR_CASES)
@@ -446,7 +525,7 @@ def test_rank_one_solver_matches_dense_eigh(knots, N, k, index, log_amp,
         B -= np.diag(V)
         dis = replace(dis, sym_d=dis.sym_d - V)
     assert _mirror_pair(dis, index) is None
-    lam, phi = _eigenpair(dis, index)
+    lam, phi, _ = _eigenpair(dis, index)
     floor = 16.0 * np.finfo(float).eps * np.linalg.norm(B, 2)
     assert abs(lam - np.linalg.eigvalsh(B)[index]) <= floor
     v = phi * root_m
@@ -489,7 +568,7 @@ def test_mirror_split_ground_state_matches_dense_eigh_at_2048():
     root_m = np.sqrt(M)
     B = K / np.outer(root_m, root_m) - np.diag(V)
     vals, vecs = sla.eigh(B, subset_by_index=[0, 0])
-    lam, phi = _eigenpair(replace(dis, sym_d=dis.sym_d - V), 0)
+    lam, phi, _ = _eigenpair(replace(dis, sym_d=dis.sym_d - V), 0)
     v = phi * root_m
     v /= np.linalg.norm(v)
     want = vecs[:, 0] * np.sign(vecs[:, 0] @ v)

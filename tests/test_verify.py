@@ -131,10 +131,14 @@ def test_J_deviation_grows_with_amplitude_but_stays_in_window():
 
 
 def test_J_reuses_supplied_ground_state():
-    from sgv import schrodinger_ground
+    # the default ground state is the finest of the chain that
+    # check_sigma_bound solves, so a record's J agrees with a standalone
+    # call bit for bit
     m = make_cosine(1e-7)
-    gs = schrodinger_ground(m, shift_potential(m, 0.1), N=2048)
+    gs = check_sigma_bound(m, 0.1, 2.0).ground
     assert check_J_bounds(m, 0.1, ground=gs) == check_J_bounds(m, 0.1)
+    rec = check_main_theorem(m, 0.3, 2.0, 2.0, 0.5)
+    assert rec.J_deviation == check_J_bounds(m, rec.delta)
 
 
 # ===================================================================
