@@ -60,8 +60,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
 
+from . import _lapack
 from ._quadrature import adaptive_panels, sign_change_points
 from .errors import (BadPoleClosure, NoConvergence, NonPositiveWarp,
                      require_dimension, require_exponent, require_finite)
@@ -127,8 +127,9 @@ class _CubicSpline:
             col = np.zeros(h.size - 1)
             col[0] -= ab[2, -1]
             col[-1] -= ab[0, -1]
-            uw = solve_banded((1, 1), ab[:, :-1],
-                              np.column_stack([rhs[:-1], col]))
+            uw = _lapack.solve(ab[2, :-2], ab[1, :-1], ab[0, 1:-1],
+                               np.column_stack([rhs[:-1], col]),
+                               check_finite=True)
             u, w = uw[:, 0], uw[:, 1]
             last = ((rhs[-1] - ab[0, 0] * u[0] - ab[2, -2] * u[-1])
                     / (ab[1, -1] + ab[0, 0] * w[0] + ab[2, -2] * w[-1]))
@@ -143,7 +144,8 @@ class _CubicSpline:
             rhs = np.empty_like(x)
             rhs[1:-1] = 3.0 * (h[1:] * slope[:-1] + h[:-1] * slope[1:])
             rhs[0], rhs[-1] = 1.0, -1.0
-            s = solve_banded((1, 1), ab, rhs)
+            s = _lapack.solve(ab[2, :-1], ab[1], ab[0, 1:], rhs,
+                              check_finite=True)
         bend = (s[:-1] + s[1:] - 2.0 * slope) / h
         self.x = x
         self._inner = x[1:-1]

@@ -22,8 +22,8 @@ solve).  Without start:
 
   * pole-closed pencils are symmetric tridiagonal after the congruence
     B = M^{-1/2} K M^{-1/2}; LAPACK's bisection + inverse iteration
-    (scipy.linalg.eigh_tridiagonal) returns the selected vector
-    deterministically.
+    (dstebz + dstein, bound in `_lapack` without importing
+    scipy.linalg) returns the selected vector deterministically.
   * periodic pencils that commute with the reversal i -> N-1-i (a
     mirror-symmetric profile, f(L - t) = f(t), on an even grid) split
     into an even and an odd half, tridiagonal pencils on N/2 cells
@@ -61,8 +61,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg as sla
 
+from . import _lapack
 from .errors import (DegenerateRange, NoConvergence, NonPositiveGround,
                      SignChange)
 from .geometry import Manifold
@@ -177,10 +177,7 @@ def _noise_floor(dis: Discretization) -> float:
 def _solve(diag: np.ndarray, e: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solution x of (diag, e) x = rhs for the symmetric tridiagonal with
     diagonal diag and off-diagonal e: one O(N) LAPACK dgtsv."""
-    x, info = sla.lapack.dgtsv(e, diag, e, rhs)[3:]
-    if info:
-        raise np.linalg.LinAlgError("singular tridiagonal system")
-    return x
+    return _lapack.solve(e, diag, e, rhs)
 
 
 def _sherman_morrison(diag: np.ndarray, e: np.ndarray, u: np.ndarray,
@@ -189,14 +186,6 @@ def _sherman_morrison(diag: np.ndarray, e: np.ndarray, u: np.ndarray,
     tridiagonal (diag, e): one solve with the two columns y and u."""
     t, w = _solve(diag, e, np.c_[y, u]).T
     return (1.0 + u @ w) * t - (u @ t) * w
-
-
-def _below(d: np.ndarray, e: np.ndarray, s: float) -> int:
-    """Number of eigenvalues of the symmetric tridiagonal (d, e) at or
-    below s: LAPACK dstebz on (-inf, s] with a tolerance as wide as the
-    interval, so it takes its Sturm counts and does not bisect."""
-    return int(sla.lapack.dstebz(d, e, 1, -np.inf, s, 0, 0, np.inf,
-                                 b"E")[0])
 
 
 def _cut_open(dis: Discretization) -> tuple:
@@ -216,23 +205,22 @@ def _rank_one_pair(dis: Discretization, index: int) -> np.ndarray:
     B interlace those of T, so the wanted one is the root in
     [mu_index, mu_index+1] of f(lam) = 1 + u^T (T - lam)^{-1} u, which
     rises between the poles mu_j (Bunch, Nielsen & Sorensen 1978, Numer.
-    Math. 31:31).  One eigh_tridiagonal call gives T's pairs 0..index+1
-    and z = V^T u; their terms z_j^2 / (mu_j - lam) are summed apart
-    from the smooth rest u'^T (T - lam)^{-1} u', u' = u - V z, one
-    tridiagonal solve per step, kept a quarter floor off every mu_j (a
-    first-order step covers the offset).  A pole with |z_j| ||u|| below
-    the floor 16 eps ||B|| is deflated, and a deflated end of the bracket
-    holds the root unless f changes sign just inside it.  Else the root
-    is solved from the nearer pole, that pole's term exact and every
-    other slope on the far pole (R.-C. Li 1993, LAPACK Working Note 89;
-    LAPACK's dlaed4), safeguarded by bisection.  The vector,
+    Math. 31:31).  One bisection (`_lapack.lowest_pairs`) gives T's
+    pairs 0..index+1 and z = V^T u; their terms z_j^2 / (mu_j - lam) are
+    summed apart from the smooth rest u'^T (T - lam)^{-1} u',
+    u' = u - V z, one tridiagonal solve per step, kept a quarter floor
+    off every mu_j (a first-order step covers the offset).  A pole with
+    |z_j| ||u|| below the floor 16 eps ||B|| is deflated, and a deflated
+    end of the bracket holds the root unless f changes sign just inside
+    it.  Else the root is solved from the nearer pole, that pole's term
+    exact and every other slope on the far pole (R.-C. Li 1993, LAPACK
+    Working Note 89; LAPACK's dlaed4), safeguarded by bisection.  The vector,
     (T - lam)^{-1} u or a deflated v_j, is polished by inverse iteration
     on B through the Sherman-Morrison formula (`_sherman_morrison`).
     """
     e, c = dis.sym_e, dis.sym_corner
     d_t, u = _cut_open(dis)
-    mu, V = sla.eigh_tridiagonal(d_t, e, select="i",
-                                 select_range=(0, index + 1))
+    mu, V = _lapack.lowest_pairs(d_t, e, index + 1)
     z = V.T @ u
     u_rest = u - V @ z
     eps = np.finfo(float).eps
@@ -369,8 +357,7 @@ def _mirror_pair(dis: Discretization, index: int) -> Optional[tuple]:
     halves = _mirror_halves(dis)
     if halves is None:
         return None
-    solved = [sla.eigh_tridiagonal(d, e, select="i", select_range=(0, index))
-              for d, e in halves]
+    solved = [_lapack.lowest_pairs(d, e, index) for d, e in halves]
     ranked = sorted((float(w), side, j) for side, (ws, _) in enumerate(solved)
                     for j, w in enumerate(ws))
     w, side, j = ranked.pop(index)
@@ -428,7 +415,7 @@ def _continued_pair(dis: Discretization, index: int,
 
     def below(s):
         """Eigenvalues of B (or of both halves) at or below s."""
-        n = _below(count_d, count_e, s)
+        n = _lapack.count(count_d, count_e, s)
         if u is not None:
             n += int(1.0 + u @ _solve(d - s, e, u) > 0.0) - 1
         return n
@@ -471,11 +458,11 @@ def _eigenpair(dis: Discretization, index: int,
     the same pencil's pair on a coarser grid, as the last call returned
     it: where given, `_continued_pair` refines it, and the route below
     runs only where its certificate fails.  Without start the route
-    follows the pencil: bisection (eigh_tridiagonal) on a pole-closed
-    pencil, the mirror split or else the rank-one secular solve on a
-    periodic one.  The next start is (value, eigenfunction, tm), or None
-    where the pair is tied or its certificate failed, so a finer grid
-    solves it afresh.
+    follows the pencil: bisection (`_lapack.lowest_pairs`, LAPACK dstebz
+    and dstein) on a pole-closed pencil, the mirror split or else the
+    rank-one secular solve on a periodic one.  The next start is
+    (value, eigenfunction, tm), or None where the pair is tied or its
+    certificate failed, so a finer grid solves it afresh.
 
     The value is the Rayleigh quotient of the route's vector against B:
     bisection places a value only to about eps ||B||, the quotient to
@@ -492,8 +479,7 @@ def _eigenpair(dis: Discretization, index: int,
             vec, tied = split
             ends_chain = ends_chain or tied
     elif vec is None:
-        vec = sla.eigh_tridiagonal(dis.sym_d, dis.sym_e, select="i",
-                                   select_range=(0, index))[1][:, index]
+        vec = _lapack.lowest_pairs(dis.sym_d, dis.sym_e, index)[1][:, index]
     lam = float(vec @ dis.apply_sym(vec)) / float(vec @ vec)
     phi = vec / np.sqrt(dis.mass)
     return lam, phi, None if ends_chain else (lam, phi, dis.tm)

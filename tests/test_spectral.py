@@ -27,6 +27,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from sgv import (
+    _lapack,
     build_J,
     check_main_theorem,
     lambda1,
@@ -391,7 +392,7 @@ def test_continued_pair_matches_dense_eigh(monkeypatch, case, k, index,
     m = DENSE_CASES[case]()
     start = check_against_dense(m, k, 32, index, schrodinger)
     assert start is not None
-    monkeypatch.setattr(sla, "eigh_tridiagonal", _unreachable)
+    monkeypatch.setattr(_lapack, "lowest_pairs", _unreachable)
     assert check_against_dense(m, k, 64, index, schrodinger,
                                start) is not None
 
@@ -444,12 +445,12 @@ def test_chain_bisects_only_where_it_cannot_continue(monkeypatch, solve,
                                                       calls):
     # without the chain, every grid bisects: 6, 6, 6 and 6 calls
     counted = []
-    inner = sla.eigh_tridiagonal
+    inner = _lapack.lowest_pairs
 
     def counting(*args, **kwargs):
         counted.append(1)
         return inner(*args, **kwargs)
-    monkeypatch.setattr(sla, "eigh_tridiagonal", counting)
+    monkeypatch.setattr(_lapack, "lowest_pairs", counting)
     solve()
     assert len(counted) == calls
 
