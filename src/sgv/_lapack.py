@@ -1,14 +1,14 @@
-"""The three LAPACK routines sgv calls, bound without `scipy.linalg`.
+"""The two LAPACK routines sgv calls, bound without `scipy.linalg`.
 
-sgv needs a tridiagonal solve (dgtsv), a Sturm count and bisection
-(dstebz) and inverse iteration (dstein), all in scipy's compiled f2py
-wrapper `scipy.linalg._flapack`.  Importing them through `scipy.linalg`
-runs its package `__init__`, which in scipy 1.17 imports
-`scipy._lib._array_api`; its vendored `array_api_compat.numpy` probes
-every name of numpy and so imports `numpy.f2py` and `numpy.testing`:
-about 280 modules and a quarter second of the CLI's cold start.  Here a
-plain `import scipy` (whose `_distributor_init` loads the bundled BLAS)
-is followed by loading `_flapack` alone from scipy's `linalg` directory.
+sgv needs a tridiagonal solve (dgtsv) and a Sturm count (dstebz), both
+in scipy's compiled f2py wrapper `scipy.linalg._flapack`.  Importing
+them through `scipy.linalg` runs its package `__init__`, which in scipy
+1.17 imports `scipy._lib._array_api`; its vendored
+`array_api_compat.numpy` probes every name of numpy and so imports
+`numpy.f2py` and `numpy.testing`: about 280 modules and a quarter second
+of the CLI's cold start.  Here a plain `import scipy` (whose
+`_distributor_init` loads the bundled BLAS) is followed by loading
+`_flapack` alone from scipy's `linalg` directory.
 
 Each call keeps the checks of the scipy function it replaces: a
 ValueError on non-finite input where scipy's `check_finite` ran, and a
@@ -23,7 +23,7 @@ import os
 import numpy as np
 import scipy
 
-__all__ = ["solve", "count", "lowest_pairs"]
+__all__ = ["solve", "count"]
 
 
 def _load_flapack():
@@ -83,20 +83,3 @@ def count(d: np.ndarray, e: np.ndarray, s: float) -> int:
                                        b"E")
     _check_info(info, "dstebz")
     return int(m)
-
-
-def lowest_pairs(d: np.ndarray, e: np.ndarray, k: int) -> tuple:
-    """(values, unit vectors as columns) of the pairs 0..k of the symmetric
-    tridiagonal (d, e), lowest first: bisection (dstebz) and inverse
-    iteration (dstein) with the arguments of
-    `scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, k))`,
-    so the result is the same to the bit."""
-    _require_finite(d, e)
-    m, w, iblock, isplit, info = _flapack.dstebz(d, e, 2, 0.0, 1.0, 1,
-                                                 k + 1, 0.0, "B")
-    _check_info(info, "dstebz")
-    w = w[:m]
-    v, info = _flapack.dstein(d, e, w, iblock, isplit)
-    _check_info(info, "dstein")
-    order = np.argsort(w)
-    return w[order], v[:, order]

@@ -592,8 +592,9 @@ def _step_lengths(m: Manifold, f: np.ndarray, h: float,
 
 
 def _mirrored(f: np.ndarray) -> bool:
-    """Whether samples f on rows 0..N match f[N - i] to 16 eps max f,
-    the floor `spectral._mirror_halves` puts on the pencils of f."""
+    """Whether samples f on rows 0..N match f[N - i] to 16 eps max f, a
+    few ulps of rounding, so that sweeping the mirrored first half of
+    them moves U by rounding only."""
     return (np.max(np.abs(f - f[::-1]))
             <= 16.0 * np.finfo(float).eps * np.max(f))
 

@@ -16,39 +16,22 @@ f^{n-1} vanishes at the poles -- no boundary condition is imposed beyond
 what the geometry already encodes.
 
 One entry point, `_eigenpair(dis, index, start)`, returns the lowest
-(index 0) or second-lowest (index 1) pair of either closure type, each
-from one route without subspace iteration (at most a scalar root
-solve).  Without start:
-
-  * pole-closed pencils are symmetric tridiagonal after the congruence
-    B = M^{-1/2} K M^{-1/2}; LAPACK's bisection + inverse iteration
-    (dstebz + dstein, bound in `_lapack` without importing
-    scipy.linalg) returns the selected vector deterministically.
-  * periodic pencils that commute with the reversal i -> N-1-i (a
-    mirror-symmetric profile, f(L - t) = f(t), on an even grid) split
-    into an even and an odd half, tridiagonal pencils on N/2 cells
-    (`_mirror_halves`, `_mirror_pair`).
-  * every other periodic pencil is tridiagonal plus the rank-one corner
-    update u u^T, so its pairs are roots of a secular equation between
-    the interlacing eigenvalues of the cut-open tridiagonal
-    (`_rank_one_pair`).
-
-A Richardson chain solves the same pencil on grids N, 2N, 4N, and from
-the second grid on `start` is the pair of the grid below.  Interpolated
-onto the finer grid, it starts Rayleigh-quotient iteration, one O(N)
-tridiagonal solve per step on the same route's pencil (the half of the
-start's parity, or T + u u^T through Sherman-Morrison), and Sturm counts
-at the Rayleigh quotient plus and minus the residual certify that the
-vector is the index-th pair (`_continued_pair`).  Where the certificate
-fails, or the split finds the pair tied across its halves (the base
-circle of a flat torus), the route above runs instead.
+(index 0) or second-lowest (index 1) pair of either closure type by one
+route.  Every chain starts from the same pencil on 16 cells, B =
+M^{-1/2} K M^{-1/2} written out with its cyclic corner and solved
+densely.  Each grid of the chain then continues the pair of the grid
+before (`_continued_pair`): the pair, interpolated onto the grid,
+starts Rayleigh-quotient iteration, one O(N) tridiagonal solve per step
+(B = T + u u^T through Sherman-Morrison where it is periodic), and
+Sturm counts at the Rayleigh quotient plus and minus the residual
+certify that the index-th eigenvalue lies that close, a tied pair (the
+base circle of a flat torus) included.  Where the certificate fails,
+bisection on the same counts and inverse iteration replace it.
 
 The value is always the Rayleigh quotient of the returned vector against
 B.  Every route resolves eigenvalues only to a few ulps of the
 Gershgorin scale of B; 16 eps of it (`_noise_floor`) is the Richardson
-study's noise floor, the rank-one solver's deflation floor, the mirror
-split's tolerance for the rounding that keeps the assembled B from being
-exactly symmetric, its tie threshold and the continued route's margin.
+study's noise floor and the continued route's margin.
 
 Eigenvalues converge at second order in h; `lambda1` runs a three-grid
 Richardson study, checks the observed order, and returns the
@@ -155,19 +138,22 @@ def assemble(m: Manifold, k: int, N: int) -> Discretization:
 
 # -- eigensolvers -------------------------------------------------------------
 
-# steps the rank-one secular solve or a Rayleigh-quotient iteration may
-# take before giving up
+# cells of the dense solve that starts every chain
+_START_CELLS = 16
+
+# steps a Rayleigh-quotient iteration may take before giving up
 _MAX_STEPS = 64
 
 
 def _noise_floor(dis: Discretization) -> float:
     """16 eps times the Gershgorin bound on ||B||: the solvers' rounding.
 
-    No solver here places an eigenvalue more accurately than a few ulps
-    of ||B||, so grid differences below that are noise even when far
-    above 1e-13 * lam (a constant warp puts the fiber eigenvalue at
-    nu_k / c^2 on every grid).  ||B|| is ~4/h^2 here, far below the h^2
-    error the values carry anyway.
+    No solve here places an eigenvalue more accurately than a few ulps of
+    ||B||, so grid differences below that are noise even when far above
+    1e-13 * lam (a constant warp puts the fiber eigenvalue at nu_k / c^2
+    on every grid).  It is the continued route's margin and the width its
+    fallback bisects to.  ||B|| is ~4/h^2 here, far below the h^2 error
+    the values carry anyway.
     """
     return 16.0 * np.finfo(float).eps * float(
         np.max(np.abs(dis.sym_d)) + 2.0 * np.max(np.abs(dis.sym_e))
@@ -184,7 +170,7 @@ def _sherman_morrison(diag: np.ndarray, e: np.ndarray, u: np.ndarray,
                       y: np.ndarray) -> np.ndarray:
     """(T + u u^T)^{-1} y times the scalar 1 + u^T T^{-1} u, for T the
     tridiagonal (diag, e): one solve with the two columns y and u."""
-    t, w = _solve(diag, e, np.c_[y, u]).T
+    t, w = _solve(diag, e, np.array([y, u]).T).T
     return (1.0 + u @ w) * t - (u @ t) * w
 
 
@@ -198,254 +184,95 @@ def _cut_open(dis: Discretization) -> tuple:
     return np.r_[d[0] + c, d[1:-1], d[-1] + c], u
 
 
-def _rank_one_pair(dis: Discretization, index: int) -> np.ndarray:
-    """Unit eigenvector of the index-th lowest pair of a periodic B.
-
-    B = T + u u^T, with T = B cut open (`_cut_open`).  The eigenvalues of
-    B interlace those of T, so the wanted one is the root in
-    [mu_index, mu_index+1] of f(lam) = 1 + u^T (T - lam)^{-1} u, which
-    rises between the poles mu_j (Bunch, Nielsen & Sorensen 1978, Numer.
-    Math. 31:31).  One bisection (`_lapack.lowest_pairs`) gives T's
-    pairs 0..index+1 and z = V^T u; their terms z_j^2 / (mu_j - lam) are
-    summed apart from the smooth rest u'^T (T - lam)^{-1} u',
-    u' = u - V z, one tridiagonal solve per step, kept a quarter floor
-    off every mu_j (a first-order step covers the offset).  A pole with
-    |z_j| ||u|| below the floor 16 eps ||B|| is deflated, and a deflated
-    end of the bracket holds the root unless f changes sign just inside
-    it.  Else the root is solved from the nearer pole, that pole's term
-    exact and every other slope on the far pole (R.-C. Li 1993, LAPACK
-    Working Note 89; LAPACK's dlaed4), safeguarded by bisection.  The vector,
-    (T - lam)^{-1} u or a deflated v_j, is polished by inverse iteration
-    on B through the Sherman-Morrison formula (`_sherman_morrison`).
-    """
-    e, c = dis.sym_e, dis.sym_corner
-    d_t, u = _cut_open(dis)
-    mu, V = _lapack.lowest_pairs(d_t, e, index + 1)
-    z = V.T @ u
-    u_rest = u - V @ z
-    eps = np.finfo(float).eps
-    floor = _noise_floor(dis)
-    live = np.abs(z) * np.sqrt(-2.0 * c) > floor
-
-    def band(o, tau):
-        """Diagonal of T - (o + tau + off); off keeps the shift clear of
-        mu."""
-        g = (mu - o) - tau
-        near = g[np.argmin(np.abs(g))]
-        off = near - np.copysign(max(abs(near), 0.25 * floor), near)
-        return (d_t - o) - (tau + off), off
-
-    def secular(o, tau):
-        """f, f', (T - lam)^{-1} u', the live gaps mu_j - lam and the
-        rounding of f, at lam = o + tau."""
-        diag, off = band(o, tau)
-        x = _solve(diag, e, u_rest)
-        x -= V @ (V.T @ x)
-        xx = x @ x
-        rest = u_rest @ x - off * xx
-        if off != 0.0:
-            y = _solve(diag, e, x)
-            x = x - off * (y - V @ (V.T @ y))
-        gaps = (mu[live] - o) - tau
-        terms = z[live] ** 2 / gaps
-        noise = 4.0 * eps * (1.0 + np.abs(terms).sum() + abs(rest)) \
-            + floor / 16.0 * xx
-        return (1.0 + terms.sum() + rest, (terms / gaps).sum() + xx, x,
-                gaps, noise)
-
-    def polish(o, tau, y, steps):
-        """y after inverse-iteration steps on B at o + tau; whole banded
-        solves, since projecting off V keeps V's rounded tails."""
-        diag, _ = band(o, tau)
-        for _ in range(steps):
-            y = _sherman_morrison(diag, e, u, y)
-            y /= np.linalg.norm(y)
-        return y
-
-    lo, hi = mu[index], mu[index + 1]
-    inside = min(0.5 * floor, 0.25 * (hi - lo))
-    for j, tau in ((index, inside), (index + 1, -inside)):
-        # a deflated end holds the root unless f changes sign inside; v_j
-        # lacks B's tail beyond the cut, so it takes two steps
-        if not live[j] and secular(mu[j], tau)[0] * tau >= 0.0:
-            return polish(mu[j], tau, V[:, j], 2)
-
-    # origin: the live end nearer the root, which lies above the
-    # midpoint where f < 0 there
-    f, df, x, gaps, noise = secular(lo, 0.5 * (hi - lo))
-    o = hi if live[index + 1] and (f < 0.0 or not live[index]) else lo
-    j = index if o == lo else index + 1
-    z_o2 = z[j] ** 2 if live[j] else 0.0
-    tau = 0.5 * (lo + hi) - o
-    t_lo, t_hi = (tau, hi - o) if f < 0.0 else (lo - o, tau)
-    for _ in range(_MAX_STEPS):
-        if abs(f) <= noise:
-            break
-        # model f ~ m + z_o^2 / (d_o - eta) + s_far / (d_far - eta): the
-        # origin's pole term exact, every other slope on the far pole;
-        # one root of the model lies between the poles, none other in
-        # the bracket
-        d_o, d_far = -tau, lo + hi - 2.0 * o - tau
-        s_far = d_far * d_far * (df - z_o2 / (tau * tau))
-        m = f - z_o2 / d_o - s_far / d_far
-        b = m * (d_o + d_far) + z_o2 + s_far
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = 0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * m * f * d_o
-                                               * d_far), b))
-            steps = tau + np.array([q / m, f * d_o * d_far / q])
-        step = next((t for t in steps if t_lo < t < t_hi),
-                    0.5 * (t_lo + t_hi))
-        if abs(step - tau) <= 2.0 * eps * abs(tau):
-            break
-        tau = step
-        f, df, x, gaps, noise = secular(o, tau)
-        t_lo, t_hi = (tau, t_hi) if f < 0.0 else (t_lo, tau)
-    else:
-        raise NoConvergence("secular equation did not settle")
-    return polish(o, tau, V[:, live] @ (z[live] / gaps) + x, 1)
-
-
-def _mirror_halves(dis: Discretization) -> Optional[tuple]:
-    """The half pencils (d_+, e_half), (d_-, e_half) of a periodic B that
-    commutes with the reversal i -> N-1-i, or None where the split does
-    not serve.
-
-    With R the reversal of N/2 entries, such a B maps [x, +-R x] to
-    [T_+- x, +-R T_+- x], where T_+- is the first half's tridiagonal
-    block with +-corner added to its first diagonal entry (the wrap to
-    the last cell) and +-e[N/2-1] to its last (the coupling across the
-    middle).  The spectrum of B is the union of those of T_+ and T_-.
-
-    The split applies when N is even and the assembled entries, a
-    Schrodinger potential on the diagonal included, match their mirror
-    images to within 16 eps of the Gershgorin scale, lambda1's noise
-    floor: the halves solve B' = B's first half and its mirror image,
-    so ||B' - B|| is at most that floor and so is every eigenvalue's
-    move (Weyl).  A mirror-symmetric profile, f(L - t) = f(t), keeps
-    the assembly rounding of a cosine torus or a flat torus that close.
-    """
-    d, e, corner = dis.sym_d, dis.sym_e, dis.sym_corner
-    floor = _noise_floor(dis)
-    if d.size % 2 or (np.max(np.abs(d - d[::-1]))
-                      + 2.0 * np.max(np.abs(e - e[::-1]))) > floor:
-        return None
-    half = d.size // 2
-    halves = []
-    for sign in (1.0, -1.0):
-        d_half = d[:half].copy()
-        d_half[0] += sign * corner
-        d_half[-1] += sign * e[half - 1]
-        halves.append((d_half, e[:half - 1]))
-    return tuple(halves)
-
-
-def _unfold(h: np.ndarray, side: int) -> np.ndarray:
-    """The unit vector of B whose first half is the unit vector h of the
-    even (side 0) or odd (side 1) half pencil."""
-    return np.concatenate([h, (1.0 - 2.0 * side) * h[::-1]]) / np.sqrt(2.0)
-
-
-def _mirror_pair(dis: Discretization, index: int) -> Optional[tuple]:
-    """(unit eigenvector of the index-th lowest pair, tied) of a periodic
-    B that the mirror split serves (`_mirror_halves`), or None.
-
-    The wanted vector is read off the merged spectra of the halves.  A
-    pair that is double across the halves to within the noise floor (the
-    base circle of a flat or near-flat torus) returns its pure even or
-    odd member, flagged as tied.
-    """
-    halves = _mirror_halves(dis)
-    if halves is None:
-        return None
-    solved = [_lapack.lowest_pairs(d, e, index) for d, e in halves]
-    ranked = sorted((float(w), side, j) for side, (ws, _) in enumerate(solved)
-                    for j, w in enumerate(ws))
-    w, side, j = ranked.pop(index)
-    tied = min(abs(v - w) for v, *_ in ranked) <= _noise_floor(dis)
-    return _unfold(solved[side][1][:, j], side), tied
-
-
 def _continued_pair(dis: Discretization, index: int,
-                    start: tuple) -> Optional[np.ndarray]:
-    """Unit eigenvector of the index-th lowest pair of B by Rayleigh-
-    quotient iteration from start, or None where it is not certified.
+                    start: tuple) -> np.ndarray:
+    """Unit eigenvector of the index-th lowest pair of B, continued from
+    start = (value, midpoint samples, tm), the same pencil's pair on
+    another grid.
 
-    start = (value, midpoint samples, tm) is the same pencil's pair on
-    another grid.  Its samples, interpolated onto this grid, start
-    inverse iteration shifted to its value, each later step shifted to
-    the Rayleigh quotient of the last iterate: one O(N) tridiagonal solve
-    per step, the mirror split's half pencil of the start's parity, or
-    B = T + u u^T through the Sherman-Morrison formula.  The iteration
-    converges cubically (Parlett, The Symmetric Eigenvalue Problem,
-    1980, ch. 4); it stops once the residual is down to eps ||B||, the
-    rounding of B x itself, or stops falling.  The vector is then as
-    accurate as bisection's: to about eps ||B|| / gap.
+    The samples, interpolated onto this grid, start inverse iteration
+    shifted to the start's value, each later step shifted to the Rayleigh
+    quotient of the last iterate: one O(N) tridiagonal solve per step, on
+    B = T + u u^T through the Sherman-Morrison formula where B is
+    periodic.  The iteration converges cubically (Parlett, The Symmetric
+    Eigenvalue Problem, 1980, ch. 4); it stops once the residual is down
+    to eps ||B||, the rounding of B x itself, or stops falling.  The
+    vector is then accurate to about eps ||B|| / gap.  The lowest vector
+    has no sign change (B's off-diagonal entries are <= 0: Perron-
+    Frobenius), so it also iterates until no entry moves by more than
+    2^-20 of itself: the tails of a localized ground state, far below
+    eps of its peak, still carry the start's error once the residual is
+    at rounding, and each step at a resolved shift cuts that error by
+    |lam - sigma| / gap.
 
-    The vector is accepted only when Sturm counts at sigma -+ rho find
-    exactly index and index + 1 eigenvalues at or below, where sigma is
-    its Rayleigh quotient and rho its residual norm ||B x - sigma x||
-    plus the noise floor: the interval [sigma - rho, sigma + rho] holds
-    an eigenvalue (Parlett ch. 4), so it holds exactly the index-th.
-    The split counts over both halves at once, as one block-diagonal
-    tridiagonal.  The periodic B counts as T plus the inertia of
-    1 + u^T (T - s)^{-1} u less one (Haynsworth 1968, Linear Algebra
-    Appl. 1:73, on the pencil bordered by u).
+    Sturm counts certify it.  With sigma its Rayleigh quotient and rho
+    its residual norm ||B x - sigma x|| plus the noise floor, the vector
+    is accepted when at most index eigenvalues lie at or below
+    sigma - rho and more than index at or below sigma + rho: the
+    index-th eigenvalue then lies within rho of sigma.  A cluster that
+    holds it, such as the tied cos/sin pair of a flat torus's base
+    circle, passes with any vector of its span.  The periodic B counts
+    as T plus the inertia of 1 + u^T (T - s)^{-1} u less one
+    (Haynsworth 1968, Linear Algebra Appl. 1:73, on the pencil bordered
+    by u).  Where the certificate fails, bisection on the same counts
+    brackets the index-th eigenvalue to the noise floor, and inverse
+    iteration at the bracket's midpoint from the interpolated samples
+    returns its vector.
     """
     value, samples, tm = start
     x = np.interp(dis.tm, tm, samples,
                   period=dis.manifold.L if dis.periodic else None)
     x = x * np.sqrt(dis.mass)
     d, e, u = dis.sym_d, dis.sym_e, None
-    apply, count_d, count_e, side = dis.apply_sym, d, e, None
-    halves = _mirror_halves(dis) if dis.periodic else None
-    if halves is not None:
-        half = d.size // 2
-        mirrored = x[half:][::-1]
-        side = int(x[:half] @ mirrored < 0.0)
-        (d_even, e), (d_odd, _) = halves
-        d = (d_even, d_odd)[side]
-        x = x[:half] + (1.0 - 2.0 * side) * mirrored
-        count_d, count_e = np.r_[d_even, d_odd], np.r_[e, 0.0, e]
-
-        def apply(v):
-            return _apply(d, e, v)
-    elif dis.periodic:
+    if dis.periodic:
         d, u = _cut_open(dis)
-        count_d = d
 
     def below(s):
-        """Eigenvalues of B (or of both halves) at or below s."""
-        n = _lapack.count(count_d, count_e, s)
+        """Eigenvalues of B at or below s."""
+        n = _lapack.count(d, e, s)
         if u is not None:
             n += int(1.0 + u @ _solve(d - s, e, u) > 0.0) - 1
         return n
 
+    def inverse(y, s):
+        """(B - s)^{-1} y, up to a scalar."""
+        return _solve(d - s, e, y) if u is None \
+            else _sherman_morrison(d - s, e, u, y)
+
     def measured(y):
         """(unit y, its Rayleigh quotient, its residual norm)."""
         y = y / np.linalg.norm(y)
-        by = apply(y)
+        by = dis.apply_sym(y)
         q = float(y @ by)
         return y, q, float(np.linalg.norm(by - q * y))
 
     floor = _noise_floor(dis)
-    best, sigma = measured(x), value
+    best, sigma, settled = measured(x), value, index > 0
     for _ in range(_MAX_STEPS):
-        if best[2] <= floor / 16.0:
+        if best[2] <= floor / 16.0 and settled:
             break   # eps ||B||, the rounding of B x itself
         try:
-            y = _solve(d - sigma, e, best[0]) if u is None \
-                else _sherman_morrison(d - sigma, e, u, best[0])
+            step = measured(inverse(best[0], sigma))
         except np.linalg.LinAlgError:
             break   # sigma is an eigenvalue to the last bit
-        step = measured(y)
-        if step[2] >= best[2]:
+        if step[2] >= best[2] and (settled or step[2] > floor):
             break
+        moved = step[0] - np.sign(step[0] @ best[0]) * best[0]
+        settled = index > 0 or bool(np.all(np.abs(moved) <= 2.0 ** -20
+                                           * np.abs(step[0])))
         best, sigma = step, step[1]
-    x, sigma, r = best
+    y, sigma, r = best
     rho = r + floor
-    if below(sigma - rho) != index or below(sigma + rho) != index + 1:
-        return None
-    return x if side is None else _unfold(x, side)
+    if below(sigma - rho) <= index < below(sigma + rho):
+        return y
+    hi = floor / (16.0 * np.finfo(float).eps)   # Gershgorin: ||B|| <= hi
+    lo = -hi
+    while hi - lo > floor:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if below(mid) <= index else (lo, mid)
+    for _ in range(3):
+        x = measured(inverse(x, 0.5 * (lo + hi)))[0]
+    return x
 
 
 def _eigenpair(dis: Discretization, index: int,
@@ -454,35 +281,30 @@ def _eigenpair(dis: Discretization, index: int,
     the pencil.
 
     index 0 is the lowest pair, index 1 the second lowest (on a k = 0
-    pencil without potential, the first above the constants).  start is
-    the same pencil's pair on a coarser grid, as the last call returned
-    it: where given, `_continued_pair` refines it, and the route below
-    runs only where its certificate fails.  Without start the route
-    follows the pencil: bisection (`_lapack.lowest_pairs`, LAPACK dstebz
-    and dstein) on a pole-closed pencil, the mirror split or else the
-    rank-one secular solve on a periodic one.  The next start is
-    (value, eigenfunction, tm), or None where the pair is tied or its
-    certificate failed, so a finer grid solves it afresh.
+    pencil without potential, the first above the constants).  Without
+    start, B is written out, cyclic corner included, and solved densely
+    (numpy's eigh): every chain starts so on _START_CELLS cells.  start
+    is the same pencil's pair on another grid, as the last call returned
+    it, and `_continued_pair` refines it.  The next start is
+    (value, eigenfunction, tm).
 
-    The value is the Rayleigh quotient of the route's vector against B:
-    bisection places a value only to about eps ||B||, the quotient to
-    about eps ||B|| / sqrt(N), and it takes up the rounding between B
-    and the split's mirrored halves to first order.
+    The value is the Rayleigh quotient of the vector against B, which
+    places it to about eps ||B|| / sqrt(N).  A non-finite pencil raises
+    ValueError, since eigh would return NaN without raising.
     """
-    vec = None if start is None else _continued_pair(dis, index, start)
-    ends_chain = start is not None and vec is None
-    if vec is None and dis.periodic:
-        split = _mirror_pair(dis, index)
-        if split is None:
-            vec = _rank_one_pair(dis, index)
-        else:
-            vec, tied = split
-            ends_chain = ends_chain or tied
-    elif vec is None:
-        vec = _lapack.lowest_pairs(dis.sym_d, dis.sym_e, index)[1][:, index]
+    for a in (dis.sym_d, dis.sym_e, dis.sym_corner):
+        np.asarray_chkfinite(a)
+    if start is None:
+        B = np.diag(dis.sym_d) + np.diag(dis.sym_e, 1) \
+            + np.diag(dis.sym_e, -1)
+        B[0, -1] += dis.sym_corner
+        B[-1, 0] += dis.sym_corner
+        vec = np.linalg.eigh(B)[1][:, index]
+    else:
+        vec = _continued_pair(dis, index, start)
     lam = float(vec @ dis.apply_sym(vec)) / float(vec @ vec)
     phi = vec / np.sqrt(dis.mass)
-    return lam, phi, None if ends_chain else (lam, phi, dis.tm)
+    return lam, phi, (lam, phi, dis.tm)
 
 
 # -- public spectral results --------------------------------------------------
@@ -559,12 +381,15 @@ def eigenfunction_u(phi: np.ndarray, dis: Discretization) -> tuple:
 
 def _mode_candidate(m: Manifold, k: int, grids: Sequence[int]):
     """Raw eigenvalues of mode k across grids, each grid's pair continued
-    from the grid before, plus the finest grid's eigenfunction and
+    from the grid before and the first from the dense solve on
+    _START_CELLS cells, plus the finest grid's eigenfunction and
     pencil."""
-    lams, start = [], None
+    index = 1 if k == 0 else 0
+    start = _eigenpair(assemble(m, k, _START_CELLS), index)[2]
+    lams = []
     for N in grids:
         dis = assemble(m, k, N)
-        lam, phi, start = _eigenpair(dis, 1 if k == 0 else 0, start)
+        lam, phi, start = _eigenpair(dis, index, start)
         lams.append(lam)
     return lams, phi, dis
 
@@ -575,15 +400,19 @@ def _extrapolate(lams: Sequence[float], floor: float = 0.0):
     Returns (value, order, at_floor).  at_floor means the grid-to-grid
     differences are at rounding level (relative to the eigenvalue or to
     the solver resolution `floor`), i.e. already converged, and the
-    order is reported as the nominal 2.
+    order is reported as the nominal 2.  A last difference at or below
+    that level whose observed order still lies in the second-order
+    window is discretization error, not rounding, and takes the step.
     """
     l0, l1, l2 = lams[-3], lams[-2], lams[-1]
     d01 = l1 - l0
     d12 = l2 - l1
     scale = max(abs(l2), 1e-30)
-    if abs(d12) <= max(1e-13 * scale, floor):
+    order = float(np.log2(abs(d01 / d12))) if d01 != 0.0 and d12 != 0.0 \
+        else float("nan")
+    if abs(d12) <= max(1e-13 * scale, floor) and \
+            not _ORDER_WINDOW[0] <= order <= _ORDER_WINDOW[1]:
         return l2, 2.0, True
-    order = float(np.log2(abs(d01 / d12))) if d01 != 0.0 else float("nan")
     return l2 + d12 / 3.0, order, False
 
 
@@ -641,14 +470,14 @@ class GroundState:
     eigenfunction w is positive, normalized to unit quadratic mean, and
     sampled at the cell midpoints of the discretization dis.  next_start
     is the pencil's pair that a finer grid's solve continues from (see
-    `_eigenpair`), or None.
+    `_eigenpair`).
     """
 
     sigma_tilde: float
     w: np.ndarray
     w_bar: float
     dis: Discretization
-    next_start: Optional[tuple] = None
+    next_start: tuple
 
     @property
     def t(self) -> np.ndarray:
@@ -663,7 +492,9 @@ def schrodinger_ground(m: Manifold,
 
     V may be a callable of t or midpoint samples of length N.  start is
     the same potential's ground state on a coarser grid, whose pair this
-    solve continues (`_eigenpair`).  The top
+    solve continues (`_eigenpair`); without it, the pair of the pencil
+    on _START_CELLS cells is, with V evaluated at their midpoints or
+    interpolated there from the samples.  The top
     of the spectrum of Delta + V equals -mu_0 where mu_0 is the lowest
     eigenvalue of the quadratic form pencil
     (K - M diag(V)) x = mu M x; V >= 0 makes sigma_tilde >= 0 because
@@ -679,9 +510,16 @@ def schrodinger_ground(m: Manifold,
         # exactly instead of eigensolver rounding (~eps/h^2), which
         # would otherwise leak sign noise into sigma margins.
         return GroundState(sigma_tilde=0.0, w=np.ones(N), w_bar=1.0,
-                           dis=dis)
+                           dis=dis, next_start=(0.0, np.ones(N), dis.tm))
+    if start is None:
+        coarse = assemble(m, 0, _START_CELLS)
+        Vc = V(coarse.tm) if callable(V) else np.interp(
+            coarse.tm, dis.tm, Varr, period=m.L if dis.periodic else None)
+        pair = _eigenpair(replace(coarse, sym_d=coarse.sym_d - Vc), 0)[2]
+    else:
+        pair = start.next_start
     mu0, w, next_start = _eigenpair(replace(dis, sym_d=dis.sym_d - Varr), 0,
-                                    start.next_start if start else None)
+                                    pair)
     vol = float(np.sum(dis.mass))
     if np.sum(w * dis.mass) < 0.0:
         w = -w

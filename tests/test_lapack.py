@@ -2,14 +2,14 @@
 
 Covers:
 - each call against the public scipy function it replaces, bit for bit,
-  on hypothesis-drawn tridiagonals of 8 to 2048 rows: the lowest pairs
-  against `scipy.linalg.eigh_tridiagonal(select="i")`, the Sturm count
+  on hypothesis-drawn tridiagonals of 8 to 2048 rows: the Sturm count
   against `scipy.linalg.lapack.dstebz`, one- and two-column solves
   against `scipy.linalg.solve_banded((1, 1), ...)`; a later scipy that
   renames `_flapack` or changes a signature fails here first
 - the checks those functions made: a non-finite diagonal raises
-  ValueError through the bisection route and the spline, a nonzero
-  LAPACK info raises, a singular solve raises LinAlgError
+  ValueError through the dense start of every eigen chain and the
+  spline, a nonzero LAPACK info raises, a singular solve raises
+  LinAlgError
 """
 
 import math
@@ -44,17 +44,6 @@ def tridiagonals(draw):
         w = 1.0 + 0.5 * rng.uniform(-1.0, 1.0, n + 1)
         d, e = (w[:-1] + w[1:]) / h ** 2, -w[1:-1] / h ** 2
     return d, e
-
-
-@settings(max_examples=60, deadline=None)
-@given(tridiagonals(), st.integers(0, 2))
-def test_lowest_pairs_match_eigh_tridiagonal(de, k):
-    d, e = de
-    w, v = _lapack.lowest_pairs(d, e, k)
-    want_w, want_v = sla.eigh_tridiagonal(d, e, select="i",
-                                          select_range=(0, k))
-    assert np.array_equal(w, want_w)
-    assert np.array_equal(v, want_v)
 
 
 @settings(max_examples=60, deadline=None)

@@ -512,17 +512,16 @@ def test_dumbbell_certificates_fail_their_windows():
 
 
 def test_sweep_pinched_row_survives_certificate_failure():
-    # a spline through 1 + 0.9 cos(t - 1), whose mirror axis misses the
-    # grid's, takes the rank-one periodic solver; alpha_target 0.8
-    # selects delta = 0.0032, where the ground state's far tail (1e-109
-    # relative) is lost to rounding and the solver refuses it.  The
-    # certificates come back as None but the row is still usable
+    # a spline through 1 + 0.9 cos(t - 1); alpha_target 0.95 selects
+    # delta = 1.9e-4, where the ground state's far tail falls below the
+    # smallest double and the solver refuses it.  The certificates come
+    # back as None but the row is still usable
     ts = np.linspace(0.0, TWO_PI, 65)
     fs = 1.0 + 0.9 * np.cos(ts - 1.0)
     fs[-1] = fs[0]
     specs = [{"id": "pinched", "kind": "tabulated", "L": TWO_PI, "ts": ts,
               "fs": fs, "boundary": "periodic"}]
-    rows, summary = sweep(specs, 0.8, 2.0, 2.0, 0.5)
+    rows, summary = sweep(specs, 0.95, 2.0, 2.0, 0.5)
     assert summary["errors"] == 0
     rec = rows[0].record
     assert not rec.hypothesis_met
