@@ -426,17 +426,18 @@ def test_continued_pair_from_the_wrong_pair(monkeypatch, case):
     assert fallbacks == [1]
 
 
-@pytest.mark.parametrize("m", [
+TIED_TORI = pytest.mark.parametrize("m", [
     make_manifold("constant", L=TWO_PI, c=0.1),
     make_manifold("cosine", L=TWO_PI, c=0.1, beta=0.0),
     make_manifold("cosine", L=TWO_PI, c=0.5, beta=1e-8),
 ], ids=["flat", "cosine-b0", "cosine-b1e-8"])
+
+
+@TIED_TORI
 def test_tied_pair_continues_the_chain(monkeypatch, m):
     # the base circle's cos/sin pair is double at working precision on
     # flat and near-flat tori; the cluster-aware certificate accepts any
-    # vector of its span, so the chain continues it without the fallback,
-    # and the gradient check, which reads the continuous peak, passes
-    # the mixed member it returns
+    # vector of its span, so the chain continues it without the fallback
     fallbacks = counting_fallbacks(monkeypatch)
     for k, index in ((0, 1), (0, 0), (1, 0)):
         coarse = assemble(m, k, 128)
@@ -448,6 +449,16 @@ def test_tied_pair_continues_the_chain(monkeypatch, m):
         root_m = np.sqrt(M)
         vals = np.linalg.eigvalsh(K / np.outer(root_m, root_m))
         assert abs(lam - vals[index]) <= sgv.spectral._noise_floor(dis)
+    assert fallbacks == []
+
+
+@TIED_TORI
+def test_tied_pair_passes_the_gradient_check(monkeypatch, m):
+    # the chain returns a mixed member of the tied pair, whose peak sits
+    # anywhere between midpoints; the gradient check, which reads the
+    # continuous peak, passes it, and no grid of the theorem's solves
+    # falls back to bisection
+    fallbacks = counting_fallbacks(monkeypatch)
     rec = check_main_theorem(m, 0.5, 2.0, 2.0, 0.5)
     assert fallbacks == []
     assert rec.gradient_margin <= 1e-6 * rec.lambda_tilde
