@@ -343,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("eig", help="first nonzero Laplace eigenvalue")
     _add_manifold_flags(sp)
     sp.add_argument("--grids", default=",".join(map(str, DEFAULT_GRIDS)),
-                    help="comma-separated refinement grids")
+                    help="comma-separated refinement grids, at least "
+                    "three, each twice the one before")
     sp.add_argument("--out", default=None, help="also write JSON here")
     sp.set_defaults(func=_cmd_eig)
 

@@ -15,11 +15,12 @@ and handles the pole-closed case naturally because the edge weight
 f^{n-1} vanishes at the poles -- no boundary condition is imposed beyond
 what the geometry already encodes.
 
-One entry point, `_eigenpair(dis, index, start)`, returns the lowest
-(index 0) or second-lowest (index 1) pair of either closure type by one
-route.  Every chain starts from the same pencil on 16 cells, B =
-M^{-1/2} K M^{-1/2} written out with its cyclic corner and solved
-densely.  Each grid of the chain then continues the pair of the grid
+One driver, `_chain(m, k, index, grids, V)`, runs every chain: the
+lowest (index 0) or second-lowest (index 1) pair of the mode-k pencil,
+less diag(V) where a potential is given, on each grid in turn.  It
+starts from the same pencil on 16 cells, B = M^{-1/2} K M^{-1/2}
+written out with its cyclic corner and solved densely (`_eigenpair`
+without a start).  Each grid then continues the pair of the grid
 before (`_continued_pair`): the pair, interpolated onto the grid,
 starts Rayleigh-quotient iteration, one O(N) tridiagonal solve per step
 (B = T + u u^T through Sherman-Morrison where it is periodic), and
@@ -27,6 +28,8 @@ Sturm counts at the Rayleigh quotient plus and minus the residual
 certify that the index-th eigenvalue lies that close, a tied pair (the
 base circle of a flat torus) included.  Where the certificate fails,
 bisection on the same counts and inverse iteration replace it.
+`lambda1` runs one chain per fiber mode, `schrodinger_ground` one for
+the ground state of a potential.
 
 The value is always the Rayleigh quotient of the returned vector against
 B.  Every route resolves eigenvalues only to a few ulps of the
@@ -34,14 +37,14 @@ Gershgorin scale of B; 16 eps of it (`_noise_floor`) is the Richardson
 study's noise floor and the continued route's margin.
 
 Eigenvalues converge at second order in h; `lambda1` runs a three-grid
-Richardson study, checks the observed order, and returns the
-extrapolated value.
+Richardson study on grids that each double the one before, checks the
+observed order, and returns the extrapolated value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -277,16 +280,13 @@ def _continued_pair(dis: Discretization, index: int,
 
 def _eigenpair(dis: Discretization, index: int,
                start: Optional[tuple] = None) -> tuple:
-    """(eigenvalue, eigenfunction at the cell midpoints, next start) of
-    the pencil.
+    """(eigenvalue, eigenfunction at the cell midpoints) of the pencil.
 
     index 0 is the lowest pair, index 1 the second lowest (on a k = 0
     pencil without potential, the first above the constants).  Without
     start, B is written out, cyclic corner included, and solved densely
-    (numpy's eigh): every chain starts so on _START_CELLS cells.  start
-    is the same pencil's pair on another grid, as the last call returned
-    it, and `_continued_pair` refines it.  The next start is
-    (value, eigenfunction, tm).
+    (numpy's eigh).  start = (value, eigenfunction, tm) is the same
+    pencil's pair on another grid, and `_continued_pair` refines it.
 
     The value is the Rayleigh quotient of the vector against B, which
     places it to about eps ||B|| / sqrt(N).  A non-finite pencil raises
@@ -303,8 +303,39 @@ def _eigenpair(dis: Discretization, index: int,
     else:
         vec = _continued_pair(dis, index, start)
     lam = float(vec @ dis.apply_sym(vec)) / float(vec @ vec)
-    phi = vec / np.sqrt(dis.mass)
-    return lam, phi, (lam, phi, dis.tm)
+    return lam, vec / np.sqrt(dis.mass)
+
+
+def _chain(m: Manifold, k: int, index: int, grids: Sequence[int],
+           V: Optional[Callable] = None):
+    """Yield (value, eigenfunction, pencil) of the index-th pair of the
+    mode-k pencil on each grid, the pencil being the one without V.
+
+    The first grid continues the dense solve on _START_CELLS cells (or
+    is that solve), each later grid the grid before.  Given V, a
+    callable of t, each solve takes the pencil less diag(V(tm)).  A
+    k = 0, index 0 pencil whose V vanishes on the grid is the plain
+    Laplacian, whose lowest pair is exactly 0 at the constants: that
+    pair is returned, with no solve, instead of eigensolver rounding
+    (~eps/h^2), which would leak sign noise into sigma margins.
+    """
+    def solve(N, start):
+        """(value, eigenfunction, pencil) on N cells, from start."""
+        dis = assemble(m, k, N)
+        shift = 0.0 if V is None else np.asarray(V(dis.tm), dtype=float)
+        if k == 0 and index == 0 and not np.any(shift):
+            return 0.0, np.ones(N), dis
+        if start is None and N != _START_CELLS:
+            value, phi, coarse = solve(_START_CELLS, None)
+            start = value, phi, coarse.tm
+        solved = dis if V is None else replace(dis, sym_d=dis.sym_d - shift)
+        return (*_eigenpair(solved, index, start), dis)
+
+    start = None
+    for N in grids:
+        value, phi, dis = solve(N, start)
+        start = value, phi, dis.tm
+        yield value, phi, dis
 
 
 # -- public spectral results --------------------------------------------------
@@ -379,21 +410,6 @@ def eigenfunction_u(phi: np.ndarray, dis: Discretization) -> tuple:
     return phi / (peak if hi >= -lo else -peak), 0.0
 
 
-def _mode_candidate(m: Manifold, k: int, grids: Sequence[int]):
-    """Raw eigenvalues of mode k across grids, each grid's pair continued
-    from the grid before and the first from the dense solve on
-    _START_CELLS cells, plus the finest grid's eigenfunction and
-    pencil."""
-    index = 1 if k == 0 else 0
-    start = _eigenpair(assemble(m, k, _START_CELLS), index)[2]
-    lams = []
-    for N in grids:
-        dis = assemble(m, k, N)
-        lam, phi, start = _eigenpair(dis, index, start)
-        lams.append(lam)
-    return lams, phi, dis
-
-
 def _extrapolate(lams: Sequence[float], floor: float = 0.0):
     """Richardson step from the last pair, with observed order.
 
@@ -427,13 +443,19 @@ def lambda1(m: Manifold, grids: Sequence[int] = DEFAULT_GRIDS) -> EigenResult:
     value.  Each candidate is extrapolated from the last two grids, and
     the smaller is returned.  Raises NoConvergence when the winning
     mode's observed order leaves the expected second-order window
-    [1.5, 2.5] while the differences are above rounding floor.
+    [1.5, 2.5] while the differences are above rounding floor.  The
+    Richardson step assumes h halves from grid to grid, so each grid
+    must have twice the cells of the one before (ValueError otherwise).
     """
     if len(grids) < 3:
         raise ValueError("need at least three grids for the order study")
+    if any(b != 2 * a for a, b in zip(grids, grids[1:])):
+        raise ValueError(f"each grid must double the one before: {grids}")
 
     def candidate(k):
-        lams, u_raw, dis = _mode_candidate(m, k, grids)
+        chain = list(_chain(m, k, 0 if k else 1, grids))
+        lams = [lam for lam, _, _ in chain]
+        _, u_raw, dis = chain[-1]
         extrap, order, at_floor = _extrapolate(lams, floor=_noise_floor(dis))
         return extrap, k, lams, u_raw, dis, order, at_floor
 
@@ -468,69 +490,45 @@ class GroundState:
 
     sigma_tilde is the largest sigma with (Delta + V) w = sigma w; the
     eigenfunction w is positive, normalized to unit quadratic mean, and
-    sampled at the cell midpoints of the discretization dis.  next_start
-    is the pencil's pair that a finer grid's solve continues from (see
-    `_eigenpair`).
+    sampled at the cell midpoints of the discretization dis.
     """
 
     sigma_tilde: float
     w: np.ndarray
     w_bar: float
     dis: Discretization
-    next_start: tuple
 
     @property
     def t(self) -> np.ndarray:
         return self.dis.tm
 
 
-def schrodinger_ground(m: Manifold,
-                       V: Union[Callable, np.ndarray],
-                       N: int,
-                       start: Optional[GroundState] = None) -> GroundState:
-    """Ground state of the fiber-symmetric Schrodinger pencil.
+def schrodinger_ground(m: Manifold, V: Callable,
+                       grids: Sequence[int]) -> list:
+    """Ground states of the fiber-symmetric Schrodinger pencil, one per
+    grid, from one `_chain` of the potential V, a callable of t.
 
-    V may be a callable of t or midpoint samples of length N.  start is
-    the same potential's ground state on a coarser grid, whose pair this
-    solve continues (`_eigenpair`); without it, the pair of the pencil
-    on _START_CELLS cells is, with V evaluated at their midpoints or
-    interpolated there from the samples.  The top
-    of the spectrum of Delta + V equals -mu_0 where mu_0 is the lowest
-    eigenvalue of the quadratic form pencil
+    The top of the spectrum of Delta + V equals -mu_0 where mu_0 is the
+    lowest eigenvalue of the quadratic form pencil
     (K - M diag(V)) x = mu M x; V >= 0 makes sigma_tilde >= 0 because
-    the constant test vector gives form value <= 0.
+    the constant test vector gives form value <= 0.  Raises at the first
+    grid whose ground state changes sign or is not positive.
     """
-    dis = assemble(m, 0, N)
-    Varr = np.asarray(V(dis.tm) if callable(V) else V, dtype=float)
-    if Varr.shape != (N,):
-        raise ValueError("potential samples must match the grid")
-    if not np.any(Varr):
-        # V identically zero: the pencil is the plain Laplacian, whose
-        # top eigenvalue is exactly 0 at the constants.  Return that
-        # exactly instead of eigensolver rounding (~eps/h^2), which
-        # would otherwise leak sign noise into sigma margins.
-        return GroundState(sigma_tilde=0.0, w=np.ones(N), w_bar=1.0,
-                           dis=dis, next_start=(0.0, np.ones(N), dis.tm))
-    if start is None:
-        coarse = assemble(m, 0, _START_CELLS)
-        Vc = V(coarse.tm) if callable(V) else np.interp(
-            coarse.tm, dis.tm, Varr, period=m.L if dis.periodic else None)
-        pair = _eigenpair(replace(coarse, sym_d=coarse.sym_d - Vc), 0)[2]
-    else:
-        pair = start.next_start
-    mu0, w, next_start = _eigenpair(replace(dis, sym_d=dis.sym_d - Varr), 0,
-                                    pair)
-    vol = float(np.sum(dis.mass))
-    if np.sum(w * dis.mass) < 0.0:
-        w = -w
-    if np.min(w) <= 0.0:
-        if np.min(w) < -1e-10 * np.max(np.abs(w)):
-            raise SignChange("ground state changes sign")
-        raise NonPositiveGround("ground state has non-positive entries")
-    w = w / np.sqrt(float(np.sum(w * w * dis.mass)) / vol)
-    w_bar = float(np.sum(w * dis.mass)) / vol
-    return GroundState(sigma_tilde=-mu0, w=w, w_bar=w_bar, dis=dis,
-                       next_start=next_start)
+    states = []
+    for mu0, w, dis in _chain(m, 0, 0, grids, V):
+        vol = float(np.sum(dis.mass))
+        if np.sum(w * dis.mass) < 0.0:
+            w = -w
+        if np.min(w) <= 0.0:
+            if np.min(w) < -1e-10 * np.max(np.abs(w)):
+                raise SignChange("ground state changes sign")
+            raise NonPositiveGround("ground state has non-positive entries")
+        w = w / np.sqrt(float(np.sum(w * w * dis.mass)) / vol)
+        w_bar = float(np.sum(w * dis.mass)) / vol
+        # 0.0 - mu0, not -mu0: the exact 0 of a vanishing V stays +0.0
+        states.append(GroundState(sigma_tilde=0.0 - mu0, w=w, w_bar=w_bar,
+                                  dis=dis))
+    return states
 
 
 def build_J(gs: GroundState, tau: float) -> np.ndarray:

@@ -18,6 +18,9 @@ and measures its actual margin on an exactly-parameterized manifold:
   * sweep               -- families of the above with per-row error
                            capture and a deterministic summary.
 
+The checks measure the states they are given; only `check_sigma_bound`
+solves, the shift potential's ground-state chain, once.
+
 Margins are signed so that >= 0 (up to stated slack) means the estimate
 holds; failed hypotheses are recorded, never raised, because a manifold
 outside the integral-curvature smallness regime is data, not an error.
@@ -53,18 +56,6 @@ def shift_potential(m: Manifold, delta: float) -> Callable:
     return V
 
 
-def _ground_chain(m: Manifold, delta: float,
-                 grids: Sequence[int] = DEFAULT_GRIDS) -> list:
-    """Ground states of the shift potential on each grid, each solve
-    continued from the grid before."""
-    V = shift_potential(m, delta)
-    chain, gs = [], None
-    for N in grids:
-        gs = schrodinger_ground(m, V, N, start=gs)
-        chain.append(gs)
-    return chain
-
-
 @dataclass(frozen=True)
 class SigmaCheck:
     """Measured ground-state shift against its a-priori ceiling."""
@@ -78,42 +69,37 @@ class SigmaCheck:
     history: tuple           # (N, sigma_tilde raw) per grid
 
 
-def check_sigma_bound(m: Manifold, delta: float, p: float,
-                      kb: Optional[float] = None) -> SigmaCheck:
+def check_sigma_bound(m: Manifold, delta: float, *,
+                      kb: float) -> SigmaCheck:
     """Measure sigma = sigma_tilde / (tau - 1) and its ceiling margin.
 
-    sigma_tilde takes the same Richardson step as lambda1 over
-    DEFAULT_GRIDS, with a rounding floor of 1e-12 relative and no order
-    gate: for near-flat profiles the grid differences sit at rounding
-    level and the step is a no-op.  kb is kbar(m, p, 0) when the caller
-    already has it.
+    The ground state of the shift potential is solved once, as one
+    chain over DEFAULT_GRIDS.  sigma_tilde takes the same Richardson
+    step as lambda1, with a rounding floor of 1e-12 relative and no
+    order gate: for near-flat profiles the grid differences sit at
+    rounding level and the step is a no-op.  kb is kbar(m, p, 0).
     """
     tau = tau_of(delta)
-    chain = _ground_chain(m, delta)
+    chain = schrodinger_ground(m, shift_potential(m, delta), DEFAULT_GRIDS)
     vals = [gs.sigma_tilde for gs in chain]
     st, _, _ = _extrapolate(vals, floor=1e-12 * max(abs(vals[-1]), 1e-30))
     sigma = st / (tau - 1.0)
-    if kb is None:
-        kb = kbar(m, p, 0.0)
     return SigmaCheck(sigma=sigma, margin=4.0 * kb - sigma, sigma_tilde=st,
                       tau=tau, kbar=kb, ground=chain[-1],
                       history=tuple(zip(DEFAULT_GRIDS, vals)))
 
 
-def check_J_bounds(m: Manifold, delta: float,
-                   ground: Optional[GroundState] = None) -> float:
-    """Max deviation |J - 1| of the transformed ground state (the finest
-    of `_ground_chain` unless given, as in `check_sigma_bound`)."""
-    if ground is None:
-        ground = _ground_chain(m, delta)[-1]
+def check_J_bounds(ground: GroundState, delta: float) -> float:
+    """Max deviation |J - 1| of the transform of the ground state of the
+    shift potential (`check_sigma_bound`'s `ground`)."""
     J = build_J(ground, tau_of(delta))
     return float(np.max(np.abs(J - 1.0)))
 
 
 def check_gradient_estimate(m: Manifold, delta: float,
                             constants: GradientConstants,
-                            eig: Optional[EigenResult] = None,
-                            ground: Optional[GroundState] = None) -> float:
+                            eig: EigenResult,
+                            ground: GroundState) -> float:
     """Max over the grid of Q = J|grad u|^2 - lt (1-u^2) - 2 a l1 Z(u).
 
     lt = C1 * lambda1 + C2 with the constants as passed (build them with
@@ -124,13 +110,9 @@ def check_gradient_estimate(m: Manifold, delta: float,
     every sphere (cos theta on the circle); Q is linear in Y^2, so its
     max over the fiber is attained at one of the two branch values
     Y^2 in {0, 1}, both checked.  Returns the signed margin max Q (must
-    be <= ~1e-6 * lt when hypotheses hold).  Without ground, the ground
-    state is the finest of `_ground_chain` on eig's grids.
+    be <= ~1e-6 * lt when hypotheses hold).  eig is lambda1's result,
+    and ground the shift potential's ground state on eig's finest grid.
     """
-    if eig is None:
-        eig = lambda1(m)
-    if ground is None:
-        ground = _ground_chain(m, delta, [N for N, _ in eig.history])[-1]
     if ground.t.size != eig.t.size:
         raise ValueError("ground state and eigenfunction grids differ")
     J = build_J(ground, tau_of(delta))
@@ -153,31 +135,30 @@ def check_gradient_estimate(m: Manifold, delta: float,
     return float(max(np.max(q0[sl]), np.max(q1[sl])))
 
 
-def residual_order_study(m: Manifold, delta: float,
-                         grids: Sequence[int] = (16, 32, 64),
-                         ref_N: int = 1024) -> dict:
+def residual_order_study(m: Manifold, delta: float) -> dict:
     """Observed convergence order of the J-equation residual.
 
-    The residual is measured against the shift from one fine reference
-    grid: against its own grid's shift the leading error cancels
-    algebraically (the discrete eigen-identity is exact and the power
-    transform linearizes through the same stencil), leaving an
-    h-independent quadratic remainder that would show order ~0.
+    The residual is measured on grids of 16, 32 and 64 cells, against
+    the shift from one fine reference grid of 1024 cells: against its
+    own grid's shift the leading error cancels algebraically (the
+    discrete eigen-identity is exact and the power transform linearizes
+    through the same stencil), leaving an h-independent quadratic
+    remainder that would show order ~0.
     """
     tau = tau_of(delta)
     V = shift_potential(m, delta)
-    gs_ref = schrodinger_ground(m, V, ref_N)
+    gs_ref, = schrodinger_ground(m, V, (1024,))
     sigma_ref = gs_ref.sigma_tilde / (tau - 1.0)
+    grids = (16, 32, 64)
     residuals = []
-    for N in grids:
-        gs = schrodinger_ground(m, V, N)
+    for gs in schrodinger_ground(m, V, grids):
         J = build_J(gs, tau)
         rho0 = rho_H_field(m, 0.0, gs.dis.tm)
         residuals.append(residual_J_equation(gs.dis, J, rho0, tau,
                                              sigma_ref))
     orders = [float(np.log2(residuals[i] / residuals[i + 1]))
               for i in range(len(residuals) - 1)]
-    return {"grids": tuple(grids), "residuals": residuals,
+    return {"grids": grids, "residuals": residuals,
             "orders": orders, "sigma_ref": sigma_ref}
 
 
@@ -238,25 +219,15 @@ def check_main_theorem(m: Manifold, alpha_target: float, p: float,
     eig = lambda1(m)
     sigma = sigma_margin = j_dev = grad_margin = lam_tilde = None
     try:
-        sc = check_sigma_bound(m, delta, p, kb=kb)
+        sc = check_sigma_bound(m, delta, kb=kb)
         sigma, sigma_margin = sc.sigma, sc.margin
+        j_dev = check_J_bounds(sc.ground, delta)
+        grad_consts = gradient_constants(li, sigma=max(sigma, 0.0))
+        lam_tilde = grad_consts.lambda_tilde(eig.lambda1)
+        grad_margin = check_gradient_estimate(m, delta, grad_consts, eig,
+                                              sc.ground)
     except Exception:
-        sc = None
-    try:
-        j_dev = check_J_bounds(m, delta,
-                               ground=sc.ground if sc else None)
-    except Exception:
-        j_dev = None
-    if sigma is not None:
-        try:
-            grad_consts = gradient_constants(li, sigma=max(sigma, 0.0))
-            lam_tilde = grad_consts.lambda_tilde(eig.lambda1)
-            # both chains end on the same grid: reuse the finest ground
-            # state instead of solving it again
-            grad_margin = check_gradient_estimate(
-                m, delta, grad_consts, eig=eig, ground=sc.ground)
-        except Exception:
-            grad_margin = None
+        pass    # a certificate that cannot be computed stays None
 
     bound = alpha * math.pi ** 2 / dia.hi ** 2
     return VerificationRecord(

@@ -42,7 +42,7 @@ from sgv import (
     LedgerInput,
 )
 from sgv.report import records_to_csv, sweep_payload, to_json
-from sgv.spectral import DEFAULT_GRIDS, _extrapolate, _mode_candidate
+from sgv.spectral import DEFAULT_GRIDS, _chain, _extrapolate
 
 import conftest
 
@@ -68,8 +68,8 @@ def family_sigma():
     """sigma certificates for the cosine family at delta = 0.1."""
     out = {}
     for beta in FAMILY_BETAS:
-        out[beta] = check_sigma_bound(make_family_manifold(beta), 0.1,
-                                      2.0)
+        m = make_family_manifold(beta)
+        out[beta] = check_sigma_bound(m, 0.1, kb=kbar(m, 2.0, 0.0))
     return out
 
 
@@ -113,8 +113,8 @@ def test_criterion_01_flat_torus_oracle():
 def test_criterion_02_round_sphere_oracle():
     m = make_manifold("sine-sphere", n=2, L=math.pi)
     e = lambda1(m)
-    lams0, _, _ = _mode_candidate(m, 0, DEFAULT_GRIDS)
-    lams1, _, _ = _mode_candidate(m, 1, DEFAULT_GRIDS)
+    lams0 = [lam for lam, _, _ in _chain(m, 0, 1, DEFAULT_GRIDS)]
+    lams1 = [lam for lam, _, _ in _chain(m, 1, 0, DEFAULT_GRIDS)]
     v0, _, _ = _extrapolate(lams0)
     v1, _, _ = _extrapolate(lams1)
     err = abs(e.lambda1 - 2.0)
@@ -193,7 +193,7 @@ def test_criterion_07_certificates_on_family(family_sigma):
         if not (-1e-9 <= sc.sigma <= 4.0 * kb + 1e-9):
             fails.append(f"beta={beta}: sigma {sc.sigma:.3e} outside "
                          f"[0, {4 * kb:.3e}]")
-        jdev = check_J_bounds(m, delta, ground=sc.ground)
+        jdev = check_J_bounds(sc.ground, delta)
         if jdev > delta + 1e-9:
             fails.append(f"beta={beta}: |J-1| = {jdev:.3e} > {delta}")
         study = residual_order_study(m, delta)
@@ -215,13 +215,14 @@ def test_criterion_08_gradient_certificate(family_eigs):
             D_hi = diameter(m).hi
             inp = LedgerInput(n=2, p=2.0, D=D_hi, delta=delta,
                               C_s=2.0, Lambda_rough=0.5)
-            if kbar(m, 2.0, 0.0) > epsilon_max(inp).eps_max:
+            kb = kbar(m, 2.0, 0.0)
+            if kb > epsilon_max(inp).eps_max:
                 continue  # out of hypothesis at this delta
             checked += 1
-            sc = check_sigma_bound(m, delta, 2.0)
+            sc = check_sigma_bound(m, delta, kb=kb)
             g = gradient_constants(inp, sigma=max(sc.sigma, 0.0))
             eig = family_eigs[beta]
-            margin = check_gradient_estimate(m, delta, g, eig=eig)
+            margin = check_gradient_estimate(m, delta, g, eig, sc.ground)
             lt = g.lambda_tilde(eig.lambda1)
             if margin > 1e-6 * lt:
                 fails.append(f"delta={delta} beta={beta}: "

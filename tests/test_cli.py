@@ -73,6 +73,17 @@ def test_eig_sphere_degenerate(capsys):
     assert payload["degenerate"]
 
 
+@pytest.mark.parametrize("grids", ["512,1024,4096", "512,1000,2048"])
+def test_eig_grids_that_do_not_double_rejected(capsys, grids):
+    # the Richardson step assumes each grid doubles the one before; any
+    # other chain is a config error, not an extrapolated value
+    code, out, err = run(capsys, "eig", "--manifold", "sphere",
+                         "--L", str(math.pi), "--grids", grids)
+    assert code == 2
+    assert out == ""
+    assert "config error" in err and "double" in err
+
+
 def test_flat_torus_with_beta_rejected(capsys):
     code, _, err = run(capsys, "eig", "--manifold", "flat-torus",
                        "--L", "1.0", "--c", "0.1", "--beta", "0.2")

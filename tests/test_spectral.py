@@ -39,9 +39,9 @@ import sgv.spectral
 from sgv.errors import DegenerateRange, NonPositiveGround
 from sgv.spectral import (
     DEFAULT_GRIDS,
+    _chain,
     _eigenpair,
     _extrapolate,
-    _mode_candidate,
     _peak,
     assemble,
     eigenfunction_u,
@@ -275,11 +275,11 @@ def test_lambda1_solves_only_fiber_modes_0_and_1(monkeypatch):
                       boundary="periodic")
     modes = []
 
-    def counting(m, k, grids):
+    def counting(m, k, index, grids, V=None):
         modes.append(k)
-        return _mode_candidate(m, k, grids)
+        return _chain(m, k, index, grids, V)
 
-    monkeypatch.setattr(sgv.spectral, "_mode_candidate", counting)
+    monkeypatch.setattr(sgv.spectral, "_chain", counting)
     e = lambda1(m)
     assert modes == [0, 1]
     assert e.mode == 1
@@ -349,7 +349,8 @@ def test_eigenpair_matches_dense_eigh(case, k, index, schrodinger):
 
 def check_against_dense(m, k, N, index, schrodinger, start=None):
     """Check `_eigenpair` (continued from start, if given) against dense
-    eigh of the written-out pencil; returns its next start."""
+    eigh of the written-out pencil; returns the start it gives the next
+    grid."""
     dis = assemble(m, k, N)
     K, M = dense_pencil(m, k, N)
     root_m = np.sqrt(M)
@@ -359,7 +360,7 @@ def check_against_dense(m, k, N, index, schrodinger, start=None):
         B -= np.diag(V)
         dis = replace(dis, sym_d=dis.sym_d - V)
     vals, vecs = np.linalg.eigh(B)
-    lam, phi, next_start = _eigenpair(dis, index, start)
+    lam, phi = _eigenpair(dis, index, start)
     eps_norm = np.finfo(float).eps * np.linalg.norm(B, 2)
     assert abs(lam - vals[index]) <= 16.0 * eps_norm
     # the wanted pair is simple, so its vector is determined up to sign
@@ -372,7 +373,7 @@ def check_against_dense(m, k, N, index, schrodinger, start=None):
         lap = dis.laplacian(phi)
         bound = 16.0 * np.finfo(float).eps * (np.abs(K) @ np.abs(phi)) / M
         assert np.all(np.abs(lap + (K @ phi) / M) <= bound)
-    return next_start
+    return lam, phi, dis.tm
 
 
 def counting_fallbacks(monkeypatch):
@@ -441,10 +442,9 @@ def test_tied_pair_continues_the_chain(monkeypatch, m):
     fallbacks = counting_fallbacks(monkeypatch)
     for k, index in ((0, 1), (0, 0), (1, 0)):
         coarse = assemble(m, k, 128)
-        lam, phi, start = _eigenpair(coarse, index)
+        start = (*_eigenpair(coarse, index), coarse.tm)
         dis = assemble(m, k, 256)
-        lam, phi, next_start = _eigenpair(dis, index, start)
-        assert next_start is not None
+        lam, phi = _eigenpair(dis, index, start)
         K, M = dense_pencil(m, k, 256)
         root_m = np.sqrt(M)
         vals = np.linalg.eigvalsh(K / np.outer(root_m, root_m))
@@ -468,7 +468,7 @@ def test_tied_pair_passes_the_gradient_check(monkeypatch, m):
     lambda: lambda1(make_manifold("sine-sphere", n=2, L=math.pi)),
     lambda: lambda1(make_manifold("sine-sphere", n=3, L=math.pi)),
     lambda: check_sigma_bound(make_manifold("cosine", L=TWO_PI, c=1.0,
-                                            beta=0.3), 0.1, 2.0, kb=1.0),
+                                            beta=0.3), 0.1, kb=1.0),
     lambda: lambda1(make_manifold("constant", L=TWO_PI, c=0.1)),
 ], ids=["sphere2", "sphere3", "sigma-cos-c1-b0.3", "flat-tied"])
 def test_chain_bisects_only_where_it_cannot_continue(monkeypatch, solve):
@@ -488,9 +488,9 @@ def test_chain_matches_dense_eigh_on_asymmetric_splines(
         knots, N, k, index, log_amp, potential, seed):
     # random mirror-asymmetric periodic splines, from wavy down to a
     # flat base plus 1e-9, whose base-circle pair is then near double,
-    # with and without a random Schrodinger potential: the chain's
-    # dense 16-cell start, continued to N (the potential interpolated
-    # onto the start's cells), against dense eigh of the pencil on N
+    # with and without a random Schrodinger potential: a dense 16-cell
+    # start, continued to N (the random samples interpolated onto the
+    # start's cells), against dense eigh of the pencil on N
     rng = np.random.default_rng(seed)
     ts = np.linspace(0.0, TWO_PI, knots)
     fs = 1.0 + 10.0 ** log_amp * rng.standard_normal(knots)
@@ -508,8 +508,8 @@ def test_chain_matches_dense_eigh_on_asymmetric_splines(
         dis = replace(dis, sym_d=dis.sym_d - V)
         coarse = replace(coarse, sym_d=coarse.sym_d - np.interp(
             coarse.tm, dis.tm, V, period=TWO_PI))
-    start = _eigenpair(coarse, index)[2]
-    lam, phi, _ = _eigenpair(dis, index, start)
+    start = (*_eigenpair(coarse, index), coarse.tm)
+    lam, phi = _eigenpair(dis, index, start)
     floor = 16.0 * np.finfo(float).eps * np.linalg.norm(B, 2)
     assert abs(lam - np.linalg.eigvalsh(B)[index]) <= floor
     v = phi * root_m
@@ -553,7 +553,7 @@ def test_ground_state_matches_dense_eigh_at_2048():
     root_m = np.sqrt(M)
     B = K / np.outer(root_m, root_m) - np.diag(V)
     vals, vecs = sla.eigh(B, subset_by_index=[0, 0])
-    gs = schrodinger_ground(m, V, N)
+    gs, = schrodinger_ground(m, shift_potential(m, 0.1), (N,))
     v = gs.w * root_m
     v /= np.linalg.norm(v)
     want = vecs[:, 0] * np.sign(vecs[:, 0] @ v)
@@ -568,6 +568,17 @@ def test_richardson_history_and_order():
     assert len(e.history) == len(DEFAULT_GRIDS)
     assert [N for N, _ in e.history] == list(DEFAULT_GRIDS)
     assert 1.5 < e.order < 2.5
+
+
+@pytest.mark.parametrize("grids", [(512, 1024, 4096), (512, 1000, 2048)])
+def test_lambda1_rejects_grids_that_do_not_double(grids):
+    # the Richardson step assumes h halves between grids: on the round
+    # sphere (512, 1024, 4096) extrapolated to 2 + 2.5e-7 with an
+    # observed order of 1.68, inside the order window, and
+    # (512, 1000, 2048) was off by 7.9e-9
+    m = make_manifold("sine-sphere", n=2, L=math.pi)
+    with pytest.raises(ValueError, match="double"):
+        lambda1(m, grids=grids)
 
 
 def test_lambda1_deterministic():
@@ -639,7 +650,7 @@ def test_extrapolate_floor_reports_nominal_order():
 
 def test_zero_potential_ground_state_is_exact():
     m = make_manifold("constant", L=TWO_PI, c=0.1)
-    gs = schrodinger_ground(m, lambda t: np.zeros_like(t), N=256)
+    gs, = schrodinger_ground(m, lambda t: np.zeros_like(t), (256,))
     assert gs.sigma_tilde == 0.0
     assert np.all(gs.w == 1.0)
     assert gs.w_bar == 1.0
@@ -656,8 +667,8 @@ def test_ground_state_vs_shooting_oracle():
     beta, delta = 0.05, 0.1
     m = make_manifold("cosine", L=TWO_PI, c=1.0, beta=beta)
     V = shift_potential(m, delta)
-    sigs = [schrodinger_ground(m, V, N).sigma_tilde
-            for N in (512, 1024, 2048)]
+    sigs = [gs.sigma_tilde
+            for gs in schrodinger_ground(m, V, (512, 1024, 2048))]
     extrap = sigs[-1] + (sigs[-1] - sigs[-2]) / 3.0
     want = shoot_sigma_tilde(beta, delta)
     assert extrap == pytest.approx(want, abs=5e-11)
@@ -669,7 +680,7 @@ def test_ground_state_vs_shooting_oracle():
 
 def test_ground_state_normalization():
     m = make_manifold("cosine", L=TWO_PI, c=1.0, beta=0.2)
-    gs = schrodinger_ground(m, shift_potential(m, 0.1), N=512)
+    gs, = schrodinger_ground(m, shift_potential(m, 0.1), (512,))
     assert gs.sigma_tilde > 0.0
     assert np.all(gs.w > 0.0)
     vol = float(np.sum(gs.dis.mass))
@@ -687,7 +698,7 @@ def test_localized_ground_state_rejected_cleanly():
     for knots in (65, 129, 257):
         m = make_pinched_spline(knots)
         with pytest.raises(NonPositiveGround):
-            schrodinger_ground(m, shift_potential(m, 1e-4), N=1024)
+            schrodinger_ground(m, shift_potential(m, 1e-4), (1024,))
 
 
 @pytest.mark.parametrize("delta", [0.1, 0.03, 0.003])
@@ -703,7 +714,7 @@ def test_turned_pinched_ground_state_matches_mpmath_oracle(delta):
     N = 1024
     dis = assemble(m, 0, N)
     V = shift_potential(m, delta)(dis.tm)
-    gs = schrodinger_ground(m, V, N=N)
+    gs, = schrodinger_ground(m, shift_potential(m, delta), (N,))
     lam0 = -gs.sigma_tilde
     x = mp_lowest_vector(dis.sym_d - V, dis.sym_e, dis.sym_corner,
                          lam=lam0 - 1e-6 * abs(lam0),
@@ -724,7 +735,7 @@ def test_pinched_cosine_ground_state_matches_mpmath_oracle():
     N = 1024
     dis = assemble(m, 0, N)
     V = shift_potential(m, 0.1)(dis.tm)
-    gs = schrodinger_ground(m, V, N=N)
+    gs, = schrodinger_ground(m, shift_potential(m, 0.1), (N,))
     half = N // 2
     d = dis.sym_d[:half] - V[:half]
     d[0] += dis.sym_corner
@@ -737,26 +748,20 @@ def test_pinched_cosine_ground_state_matches_mpmath_oracle():
     assert np.max(np.abs(gs.w - w) / w) <= 1e-12
 
 
-def test_potential_length_checked():
-    m = make_manifold("cosine", L=TWO_PI, c=1.0, beta=0.1)
-    with pytest.raises(ValueError):
-        schrodinger_ground(m, np.zeros(100), N=128)
-
-
 # ===================================================================
 # J transform and its certificate equation
 # ===================================================================
 
 def test_build_J_flat_is_one():
     m = make_manifold("constant", L=TWO_PI, c=0.1)
-    gs = schrodinger_ground(m, lambda t: np.zeros_like(t), N=256)
+    gs, = schrodinger_ground(m, lambda t: np.zeros_like(t), (256,))
     J = build_J(gs, tau_of(0.1))
     assert np.all(J == 1.0)
 
 
 def test_build_J_tau_validated():
     m = make_manifold("constant", L=TWO_PI, c=0.1)
-    gs = schrodinger_ground(m, lambda t: np.zeros_like(t), N=64)
+    gs, = schrodinger_ground(m, lambda t: np.zeros_like(t), (64,))
     with pytest.raises(ValueError):
         build_J(gs, 1.0)
 
@@ -764,7 +769,7 @@ def test_build_J_tau_validated():
 def test_J_residual_flat_exactly_zero():
     m = make_manifold("constant", L=TWO_PI, c=0.1)
     N = 256
-    gs = schrodinger_ground(m, lambda t: np.zeros_like(t), N)
+    gs, = schrodinger_ground(m, lambda t: np.zeros_like(t), (N,))
     J = build_J(gs, 17.0)
     res = residual_J_equation(gs.dis, J, np.zeros(N), 17.0, 0.0)
     assert res == 0.0
@@ -776,7 +781,7 @@ def test_J_residual_cosine_small_against_converged_sigma():
     tau = tau_of(delta)
     V = shift_potential(m, delta)
     sig_ref = shoot_sigma_tilde(beta, delta) / (tau - 1.0)
-    gs = schrodinger_ground(m, V, N=1024)
+    gs, = schrodinger_ground(m, V, (1024,))
     J = build_J(gs, tau)
     from sgv import rho_H_field
     rho0 = rho_H_field(m, 0.0, gs.t)
@@ -793,10 +798,10 @@ def test_rayleigh_matches_assembled_eigenvalue():
               (256, 512, 1024)),
              (wavy, lambda1(wavy).mode, DEFAULT_GRIDS)]
     for m, k, grids in cases:
-        lams, u_raw, dis = _mode_candidate(m, k, grids)
+        *_, (lam, u_raw, dis) = _chain(m, k, 0 if k else 1, grids)
         v = u_raw * np.sqrt(dis.mass)
         quotient = float(v @ dis.apply_sym(v)) / float(v @ v)
-        assert quotient == pytest.approx(lams[-1], rel=1e-10), grids
+        assert quotient == pytest.approx(lam, rel=1e-10), grids
 
 
 def test_assemble_shapes():

@@ -6,8 +6,8 @@
 - J bounds and the pointwise gradient certificate
 - residual order study: second-order decay against the converged shift
 - record assembly for the main theorem, sharpness ratios on flat tori,
-  one kbar and one ground state per grid in each record, and one Moser
-  product per distinct argument set
+  one kbar and one ground-state chain in each record (a refused chain
+  included), and one Moser product per distinct argument set
 - sweep: per-row error capture, determinism across worker counts, a
   worker process that dies, the out-of-hypothesis dumbbell rows, and a
   divergent kbar integral
@@ -28,14 +28,17 @@ from sgv import (
     check_main_theorem,
     check_sigma_bound,
     gradient_constants,
+    kbar,
     lambda1,
     make_manifold,
     residual_order_study,
+    schrodinger_ground,
     sweep,
 )
 import sgv._quadrature
 import sgv.constants
 import sgv.geometry
+import sgv.spectral
 import sgv.verify
 from sgv.errors import Unreachable
 from sgv.constants import tau_of
@@ -47,6 +50,13 @@ TWO_PI = 2.0 * math.pi
 
 def make_cosine(beta, c=1.0):
     return make_manifold("cosine", L=TWO_PI, c=c, beta=beta)
+
+
+def finest_ground(m, delta):
+    """The shift potential's ground state on the finest default grid,
+    as check_sigma_bound solves it."""
+    return schrodinger_ground(m, shift_potential(m, delta),
+                              DEFAULT_GRIDS)[-1]
 
 
 def demo_specs():
@@ -77,7 +87,7 @@ def test_shift_potential_flat_zero():
 
 def test_sigma_flat_torus_exact_zero():
     m = make_manifold("constant", L=TWO_PI, c=0.1)
-    sc = check_sigma_bound(m, 0.1, 2.0)
+    sc = check_sigma_bound(m, 0.1, kb=kbar(m, 2.0, 0.0))
     assert sc.sigma == 0.0
     assert sc.sigma_tilde == 0.0
     assert sc.margin == 0.0
@@ -87,7 +97,7 @@ def test_sigma_flat_torus_exact_zero():
 
 def test_sigma_sphere_exact_zero():
     m = make_manifold("sine-sphere", n=2, L=math.pi)
-    sc = check_sigma_bound(m, 0.1, 2.0)
+    sc = check_sigma_bound(m, 0.1, kb=kbar(m, 2.0, 0.0))
     assert sc.sigma == 0.0
 
 
@@ -95,14 +105,16 @@ def test_sigma_small_amplitude_law():
     # first-order perturbation theory: sigma -> 2 beta / pi for the
     # cosine family, independent of delta
     beta = 1e-8
-    sc = check_sigma_bound(make_cosine(beta), 0.1, 2.0)
+    m = make_cosine(beta)
+    sc = check_sigma_bound(m, 0.1, kb=kbar(m, 2.0, 0.0))
     assert sc.sigma == pytest.approx(2.0 * beta / math.pi, rel=2e-3)
     assert 0.0 <= sc.sigma <= 4.0 * sc.kbar
     assert sc.margin >= 0.0
 
 
 def test_sigma_frozen_golden_moderate_amplitude():
-    sc = check_sigma_bound(make_cosine(0.05), 0.1, 2.0)
+    m = make_cosine(0.05)
+    sc = check_sigma_bound(m, 0.1, kb=kbar(m, 2.0, 0.0))
     assert sc.sigma == pytest.approx(0.054082688600690314, rel=1e-10)
     assert sc.sigma_tilde == pytest.approx(0.865323017611045, rel=1e-10)
     assert sc.sigma == pytest.approx(sc.sigma_tilde / 16.0, rel=1e-15)
@@ -111,7 +123,8 @@ def test_sigma_frozen_golden_moderate_amplitude():
 
 def test_sigma_within_apriori_window_on_family():
     for beta in (1e-8, 1e-7):
-        sc = check_sigma_bound(make_cosine(beta), 0.1, 2.0)
+        m = make_cosine(beta)
+        sc = check_sigma_bound(m, 0.1, kb=kbar(m, 2.0, 0.0))
         assert -1e-12 <= sc.sigma <= 4.0 * sc.kbar + 1e-12, beta
 
 
@@ -121,24 +134,26 @@ def test_sigma_within_apriori_window_on_family():
 
 def test_J_flat_torus_is_identically_one():
     m = make_manifold("constant", L=TWO_PI, c=0.1)
-    assert check_J_bounds(m, 0.1) == 0.0
+    assert check_J_bounds(finest_ground(m, 0.1), 0.1) == 0.0
 
 
 def test_J_deviation_grows_with_amplitude_but_stays_in_window():
-    d1 = check_J_bounds(make_cosine(1e-8), 0.1)
-    d2 = check_J_bounds(make_cosine(1e-7), 0.1)
+    d1 = check_J_bounds(finest_ground(make_cosine(1e-8), 0.1), 0.1)
+    d2 = check_J_bounds(finest_ground(make_cosine(1e-7), 0.1), 0.1)
     assert 0.0 < d1 < d2 <= 0.1
 
 
 def test_J_reuses_supplied_ground_state():
-    # the default ground state is the finest of the chain that
-    # check_sigma_bound solves, so a record's J agrees with a standalone
-    # call bit for bit
+    # check_sigma_bound's ground state is the finest of the shift
+    # potential's chain, so a record's J agrees with a standalone solve
+    # bit for bit
     m = make_cosine(1e-7)
-    gs = check_sigma_bound(m, 0.1, 2.0).ground
-    assert check_J_bounds(m, 0.1, ground=gs) == check_J_bounds(m, 0.1)
+    gs = check_sigma_bound(m, 0.1, kb=kbar(m, 2.0, 0.0)).ground
+    assert check_J_bounds(gs, 0.1) == \
+        check_J_bounds(finest_ground(m, 0.1), 0.1)
     rec = check_main_theorem(m, 0.3, 2.0, 2.0, 0.5)
-    assert rec.J_deviation == check_J_bounds(m, rec.delta)
+    assert rec.J_deviation == \
+        check_J_bounds(finest_ground(m, rec.delta), rec.delta)
 
 
 # ===================================================================
@@ -150,32 +165,32 @@ def test_gradient_margin_flat_torus_nonpositive():
     li = LedgerInput(n=2, p=2.0, D=4.0, delta=0.1, C_s=2.0,
                      Lambda_rough=0.5)
     g = gradient_constants(li, sigma=0.0)
-    margin = check_gradient_estimate(m, 0.1, g)
+    margin = check_gradient_estimate(m, 0.1, g, lambda1(m),
+                                     finest_ground(m, 0.1))
     lam = 1.0
     assert margin <= 1e-6 * g.lambda_tilde(lam)
 
 
 def test_gradient_margin_cosine_family():
     m = make_cosine(1e-8)
-    sc = check_sigma_bound(m, 0.1, 2.0)
+    sc = check_sigma_bound(m, 0.1, kb=kbar(m, 2.0, 0.0))
     li = LedgerInput(n=2, p=2.0, D=4.0, delta=0.1, C_s=2.0,
                      Lambda_rough=0.5)
     g = gradient_constants(li, sigma=max(sc.sigma, 0.0))
     eig = lambda1(m)
-    margin = check_gradient_estimate(m, 0.1, g, eig=eig)
+    margin = check_gradient_estimate(m, 0.1, g, eig, sc.ground)
     assert margin <= 1e-6 * g.lambda_tilde(eig.lambda1)
 
 
 def test_gradient_grid_mismatch_rejected():
-    from sgv import schrodinger_ground
     m = make_cosine(1e-8)
     li = LedgerInput(n=2, p=2.0, D=4.0, delta=0.1, C_s=2.0,
                      Lambda_rough=0.5)
     g = gradient_constants(li, sigma=0.0)
     eig = lambda1(m, grids=(256, 512, 1024))
-    gs = schrodinger_ground(m, shift_potential(m, 0.1), N=2048)
+    gs, = schrodinger_ground(m, shift_potential(m, 0.1), (2048,))
     with pytest.raises(ValueError):
-        check_gradient_estimate(m, 0.1, g, eig=eig, ground=gs)
+        check_gradient_estimate(m, 0.1, g, eig, gs)
 
 
 def test_gradient_rejects_fiber_mode_above_one():
@@ -188,7 +203,8 @@ def test_gradient_rejects_fiber_mode_above_one():
     eig = lambda1(m)
     assert eig.mode == 1
     with pytest.raises(ValueError):
-        check_gradient_estimate(m, 0.1, g, eig=replace(eig, mode=2))
+        check_gradient_estimate(m, 0.1, g, replace(eig, mode=2),
+                                finest_ground(m, 0.1))
 
 
 @pytest.mark.parametrize("m", [
@@ -206,7 +222,8 @@ def test_gradient_gate_fails_below_lambda_tilde(m):
     g = gradient_constants(li, sigma=max(rec.sigma_measured, 0.0))
     assert g.lambda_tilde(rec.lambda1) == rec.lambda_tilde
     low = replace(g, C1=0.9 * g.C1, C2=0.9 * g.C2)
-    margin = check_gradient_estimate(m, rec.delta, low)
+    margin = check_gradient_estimate(m, rec.delta, low, lambda1(m),
+                                     finest_ground(m, rec.delta))
     assert margin > 1e-6 * low.lambda_tilde(rec.lambda1)
 
 
@@ -342,11 +359,11 @@ def test_record_solves_kbar_once_and_reuses_finest_ground(monkeypatch):
     counted("schrodinger_ground")
     m = make_cosine(1e-3, c=0.2)
     rec = check_main_theorem(m, 0.3, 2.0, 2.0, 0.5)
-    assert calls == {"kbar": 1, "schrodinger_ground": len(DEFAULT_GRIDS)}
+    assert calls == {"kbar": 1, "schrodinger_ground": 1}
 
     # the shared values equal independent computations, bit for bit
     monkeypatch.undo()
-    sc = check_sigma_bound(m, rec.delta, 2.0)
+    sc = check_sigma_bound(m, rec.delta, kb=kbar(m, 2.0, 0.0))
     assert rec.sigma_measured == sc.sigma
     assert rec.sigma_bound_margin == sc.margin
     assert rec.kbar == sc.kbar
@@ -355,8 +372,8 @@ def test_record_solves_kbar_once_and_reuses_finest_ground(monkeypatch):
     g = gradient_constants(li, sigma=max(sc.sigma, 0.0))
     eig = lambda1(m)
     assert rec.gradient_margin is not None
-    assert rec.gradient_margin == check_gradient_estimate(m, rec.delta, g,
-                                                          eig=eig)
+    assert rec.gradient_margin == check_gradient_estimate(
+        m, rec.delta, g, eig, finest_ground(m, rec.delta))
 
 
 def test_record_reads_no_z_sup_and_derives_sigma_once(monkeypatch):
@@ -505,29 +522,59 @@ def test_dumbbell_certificates_fail_their_windows():
     # moderate delta, and they visibly blow their admissible windows:
     # sigma above 4 kbar, J deviation far beyond delta
     m = make_cosine(0.5)
-    sc = check_sigma_bound(m, 0.1, 2.0)
+    sc = check_sigma_bound(m, 0.1, kb=kbar(m, 2.0, 0.0))
     assert sc.sigma > 4.0 * 0.1  # would need kbar tiny to admit this
     assert sc.margin < 0.0
-    assert check_J_bounds(m, 0.1, ground=sc.ground) > 0.5
+    assert check_J_bounds(sc.ground, 0.1) > 0.5
 
 
-def test_sweep_pinched_row_survives_certificate_failure():
-    # a spline through 1 + 0.9 cos(t - 1); alpha_target 0.95 selects
-    # delta = 1.9e-4, where the ground state's far tail falls below the
-    # smallest double and the solver refuses it.  The certificates come
-    # back as None but the row is still usable
+def pinched_spec():
+    """A 65-knot periodic spline through 1 + 0.9 cos(t - 1)."""
     ts = np.linspace(0.0, TWO_PI, 65)
     fs = 1.0 + 0.9 * np.cos(ts - 1.0)
     fs[-1] = fs[0]
-    specs = [{"id": "pinched", "kind": "tabulated", "L": TWO_PI, "ts": ts,
-              "fs": fs, "boundary": "periodic"}]
-    rows, summary = sweep(specs, 0.95, 2.0, 2.0, 0.5)
+    return {"id": "pinched", "kind": "tabulated", "L": TWO_PI, "ts": ts,
+            "fs": fs, "boundary": "periodic"}
+
+
+def test_sweep_pinched_row_survives_certificate_failure():
+    # alpha_target 0.95 selects delta = 1.9e-4, where the ground state's
+    # far tail falls below the smallest double and the solver refuses
+    # it.  The certificates come back as None but the row is still usable
+    rows, summary = sweep([pinched_spec()], 0.95, 2.0, 2.0, 0.5)
     assert summary["errors"] == 0
     rec = rows[0].record
     assert not rec.hypothesis_met
     assert rec.sigma_measured is None
     assert rec.J_deviation is None
     assert rec.lambda1 > 0.0
+
+
+def test_refused_ground_chain_is_solved_once(monkeypatch):
+    # the pinched row's ground chain is refused on its 1024-cell grid,
+    # and the record solves it once: lambda1's two fiber modes take a
+    # dense start and three grids each, the ground chain a dense start,
+    # 512 and 1024 cells.  J and the gradient are not attempted
+    calls = {"schrodinger_ground": 0, "_eigenpair": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(sgv.verify, "schrodinger_ground")
+    counted(sgv.spectral, "_eigenpair")
+    params = {k: v for k, v in pinched_spec().items()
+              if k not in ("id", "kind")}
+    rec = check_main_theorem(make_manifold("tabulated", **params), 0.95,
+                             2.0, 2.0, 0.5)
+    assert calls == {"schrodinger_ground": 1, "_eigenpair": 11}
+    assert rec.sigma_measured is None
+    assert rec.J_deviation is None
+    assert rec.gradient_margin is None
 
 
 def test_sweep_divergent_kbar_row_is_an_error(monkeypatch):
