@@ -317,14 +317,12 @@ _DELTA_REFINE_REL = 1e-12
 
 
 def delta_for_alpha(alpha_target: float, n: int, p: float, D: float,
-                    C_s: float, Lambda_rough: float,
-                    sigma: Optional[float] = None):
+                    C_s: float, Lambda_rough: float):
     """Largest admissible delta certifying at least alpha_target.
 
     For each delta on a logarithmic grid the self-consistent chain
     delta -> eps_max(delta) -> sigma bound 4 eps_max -> alpha(delta) is
-    evaluated by `build_ledger` (sigma, when given, replaces the bound,
-    e.g. 0 for exact-solution studies).  No global monotonicity of
+    evaluated by `build_ledger`.  No global monotonicity of
     alpha(delta) is assumed: the scan runs from the top of the grid down
     and stops at the first qualifying point, the largest one, then
     bisects against its larger neighbor.  Returns (delta, alpha_there).
@@ -338,7 +336,7 @@ def delta_for_alpha(alpha_target: float, n: int, p: float, D: float,
     def alpha_of(d: float) -> float:
         li = LedgerInput(n=n, p=p, D=D, delta=d, C_s=C_s,
                          Lambda_rough=Lambda_rough)
-        return build_ledger(li, sigma).grad.alpha
+        return build_ledger(li).grad.alpha
 
     grid = [_DELTA_GRID_LO * (DELTA_CAP / _DELTA_GRID_LO) ** (i / (
         _DELTA_GRID_POINTS - 1.0)) for i in range(_DELTA_GRID_POINTS)]

@@ -110,34 +110,31 @@ def z_second(u, eta: float):
     return _match_shape(u, out)
 
 
+def _z_ratio(u, eta: float, power: int, limit: float):
+    """Z(u) / (1 - u^2)^(power/2) through the stable profile, and
+    sign(u) eta limit where 1 - u^2 = 0."""
+    arr = np.atleast_1d(np.asarray(u, dtype=float))
+    _check_domain(arr, eta)
+    s = np.sin(np.arccos(np.abs(arr)))     # sqrt(1 - u^2)
+    num = _unit_profile(np.abs(arr))
+    out = np.full_like(arr, limit)
+    nz = s > 0.0
+    out[nz] = num[nz] / (s[nz] if power == 1 else s[nz] * s[nz])
+    return _match_shape(u, eta * np.sign(arr) * out)
+
+
 def z_ratio_sqrt(u, eta: float):
     """Z(u) / sqrt(1 - u^2), extended by its limit 0 at |u| = 1.
 
     Appears in products with Z'' where both factors alone degenerate at
     the endpoints; going through the stable profile keeps full accuracy.
     """
-    arr = np.atleast_1d(np.asarray(u, dtype=float))
-    _check_domain(arr, eta)
-    psi = np.arccos(np.abs(arr))
-    s = np.sin(psi)
-    num = _unit_profile(np.abs(arr))
-    out = np.zeros_like(arr)
-    nz = s > 0.0
-    out[nz] = num[nz] / s[nz]
-    return _match_shape(u, eta * np.sign(arr) * out)
+    return _z_ratio(u, eta, 1, 0.0)
 
 
 def z_ratio_lin(u, eta: float):
     """Z(u) / (1 - u^2), extended by its limit sign(u)*eta/2 at |u| = 1."""
-    arr = np.atleast_1d(np.asarray(u, dtype=float))
-    _check_domain(arr, eta)
-    psi = np.arccos(np.abs(arr))
-    s = np.sin(psi)
-    num = _unit_profile(np.abs(arr))
-    out = np.full_like(arr, 0.5)
-    nz = s > 0.0
-    out[nz] = num[nz] / (s[nz] * s[nz])
-    return _match_shape(u, eta * np.sign(arr) * out)
+    return _z_ratio(u, eta, 2, 0.5)
 
 
 def ode_residual(u, eta: float):

@@ -33,7 +33,7 @@ the ground state of a potential.
 
 The value is always the Rayleigh quotient of the returned vector against
 B.  Every route resolves eigenvalues only to a few ulps of the
-Gershgorin scale of B; 16 eps of it (`_noise_floor`) is the Richardson
+Gershgorin scale of B; 16 eps of it (`_noise_floor`) is every Richardson
 study's noise floor and the continued route's margin.
 
 Eigenvalues converge at second order in h; `lambda1` runs a three-grid
@@ -152,11 +152,11 @@ def _noise_floor(dis: Discretization) -> float:
     """16 eps times the Gershgorin bound on ||B||: the solvers' rounding.
 
     No solve here places an eigenvalue more accurately than a few ulps of
-    ||B||, so grid differences below that are noise even when far above
-    1e-13 * lam (a constant warp puts the fiber eigenvalue at nu_k / c^2
-    on every grid).  It is the continued route's margin and the width its
-    fallback bisects to.  ||B|| is ~4/h^2 here, far below the h^2 error
-    the values carry anyway.
+    ||B||, so grid differences below that are noise at any eigenvalue
+    (a constant warp puts the fiber eigenvalue at nu_k / c^2 on every
+    grid).  It is every Richardson chain's floor, the continued route's
+    margin and the width its fallback bisects to.  ||B|| is ~4/h^2 here,
+    far below the h^2 error the values carry anyway.
     """
     return 16.0 * np.finfo(float).eps * float(
         np.max(np.abs(dis.sym_d)) + 2.0 * np.max(np.abs(dis.sym_e))
@@ -410,23 +410,22 @@ def eigenfunction_u(phi: np.ndarray, dis: Discretization) -> tuple:
     return phi / (peak if hi >= -lo else -peak), 0.0
 
 
-def _extrapolate(lams: Sequence[float], floor: float = 0.0):
+def _extrapolate(lams: Sequence[float], dis: Discretization):
     """Richardson step from the last pair, with observed order.
 
-    Returns (value, order, at_floor).  at_floor means the grid-to-grid
-    differences are at rounding level (relative to the eigenvalue or to
-    the solver resolution `floor`), i.e. already converged, and the
-    order is reported as the nominal 2.  A last difference at or below
-    that level whose observed order still lies in the second-order
-    window is discretization error, not rounding, and takes the step.
+    Returns (value, order, at_floor).  at_floor means the last grid
+    difference lies at or below `_noise_floor(dis)` of the chain's
+    finest pencil dis, i.e. at rounding level, and the order is reported
+    as the nominal 2.  A last difference at or below that level whose
+    observed order still lies in the second-order window is
+    discretization error, not rounding, and takes the step.
     """
     l0, l1, l2 = lams[-3], lams[-2], lams[-1]
     d01 = l1 - l0
     d12 = l2 - l1
-    scale = max(abs(l2), 1e-30)
     order = float(np.log2(abs(d01 / d12))) if d01 != 0.0 and d12 != 0.0 \
         else float("nan")
-    if abs(d12) <= max(1e-13 * scale, floor) and \
+    if abs(d12) <= _noise_floor(dis) and \
             not _ORDER_WINDOW[0] <= order <= _ORDER_WINDOW[1]:
         return l2, 2.0, True
     return l2 + d12 / 3.0, order, False
@@ -456,7 +455,7 @@ def lambda1(m: Manifold, grids: Sequence[int] = DEFAULT_GRIDS) -> EigenResult:
         chain = list(_chain(m, k, 0 if k else 1, grids))
         lams = [lam for lam, _, _ in chain]
         _, u_raw, dis = chain[-1]
-        extrap, order, at_floor = _extrapolate(lams, floor=_noise_floor(dis))
+        extrap, order, at_floor = _extrapolate(lams, dis)
         return extrap, k, lams, u_raw, dis, order, at_floor
 
     zero = candidate(0)
@@ -540,15 +539,15 @@ def build_J(gs: GroundState, tau: float) -> np.ndarray:
     return (gs.w / gs.w_bar) ** (-1.0 / (tau - 1.0))
 
 
-def centered_gradient(values: np.ndarray, h: float, periodic: bool):
-    """Centered first difference of midpoint samples, and the slice
-    where it is valid: everywhere on a periodic grid, all but the two
-    end cells on a pole-closed one (their entries are 0)."""
-    if periodic:
-        g = (np.roll(values, -1) - np.roll(values, 1)) / (2.0 * h)
+def centered_gradient(values: np.ndarray, dis: Discretization):
+    """Centered first difference of midpoint samples on dis's grid, and
+    the slice where it is valid: everywhere on a periodic grid, all but
+    the two end cells on a pole-closed one (their entries are 0)."""
+    if dis.periodic:
+        g = (np.roll(values, -1) - np.roll(values, 1)) / (2.0 * dis.h)
         return g, slice(None)
     g = np.zeros_like(values)
-    g[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
+    g[1:-1] = (values[2:] - values[:-2]) / (2.0 * dis.h)
     return g, slice(1, -1)
 
 
@@ -568,6 +567,6 @@ def residual_J_equation(dis: Discretization, J: np.ndarray,
     J = np.asarray(J, dtype=float)
     rho0 = np.asarray(rho0, dtype=float)
     lap = dis.laplacian(J)
-    grad, sl = centered_gradient(J, dis.h, dis.periodic)
+    grad, sl = centered_gradient(J, dis)
     res = lap - tau * grad * grad / J - 2.0 * J * rho0 + sigma * J
     return float(np.max(np.abs(res[sl])))

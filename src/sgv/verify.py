@@ -29,8 +29,6 @@ outside the integral-curvature smallness regime is data, not an error.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
@@ -75,14 +73,16 @@ def check_sigma_bound(m: Manifold, delta: float, *,
 
     The ground state of the shift potential is solved once, as one
     chain over DEFAULT_GRIDS.  sigma_tilde takes the same Richardson
-    step as lambda1, with a rounding floor of 1e-12 relative and no
-    order gate: for near-flat profiles the grid differences sit at
-    rounding level and the step is a no-op.  kb is kbar(m, p, 0).
+    step as lambda1, against the noise floor of the chain's finest
+    pencil, but no order gate refuses it: where the last grid
+    difference lies below that floor at an order outside [1.5, 2.5]
+    (near-flat profiles), the finest value is returned unchanged.  kb
+    is kbar(m, p, 0).
     """
     tau = tau_of(delta)
     chain = schrodinger_ground(m, shift_potential(m, delta), DEFAULT_GRIDS)
     vals = [gs.sigma_tilde for gs in chain]
-    st, _, _ = _extrapolate(vals, floor=1e-12 * max(abs(vals[-1]), 1e-30))
+    st, _, _ = _extrapolate(vals, chain[-1].dis)
     sigma = st / (tau - 1.0)
     return SigmaCheck(sigma=sigma, margin=4.0 * kb - sigma, sigma_tilde=st,
                       tau=tau, kbar=kb, ground=chain[-1],
@@ -111,7 +111,8 @@ def check_gradient_estimate(m: Manifold, delta: float,
     max over the fiber is attained at one of the two branch values
     Y^2 in {0, 1}, both checked.  Returns the signed margin max Q (must
     be <= ~1e-6 * lt when hypotheses hold).  eig is lambda1's result,
-    and ground the shift potential's ground state on eig's finest grid.
+    and ground the shift potential's ground state on eig's finest grid;
+    ground's pencil gives the gradient its h and closure.
     """
     if ground.t.size != eig.t.size:
         raise ValueError("ground state and eigenfunction grids differ")
@@ -120,8 +121,7 @@ def check_gradient_estimate(m: Manifold, delta: float,
     lt = constants.lambda_tilde(lam)
     eta = 1.0 + delta
     u = eig.u
-    h = float(eig.t[1] - eig.t[0])
-    grad, sl = centered_gradient(u, h, m.boundary == "periodic")
+    grad, sl = centered_gradient(u, ground.dis)
 
     if eig.mode == 0:
         q = J * grad * grad - lt * (1.0 - u * u) \
@@ -258,10 +258,11 @@ def _error_row(spec: dict, exc: Exception) -> SweepRow:
 
 
 def _flat(spec: dict) -> bool:
-    """Periodic with min f = max f: a flat torus, whose diameter is exact."""
+    """min f = max f: a flat torus, whose diameter is exact (a
+    pole-closed warp leaves 0 at slope 1, so it is never constant)."""
     m = make_manifold(**{k: v for k, v in spec.items() if k != "id"})
     f_min, f_max = m.f_range()
-    return m.boundary == "periodic" and f_min == f_max
+    return f_min == f_max
 
 
 def _run_sweep_row(args) -> SweepRow:
@@ -284,6 +285,9 @@ def _pool_rows(tasks: list, workers: int) -> list:
     A worker that dies breaks the pool, and every row not finished by
     then becomes a row with the BrokenProcessPool error.
     """
+    # imported here, not at module load: only jobs > 1 pays its cold start
+    from concurrent.futures.process import (BrokenProcessPool,
+                                            ProcessPoolExecutor)
     rows = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_run_sweep_row, task) for task in tasks]

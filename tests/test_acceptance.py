@@ -113,10 +113,10 @@ def test_criterion_01_flat_torus_oracle():
 def test_criterion_02_round_sphere_oracle():
     m = make_manifold("sine-sphere", n=2, L=math.pi)
     e = lambda1(m)
-    lams0 = [lam for lam, _, _ in _chain(m, 0, 1, DEFAULT_GRIDS)]
-    lams1 = [lam for lam, _, _ in _chain(m, 1, 0, DEFAULT_GRIDS)]
-    v0, _, _ = _extrapolate(lams0)
-    v1, _, _ = _extrapolate(lams1)
+    chain0 = list(_chain(m, 0, 1, DEFAULT_GRIDS))
+    chain1 = list(_chain(m, 1, 0, DEFAULT_GRIDS))
+    v0, _, _ = _extrapolate([lam for lam, _, _ in chain0], chain0[-1][2])
+    v1, _, _ = _extrapolate([lam for lam, _, _ in chain1], chain1[-1][2])
     err = abs(e.lambda1 - 2.0)
     split = abs(v0 - v1)
     ok = err <= 1e-5 and split <= 1e-5 and e.degenerate

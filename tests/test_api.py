@@ -66,10 +66,12 @@ def test_tracer_wraps_every_target():
 def test_cli_import_skips_scipy_linalg():
     # scipy.interpolate alone brought in the other five and most of the
     # cold start of `sgv`; scipy.linalg's package init brings in
-    # numpy.f2py and numpy.testing, over half of what was left
+    # numpy.f2py and numpy.testing, over half of what was left; the
+    # process pool is imported only by a sweep with jobs > 1
     heavy = {"scipy.linalg", "scipy.interpolate", "scipy.special",
              "scipy.optimize", "scipy.sparse", "scipy.spatial", "scipy.fft",
-             "numpy.f2py", "numpy.testing"}
+             "numpy.f2py", "numpy.testing", "concurrent.futures.process",
+             "multiprocessing"}
     code = "import sys, sgv.cli; print(' '.join(sys.modules))"
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))

@@ -5,6 +5,7 @@ errors (including bad SGV_LOG values and argparse failures).  All
 output files must be byte-identical across reruns.
 """
 
+import concurrent.futures.process
 import json
 import math
 from concurrent.futures import Future
@@ -493,7 +494,8 @@ def test_sweep_opens_no_more_workers_than_rows(monkeypatch):
             future.set_result(fn(task))
             return future
 
-    monkeypatch.setattr(sgv.verify, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor",
+                        FakePool)
     specs = [{"id": f"flat-{i}", "kind": "constant", "L": TWO_PI,
               "c": 0.1 * (i + 1)} for i in range(3)]
     for jobs in (64, 2):

@@ -301,13 +301,6 @@ def test_delta_for_alpha_roots():
     assert d5 < d3  # more alpha costs delta
 
 
-def test_delta_for_alpha_with_known_sigma():
-    # sigma = 0 removes the offset, so larger deltas qualify
-    d_free, _ = delta_for_alpha(0.5, 2, 2.0, 4.6, 2.0, 0.5, sigma=0.0)
-    d_bound, _ = delta_for_alpha(0.5, 2, 2.0, 4.6, 2.0, 0.5)
-    assert d_free >= d_bound
-
-
 def test_delta_for_alpha_unreachable():
     with pytest.raises(Unreachable) as exc:
         delta_for_alpha(0.99, 2, 2.0, 4.6, 2.0, 0.5)
@@ -315,14 +308,13 @@ def test_delta_for_alpha_unreachable():
     assert 0.0 < exc.value.best_delta <= DELTA_CAP
 
 
-def full_grid_delta_for_alpha(alpha_target, n, p, D, C_s, Lambda_rough,
-                              sigma=None):
+def full_grid_delta_for_alpha(alpha_target, n, p, D, C_s, Lambda_rough):
     """Every grid point evaluated, then the largest qualifying one
     bisected against its neighbor (reference)."""
     def alpha_of(d):
         li = LedgerInput(n=n, p=p, D=D, delta=d, C_s=C_s,
                          Lambda_rough=Lambda_rough)
-        return build_ledger(li, sigma).grad.alpha
+        return build_ledger(li).grad.alpha
 
     lo_d = sgv.constants._DELTA_GRID_LO
     points = sgv.constants._DELTA_GRID_POINTS
@@ -349,11 +341,9 @@ def full_grid_delta_for_alpha(alpha_target, n, p, D, C_s, Lambda_rough,
 
 
 # 1e-6: the top grid point qualifies; 0.99: no point does
-@pytest.mark.parametrize("alpha_target, sigma", [
-    (0.5, None), (0.3, None), (0.5, 0.0), (1e-6, None), (0.99, None)])
-def test_delta_for_alpha_scans_from_the_top(monkeypatch, alpha_target,
-                                            sigma):
-    args = (alpha_target, 2, 2.0, 4.6, 2.0, 0.5, sigma)
+@pytest.mark.parametrize("alpha_target", [0.5, 0.3, 1e-6, 0.99])
+def test_delta_for_alpha_scans_from_the_top(monkeypatch, alpha_target):
+    args = (alpha_target, 2, 2.0, 4.6, 2.0, 0.5)
     want = full_grid_delta_for_alpha(*args)
     ledgers = []
     build = sgv.constants.build_ledger

@@ -638,10 +638,20 @@ def test_eigenfunction_u_rejects_constants():
 
 
 def test_extrapolate_floor_reports_nominal_order():
-    val, order, at_floor = _extrapolate([2.0, 2.0 + 1e-16, 2.0 - 1e-16])
+    # the floor is the noise floor of the pencil passed, ~3e-13 here
+    dis = assemble(make_manifold("constant", L=TWO_PI, c=0.1), 0, 32)
+    val, order, at_floor = _extrapolate([2.0, 2.0 + 1e-16, 2.0 - 1e-16],
+                                        dis)
     assert at_floor
     assert order == 2.0
-    assert val == pytest.approx(2.0)
+    assert val == 2.0 - 1e-16
+    # above the floor an order outside the window still takes the step
+    step = 2.0 ** -36
+    assert step > sgv.spectral._noise_floor(dis)
+    val, order, at_floor = _extrapolate([2.0, 2.0 + step, 2.0], dis)
+    assert not at_floor
+    assert order == 0.0
+    assert val == 2.0 - step / 3.0
 
 
 # ===================================================================

@@ -128,6 +128,17 @@ def test_sigma_within_apriori_window_on_family():
         assert -1e-12 <= sc.sigma <= 4.0 * sc.kbar + 1e-12, beta
 
 
+def test_sigma_below_the_noise_floor_keeps_the_finest_value():
+    # on a near-flat torus the ground chain's grid differences (~1e-12)
+    # lie below the finest pencil's noise floor (~2e-9): the Richardson
+    # step would extrapolate rounding, so the finest value stands
+    m = make_cosine(1e-8, c=0.2)
+    rec = check_main_theorem(m, 0.3, 2.0, 2.0, 0.5)
+    sc = check_sigma_bound(m, rec.delta, kb=rec.kbar)
+    assert sc.sigma_tilde == sc.history[-1][1]
+    assert rec.sigma_measured == sc.sigma
+
+
 # ===================================================================
 # J bounds
 # ===================================================================
