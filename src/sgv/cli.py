@@ -417,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--Cs", type=float, default=None)
     sp.add_argument("--Lambda", type=float, default=None)
     sp.add_argument("--jobs", type=int, default=None,
-                    help="parallel row workers (default 1)")
+                    help="parallel row workers (default 1), at most "
+                    "one per row and one per CPU")
     sp.add_argument("--out", default=None, help="JSON report path")
     sp.add_argument("--out-csv", default=None, help="CSV summary path")
     sp.add_argument("--plot", default=None, choices=PLOT_KINDS)

@@ -145,8 +145,11 @@ def moser_constant(C_s: float, p: float, n: int, psi_norm: float) -> float:
     is therefore always an upper bound, within MOSER_TAIL_TOL relative of
     the true constant.
 
-    Results are cached: a record's delta scan asks for the same few
-    argument sets about fifty times.
+    Results are cached, but a record's delta scan repeats few of its
+    argument sets: of its 48 calls at alpha_target = 0.3, p = 2, n = 2,
+    C_s = 2, 4 are distinct at D = 3.5124 and all 48 at D = 6.2283.  The
+    cache serves a later scan with the same arguments, as long as its
+    256 entries hold them.
     """
     n = require_dimension(n, "n")
     require_exponent(p, n)

@@ -36,10 +36,14 @@ the rotation theta -> theta + pi/2 is an isometry that carries the
 meridian theta = 0 to theta = pi/2.  So one sweep over the fiber angle
 from 0 to pi/2 bounds both halves of every such curve, and one min-plus
 product over the crossing point joins them into a bound on every
-antipodal distance (see `diameter` and `_antipodal_bounds` for the
-proofs).  The route reads the values of f, not its kind: a constant
-periodic f has D in closed form, and one whose samples match their
-mirror image, f(L - t) = f(t), is swept from half its sources.
+antipodal distance.  The diameter reads only the largest of those
+bounds, and the join forms only what that maximum needs: a coarse bound
+from every 8th crossing row, then the full product at the few entries
+the coarse bound cannot rule out (see `diameter` and `_antipodal_max`
+for the proofs).  The route reads the values of f, not its kind: a
+constant periodic f has D in closed form, and one whose samples are
+their own mirror image about some lattice row, f(2 t_r - t) = f(t), is
+swept from half its sources.
 
 Curvature conventions.  The smallest eigenvalue of the Ricci tensor at a
 point t is
@@ -591,16 +595,31 @@ def _step_lengths(m: Manifold, f: np.ndarray, h: float,
     return W
 
 
-def _mirrored(f: np.ndarray) -> bool:
-    """Whether samples f on rows 0..N match f[N - i] to 16 eps max f, a
+def _mirror_row(f: np.ndarray) -> Optional[int]:
+    """The lattice row r about which the samples f on rows 0..N are their
+    own mirror image, f[(r + i) % N] = f[(r - i) % N] to 16 eps max f (a
     few ulps of rounding, so that sweeping the mirrored first half of
-    them moves U by rounding only."""
-    return (np.max(np.abs(f - f[::-1]))
-            <= 16.0 * np.finfo(float).eps * np.max(f))
+    them moves U by rounding only), or None.
+
+    Row 0 is tried first, as f[i] = f[N - i] over all N + 1 samples, then
+    rows 1..N/2 - 1: the axes r and r + N/2 are one reflection of the
+    circle, i -> 2r - i (mod N).  An axis between two rows reflects no
+    row onto itself, and no row is returned for it.
+    """
+    N = f.size - 1
+    tol = 16.0 * np.finfo(float).eps * np.max(f)
+    if np.max(np.abs(f - f[::-1])) <= tol:
+        return 0
+    i = np.arange(N)
+    r = np.arange(1, N // 2)[:, None]
+    gap = np.max(np.abs(f[(r + i) % N] - f[(r - i) % N]), axis=1)
+    axes = np.flatnonzero(gap <= tol)
+    return int(axes[0]) + 1 if axes.size else None
 
 
-def _antipodal_bounds(m: Manifold) -> np.ndarray:
-    """U[j, s] >= d((t_s, 0), (t_j, pi)) on the lattice t_i = i L / N.
+def _antipodal_max(m: Manifold) -> float:
+    """max over (j, s) of U[j, s], where U[j, s] >= d((t_s, 0), (t_j, pi))
+    on the lattice t_i = i L / N.
 
     A min-plus sweep over theta = 0 .. pi/2 in SWEEP_STEPS / 2 steps of
     pi / SWEEP_STEPS gives Q[i, s] >= d((t_s, 0), (t_i, pi/2)) (see
@@ -619,44 +638,83 @@ def _antipodal_bounds(m: Manifold) -> np.ndarray:
     K = SWEEP_STEPS, and M is idempotent, so
     Q Q = (MA)^(K/2) (MA)^(K/2) M = (MA)^K M.  In exact arithmetic U is
     the bound of the full sweep of K steps over [0, pi], from the same
-    lattice curves; only rounding differs.
+    lattice curves; only rounding differs.  Only max U is formed, and
+    `_join_max` proves that it is max U exactly.
 
-    f is sampled once, on the rows 0..N.  Where the samples match their
-    mirror image (`_mirrored`), the first half of them serves both
-    halves, and t -> L - t maps the sampled profile onto itself and row
-    i of the lattice to row N - i (mod N).  So the sweep runs only the
-    sources s = 0..N/2, Q[j, s] = Q[(N - j) % N, N - s] fills the rest
-    of Q before the product, which forms the columns s <= N/2 of U, and
-    U[j, s] = U[(N - j) % N, N - s] fills the rest of U: the mirror
-    image of a curve is a curve of the same length.  Step lengths and
-    the meridian transform are mirror-exact in rounding, and the product
-    adds the same pairs of entries, so the filled U is the one the
-    all-sources route computes from the same samples, bit for bit.
+    f is sampled once, on the rows 0..N.  Where the samples are their own
+    mirror image about a row r (`_mirror_row`), the translation
+    t -> t - t_r is an isometry of the torus onto the one whose profile
+    is f(t + t_r), and it maps lattice row r + i to row i, so the max
+    over all lattice pairs is the same on both; the samples are rotated
+    to f[(r + i) % N] and swept on that torus.  There t -> L - t maps the
+    sampled profile onto itself and row i to row N - i (mod N), so the
+    first half of the samples serves both halves: the sweep runs only
+    the sources s = 0..N/2, and Q[j, s] = Q[(N - j) % N, N - s] fills the
+    rest of Q before the join, which reads the columns s <= N/2 of U.
+    U[j, s] = U[(N - j) % N, N - s] holds for the rest, as the mirror
+    image of a curve is a curve of the same length, so those columns
+    hold every value of U.  Step lengths and the meridian transform are
+    mirror-exact in rounding, and the join adds the same pairs of
+    entries, so at r = 0 max U is the one the all-sources route computes
+    from the same samples, bit for bit.  At r > 0 the all-sources route
+    on the unrotated samples rounds otherwise (its meridian transform
+    centres positions on another row), and max U moves from it by a few
+    ulps: 0 on the catalog's two splines with an axis at row 16, at most
+    2 on random splines.
     """
     N = SWEEP_ROWS
     h = m.L / N
     rows = np.arange(N + 1)
     f = m.f(h * rows)
-    S = N // 2 + 1 if _mirrored(f) else N
+    r = _mirror_row(f)
+    S = N if r is None else N // 2 + 1
     if S < N:
-        f = f[np.minimum(rows, N - rows)]
+        f = f[(r + np.minimum(rows, N - rows)) % N]
     W = _step_lengths(m, f, h, np.pi / SWEEP_STEPS)
-    i = np.arange(N)
+    Q = _sweep(W, h, S)
+    if S < N:
+        # X[j, s] = X[(N - j) % N, N - s] for the sources s > N/2
+        i = np.arange(N)
+        Q = np.concatenate([Q, Q[-i][:, N // 2 - 1:0:-1]], axis=1)
+    return _join_max(Q, S)
 
-    def mirrored(X):
-        """X from every source: the columns S..N-1 filled by
-        X[j, s] = X[(N - j) % N, N - s] when only 0..N/2 were formed."""
-        if S == N:
-            return X
-        return np.concatenate([X, X[-i][:, N // 2 - 1:0:-1]], axis=1)
 
-    Q = mirrored(_sweep(W, h, S))
-    U = Q[:, :1] + Q[:1, :S]
-    pair = np.empty_like(U)
-    for k in range(1, N):
-        np.add(Q[:, k:k + 1], Q[k:k + 1, :S], out=pair)
-        np.minimum(U, pair, out=U)
-    return mirrored(U)
+def _coarse_join(Q: np.ndarray, sources: int) -> np.ndarray:
+    """UB[j, s] = min over the rows k = 0, 8, 16, .. of Q[j, k] + Q[k, s],
+    for the sources s < `sources`, built in place one k at a time.
+
+    Each term is a sum the full join adds, rounded the same way, and UB
+    takes its minimum over fewer of them, so UB >= U bit for bit.
+    """
+    UB = Q[:, :1] + Q[:1, :sources]
+    pair = np.empty_like(UB)
+    for k in range(8, Q.shape[0], 8):
+        np.add(Q[:, k:k + 1], Q[k:k + 1, :sources], out=pair)
+        np.minimum(UB, pair, out=UB)
+    return UB
+
+
+def _join_max(Q: np.ndarray, sources: int) -> float:
+    """max over j and s < `sources` of U[j, s] = min over k of
+    Q[j, k] + Q[k, s], without forming U.
+
+    lb is the full minimum at the argmax of the coarse bound UB
+    (`_coarse_join`), so lb is an entry of U and lb <= max U.  An entry
+    with UB <= lb has U <= UB <= lb, and cannot exceed lb.  So max U is
+    the largest of lb and the full minima at the entries with UB > lb,
+    each of them the sums the full join adds: max U exactly.  Those
+    entries are taken N at a time, which bounds the temporary to an
+    N x N array.
+    """
+    N = Q.shape[0]
+    UB = _coarse_join(Q, sources)
+    j, s = np.unravel_index(np.argmax(UB), UB.shape)
+    best = float(np.min(Q[j] + Q[:, s]))
+    rest = np.flatnonzero(UB > best)
+    for at in range(0, rest.size, N):
+        j, s = np.divmod(rest[at:at + N], sources)
+        best = max(best, float(np.max(np.min(Q[j] + Q[:, s].T, axis=1))))
+    return best
 
 
 def _sweep(W: np.ndarray, h: float, sources: int) -> np.ndarray:
@@ -705,11 +763,12 @@ def diameter(m: Manifold) -> DiameterBracket:
     its end on the other); reflecting the tail after the last crossing
     across that plane, an isometry, gives a curve of the same length to
     (t1, theta1).  So D = max over (t0, t1) of g(t0, t1) =
-    d((t0, 0), (t1, pi)).  `_antipodal_bounds` gives U >= g on the lattice
-    of spacing h = L / N, and g is 1-Lipschitz in each endpoint along
-    meridians, so hi = max U + h.  `_antipodal_bounds` sweeps theta only
-    to pi/2 and joins the halves with one min-plus product, from half the
-    sources where f on the lattice matches its mirror image.
+    d((t0, 0), (t1, pi)).  `_antipodal_max` gives max U for a U >= g on
+    the lattice of spacing h = L / N, and g is 1-Lipschitz in each
+    endpoint along meridians, so hi = max U + h.  `_antipodal_max` sweeps
+    theta only to pi/2 and joins the halves with one min-plus product,
+    of which it forms only the entries its maximum needs, from half the
+    sources where f on the lattice is its own mirror image about a row.
 
     For lo, a curve from (t, 0) to (t + L/2, pi) has t-variation at least
     L/2 and integral of f |dtheta| at least pi min f, so its length is at
@@ -730,5 +789,5 @@ def diameter(m: Manifold) -> DiameterBracket:
     h = m.L / SWEEP_ROWS
     if straight <= lo + h:
         return DiameterBracket(lo=lo, hi=straight, converged=True, grid=0)
-    hi = float(_antipodal_bounds(m).max()) + h
+    hi = _antipodal_max(m) + h
     return DiameterBracket(lo=lo, hi=hi, converged=True, grid=SWEEP_ROWS)

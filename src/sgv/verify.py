@@ -29,6 +29,7 @@ outside the integral-curvature smallness regime is data, not an error.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
@@ -307,14 +308,17 @@ def sweep(manifold_specs: Sequence[dict], alpha_target: float, p: float,
     (including "kind").  Returns (rows, summary) where summary carries
     the minimum theorem margin among hypothesis-met rows and the largest
     deviation of the sharpness ratio from 1 among flat rows (periodic,
-    constant warp).  Row order follows input order regardless of jobs.
-    A row whose worker process dies carries a BrokenProcessPool error.
+    constant warp).  jobs > 1 runs the rows in a pool of at most jobs
+    processes, and no more than there are rows or CPUs.  Row order
+    follows input order regardless of jobs.  A row whose worker process
+    dies carries a BrokenProcessPool error.
     """
     tasks = [(dict(s), alpha_target, p, C_s, Lambda_rough)
              for s in manifold_specs]
     if jobs > 1 and len(tasks) > 1:
-        # fork starts every worker at once: no more than there are rows
-        rows = _pool_rows(tasks, min(jobs, len(tasks)))
+        # fork starts every worker at once: no more than there are rows,
+        # nor than there are CPUs to run them at once
+        rows = _pool_rows(tasks, min(jobs, len(tasks), os.cpu_count() or 1))
         # A dead worker fails every row that had not finished.  Each of
         # them runs again in a pool of its own, so the error stays with
         # a row that kills its own worker and no row depends on timing.

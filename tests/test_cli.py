@@ -498,11 +498,14 @@ def test_sweep_opens_no_more_workers_than_rows(monkeypatch):
                         FakePool)
     specs = [{"id": f"flat-{i}", "kind": "constant", "L": TWO_PI,
               "c": 0.1 * (i + 1)} for i in range(3)]
-    for jobs in (64, 2):
+    # no more than the rows, the jobs asked for, or the CPUs; none
+    # known counts as one
+    for cpus, jobs in ((8, 64), (8, 2), (2, 4096), (None, 64)):
+        monkeypatch.setattr(sgv.verify.os, "cpu_count", lambda: cpus)
         rows, summary = sgv.verify.sweep(specs, 0.3, 2.0, 2.0, 0.5,
                                          jobs=jobs)
         assert summary["errors"] == 0
-    assert opened == [3, 2]
+    assert opened == [3, 2, 2, 1]
 
 
 # ===================================================================

@@ -13,13 +13,15 @@ Covers:
   below it there, and above the sweep's elsewhere), sweep bounds
   above the flat lower bound on near-flat tori and the periodic
   catalog splines, the half-source route read off the samples of f (on
-  23 of the 27 periodic catalog rows), the mirrored route of cosine
-  tori and of the
-  mirror-symmetric spline against the all-sources route bit for bit,
-  the half sweep joined by one min-plus
-  product against the 16-step sweep over [0, pi] kept here as the
-  oracle (in long double, and its step lengths bit for bit), and a
-  count of the meridian transforms one diameter runs
+  25 of the 27 periodic catalog rows, two of them about row 16), a
+  mirror axis on any row of random splines and none halfway between
+  rows, the mirrored route of cosine tori and of the mirror-symmetric
+  spline against the all-sources route bit for bit, the join stopped
+  at its maximum and its coarse bound against the full join kept here
+  as an oracle, the half sweep joined by one min-plus product against
+  the 16-step sweep over [0, pi] kept here as the oracle (in long
+  double, and its step lengths bit for bit), and a count of the
+  meridian transforms one diameter runs
 - the in-house spline against scipy's CubicSpline: f..f''' and the
   roots of f' on both closures, and no roots on constant pieces
 - the profile's jet: its f is `f` bit for bit on every kind, its
@@ -61,8 +63,9 @@ from sgv import (
     volume,
 )
 from sgv.errors import BadExponent, BadPoleClosure, NonPositiveWarp
-from sgv.geometry import (SWEEP_ROWS, SWEEP_STEPS, _antipodal_bounds,
-                          _CubicSpline, _meridian_relax, _step_lengths)
+from sgv.geometry import (SWEEP_ROWS, SWEEP_STEPS, _antipodal_max,
+                          _coarse_join, _CubicSpline, _meridian_relax,
+                          _step_lengths)
 
 TWO_PI = 2.0 * math.pi
 
@@ -524,7 +527,7 @@ def test_closed_form_hi_exactly_where_the_sweep_cannot_beat_it():
     for m in _catalog_manifolds(periodic_only=True):
         br = diameter(m)
         straight = math.hypot(m.L / 2.0, math.pi * m.f_range()[1])
-        sweep_hi = float(_antipodal_bounds(m).max()) + m.L / SWEEP_ROWS
+        sweep_hi = float(_oracle_bounds(m).max()) + m.L / SWEEP_ROWS
         if straight <= br.lo + m.L / SWEEP_ROWS:
             closed += 1
             assert (br.grid, br.hi) == (0, straight), m.describe()
@@ -540,16 +543,20 @@ def _periodic_catalog_splines():
             if m.kind == "tabulated"]
 
 
-# The sweep this package ran before the meet-in-the-middle join, kept as
-# the oracle: SWEEP_STEPS steps over [0, pi], step lengths summed with
+# Two oracles.  The sweep this package ran before the meet-in-the-middle
+# join: SWEEP_STEPS steps over [0, pi], step lengths summed with
 # np.roll, and the meridian transform as a running minimum over two
-# copies of the rows.
+# copies of the rows.  And the join it ran before it stopped at the
+# maximum: every antipodal bound U[j, s], each the minimum of all N
+# sums.
 
 def _sweep_inputs(m):
-    """The samples f that `_antipodal_bounds(m)` hands `_step_lengths`,
-    and the number of sources it sweeps."""
+    """The samples f that `_antipodal_max(m)` hands `_step_lengths`, the
+    number of sources it sweeps, and the half sweep Q, filled to every
+    source, that it joins."""
     seen = {}
     step_lengths, sweep = sgv.geometry._step_lengths, sgv.geometry._sweep
+    join_max = sgv.geometry._join_max
 
     def spy_steps(m, f, h, dtheta):
         seen["f"] = f
@@ -559,10 +566,47 @@ def _sweep_inputs(m):
         seen["sources"] = sources
         return sweep(W, h, sources)
 
+    def spy_join(Q, sources):
+        seen["Q"] = Q
+        return join_max(Q, sources)
+
     with mock.patch.object(sgv.geometry, "_step_lengths", spy_steps), \
-            mock.patch.object(sgv.geometry, "_sweep", spy_sweep):
-        _antipodal_bounds(m)
-    return seen["f"], seen["sources"]
+            mock.patch.object(sgv.geometry, "_sweep", spy_sweep), \
+            mock.patch.object(sgv.geometry, "_join_max", spy_join):
+        _antipodal_max(m)
+    return seen["f"], seen["sources"], seen["Q"]
+
+
+def _full_join(Q, sources):
+    """U[j, s] = min over every k of Q[j, k] + Q[k, s], s < sources."""
+    U = Q[:, :1] + Q[:1, :sources]
+    pair = np.empty_like(U)
+    for k in range(1, Q.shape[0]):
+        np.add(Q[:, k:k + 1], Q[k:k + 1, :sources], out=pair)
+        np.minimum(U, pair, out=U)
+    return U
+
+
+def _oracle_bounds(m):
+    """Every antipodal bound U[j, s] of the lattice `_antipodal_max(m)`
+    sweeps, from the Q it joins; the columns s > N/2 of a half sweep
+    filled by U[j, s] = U[(N - j) % N, N - s]."""
+    _, sources, Q = _sweep_inputs(m)
+    U = _full_join(Q, sources)
+    if sources == SWEEP_ROWS:
+        return U
+    i = np.arange(SWEEP_ROWS)
+    return np.concatenate([U, U[-i][:, SWEEP_ROWS // 2 - 1:0:-1]], axis=1)
+
+
+def _all_sources_max(m):
+    """max U from every source over the unmirrored samples of f, at
+    their own rows: the route of a warp with no mirror axis."""
+    h = m.L / SWEEP_ROWS
+    W = _step_lengths(m, m.f(h * np.arange(SWEEP_ROWS + 1)), h,
+                      math.pi / SWEEP_STEPS)
+    return float(_full_join(sgv.geometry._sweep(W, h, SWEEP_ROWS),
+                            SWEEP_ROWS).max())
 
 
 def _roll_step_lengths(m, f, h, dtheta):
@@ -627,11 +671,12 @@ def test_antipodal_bounds_dominate_distances(case):
         m = make_cosine(beta=1e-9, c=case)
     else:
         m = _periodic_catalog_splines()[case]
-    U = _antipodal_bounds(m)
+    U = _oracle_bounds(m)
     i = np.arange(SWEEP_ROWS)
     gap = np.abs(i[:, None] - i[None, :])
     dt = m.L / SWEEP_ROWS * np.minimum(gap, SWEEP_ROWS - gap)
     assert np.all(U >= np.hypot(dt, math.pi * m.f_range()[0]) - 1e-12)
+    assert _antipodal_max(m) == U.max()
 
 
 # every (c, beta) of the benchmark's cosine catalog but the dumbbell
@@ -641,59 +686,119 @@ WAVY_ROWS = [(c, beta) for c in (0.2, 0.5, 1.0, 1.5)
 
 
 @pytest.mark.parametrize("c,beta", WAVY_ROWS)
-def test_mirrored_sweep_is_the_full_sweep(c, beta, monkeypatch):
+def test_mirrored_sweep_is_the_full_sweep(c, beta):
     # step lengths and the meridian transform are mirror-exact and the
     # join adds the same pairs, so the half sweep and its reflection
     # are the all-sources route over the same step lengths bit for bit
     m = make_cosine(beta, c=c)
     h = m.L / SWEEP_ROWS
-    f, sources = _sweep_inputs(m)
+    f, sources, Q = _sweep_inputs(m)
     assert sources == SWEEP_ROWS // 2 + 1
     W = _step_lengths(m, f, h, math.pi / SWEEP_STEPS)
-    U = _antipodal_bounds(m)
-    monkeypatch.setattr(sgv.geometry, "_step_lengths", lambda *args: W)
-    monkeypatch.setattr(sgv.geometry, "_mirrored", lambda f: False)
-    assert np.array_equal(U, _antipodal_bounds(m))
+    full = sgv.geometry._sweep(W, h, SWEEP_ROWS)
+    assert np.array_equal(Q, full)
+    U = _oracle_bounds(m)
+    assert np.array_equal(U, _full_join(full, SWEEP_ROWS))
     i = np.arange(SWEEP_ROWS)
     assert np.array_equal(U, U[-i][:, -i])
+    assert _antipodal_max(m) == U.max()
 
 
-def test_mirrored_sweep_matches_unsymmetrized_sweep(monkeypatch):
+def test_mirrored_sweep_matches_unsymmetrized_sweep():
     # sampled at every row, f(t_i) and f(t_{N-i}) differ by rounding;
     # the full sweep over those samples moves max U by rounding only,
     # also on the rows where `diameter` takes the closed form
-    his = [_antipodal_bounds(make_cosine(beta, c=c)).max()
-           for c, beta in WAVY_ROWS]
-    monkeypatch.setattr(sgv.geometry, "_mirrored", lambda f: False)
-    for (c, beta), hi in zip(WAVY_ROWS, his):
-        full = _antipodal_bounds(make_cosine(beta, c=c)).max()
+    for c, beta in WAVY_ROWS:
+        m = make_cosine(beta, c=c)
+        hi, full = _antipodal_max(m), _all_sources_max(m)
         assert abs(hi - full) <= 4 * np.spacing(full), (c, beta)
 
 
 def test_sweep_route_agrees_with_the_mirror_split():
-    # the sweep reads mirror symmetry off its samples of f: every cosine
-    # torus and the spline with a = 0.05, b = 0 take the half route, the
-    # four splines with a sin 2t term keep every source
+    # the sweep reads a mirror axis off its samples of f: every cosine
+    # torus and the spline with a = 0.05, b = 0 are mirror images of
+    # themselves about row 0, the two splines with a = 0, b = 0.05
+    # (sin 2t) about row 16 (t = pi/4), and all of them take the half
+    # route; the two with a cos t and a sin 2t term have no mirror axis
+    # and keep every source
     # (the catalog lists its 22 cosine tori first, then the splines
     # (knots, a, b) = (17, .02, .02), (65, .02, .02), (33, .05, 0),
     # (17, 0, .05), (33, 0, .05))
     routes = [_sweep_inputs(m)[1] == SWEEP_ROWS // 2 + 1
               for m in _catalog_manifolds(periodic_only=True)]
-    assert routes == [True] * 22 + [False, False, True, False, False]
+    assert routes == [True] * 22 + [False, False, True, True, True]
 
 
-def test_mirror_symmetric_spline_sweeps_half_the_sources(monkeypatch):
+def test_mirror_symmetric_spline_sweeps_half_the_sources():
     # its samples mirror to 1.1e-16 relative, and the half route gives
     # the all-sources hi bit for bit
     m = _periodic_catalog_splines()[2]
     assert m.ts.size == 33 and m.f_range()[1] == pytest.approx(1.05)
-    f, sources = _sweep_inputs(m)
+    f, sources, _ = _sweep_inputs(m)
     assert sources == SWEEP_ROWS // 2 + 1
     assert np.array_equal(f, f[::-1])
-    hi = diameter(m).hi
-    monkeypatch.setattr(sgv.geometry, "_mirrored", lambda f: False)
+    assert diameter(m).hi == _all_sources_max(m) + m.L / SWEEP_ROWS
+
+
+def test_stopped_join_is_the_full_join_on_the_catalog():
+    # the join stops at its maximum: max U exactly, and the swept rows'
+    # hi is max U + h bit for bit
+    swept = 0
+    for m in _catalog_manifolds(periodic_only=True):
+        top = float(_oracle_bounds(m).max())
+        assert _antipodal_max(m) == top, m.describe()
+        br = diameter(m)
+        if br.grid:
+            swept += 1
+            assert br.hi == top + m.L / SWEEP_ROWS, m.describe()
+    assert swept == 14
+
+
+def test_coarse_join_bounds_the_full_join():
+    # every 8th crossing row: a minimum over fewer of the same sums
+    for m in _catalog_manifolds(periodic_only=True):
+        _, sources, Q = _sweep_inputs(m)
+        assert np.all(_coarse_join(Q, sources) >= _full_join(Q, sources)), \
+            m.describe()
+
+
+def _symmetric_spline(knots, axis, a, b, half=False):
+    """The periodic spline on L = 2 pi through values of
+    1 + a cos x + b cos 2x, x the circular distance of each knot from a
+    mirror axis: knot `axis`, or halfway from it to the next knot when
+    half.  Its data are their own mirror image exactly."""
+    K = knots - 1
+    i = np.arange(K)
+    gap = (2 * (i - axis) - half) % (2 * K)  # in half knot spacings
+    x = np.minimum(gap, 2 * K - gap) * (math.pi / K)
+    fs = 1.0 + a * np.cos(x) + b * np.cos(2.0 * x)
+    return make_manifold("tabulated", L=TWO_PI, ts=np.linspace(
+        0.0, TWO_PI, knots), fs=np.append(fs, fs[0]), boundary="periodic")
+
+
+@settings(max_examples=6, deadline=None)
+@given(knots=st.sampled_from([17, 33, 65]), axis=st.integers(1, 7),
+       a=st.one_of(st.floats(-0.2, -0.02), st.floats(0.02, 0.2)),
+       b=st.floats(-0.2, 0.2))
+def test_rotated_mirror_axis_sweeps_half_the_sources(knots, axis, a, b):
+    # a knot axis lies on row axis N / (knots - 1), strictly between
+    # rows 0 and N/2; rotated to row 0, the warp takes the half route,
+    # and hi moves from the all-sources route's by rounding only
+    m = _symmetric_spline(knots, axis, a, b)
+    assert _sweep_inputs(m)[1] == SWEEP_ROWS // 2 + 1
+    full = _all_sources_max(m)
+    assert abs(_antipodal_max(m) - full) <= 4 * np.spacing(full)
+
+
+@settings(max_examples=3, deadline=None)
+@given(axis=st.integers(0, 127), a=st.floats(0.02, 0.2),
+       b=st.floats(-0.2, 0.2))
+def test_half_row_mirror_axis_keeps_every_source(axis, a, b):
+    # on 129 knots, one per row, an axis halfway between two knots
+    # reflects no row onto itself
+    m = _symmetric_spline(129, axis, a, b, half=True)
     assert _sweep_inputs(m)[1] == SWEEP_ROWS
-    assert diameter(m).hi == hi
+    assert _antipodal_max(m) == _all_sources_max(m)
 
 
 def test_step_lengths_match_the_roll_form():
@@ -721,7 +826,7 @@ def test_sweep_hi_matches_extended_precision():
         h = m.L / SWEEP_ROWS
         W = _roll_step_lengths(m, _sweep_inputs(m)[0], h,
                                math.pi / SWEEP_STEPS)
-        hi = _antipodal_bounds(m).max()
+        hi = _antipodal_max(m)
         wide = _full_sweep(W.astype(np.longdouble), np.longdouble(h))
         assert abs(hi - float(wide.max())) <= 4 * np.spacing(hi), \
             m.describe()
