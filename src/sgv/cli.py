@@ -28,7 +28,7 @@ from .geometry import diameter, kbar, make_manifold, ricci_min, volume
 from .modelode import (ENDPOINT_GAP, check_model_inequalities,
                        ode_residual, z_sup)
 from .report import (PLOT_KINDS, emit_plot_data, records_to_csv,
-                     sweep_payload, to_json)
+                     sweep_payload, to_json, write_text)
 from .spectral import DEFAULT_GRIDS, lambda1
 from .verify import check_main_theorem, sweep
 
@@ -81,11 +81,20 @@ def _manifold_from_args(args):
                          fiber=args.fiber, beta=args.beta)
 
 
+def _save(write, *args) -> None:
+    """write(*args), each file write of the CLI, its path last: a file
+    that cannot be written is a config error (exit 2) that names it."""
+    try:
+        write(*args)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename or args[-1]}: "
+                          f"{exc.strerror}") from exc
+
+
 def _emit(text: str, path: Optional[str]) -> None:
     sys.stdout.write(text)
     if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _save(write_text, text, path)
 
 
 # --- subcommand bodies ------------------------------------------------
@@ -165,7 +174,7 @@ def _cmd_ledger(args) -> int:
                              C_s=args.Cs, Lambda_rough=args.Lambda)
             gc = gradient_constants(gi, sigma=sigma)
             series.append({"delta": float(d), "alpha": gc.alpha})
-        emit_plot_data(series, "alpha-vs-delta", args.plot_out)
+        _save(emit_plot_data, series, "alpha-vs-delta", args.plot_out)
     return 0
 
 
@@ -225,6 +234,8 @@ def _cmd_verify(args) -> int:
 
 
 def _load_sweep_config(args):
+    if args.plot and not args.plot_out:
+        raise ConfigError("--plot needs --plot-out BASEPATH")
     cfg = {}
     if args.config:
         try:
@@ -308,16 +319,11 @@ def _cmd_sweep(args) -> int:
                           jobs=cfg["jobs"])
     payload = sweep_payload(rows, summary)
     _emit(to_json(payload), args.out)
+    recs = [r.record for r in rows if r.record is not None]
     if args.out_csv:
-        recs = [r.record for r in rows if r.record is not None]
-        with open(args.out_csv, "w", encoding="utf-8",
-                  newline="\n") as fh:
-            fh.write(records_to_csv(recs))
+        _save(write_text, records_to_csv(recs), args.out_csv)
     if args.plot:
-        if not args.plot_out:
-            raise ConfigError("--plot needs --plot-out BASEPATH")
-        recs = [r.record for r in rows if r.record is not None]
-        emit_plot_data(recs, args.plot, args.plot_out)
+        _save(emit_plot_data, recs, args.plot, args.plot_out)
     code = 0
     for r in rows:
         if r.error is not None:

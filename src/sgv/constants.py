@@ -106,15 +106,13 @@ class GradientConstants:
 
 def gradient_constants(inp: LedgerInput, sigma: float) -> GradientConstants:
     """Closed-form constants of the gradient estimate for one delta and
-    ground-state shift sigma."""
+    ground-state shift sigma; B(delta) < 1 on LedgerInput's deltas."""
     d = inp.delta
     if not (sigma >= 0.0):
         raise ValueError(f"sigma = {sigma} must be >= 0")
     tau = tau_of(d)
     A = 2.0 * d * (1.0 + d)
     B = d * (5.0 + d) / (1.0 - d)
-    if B >= 1.0:
-        raise DeltaTooLarge(f"B({d}) = {B} >= 1")
     z_peak = (1.0 + d) * _Z_PEAK
     root_B = math.sqrt(B)
     C1 = (1.0 + d + math.sqrt(A)) / (1.0 - root_B)

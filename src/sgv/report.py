@@ -57,6 +57,12 @@ def records_to_csv(records: Sequence) -> str:
     return "\n".join(lines) + "\n"
 
 
+def write_text(text: str, path: str) -> None:
+    """Write text to path as UTF-8 with LF line ends."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def to_json(payload) -> str:
     """Canonical JSON: sorted keys, 2-space indent, trailing newline."""
     return json.dumps(payload, sort_keys=True, indent=2,
@@ -215,9 +221,6 @@ def emit_plot_data(records: Sequence, kind: str, out_base: str):
     lines = [f"{xl.split(' ')[0]},{yl.split(' ')[0]}"]
     lines += [f"{repr(float(x))},{repr(float(y))}"
               for x, y in zip(xs, ys)]
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    svg = svg_line_chart(xs, ys, xl, yl, kind)
-    with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(svg)
+    write_text("\n".join(lines) + "\n", csv_path)
+    write_text(svg_line_chart(xs, ys, xl, yl, kind), svg_path)
     return csv_path, svg_path

@@ -246,24 +246,18 @@ def check_main_theorem(m: Manifold, alpha_target: float, p: float,
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One sweep entry: a record, or the error that replaced it."""
+    """One sweep entry: a record, or the error that replaced it, and
+    whether its warp is constant (min f = max f: a flat torus)."""
 
     manifold_id: str
     record: Optional[VerificationRecord]
     error: Optional[str]
+    flat: bool
 
 
 def _error_row(spec: dict, exc: Exception) -> SweepRow:
     return SweepRow(manifold_id=spec.get("id", "row"), record=None,
-                    error=f"{type(exc).__name__}: {exc}")
-
-
-def _flat(spec: dict) -> bool:
-    """min f = max f: a flat torus, whose diameter is exact (a
-    pole-closed warp leaves 0 at slope 1, so it is never constant)."""
-    m = make_manifold(**{k: v for k, v in spec.items() if k != "id"})
-    f_min, f_max = m.f_range()
-    return f_min == f_max
+                    error=f"{type(exc).__name__}: {exc}", flat=False)
 
 
 def _run_sweep_row(args) -> SweepRow:
@@ -275,7 +269,9 @@ def _run_sweep_row(args) -> SweepRow:
         m = make_manifold(kind, **params)
         rec = check_main_theorem(m, alpha_target, p, C_s, Lambda_rough,
                                  manifold_id=row_id)
-        return SweepRow(manifold_id=row_id, record=rec, error=None)
+        f_min, f_max = m.f_range()
+        return SweepRow(manifold_id=row_id, record=rec, error=None,
+                        flat=f_min == f_max)
     except Exception as exc:  # per-row capture: the sweep must continue
         return _error_row(spec, exc)
 
@@ -308,10 +304,11 @@ def sweep(manifold_specs: Sequence[dict], alpha_target: float, p: float,
     (including "kind").  Returns (rows, summary) where summary carries
     the minimum theorem margin among hypothesis-met rows and the largest
     deviation of the sharpness ratio from 1 among flat rows (periodic,
-    constant warp).  jobs > 1 runs the rows in a pool of at most jobs
-    processes, and no more than there are rows or CPUs.  Row order
-    follows input order regardless of jobs.  A row whose worker process
-    dies carries a BrokenProcessPool error.
+    constant warp), read off the rows, which build each manifold once.
+    jobs > 1 runs the rows in a pool of at most jobs processes, and no
+    more than there are rows or CPUs.  Row order follows input order
+    regardless of jobs.  A row whose worker process dies carries a
+    BrokenProcessPool error.
     """
     tasks = [(dict(s), alpha_target, p, C_s, Lambda_rough)
              for s in manifold_specs]
@@ -331,8 +328,7 @@ def sweep(manifold_specs: Sequence[dict], alpha_target: float, p: float,
     margins = [r.record.theorem_margin for r in rows
                if r.record is not None and r.record.hypothesis_met]
     flat_devs = [abs(r.record.sharpness_ratio - 1.0)
-                 for r, s in zip(rows, manifold_specs)
-                 if r.record is not None and _flat(s)]
+                 for r in rows if r.flat]
     summary = {
         "rows": len(rows),
         "errors": sum(1 for r in rows if r.error is not None),

@@ -18,7 +18,9 @@ import sgv.cli
 import sgv.geometry
 import sgv.verify
 from sgv.cli import main
+from sgv.constants import DELTA_CAP, LedgerInput, gradient_constants
 from sgv.geometry import ricci_min
+from sgv.verify import SweepRow
 
 TWO_PI = 2.0 * math.pi
 
@@ -204,6 +206,33 @@ def test_ledger_delta_cap_enforced(capsys):
     assert "DeltaTooLarge" in err
 
 
+def test_ledger_plot_is_alpha_of_delta(tmp_path, capsys):
+    # 41 deltas from 1e-4 to the cap, each alpha the ledger's own, at
+    # sigma = 0 unless --sigma is given
+    curves = []
+    for sigma in (None, 0.001):
+        base = str(tmp_path / f"alpha-{len(curves)}")
+        flags = () if sigma is None else ("--sigma", str(sigma))
+        code, _, _ = run(capsys, *LEDGER_ARGS, "--D", "3", "--Cs", "2",
+                         *flags, "--plot-out", base)
+        assert code == 0
+        with open(base + ".csv", encoding="utf-8") as fh:
+            header, *lines = fh.read().splitlines()
+        assert header == "delta,alpha"
+        points = [tuple(map(float, line.split(","))) for line in lines]
+        assert len(points) == 41
+        assert points[0][0] == pytest.approx(1e-4, rel=1e-12)
+        assert points[-1][0] == pytest.approx(DELTA_CAP, rel=1e-12)
+        for delta, alpha in points:
+            inp = LedgerInput(n=2, p=2.0, D=3.0, delta=delta, C_s=2.0,
+                              Lambda_rough=0.5)
+            assert alpha == gradient_constants(inp, sigma=sigma or 0.0).alpha
+        with open(base + ".svg", encoding="utf-8") as fh:
+            assert 'viewBox="0 0 800 600"' in fh.read()
+        curves.append(points)
+    assert all(a1 < a0 for (_, a0), (_, a1) in zip(*curves))
+
+
 def test_ode_check_passes(capsys):
     code, out, _ = run(capsys, "ode-check", "--eta", "1.1",
                        "--u-grid", "20001")
@@ -321,6 +350,46 @@ def test_sweep_plot_emission(tmp_path, capsys):
     assert 'viewBox="0 0 800 600"' in svg
 
 
+def test_sweep_plot_without_plot_out_refused_before_any_row(
+        tmp_path, capsys, monkeypatch):
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a sweep row ran")
+    monkeypatch.setattr(sgv.cli, "sweep", no_rows)
+    out_json = tmp_path / "report.json"
+    code, out, err = run(capsys, "sweep", "--config",
+                         write_sweep_config(tmp_path), "--out",
+                         str(out_json), "--plot", "sharpness-vs-aspect")
+    assert code == 2
+    assert out == "" and not out_json.exists()
+    assert err == "config error: --plot needs --plot-out BASEPATH\n"
+
+
+@pytest.mark.parametrize("flag", ["--out", "--out-csv", "ledger --plot-out",
+                                  "sweep --plot-out"])
+def test_unwritable_output_path_is_config_error(tmp_path, capsys, flag):
+    # exit 2 naming the path, not a traceback (exit 1); a plot names the
+    # first of its two files
+    missing = str(tmp_path / "missing" / "out")
+    cfg = write_sweep_config(tmp_path, manifolds=[
+        {"id": "flat", "kind": "flat-torus", "L": TWO_PI, "c": 0.1}])
+    argv, written = {
+        "--out": (("diameter", "--manifold", "sphere", "--L", "3",
+                   "--out", missing), missing),
+        "--out-csv": (("sweep", "--config", cfg, "--out-csv", missing),
+                      missing),
+        "ledger --plot-out": (LEDGER_ARGS + ("--D", "3", "--Cs", "2",
+                                             "--plot-out", missing),
+                              missing + ".csv"),
+        "sweep --plot-out": (("sweep", "--config", cfg, "--plot",
+                              "sharpness-vs-aspect", "--plot-out", missing),
+                             missing + ".csv"),
+    }[flag]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err == (f"config error: cannot write {written}: "
+                   "No such file or directory\n")
+
+
 def test_sweep_unknown_config_key(tmp_path, capsys):
     cfg = write_sweep_config(tmp_path, bogus=1)
     code, _, err = run(capsys, "sweep", "--config", cfg)
@@ -375,20 +444,83 @@ def test_sweep_flags_override_config(tmp_path, capsys):
     assert rec["delta"] > 0.0535  # larger than the alpha = 0.3 root
 
 
-def test_gate_fails_in_hypothesis_record_without_gradient_margin():
-    # a certificate that could not be computed fails the gate inside
-    # the hypothesis, for the gradient estimate as for sigma; outside
-    # it the record is informational
+@pytest.fixture(scope="module")
+def passing_record():
     rec = sgv.verify.check_main_theorem(
         sgv.geometry.make_manifold("constant", L=TWO_PI, c=0.1),
         0.5, 2.0, 2.0, 0.5)
     assert rec.hypothesis_met
     assert sgv.cli._record_gate_failures(rec) == []
-    missing = replace(rec, gradient_margin=None)
-    assert any("gradient" in f
-               for f in sgv.cli._record_gate_failures(missing))
+    return rec
+
+
+# each gate's failure in one field of a passing record: the replaced
+# fields, and the start of the one failure it must give
+GATES = {
+    "eigenvalue-bound": (lambda r: dict(theorem_margin=-1e-3 * r.lambda1),
+                         "eigenvalue bound violated"),
+    "shift-sign": (lambda r: dict(sigma_measured=-1e-9), "shift sign"),
+    "shift-sign-none": (lambda r: dict(sigma_measured=None),
+                        "shift sign: sigma = None"),
+    "shift-ceiling": (lambda r: dict(sigma_bound_margin=-1e-6),
+                      "shift ceiling"),
+    "shift-ceiling-none": (lambda r: dict(sigma_bound_margin=None),
+                           "shift ceiling: margin = None"),
+    "J-deviation": (lambda r: dict(J_deviation=r.delta + 1e-6),
+                    "J deviation"),
+    "J-deviation-none": (lambda r: dict(J_deviation=None),
+                         "J deviation None"),
+    "gradient-none": (lambda r: dict(gradient_margin=None),
+                      "gradient estimate: margin = None"),
+    "gradient-above-tolerance": (
+        lambda r: dict(gradient_margin=1e-5 * r.lambda_tilde),
+        "gradient estimate margin"),
+}
+
+
+@pytest.mark.parametrize("gate", GATES)
+def test_gate_fails_in_hypothesis_record(passing_record, gate):
+    # a certificate that could not be computed (None) fails its gate
+    # inside the hypothesis as a failed one does; outside it the record
+    # is informational
+    change, message = GATES[gate]
+    failing = replace(passing_record, **change(passing_record))
+    fails = sgv.cli._record_gate_failures(failing)
+    assert len(fails) == 1 and fails[0].startswith(message)
     assert sgv.cli._record_gate_failures(
-        replace(missing, hypothesis_met=False)) == []
+        replace(failing, hypothesis_met=False)) == []
+
+
+def test_verify_exits_1_on_a_failed_gate(capsys, monkeypatch,
+                                         passing_record):
+    failing = replace(passing_record, theorem_margin=-1.0)
+    monkeypatch.setattr(sgv.cli, "check_main_theorem",
+                        lambda *args, **kwargs: failing)
+    code, out, err = run(capsys, "verify", "--manifold", "flat-torus",
+                         "--L", str(TWO_PI), "--c", "0.1",
+                         "--alpha-target", "0.5", "--Cs", "2",
+                         "--Lambda", "0.5")
+    assert code == 1
+    assert json.loads(out)["theorem_margin"] == -1.0
+    assert err == ("[constant] eigenvalue bound violated: margin "
+                   "-1.000000e+00\n")
+
+
+def test_sweep_exits_1_on_a_failed_gate(tmp_path, capsys, monkeypatch,
+                                        passing_record):
+    failing = replace(passing_record, manifold_id="bad", J_deviation=None)
+    rows = [SweepRow(manifold_id="ok", record=passing_record, error=None,
+                     flat=True),
+            SweepRow(manifold_id="bad", record=failing, error=None,
+                     flat=True)]
+    monkeypatch.setattr(sgv.cli, "sweep",
+                        lambda *args, **kwargs: (rows, {"rows": 2}))
+    code, out, err = run(capsys, "sweep", "--config",
+                         write_sweep_config(tmp_path))
+    assert code == 1
+    assert len(json.loads(out)["records"]) == 2
+    assert err.startswith("[bad] J deviation None exceeds delta = ")
+    assert err.count("\n") == 1
 
 
 def test_sweep_row_error_does_not_flip_exit(tmp_path, capsys):

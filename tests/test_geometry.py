@@ -36,8 +36,10 @@ Covers:
 - constructor validation (exact positivity of f, non-finite warps, an
   integer dimension, also against inf, nan, strings and bools, a field
   the kind does not read, a closure not the kind's, tabulated nodes
-  that do not span [0, L]), the same errors from `Manifold` built
-  directly as from `make_manifold`, and the p > n/2 exponent gate
+  that do not span [0, L], the spline's four data rules, the open
+  poles of a pole-closed spline), the same errors from `Manifold`
+  built directly as from `make_manifold`, steep cosine tori that close
+  by construction, and the p > n/2 exponent gate
 """
 
 import importlib.util
@@ -207,6 +209,24 @@ INVALID = {
                               ts=_TORUS_TS, fs=_TORUS_FS,
                               boundary="periodic"), {},
                          "tabulated nodes must span [0, L]"),
+    # the spline's own data rules
+    "values-short-of-nodes": (dict(kind="tabulated", L=TWO_PI,
+                                   ts=_TORUS_TS, fs=_TORUS_FS[:-1],
+                                   boundary="periodic"), {},
+                              "tabulated nodes and values must be 1-D"),
+    "nan-value": (dict(kind="tabulated", L=TWO_PI, ts=_TORUS_TS,
+                       fs=np.r_[_TORUS_FS[:3], math.nan, _TORUS_FS[4:]],
+                       boundary="periodic"), {},
+                  "tabulated nodes and values must be finite"),
+    "repeated-node": (dict(kind="tabulated", L=TWO_PI,
+                           ts=np.r_[_TORUS_TS[:3], _TORUS_TS[2],
+                                    _TORUS_TS[4:]],
+                           fs=_TORUS_FS, boundary="periodic"), {},
+                      "tabulated nodes must be strictly increasing"),
+    "periodic-ends-apart": (dict(kind="tabulated", L=TWO_PI, ts=_TORUS_TS,
+                                 fs=np.r_[_TORUS_FS[:-1], 1.4],
+                                 boundary="periodic"), {},
+                            "periodic tabulated values must end where"),
 }
 
 
@@ -223,6 +243,15 @@ def test_manifold_validates_on_construction(case):
         errors.append((info.type, str(info.value)))
     assert errors[0] == errors[1]
     assert errors[0][1].startswith(message)
+
+
+@pytest.mark.parametrize("L, c", [(TWO_PI, 1e6), (1e-6, 1.0)])
+def test_steep_cosine_torus_constructs(L, c):
+    # max |f'| = c beta 2 pi / L is 1.6e6 and 3.1e6 here, and the
+    # rounding of sin(2 pi) in f'(L) scales with it: the closure holds
+    # by construction and is not re-derived from the jet
+    m = make_manifold("cosine", L=L, c=c, beta=0.5)
+    assert m.f_range() == (c * 0.5, c * 1.5)
 
 
 def test_non_integer_dimension_rejected():

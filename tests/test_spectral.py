@@ -9,7 +9,9 @@ oracles implemented right here:
   root finding on the Neumann mismatch at the half period.
 
 plus the closed forms on flat tori and round spheres, and a dense
-matrix oracle of the discrete pencil itself for the eigensolvers.
+matrix oracle of the discrete pencil itself for the eigensolvers.  A
+patched chain drives the two refusals no real profile here reaches: a
+ground state that changes sign, and an order outside lambda1's window.
 """
 
 import importlib.util
@@ -36,7 +38,8 @@ from sgv import (
     schrodinger_ground,
 )
 import sgv.spectral
-from sgv.errors import DegenerateRange, NonPositiveGround
+from sgv.errors import (DegenerateRange, NoConvergence, NonPositiveGround,
+                        SignChange)
 from sgv.spectral import (
     DEFAULT_GRIDS,
     _chain,
@@ -709,6 +712,37 @@ def test_localized_ground_state_rejected_cleanly():
         m = make_pinched_spline(knots)
         with pytest.raises(NonPositiveGround):
             schrodinger_ground(m, shift_potential(m, 1e-4), (1024,))
+
+
+def test_ground_state_that_changes_sign_rejected(monkeypatch):
+    # a chain whose lowest vector crosses zero well above rounding
+    inner = sgv.spectral._chain
+
+    def chain(m, k, index, grids, V=None):
+        for mu0, w, dis in inner(m, k, index, grids, V):
+            yield mu0, np.linspace(-1.0, 2.0, w.size), dis
+
+    monkeypatch.setattr(sgv.spectral, "_chain", chain)
+    m = make_manifold("cosine", L=TWO_PI, c=1.0, beta=0.1)
+    with pytest.raises(SignChange, match="ground state changes sign"):
+        schrodinger_ground(m, shift_potential(m, 0.1), (64,))
+
+
+def test_order_outside_the_window_raises(monkeypatch):
+    # raw values whose differences shrink 16-fold per grid, far above
+    # the rounding floor: order 4, which lambda1 refuses to extrapolate
+    inner = sgv.spectral._chain
+
+    def chain(m, k, index, grids, V=None):
+        for lam, (_, phi, dis) in zip((1.0, 1.1, 1.1 + 0.1 / 16),
+                                      inner(m, k, index, grids, V)):
+            yield lam, phi, dis
+
+    monkeypatch.setattr(sgv.spectral, "_chain", chain)
+    m = make_manifold("constant", L=TWO_PI, c=0.1)
+    with pytest.raises(NoConvergence,
+                       match=r"observed convergence order 4\.000 outside"):
+        lambda1(m, grids=(64, 128, 256))
 
 
 @pytest.mark.parametrize("delta", [0.1, 0.03, 0.003])

@@ -8,9 +8,10 @@
 - record assembly for the main theorem, sharpness ratios on flat tori,
   one kbar and one ground-state chain in each record (a refused chain
   included), and one Moser product per distinct argument set
-- sweep: per-row error capture, determinism across worker counts, a
-  worker process that dies, the out-of-hypothesis dumbbell rows, and a
-  divergent kbar integral
+- sweep: per-row error capture, one manifold built per row (its
+  flatness read from the same build), determinism across worker
+  counts, a worker process that dies, the out-of-hypothesis dumbbell
+  rows, and a divergent kbar integral
 """
 
 import math
@@ -468,6 +469,27 @@ def test_sweep_reads_flatness_from_the_warp():
     sphere = {"id": "sphere", "kind": "sine-sphere", "L": math.pi}
     _, summary = sweep([wavy, sphere], 0.3, 2.0, 2.0, 0.5)
     assert summary["max_flat_sharpness_deviation"] is None
+
+
+def test_serial_sweep_builds_each_manifold_once(monkeypatch):
+    # the row that runs the record also reads its flatness
+    built = []
+    inner = sgv.verify.make_manifold
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(sgv.verify, "make_manifold", counted)
+    specs = demo_specs()[:2] + [
+        {"id": "sphere", "kind": "sine-sphere", "L": math.pi},
+        {"id": "bad", "kind": "cosine", "L": TWO_PI, "c": 1.0,
+         "beta": 1.5}]
+    rows, summary = sweep(specs, 0.3, 2.0, 2.0, 0.5)
+    assert len(built) == len(specs)
+    assert [r.flat for r in rows] == [True, True, False, False]
+    assert summary["errors"] == 1
+    assert summary["max_flat_sharpness_deviation"] == pytest.approx(
+        0.04, abs=1e-8)
 
 
 def test_sweep_captures_row_errors():
