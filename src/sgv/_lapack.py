@@ -65,7 +65,9 @@ def solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
     super-diagonals lower, diag, upper for one right-hand side (shape
     (N,)) or a column each (shape (N, K)): LAPACK dgtsv, as
     `scipy.linalg.solve_banded((1, 1), ...)` calls it.  check_finite
-    checks all four arrays first, as solve_banded does; the eigensolvers'
+    checks all four arrays first, as solve_banded does.  The spline fit
+    sets it: its system comes from the caller's knots, and a subnormal
+    knot gap makes an infinite slope of finite data.  The eigensolvers'
     inner loops, whose arrays are finite by assembly, skip it.  A
     singular system raises LinAlgError."""
     if check_finite:

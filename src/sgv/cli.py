@@ -16,6 +16,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -27,7 +28,7 @@ from .errors import ConfigError, SgvError
 from .geometry import diameter, kbar, make_manifold, ricci_min, volume
 from .modelode import (ENDPOINT_GAP, check_model_inequalities,
                        ode_residual, z_sup)
-from .report import (PLOT_KINDS, emit_plot_data, records_to_csv,
+from .report import (PLOT_KINDS, emit_plot_data, plot_paths, records_to_csv,
                      sweep_payload, to_json, write_text)
 from .spectral import DEFAULT_GRIDS, lambda1
 from .verify import check_main_theorem, sweep
@@ -162,18 +163,14 @@ def _cmd_kbar(args) -> int:
 
 def _cmd_ledger(args) -> int:
     inp = LedgerInput(n=args.n, p=args.p, D=args.D, delta=args.delta,
-                      C_s=args.Cs, Lambda_rough=args.Lambda)
+                      C_s=args.C_s, Lambda_rough=args.Lambda_rough)
     led = build_ledger(inp, args.sigma)
     _emit(to_json(led.to_dict()), args.out)
     if args.plot_out:
         sigma = args.sigma if args.sigma is not None else 0.0
         deltas = np.logspace(math.log10(1e-4), math.log10(DELTA_CAP), 41)
-        series = []
-        for d in deltas:
-            gi = LedgerInput(n=args.n, p=args.p, D=args.D, delta=float(d),
-                             C_s=args.Cs, Lambda_rough=args.Lambda)
-            gc = gradient_constants(gi, sigma=sigma)
-            series.append({"delta": float(d), "alpha": gc.alpha})
+        series = [{"delta": float(d), "alpha": gradient_constants(
+            replace(inp, delta=float(d)), sigma=sigma).alpha} for d in deltas]
         _save(emit_plot_data, series, "alpha-vs-delta", args.plot_out)
     return 0
 
@@ -224,7 +221,7 @@ def _record_gate_failures(rec) -> list:
 def _cmd_verify(args) -> int:
     m = _manifold_from_args(args)
     rec = check_main_theorem(m, args.alpha_target, args.p,
-                             C_s=args.Cs, Lambda_rough=args.Lambda,
+                             C_s=args.C_s, Lambda_rough=args.Lambda_rough,
                              manifold_id=args.id or args.manifold)
     _emit(to_json(rec.to_dict()), args.out)
     fails = _record_gate_failures(rec)
@@ -279,18 +276,12 @@ def _load_sweep_config(args):
     manifolds = [{**spec, "kind": _MANIFOLD_KINDS.get(spec["kind"],
                                                       spec["kind"])}
                  for spec in cfg.get("manifolds", [])]
-    merged = {
-        "manifolds": manifolds,
-        "alpha_target": args.alpha_target
-        if args.alpha_target is not None else cfg.get("alpha_target"),
-        "p": args.p if args.p is not None else cfg.get("p"),
-        "C_s": args.Cs if args.Cs is not None else cfg.get("C_s"),
-        "Lambda_rough": args.Lambda
-        if args.Lambda is not None else cfg.get("Lambda_rough"),
-        "jobs": args.jobs if args.jobs is not None
-        else cfg.get("jobs", 1),
-    }
-    missing = [k for k in _SWEEP_NUMBERS if merged[k] is None]
+    # a flag overrides its config entry; jobs is 1 only where unset
+    merged = {"jobs": 1, **cfg, "manifolds": manifolds}
+    for key in (*_SWEEP_NUMBERS, "jobs"):
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
+    missing = [k for k in _SWEEP_NUMBERS if merged.get(k) is None]
     if missing:
         raise ConfigError("missing sweep settings: "
                           + ", ".join(missing)
@@ -312,6 +303,11 @@ def _load_sweep_config(args):
 
 def _cmd_sweep(args) -> int:
     cfg = _load_sweep_config(args)
+    # open each output now, appending nothing: a bad path fails before a row
+    for path in (args.out, args.out_csv,
+                 *(plot_paths(args.plot_out) if args.plot else ())):
+        if path:
+            _save(lambda p: open(p, "a").close(), path)
     log.info("sweep over %d manifolds, jobs=%d",
              len(cfg["manifolds"]), cfg["jobs"])
     rows, summary = sweep(cfg["manifolds"], cfg["alpha_target"],
@@ -337,6 +333,15 @@ def _cmd_sweep(args) -> int:
 
 # --- parser -----------------------------------------------------------
 
+def _command(sub, name: str, func, help: str):
+    """The parser of subcommand `name`, run by func, whose JSON output
+    `--out` also writes to a file."""
+    sp = sub.add_parser(name, help=help)
+    sp.add_argument("--out", default=None, help="also write JSON here")
+    sp.set_defaults(func=func)
+    return sp
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sgv",
@@ -346,91 +351,80 @@ def build_parser() -> argparse.ArgumentParser:
                     version=f"sgv {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("eig", help="first nonzero Laplace eigenvalue")
+    sp = _command(sub, "eig", _cmd_eig, "first nonzero Laplace eigenvalue")
     _add_manifold_flags(sp)
     sp.add_argument("--grids", default=",".join(map(str, DEFAULT_GRIDS)),
                     help="comma-separated refinement grids, at least "
                     "three, each twice the one before")
-    sp.add_argument("--out", default=None, help="also write JSON here")
-    sp.set_defaults(func=_cmd_eig)
 
-    sp = sub.add_parser("curvature",
-                        help="Ricci range, integral norm, volume")
+    sp = _command(sub, "curvature", _cmd_curvature,
+                  "Ricci range, integral norm, volume")
     _add_manifold_flags(sp)
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--H", type=float, default=0.0)
     sp.add_argument("--samples", type=int, default=512)
     sp.add_argument("--arrays", action="store_true",
                     help="include sampled curvature arrays")
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_curvature)
 
-    sp = sub.add_parser("diameter", help="two-sided diameter bracket")
+    sp = _command(sub, "diameter", _cmd_diameter,
+                  "two-sided diameter bracket")
     _add_manifold_flags(sp)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_diameter)
 
-    sp = sub.add_parser("kbar", help="normalized integral curvature norm")
+    sp = _command(sub, "kbar", _cmd_kbar,
+                  "normalized integral curvature norm")
     _add_manifold_flags(sp)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--H", type=float, default=0.0)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_kbar)
 
-    sp = sub.add_parser("ledger",
-                        help="explicit constants for given inputs")
+    # --Cs and --Lambda read into the library's names C_s and Lambda_rough
+    sp = _command(sub, "ledger", _cmd_ledger,
+                  "explicit constants for given inputs")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--D", type=float, required=True)
     sp.add_argument("--delta", type=float, required=True)
-    sp.add_argument("--Cs", type=float, required=True,
+    sp.add_argument("--Cs", dest="C_s", type=float, required=True,
                     help="Sobolev constant input")
-    sp.add_argument("--Lambda", type=float, required=True,
-                    help="rough spectral lower bound input")
+    sp.add_argument("--Lambda", dest="Lambda_rough", type=float,
+                    required=True, help="rough spectral lower bound input")
     sp.add_argument("--sigma", type=float, default=None,
                     help="measured shift (default: a-priori ceiling)")
     sp.add_argument("--plot-out", default=None,
                     help="emit alpha-vs-delta curve to BASE.{csv,svg}; the "
                          "curve uses sigma = 0 unless --sigma is given")
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_ledger)
 
-    sp = sub.add_parser("ode-check",
-                        help="comparison-function inequality margins")
+    sp = _command(sub, "ode-check", _cmd_ode_check,
+                  "comparison-function inequality margins")
     sp.add_argument("--eta", type=float, required=True)
     sp.add_argument("--delta", type=float, default=0.1,
                     help="half-width of the tested J range")
     sp.add_argument("--u-grid", type=int, default=100_000)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_ode_check)
 
-    sp = sub.add_parser("verify",
-                        help="full certification record, one manifold")
+    sp = _command(sub, "verify", _cmd_verify,
+                  "full certification record, one manifold")
     _add_manifold_flags(sp)
     sp.add_argument("--alpha-target", type=float, required=True)
     sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--Cs", type=float, required=True)
-    sp.add_argument("--Lambda", type=float, required=True)
+    sp.add_argument("--Cs", dest="C_s", type=float, required=True)
+    sp.add_argument("--Lambda", dest="Lambda_rough", type=float,
+                    required=True)
     sp.add_argument("--id", default=None, help="record label")
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_verify)
 
-    sp = sub.add_parser("sweep", help="verify a family of manifolds")
+    sp = _command(sub, "sweep", _cmd_sweep, "verify a family of manifolds")
     sp.add_argument("--config", default=None,
                     help="JSON config with the manifolds list")
     sp.add_argument("--alpha-target", type=float, default=None)
     sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--Cs", type=float, default=None)
-    sp.add_argument("--Lambda", type=float, default=None)
+    sp.add_argument("--Cs", dest="C_s", type=float, default=None)
+    sp.add_argument("--Lambda", dest="Lambda_rough", type=float,
+                    default=None)
     sp.add_argument("--jobs", type=int, default=None,
                     help="parallel row workers (default 1), at most "
                     "one per row and one per CPU")
-    sp.add_argument("--out", default=None, help="JSON report path")
     sp.add_argument("--out-csv", default=None, help="CSV summary path")
     sp.add_argument("--plot", default=None, choices=PLOT_KINDS)
     sp.add_argument("--plot-out", default=None,
                     help="basename for plot CSV/SVG")
-    sp.set_defaults(func=_cmd_sweep)
     return ap
 
 

@@ -70,7 +70,8 @@ import numpy as np
 from . import _lapack
 from ._quadrature import adaptive_panels, sign_change_points
 from .errors import (BadPoleClosure, NoConvergence, NonPositiveWarp,
-                     require_dimension, require_exponent, require_finite)
+                     require_dimension, require_exponent, require_finite,
+                     require_positive)
 
 _CLOSURE_TOL = 1e-10
 # the fields beyond L and n each kind reads, and its closure if it has one
@@ -96,12 +97,13 @@ class _CubicSpline:
     and the last also t >= x[-1]: at a knot every derivative reads the
     piece to its right.  A periodic spline first maps t to
     x[0] + (t - x[0]) mod period, so its f'''(x[-1]) reads the first
-    piece.
+    piece.  x and y are kept as read-only copies of the caller's data.
     """
 
     def __init__(self, x, y, periodic: bool):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x = np.array(x, dtype=float)
+        y = np.array(y, dtype=float)
+        x.flags.writeable = y.flags.writeable = False
         least = 3 if periodic else 2
         if x.ndim != 1 or x.shape != y.shape or x.size < least:
             raise ValueError(
@@ -153,7 +155,7 @@ class _CubicSpline:
             s = _lapack.solve(ab[2, :-1], ab[1], ab[0, 1:], rhs,
                               check_finite=True)
         bend = (s[:-1] + s[1:] - 2.0 * slope) / h
-        self.x = x
+        self.x, self.y = x, y
         self._inner = x[1:-1]
         self.period = x[-1] - x[0] if periodic else None
         # contiguous arrays, one gather each: piece i is
@@ -234,7 +236,8 @@ class Manifold:
     each piece and jumps at knots, where it reads the piece to the right;
     at t = L a periodic f''' reads the first piece, a pole-closed one the
     last.  Every closure so holds by construction; of it only the data
-    fs[0] = fs[-1] = 0 of a pole-closed spline are checked.
+    fs[0] = fs[-1] = 0 of a pole-closed spline are checked.  ts and fs
+    are the spline's copies of the caller's data.
     """
 
     kind: str
@@ -263,14 +266,14 @@ class Manifold:
                     and (np.ndim(value) or value != 0.0)):
                 raise ValueError(f"{self.kind} profile takes no {name}")
         L = self.L
-        if not (L > 0.0) or not np.isfinite(L):
-            raise ValueError("base length L must be positive and finite")
+        require_positive("base length L", L)
         if self.kind == "tabulated":
             spline = _CubicSpline(self.ts, self.fs,
                                   self.boundary == "periodic")
             if spline.x[0] != 0.0 or abs(spline.x[-1] - L) > 1e-12 * L:
                 raise ValueError("tabulated nodes must span [0, L]")
             object.__setattr__(self, "ts", spline.x)
+            object.__setattr__(self, "fs", spline.y)
             object.__setattr__(self, "_spline", spline)
         object.__setattr__(self, "n",
                            require_dimension(self.n, "dimension n"))
@@ -594,20 +597,18 @@ def _mirror_row(f: np.ndarray) -> Optional[int]:
     few ulps of rounding, so that sweeping the mirrored first half of
     them moves U by rounding only), or None.
 
-    Row 0 is tried first, as f[i] = f[N - i] over all N + 1 samples, then
-    rows 1..N/2 - 1: the axes r and r + N/2 are one reflection of the
-    circle, i -> 2r - i (mod N).  An axis between two rows reflects no
-    row onto itself, and no row is returned for it.
+    The rows 0..N/2 - 1 are tried in order (the axes r and r + N/2 are
+    one reflection, i -> 2r - i mod N), and f[N] reads as f[0], one point
+    of the circle.  An axis between two rows reflects no row onto itself,
+    and no row is returned for it.
     """
     N = f.size - 1
     tol = 16.0 * np.finfo(float).eps * np.max(f)
-    if np.max(np.abs(f - f[::-1])) <= tol:
-        return 0
     i = np.arange(N)
-    r = np.arange(1, N // 2)[:, None]
+    r = np.arange(N // 2)[:, None]
     gap = np.max(np.abs(f[(r + i) % N] - f[(r - i) % N]), axis=1)
     axes = np.flatnonzero(gap <= tol)
-    return int(axes[0]) + 1 if axes.size else None
+    return int(axes[0]) if axes.size else None
 
 
 def _antipodal_max(m: Manifold) -> float:

@@ -28,7 +28,14 @@ _CSV_FIELD_MAP = {
     "grad_margin": "gradient_margin",
 }
 
-PLOT_KINDS = ("sharpness-vs-aspect", "kbar-vs-lambda1", "alpha-vs-delta")
+# plot kind -> (x field, y field, axis labels)
+_PLOT_AXES = {
+    "sharpness-vs-aspect": ("sharpness_ratio", "sharpness_ratio",
+                            ("aspect (fiber/base)", "sharpness ratio")),
+    "kbar-vs-lambda1": ("kbar", "lambda1", ("kbar(p, 0)", "lambda1")),
+    "alpha-vs-delta": ("delta", "alpha", ("delta", "alpha")),
+}
+PLOT_KINDS = tuple(_PLOT_AXES)
 
 
 def _csv_cell(value) -> str:
@@ -173,35 +180,23 @@ def _get(rec, key):
 
 
 def plot_series(records: Sequence, kind: str):
-    """Extract the (x, y) series for one plot kind.
+    """Extract the (x, y) series for one plot kind, sorted by x.
 
-    sharpness-vs-aspect derives the aspect from the sharpness ratio
-    itself (aspect^2 = ratio - 1 exactly on flat tori, the family this
-    plot is about); the other kinds read record fields directly.
-    Records missing a needed value are skipped; an all-skipped or empty
-    input raises EmptySeries.
+    Each kind reads the two record fields of its `_PLOT_AXES` entry, and
+    a record missing either value is skipped; an all-skipped or empty
+    input raises EmptySeries.  sharpness-vs-aspect then derives its x,
+    the aspect, from the sharpness ratio itself (aspect^2 = ratio - 1
+    exactly on flat tori, the family this plot is about).
     """
     if kind not in PLOT_KINDS:
         raise ValueError(f"unknown plot kind {kind!r}; "
                          f"choose from {', '.join(PLOT_KINDS)}")
+    x_field, y_field, labels = _PLOT_AXES[kind]
+    pts = [(x, y) for x, y in ((_get(r, x_field), _get(r, y_field))
+                               for r in records)
+           if x is not None and y is not None]
     if kind == "sharpness-vs-aspect":
-        def extract(r):
-            ratio = _get(r, "sharpness_ratio")
-            if ratio is None:
-                return None
-            return math.sqrt(max(ratio - 1.0, 0.0)), ratio
-        labels = ("aspect (fiber/base)", "sharpness ratio")
-    elif kind == "kbar-vs-lambda1":
-        def extract(r):
-            kb, lam = _get(r, "kbar"), _get(r, "lambda1")
-            return None if kb is None or lam is None else (kb, lam)
-        labels = ("kbar(p, 0)", "lambda1")
-    else:  # alpha-vs-delta
-        def extract(r):
-            d, a = _get(r, "delta"), _get(r, "alpha")
-            return None if d is None or a is None else (d, a)
-        labels = ("delta", "alpha")
-    pts = [p for p in (extract(r) for r in records) if p is not None]
+        pts = [(math.sqrt(max(ratio - 1.0, 0.0)), ratio) for _, ratio in pts]
     if not pts:
         raise EmptySeries(f"no usable records for {kind}")
     pts.sort()
@@ -210,14 +205,18 @@ def plot_series(records: Sequence, kind: str):
     return xs, ys, labels
 
 
+def plot_paths(out_base: str) -> tuple:
+    """The CSV and SVG paths that `emit_plot_data` writes for out_base."""
+    return out_base + ".csv", out_base + ".svg"
+
+
 def emit_plot_data(records: Sequence, kind: str, out_base: str):
     """Write <out_base>.csv and <out_base>.svg for one plot kind.
 
     Returns the two paths.  Deterministic bytes for fixed records.
     """
     xs, ys, (xl, yl) = plot_series(records, kind)
-    csv_path = out_base + ".csv"
-    svg_path = out_base + ".svg"
+    csv_path, svg_path = plot_paths(out_base)
     lines = [f"{xl.split(' ')[0]},{yl.split(' ')[0]}"]
     lines += [f"{repr(float(x))},{repr(float(y))}"
               for x, y in zip(xs, ys)]

@@ -14,6 +14,9 @@ Covers:
 - every field of the package's dataclasses is read as an attribute in
   the package, the tests or the benchmark, unless its class serializes
   through `dataclasses.fields`
+- every parameter with a default, of a function of the package, is
+  passed by some call in the package or the benchmark: an option no
+  caller sets is a second writing of its default
 - `import sgv.cli` loads neither scipy.linalg nor any of scipy's
   heavier subpackages, nor numpy.f2py or numpy.testing (which
   scipy.linalg's package init pulls in): they would set the CLI's cold
@@ -217,6 +220,64 @@ def test_no_dead_dataclass_fields():
     dead = [f"{member} (line {line})" for member, name, line in fields
             if name not in read]
     assert not dead
+
+
+def _defaulted_parameters(tree: ast.Module) -> list:
+    """(callee, parameter, position) of every parameter with a default, of
+    every function in a module.  A method's callee is its name and its
+    positions skip `self`; an `__init__` is called by its class name.
+    The position is None for a keyword-only parameter."""
+    out = []
+    methods = {id(item): node.name for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) for item in node.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        a = node.args
+        positional = [arg.arg for arg in a.posonlyargs + a.args]
+        callee = node.name
+        if id(node) in methods:
+            positional = positional[1:]
+            if callee == "__init__":
+                callee = methods[id(node)]
+        first = len(positional) - len(a.defaults)
+        out += [(callee, name, first + i)
+                for i, name in enumerate(positional[first:])]
+        out += [(callee, arg.arg, None)
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults)
+                if default is not None]
+    return out
+
+
+def _passes(call: ast.Call, name: str, position) -> bool:
+    """Whether a call passes the parameter: by keyword, by position, or
+    through `*` or `**`."""
+    return (any(kw.arg in (name, None) for kw in call.keywords)
+            or any(isinstance(arg, ast.Starred) for arg in call.args)
+            or position is not None and len(call.args) > position)
+
+
+def test_every_default_has_a_caller_that_sets_it():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for folder in ("src/sgv", "perfbench")
+             for path in sorted((ROOT / folder).glob("*.py"))}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) \
+                    else getattr(func, "id", None)
+                calls.setdefault(name, []).append(node)
+    options = [(path.stem, entry) for path, tree in trees.items()
+               if path.parent.name == "sgv"
+               for entry in _defaulted_parameters(tree)]
+    assert ("errors", ("Unreachable", "best_alpha", 1)) in options
+    unset = [f"{module}.{callee}({name})"
+             for module, (callee, name, position) in options
+             if not any(_passes(call, name, position)
+                        for call in calls.get(callee, ()))]
+    assert not unset
 
 
 _NUMBER = re.compile(r"True|False|[-+]?\d+(?:\.\d+)?(?:e[-+]?\d+)?")

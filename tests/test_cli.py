@@ -87,6 +87,27 @@ def test_eig_grids_that_do_not_double_rejected(capsys, grids):
     assert "config error" in err and "double" in err
 
 
+@pytest.mark.parametrize("grids, shown", [
+    ("512,1024", "need at least three grids for the order study"),
+    ("4,8,16", "need at least 8 cells"),
+])
+def test_eig_grid_chain_too_short_or_too_coarse_rejected(capsys, grids,
+                                                         shown):
+    code, out, err = run(capsys, "eig", "--manifold", "sphere",
+                         "--L", str(math.pi), "--grids", grids)
+    assert code == 2
+    assert out == ""
+    assert err == f"config error: {shown}\n"
+
+
+def test_torus_without_fiber_size_rejected(capsys):
+    code, out, err = run(capsys, "eig", "--manifold", "flat-torus",
+                         "--L", "3")
+    assert code == 2
+    assert out == ""
+    assert err == "config error: flat-torus needs --c or --fiber\n"
+
+
 def test_flat_torus_with_beta_rejected(capsys):
     code, _, err = run(capsys, "eig", "--manifold", "flat-torus",
                        "--L", "1.0", "--c", "0.1", "--beta", "0.2")
@@ -244,6 +265,19 @@ def test_ode_check_passes(capsys):
                                               rel=1e-12)
 
 
+def test_ode_check_exits_1_on_a_negative_margin(capsys, monkeypatch):
+    real = sgv.cli.check_model_inequalities
+
+    def failing(*args, **kwargs):
+        return {**real(*args, **kwargs), "min_margin": -1e-6}
+    monkeypatch.setattr(sgv.cli, "check_model_inequalities", failing)
+    code, out, err = run(capsys, "ode-check", "--eta", "1.1",
+                         "--u-grid", "1001")
+    assert code == 1
+    assert json.loads(out)["min_margin"] == -1e-6
+    assert err.startswith("ode-check gate violated: min margin -1.000e-06")
+
+
 def test_ode_check_has_no_j_grid(capsys):
     # the J range is read at its two ends, where m1 has its minimum
     with pytest.raises(SystemExit) as exc:
@@ -276,6 +310,15 @@ def test_non_finite_input_is_config_error(capsys, argv, shown):
     assert code == 2
     assert out == ""
     assert err == f"config error: {shown}\n"
+
+
+def test_underflowing_admissibility_term_is_config_error(capsys):
+    # term 1 falls as 1/D^2 and reads 0.0 at D = 1e200
+    code, out, err = run(capsys, *LEDGER_ARGS, "--D", "1e200", "--Cs", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: non-positive admissibility term: "
+                          "(0.0, ")
 
 
 def test_infinite_exponent_is_bad_exponent(capsys):
@@ -365,16 +408,22 @@ def test_sweep_plot_without_plot_out_refused_before_any_row(
 
 
 @pytest.mark.parametrize("flag", ["--out", "--out-csv", "ledger --plot-out",
-                                  "sweep --plot-out"])
-def test_unwritable_output_path_is_config_error(tmp_path, capsys, flag):
+                                  "sweep --plot-out", "sweep --out"])
+def test_unwritable_output_path_is_config_error(tmp_path, capsys,
+                                                monkeypatch, flag):
     # exit 2 naming the path, not a traceback (exit 1); a plot names the
-    # first of its two files
+    # first of its two files, and a sweep refuses it before any row runs
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a sweep row ran")
+    monkeypatch.setattr(sgv.cli, "sweep", no_rows)
     missing = str(tmp_path / "missing" / "out")
     cfg = write_sweep_config(tmp_path, manifolds=[
         {"id": "flat", "kind": "flat-torus", "L": TWO_PI, "c": 0.1}])
     argv, written = {
         "--out": (("diameter", "--manifold", "sphere", "--L", "3",
                    "--out", missing), missing),
+        "sweep --out": (("sweep", "--config", cfg, "--out", missing),
+                        missing),
         "--out-csv": (("sweep", "--config", cfg, "--out-csv", missing),
                       missing),
         "ledger --plot-out": (LEDGER_ARGS + ("--D", "3", "--Cs", "2",
@@ -427,6 +476,19 @@ def test_sweep_missing_settings(tmp_path, capsys):
     assert "missing sweep settings" in err
 
 
+@pytest.mark.parametrize("text, shown", [
+    ("{bad", "config is not valid JSON"),
+    ("[1]", "config root must be a JSON object"),
+])
+def test_sweep_config_that_is_no_json_object(tmp_path, capsys, text, shown):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "sweep", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"config error: {shown}")
+
+
 def test_sweep_missing_config_file(capsys):
     code, _, err = run(capsys, "sweep", "--config", "/nonexistent.json")
     assert code == 2
@@ -442,6 +504,20 @@ def test_sweep_flags_override_config(tmp_path, capsys):
     rec = json.loads(out)["records"][0]
     assert rec["alpha"] >= 0.25
     assert rec["delta"] > 0.0535  # larger than the alpha = 0.3 root
+
+
+def test_sweep_flags_override_every_setting(tmp_path):
+    cfg = write_sweep_config(tmp_path, jobs=2)
+    parse = sgv.cli.build_parser().parse_args
+    read = sgv.cli._load_sweep_config(parse(["sweep", "--config", cfg]))
+    assert [read[k] for k in ("alpha_target", "p", "C_s", "Lambda_rough",
+                              "jobs")] == [0.3, 2.0, 2.0, 0.5, 2]
+    merged = sgv.cli._load_sweep_config(parse([
+        "sweep", "--config", cfg, "--alpha-target", "0.25", "--p", "3",
+        "--Cs", "1.5", "--Lambda", "0.75", "--jobs", "1"]))
+    assert [merged[k] for k in ("alpha_target", "p", "C_s", "Lambda_rough",
+                                "jobs")] == [0.25, 3.0, 1.5, 0.75, 1]
+    assert merged["manifolds"] == read["manifolds"]
 
 
 @pytest.fixture(scope="module")
@@ -562,6 +638,8 @@ def test_sweep_flat_torus_with_beta_is_row_error(tmp_path, capsys):
     # json reads NaN and Infinity as floats
     ("C_s", math.nan), ("Lambda_rough", math.inf), ("p", -math.inf),
     ("alpha_target", math.nan),
+    # null is no default: jobs is 1 only where the key is absent
+    ("jobs", None),
 ])
 def test_sweep_setting_of_wrong_type(tmp_path, capsys, setting, value):
     cfg = write_sweep_config(tmp_path, **{setting: value})
@@ -585,6 +663,8 @@ def test_sweep_setting_of_wrong_type(tmp_path, capsys, setting, value):
      "manifold beta = '0.1'"),
     ([{"id": ["x"], "kind": "sphere", "L": 3.0}],
      "manifold id = ['x'] must be a string"),
+    ([5], "each manifold entry must be an object"),
+    ([], "sweep needs a non-empty manifolds list"),
 ])
 def test_sweep_manifold_entry_of_wrong_type(tmp_path, capsys, manifolds,
                                             fragment):

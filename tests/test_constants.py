@@ -388,5 +388,3 @@ def test_reference_bounds_closed_forms():
 def test_reference_bounds_validation():
     with pytest.raises(ValueError):
         reference_bounds(2, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        reference_bounds(2, 1.0, 1.0, s=1.0)

@@ -89,6 +89,12 @@ def test_sigma_nan_is_rejected():
         gradient_constants(LedgerInput(**LEDGER), math.nan)
 
 
+def test_sigma_inf_is_rejected():
+    # sigma >= 0 lets inf through; the C2 term then drives alpha to 0
+    with pytest.raises(ValueError, match="alpha = 0.0 left"):
+        gradient_constants(LedgerInput(**LEDGER), math.inf)
+
+
 def test_valid_inputs_pass_every_rule():
     for case, call in CASES.items():
         call(2.0 if case.endswith("-p") else 1.1)

@@ -160,6 +160,22 @@ def test_pole_closed_spline_dip_rejected():
                       boundary="pole-closed")
 
 
+def test_manifold_keeps_read_only_copies_of_its_data():
+    # a caller that changes its arrays afterwards changes no checked
+    # manifold, and the manifold's own arrays cannot be written
+    ts, fs = np.linspace(0.0, TWO_PI, 17), np.ones(17)
+    m = make_manifold("tabulated", L=TWO_PI, ts=ts, fs=fs,
+                      boundary="periodic")
+    t4 = ts[4]
+    ts[4] += 0.1
+    fs[4] = 5.0
+    assert m.ts[4] == t4 and m.fs[4] == 1.0
+    assert m.f(t4) == 1.0
+    for data in (m.ts, m.fs):
+        with pytest.raises(ValueError, match="read-only"):
+            data[4] = 5.0
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         make_manifold("moebius", L=1.0)
