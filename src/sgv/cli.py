@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success with every gated invariant passing, 1 invariant
-violation (diagnostics on stderr), 2 configuration error.  Output is
+violation (diagnostics on stderr), 2 configuration error, also an
+input whose arithmetic overflows or divides by zero.  Output is
 deterministic: identical invocations produce byte-identical JSON, CSV,
 and SVG.  Verbosity comes from the SGV_LOG environment variable
 (error | info | debug), never from flags, so logs cannot perturb the
@@ -447,6 +448,9 @@ def main(argv=None) -> int:
         return 1
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print(f"config error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

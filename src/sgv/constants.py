@@ -108,8 +108,8 @@ def gradient_constants(inp: LedgerInput, sigma: float) -> GradientConstants:
     """Closed-form constants of the gradient estimate for one delta and
     ground-state shift sigma; B(delta) < 1 on LedgerInput's deltas."""
     d = inp.delta
-    if not (sigma >= 0.0):
-        raise ValueError(f"sigma = {sigma} must be >= 0")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma = {sigma} must be >= 0 and finite")
     tau = tau_of(d)
     A = 2.0 * d * (1.0 + d)
     B = d * (5.0 + d) / (1.0 - d)

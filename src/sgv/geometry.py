@@ -24,11 +24,11 @@ only a pole-closed spline's end values are checked.  It gives f through
 two methods: `Manifold.f(t)` the values alone, which assembly,
 quadrature and the diameter read, and `Manifold.jet(t)` the tuple
 (f, f', f'', f''') at the same points, which the curvature reads; a
-spline's jet costs one piece search.  The spline is built here with
-numpy and one banded solve (see `_CubicSpline`): periodic, or clamped
-to the pole slopes f'(0) = 1, f'(L) = -1; a periodic spline wraps t to
-t mod L; and f''', constant on each piece, reads the piece to the right
-at a knot.
+spline's jet costs one piece search.  The range of f is found once, on
+construction.  The spline is built here with numpy and one tridiagonal
+solve (see `_CubicSpline`): periodic, or clamped to the pole slopes
+f'(0) = 1, f'(L) = -1; a periodic spline wraps t to t mod L; and f''',
+constant on each piece, reads the piece to the right at a knot.
 
 Diameters come from the rotational symmetry, not from a search over the
 manifold: a pole-closed manifold has diameter exactly L, and on a torus
@@ -87,9 +87,10 @@ class _CubicSpline:
     Clamped to f'(x[0]) = 1 and f'(x[-1]) = -1, the slopes of a smooth
     pole closure, or periodic with period x[-1] - x[0].  The knot slopes
     solve one tridiagonal system (de Boor, *A Practical Guide to
-    Splines*, 1978, ch. IV).  The periodic system's two cyclic corners
-    are removed with its last unknown through a second right-hand side
-    of the same banded solve.  This is the arithmetic of scipy's
+    Splines*, 1978, ch. IV), passed to LAPACK's dgtsv as its three
+    diagonals.  The periodic system's two cyclic corners are removed
+    with its last unknown through a second right-hand side of the same
+    tridiagonal solve.  This is the arithmetic of scipy's
     CubicSpline, so the coefficients agree with it bit for bit on four
     or more knots.
 
@@ -121,11 +122,9 @@ class _CubicSpline:
                     "periodic tabulated values must end where they start")
             # unknowns s[0..m-1], s[m] = s[0], m = h.size; row i reads
             # h[i] s[i-1] + 2 (h[i-1] + h[i]) s[i] + h[i-1] s[i+1] with
-            # indices mod m.  In band storage the unused corners
-            # ab[0, 0] = A[m-1, 0] and ab[2, -1] = A[0, m-1] hold the
-            # two wrapped terms.
+            # indices mod m, so rows 0 and m - 1 wrap to two corners
             hp = np.roll(h, 1)
-            ab = np.array([np.roll(hp, 1), 2.0 * (hp + h), np.roll(h, -1)])
+            diag = 2.0 * (hp + h)
             rhs = 3.0 * (h * np.roll(slope, 1) + hp * slope)
             # The corners are a rank-one term of the system in its last
             # unknown.  Eliminate that unknown (the bordered form of the
@@ -133,27 +132,26 @@ class _CubicSpline:
             # for the right-hand side and for minus the last column, give
             # s = u + s[m-1] w, and the last row then fixes s[m-1].
             col = np.zeros(h.size - 1)
-            col[0] -= ab[2, -1]
-            col[-1] -= ab[0, -1]
-            uw = _lapack.solve(ab[2, :-2], ab[1, :-1], ab[0, 1:-1],
+            col[0] -= h[0]
+            col[-1] -= hp[-2]
+            uw = _lapack.solve(h[1:-1], diag[:-1], hp[:-2],
                                np.column_stack([rhs[:-1], col]),
                                check_finite=True)
             u, w = uw[:, 0], uw[:, 1]
-            last = ((rhs[-1] - ab[0, 0] * u[0] - ab[2, -2] * u[-1])
-                    / (ab[1, -1] + ab[0, 0] * w[0] + ab[2, -2] * w[-1]))
+            last = ((rhs[-1] - hp[-1] * u[0] - h[-1] * u[-1])
+                    / (diag[-1] + hp[-1] * w[0] + h[-1] * w[-1]))
             s = u + last * w
             s = np.concatenate([s, [last, s[0]]])
         else:
-            ab = np.zeros((3, x.size))
-            ab[0, 2:] = h[:-1]
-            ab[1, 1:-1] = 2.0 * (h[:-1] + h[1:])
-            ab[1, [0, -1]] = 1.0
-            ab[2, :-2] = h[1:]
+            # rows 0 and m fix s[0] = 1 and s[m] = -1; row i between
+            # reads h[i] s[i-1] + 2 (h[i-1] + h[i]) s[i] + h[i-1] s[i+1]
+            lower = np.append(h[1:], 0.0)
+            diag = np.concatenate([[1.0], 2.0 * (h[:-1] + h[1:]), [1.0]])
+            upper = np.append(0.0, h[:-1])
             rhs = np.empty_like(x)
             rhs[1:-1] = 3.0 * (h[1:] * slope[:-1] + h[:-1] * slope[1:])
             rhs[0], rhs[-1] = 1.0, -1.0
-            s = _lapack.solve(ab[2, :-1], ab[1], ab[0, 1:], rhs,
-                              check_finite=True)
+            s = _lapack.solve(lower, diag, upper, rhs, check_finite=True)
         bend = (s[:-1] + s[1:] - 2.0 * slope) / h
         self.x, self.y = x, y
         self._inner = x[1:-1]
@@ -228,7 +226,9 @@ class Manifold:
 
     `f(t)` gives the values of the warp function f and `jet(t)` the
     tuple (f, f', f'', f''') at points t, whose first entry is `f(t)`
-    bit for bit.
+    bit for bit.  `f_range()` returns (min f, max f) over [0, L], found
+    on construction by one rule for every kind: the extremes of f at its
+    critical points.
 
     A tabulated f is the C2 cubic spline through (ts, fs): periodic, or
     clamped to f'(0) = 1 and f'(L) = -1 when pole-closed.  A periodic
@@ -250,6 +250,7 @@ class Manifold:
     fs: Optional[np.ndarray] = None
     _spline: Optional[_CubicSpline] = field(default=None, repr=False,
                                             compare=False)
+    _range: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -277,14 +278,21 @@ class Manifold:
             object.__setattr__(self, "_spline", spline)
         object.__setattr__(self, "n",
                            require_dimension(self.n, "dimension n"))
-        # exact extremes; a pole-closed profile is 0 at its ends, so its
-        # minimum is taken over the open interval (0, L)
-        f_min, scale = self.f_range()
-        if self.kind == "sine-sphere":
-            f_min = scale  # r sin(t / r) > 0 on (0, L)
-        elif self.kind == "tabulated" and self.boundary == "pole-closed":
-            pts = self._extremal_points()
-            f_min = float(np.min(self.f(pts[(pts > 0.0) & (pts < L)])))
+        # f's extremes lie among its critical points: 0 and L/2 for the
+        # closed forms, a spline's knots and slope roots.  L is left out:
+        # f(L) = f(0), but a sphere's r sin(L / r) rounds to -3.7e-16 r.
+        # A pole-closed profile is 0 at its ends, so its minimum is taken
+        # over the open interval (0, L).
+        if self.kind == "tabulated":
+            pts = np.concatenate([self.ts, self._spline.slope_roots()])
+        else:
+            pts = np.array([0.0, L / 2.0])
+        vals = self.f(pts)
+        scale = float(np.max(vals))
+        object.__setattr__(self, "_range", (float(np.min(vals)), scale))
+        if self.boundary == "pole-closed":
+            vals = vals[(pts > 0.0) & (pts < L)]
+        f_min = float(np.min(vals))
         if not (np.isfinite(f_min) and np.isfinite(scale)):
             raise NonPositiveWarp(
                 "warp function is not finite on the interior")
@@ -301,6 +309,7 @@ class Manifold:
     # -- evaluation -----------------------------------------------------
 
     def f(self, t):
+        """The values of f at points t, in a new array."""
         t = np.asarray(t, dtype=float)
         if self.kind == "constant":
             return np.full_like(t, self.c)
@@ -331,25 +340,8 @@ class Manifold:
         return r * sin, cos, -sin / r, -cos / r ** 2
 
     def f_range(self) -> tuple[float, float]:
-        """The exact (min f, max f) over [0, L].
-
-        Closed forms for the built-in kinds; for a spline, the extremes
-        of its values at the knots and at the closed-form roots of each
-        piece's quadratic f'.  A piece where f is constant has no such
-        root, and its knots hold its value.
-        """
-        if self.kind in ("constant", "cosine"):  # a constant has beta 0
-            return (self.c * (1.0 - abs(self.beta)),
-                    self.c * (1.0 + abs(self.beta)))
-        if self.kind == "sine-sphere":
-            return 0.0, self.L / np.pi
-        vals = self._spline(self._extremal_points())
-        return float(np.min(vals)), float(np.max(vals))
-
-    def _extremal_points(self) -> np.ndarray:
-        """A spline's knots and the roots of its derivative: its extremes
-        over any union of pieces lie among them."""
-        return np.concatenate([self.ts, self._spline.slope_roots()])
+        """The exact (min f, max f) over [0, L], found on construction."""
+        return self._range
 
     def describe(self) -> dict:
         out = {"kind": self.kind, "boundary": self.boundary, "n": self.n,

@@ -112,14 +112,11 @@ def assemble(m: Manifold, k: int, N: int) -> Discretization:
     h = L / N
     edges = np.arange(N + 1) * h
     tm = (np.arange(N) + 0.5) * h
-    f_edge = m.f(edges)
+    f_edge = m.f(edges)  # a new array, ours to write
     if m.boundary == "pole-closed":
-        f_edge = f_edge.copy()
-        f_edge[0] = 0.0
-        f_edge[-1] = 0.0
+        f_edge[[0, -1]] = 0.0
     else:
         # shared closing edge: use one value for both ends
-        f_edge = f_edge.copy()
         f_edge[-1] = f_edge[0]
     edge_w = f_edge ** (m.n - 1)
     f_mid = m.f(tm)

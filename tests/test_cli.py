@@ -329,6 +329,59 @@ def test_infinite_exponent_is_bad_exponent(capsys):
     assert err.startswith("invariant violation (BadExponent): p = inf")
 
 
+LEDGER_OK = ("ledger", "--n", "2", "--p", "2", "--D", "3", "--delta", "0.1",
+             "--Cs", "2", "--Lambda", "0.5")
+COSINE_ARGS = ("--manifold", "cosine-torus", "--L", "6.2832", "--c", "1",
+               "--beta", "0.3")
+VERIFY_OK = ("verify", *COSINE_ARGS, "--alpha-target", "0.3", "--p", "2",
+             "--Cs", "2", "--Lambda", "0.5")
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (LEDGER_OK, "--p", "500"),  # the Moser product passes 1.8e308
+    (LEDGER_OK, "--p", "1e300"),  # mu rounds to 1
+    (LEDGER_OK, "--Cs", "1e300"),
+    (LEDGER_OK, "--Cs", "1e-300"),
+    (LEDGER_OK, "--D", "1e-300"),
+    (VERIFY_OK, "--p", "500"),
+    (VERIFY_OK, "--p", "1e300"),
+    (VERIFY_OK, "--Cs", "1e300"),
+    (VERIFY_OK, "--Cs", "1e-300"),
+    (VERIFY_OK, "--L", "1e-300"),
+    (VERIFY_OK, "--c", "1e-300"),
+    (("kbar", *COSINE_ARGS, "--p", "2"), "--L", "1e-300"),
+    (("diameter", *COSINE_ARGS), "--L", "1e-300"),
+    # lambda1's mode-1 cutoff (n - 1) / max f^2 over- or underflows
+    (("eig", *COSINE_ARGS), "--c", "1e-300"),
+    (("eig", *COSINE_ARGS), "--c", "1e300"),
+], ids=lambda v: v[0] if isinstance(v, tuple) else v)
+def test_admitted_input_that_overflows_is_config_error(capsys, argv, flag,
+                                                      value):
+    at = argv.index(flag) + 1
+    code, out, err = run(capsys, *argv[:at], value, *argv[at + 1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(("config error: OverflowError: ",
+                           "config error: ZeroDivisionError: "))
+
+
+@pytest.mark.parametrize("flag", ["--n", "--p", "--D", "--delta", "--Cs",
+                                  "--Lambda", "--sigma"])
+def test_no_ledger_value_escapes_main(capsys, flag):
+    # main answers every value with an exit code; argparse's own refusal
+    # of a value (an --n that is no integer) exits 2 as well
+    values = dict(zip(LEDGER_OK[1::2], LEDGER_OK[2::2]))
+    for value in ("1e-300", "1e300", "nan", "inf", "-inf", "0", "-1", "500"):
+        argv = ["ledger", *(f"{k}={v}" for k, v in
+                            {**values, flag: value}.items())]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        capsys.readouterr()
+        assert code in (0, 1, 2), argv
+
+
 def test_verify_flat_torus(capsys):
     code, out, _ = run(capsys, "verify", "--manifold", "flat-torus",
                        "--L", str(TWO_PI), "--c", "0.1",

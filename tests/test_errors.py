@@ -90,8 +90,9 @@ def test_sigma_nan_is_rejected():
 
 
 def test_sigma_inf_is_rejected():
-    # sigma >= 0 lets inf through; the C2 term then drives alpha to 0
-    with pytest.raises(ValueError, match="alpha = 0.0 left"):
+    # named as the cause, not as the alpha = 0 its C2 term would give
+    with pytest.raises(ValueError,
+                       match="sigma = inf must be >= 0 and finite"):
         gradient_constants(LedgerInput(**LEDGER), math.inf)
 
 

@@ -1120,17 +1120,37 @@ def test_kbar_kinks_need_no_bisection(monkeypatch):
 # exact range of f, and ricci_min at n = 2
 # ===================================================================
 
-def test_f_range_closed_forms():
-    assert make_cosine(beta=-0.3, c=2.0).f_range() == (
-        2.0 * 0.7, 2.0 * 1.3)
-    assert make_flat(c=0.25).f_range() == (0.25, 0.25)
-    lo, hi = make_manifold("sine-sphere", n=2, L=5.0).f_range()
-    assert lo == 0.0 and hi == 5.0 / math.pi
+@settings(max_examples=40, deadline=None)
+@given(c=st.floats(1e-6, 1e6), beta=st.floats(-0.999, 0.999),
+       L=st.floats(1e-6, 1e6), n=st.integers(2, 4))
+def test_f_range_closed_forms(c, beta, L, n):
+    # f at 0 and L/2: cos of the rounded pi is -1.0 and sin of the
+    # rounded pi/2 is 1.0, so the closed forms hold exactly
+    assert make_cosine(beta=beta, c=c, L=L, n=n).f_range() == (
+        c * (1.0 - abs(beta)), c * (1.0 + abs(beta)))
+    assert make_flat(c=c, L=L, n=n).f_range() == (c, c)
+    assert make_manifold("sine-sphere", n=n, L=L).f_range() == (
+        0.0, L / math.pi)
     # a constant spline's derivative vanishes identically on every piece
-    ts = np.linspace(0.0, 1.0, 9)
-    flat = make_manifold("tabulated", L=1.0, ts=ts, fs=np.full(9, 0.7),
-                         boundary="periodic")
-    assert flat.f_range() == (0.7, 0.7)
+    flat = make_manifold("tabulated", L=L, n=n, ts=np.linspace(0.0, L, 9),
+                         fs=np.full(9, c), boundary="periodic")
+    assert flat.f_range() == (c, c)
+
+
+def test_f_range_evaluates_nothing_after_construction():
+    ts = np.linspace(0.0, TWO_PI, 17)
+    fs = 1.0 + 0.3 * np.sin(ts) ** 2
+    made = [make_manifold("tabulated", L=TWO_PI, ts=ts, fs=fs,
+                          boundary="periodic"), make_cosine(beta=0.3)]
+    want = [m.f_range() for m in made]
+
+    def evaluated(*args):
+        raise AssertionError("f_range evaluated f")
+
+    with mock.patch.object(sgv.geometry.Manifold, "f", evaluated), \
+            mock.patch.object(sgv.geometry._CubicSpline, "slope_roots",
+                              evaluated):
+        assert [m.f_range() for m in made] == want
 
 
 def test_f_range_finds_spline_peak_between_samples():
