@@ -27,8 +27,7 @@ from .constants import (DELTA_CAP, LedgerInput, build_ledger,
                         gradient_constants)
 from .errors import ConfigError, SgvError
 from .geometry import diameter, kbar, make_manifold, ricci_min, volume
-from .modelode import (ENDPOINT_GAP, check_model_inequalities,
-                       ode_residual, z_sup)
+from .modelode import U_GRID, check_model_inequalities, z_sup
 from .report import (PLOT_KINDS, emit_plot_data, plot_paths, records_to_csv,
                      sweep_payload, to_json, write_text)
 from .spectral import DEFAULT_GRIDS, lambda1
@@ -44,7 +43,7 @@ _MANIFOLD_KINDS = {
 
 _SWEEP_NUMBERS = ("alpha_target", "p", "C_s", "Lambda_rough")
 _SWEEP_KEYS = {"manifolds", "jobs", *_SWEEP_NUMBERS}
-_MANIFOLD_NUMBERS = {"n", "L", "c", "fiber", "beta"}
+_MANIFOLD_NUMBERS = {"n", "L", "c", "beta"}
 _MANIFOLD_SPEC_KEYS = {"id", "kind", "ts", "fs", "boundary",
                        *_MANIFOLD_NUMBERS}
 
@@ -69,18 +68,16 @@ def _add_manifold_flags(sp) -> None:
     sp.add_argument("--n", type=int, default=2, help="dimension")
     sp.add_argument("--c", type=float, default=None,
                     help="mean warp radius (torus kinds)")
-    sp.add_argument("--fiber", type=float, default=None,
-                    help="fiber circumference 2*pi*c (torus kinds)")
     sp.add_argument("--beta", type=float, default=0.0,
                     help="cosine perturbation amplitude")
 
 
 def _manifold_from_args(args):
     kind = _MANIFOLD_KINDS[args.manifold]
-    if kind != "sine-sphere" and args.c is None and args.fiber is None:
-        raise ConfigError(f"{args.manifold} needs --c or --fiber")
+    if kind != "sine-sphere" and args.c is None:
+        raise ConfigError(f"{args.manifold} needs --c")
     return make_manifold(kind, L=args.L, n=args.n, c=args.c,
-                         fiber=args.fiber, beta=args.beta)
+                         beta=args.beta)
 
 
 def _save(write, *args) -> None:
@@ -177,20 +174,16 @@ def _cmd_ledger(args) -> int:
 
 
 def _cmd_ode_check(args) -> int:
-    margins = check_model_inequalities(args.eta, 1.0 - args.delta,
+    payload = check_model_inequalities(args.eta, 1.0 - args.delta,
                                        min(args.eta, 1.0 + args.delta),
                                        u_grid=args.u_grid)
-    u = np.linspace(-1.0 + ENDPOINT_GAP, 1.0 - ENDPOINT_GAP, args.u_grid)
-    resid = float(np.max(np.abs(ode_residual(u, args.eta))))
-    payload = dict(margins)
-    payload["ode_residual_max"] = resid
     payload["z_peak_at"], payload["z_peak"] = z_sup(args.eta)
     _emit(to_json(payload), args.out)
-    ok = margins["min_margin"] >= -1e-10 and resid <= 1e-12
+    margin, resid = payload["min_margin"], payload["ode_residual_max"]
+    ok = margin >= -1e-10 and resid <= 1e-12
     if not ok:
         print(f"ode-check gate violated: min margin "
-              f"{margins['min_margin']:.3e}, residual {resid:.3e}",
-              file=sys.stderr)
+              f"{margin:.3e}, residual {resid:.3e}", file=sys.stderr)
     return 0 if ok else 1
 
 
@@ -316,7 +309,7 @@ def _cmd_sweep(args) -> int:
                           jobs=cfg["jobs"])
     payload = sweep_payload(rows, summary)
     _emit(to_json(payload), args.out)
-    recs = [r.record for r in rows if r.record is not None]
+    recs = [d for d in payload["records"] if "error" not in d]
     if args.out_csv:
         _save(write_text, records_to_csv(recs), args.out_csv)
     if args.plot:
@@ -399,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eta", type=float, required=True)
     sp.add_argument("--delta", type=float, default=0.1,
                     help="half-width of the tested J range")
-    sp.add_argument("--u-grid", type=int, default=100_000)
+    sp.add_argument("--u-grid", type=int, default=U_GRID)
 
     sp = _command(sub, "verify", _cmd_verify,
                   "full certification record, one manifold")

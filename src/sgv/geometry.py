@@ -92,7 +92,8 @@ class _CubicSpline:
     with its last unknown through a second right-hand side of the same
     tridiagonal solve.  This is the arithmetic of scipy's
     CubicSpline, so the coefficients agree with it bit for bit on four
-    or more knots.
+    or more knots.  A periodic spline needs four: on three, the system
+    left after the elimination is 1 x 1, which dgtsv does not take.
 
     Piece i serves x[i] <= t < x[i+1], the first piece also t < x[0]
     and the last also t >= x[-1]: at a knot every derivative reads the
@@ -105,7 +106,7 @@ class _CubicSpline:
         x = np.array(x, dtype=float)
         y = np.array(y, dtype=float)
         x.flags.writeable = y.flags.writeable = False
-        least = 3 if periodic else 2
+        least = 4 if periodic else 2
         if x.ndim != 1 or x.shape != y.shape or x.size < least:
             raise ValueError(
                 "tabulated nodes and values must be 1-D arrays of one "
@@ -365,23 +366,17 @@ def make_manifold(kind: str,
                   *,
                   L: float,
                   n: int = 2,
-                  fiber: Optional[float] = None,
                   c: Optional[float] = None,
                   beta: float = 0.0,
                   ts: Optional[np.ndarray] = None,
                   fs: Optional[np.ndarray] = None,
                   boundary: Optional[str] = None) -> Manifold:
     """Build a manifold of one kind from keyword arguments; `Manifold`
-    checks them.  A torus kind's fiber size is the mean warp c or the
-    fiber circumference 2*pi*c, and both given must agree; beta is the
-    cosine amplitude.  "sine-sphere" is the round sphere of diameter L.
-    The boundary defaults to the kind's own; "tabulated" needs it given.
+    checks them.  A torus kind's fiber size is its mean warp c (the
+    fiber circumference is 2*pi*c); beta is the cosine amplitude.
+    "sine-sphere" is the round sphere of diameter L.  The boundary
+    defaults to the kind's own; "tabulated" needs it given.
     """
-    if fiber is not None:
-        if c is None:
-            c = fiber / (2.0 * np.pi)
-        elif abs(fiber - 2.0 * np.pi * c) > 1e-12 * abs(fiber):
-            raise ValueError("fiber and c are inconsistent: fiber = 2*pi*c")
     return Manifold(kind=kind, L=float(L), n=n,
                     boundary=boundary or _CLOSURES.get(kind),
                     c=0.0 if c is None else float(c), beta=float(beta),

@@ -38,8 +38,10 @@ from .errors import (EndpointSecondDerivative, HypothesisViolation,
                      RatioOutOfRange, require_positive)
 
 _PSI_SWITCH = 0.25
-# distance from u = +-1 of the inequality grid's end points
+# distance from u = +-1 of the inequality grid's end points, and its
+# default number of points
 ENDPOINT_GAP = 1e-9
+U_GRID = 100_000
 
 # series for (2/pi)(arcsin u + u sqrt(1-u^2)) - u at u = cos(psi):
 # even powers from -cos psi, odd powers from (1/pi) sin 2psi
@@ -165,8 +167,9 @@ def z_sup(eta: float):
 def check_model_inequalities(eta: float,
                              J_lo: float,
                              J_hi: float,
-                             u_grid: int = 100_000) -> dict:
-    """Worst-case margins of the three pointwise comparison inequalities.
+                             u_grid: int = U_GRID) -> dict:
+    """Worst-case margins of the three pointwise comparison inequalities,
+    and the largest `ode_residual` on their grid.
 
     Over u in [-1 + ENDPOINT_GAP, 1 - ENDPOINT_GAP] and J in
     [J_lo, J_hi] the quantities
@@ -200,7 +203,8 @@ def check_model_inequalities(eta: float,
     m2 = float(np.min(2.0 * zv - u * zp + eta))
     m3 = float(np.min(eta * (1.0 - u) * (1.0 + u) - 2.0 * np.abs(zv)))
     return {"gradient_form": m1, "oscillation": m2, "amplitude": m3,
-            "min_margin": min(m1, m2, m3)}
+            "min_margin": min(m1, m2, m3),
+            "ode_residual_max": float(np.max(ode_residual(u, eta)))}
 
 
 def sharpness_integral(a: float, b: float, eta: float) -> float:

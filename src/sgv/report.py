@@ -28,12 +28,15 @@ _CSV_FIELD_MAP = {
     "grad_margin": "gradient_margin",
 }
 
-# plot kind -> (x field, y field, axis labels)
+# plot kind -> (x field, y field, CSV columns, axis labels)
 _PLOT_AXES = {
     "sharpness-vs-aspect": ("sharpness_ratio", "sharpness_ratio",
+                            ("aspect", "sharpness"),
                             ("aspect (fiber/base)", "sharpness ratio")),
-    "kbar-vs-lambda1": ("kbar", "lambda1", ("kbar(p, 0)", "lambda1")),
-    "alpha-vs-delta": ("delta", "alpha", ("delta", "alpha")),
+    "kbar-vs-lambda1": ("kbar", "lambda1", ("kbar", "lambda1"),
+                        ("kbar(p, 0)", "lambda1")),
+    "alpha-vs-delta": ("delta", "alpha", ("delta", "alpha"),
+                       ("delta", "alpha")),
 }
 PLOT_KINDS = tuple(_PLOT_AXES)
 
@@ -48,17 +51,15 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def records_to_csv(records: Sequence) -> str:
-    """CSV summary, one line per verification record.
+def records_to_csv(records: Sequence[dict]) -> str:
+    """CSV summary, one line per record dict (`VerificationRecord.to_dict`).
 
-    Accepts VerificationRecord objects or their to_dict() output; rows
-    that carry no record (sweep errors) are the caller's problem -- the
-    summary table only has numeric columns.
+    Rows that carry no record (sweep errors) are the caller's problem --
+    the summary table only has numeric columns.
     """
     lines = [",".join(CSV_COLUMNS)]
     for rec in records:
-        d = rec if isinstance(rec, dict) else rec.to_dict()
-        cells = [_csv_cell(d[_CSV_FIELD_MAP.get(col, col)])
+        cells = [_csv_cell(rec[_CSV_FIELD_MAP.get(col, col)])
                  for col in CSV_COLUMNS]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
@@ -173,26 +174,22 @@ def svg_line_chart(xs: Sequence[float], ys: Sequence[float],
     return "\n".join(parts) + "\n"
 
 
-def _get(rec, key):
-    if isinstance(rec, dict):
-        return rec.get(key)
-    return getattr(rec, key, None)
+def plot_series(records: Sequence[dict], kind: str):
+    """Extract the (x, y) series for one plot kind, sorted by x, and
+    its axis labels.
 
-
-def plot_series(records: Sequence, kind: str):
-    """Extract the (x, y) series for one plot kind, sorted by x.
-
-    Each kind reads the two record fields of its `_PLOT_AXES` entry, and
-    a record missing either value is skipped; an all-skipped or empty
-    input raises EmptySeries.  sharpness-vs-aspect then derives its x,
-    the aspect, from the sharpness ratio itself (aspect^2 = ratio - 1
-    exactly on flat tori, the family this plot is about).
+    Each kind reads the two fields of its `_PLOT_AXES` entry from the
+    record dicts, and a record missing either value is skipped; an
+    all-skipped or empty input raises EmptySeries.  sharpness-vs-aspect
+    then derives its x, the aspect, from the sharpness ratio itself
+    (aspect^2 = ratio - 1 exactly on flat tori, the family this plot is
+    about).
     """
     if kind not in PLOT_KINDS:
         raise ValueError(f"unknown plot kind {kind!r}; "
                          f"choose from {', '.join(PLOT_KINDS)}")
-    x_field, y_field, labels = _PLOT_AXES[kind]
-    pts = [(x, y) for x, y in ((_get(r, x_field), _get(r, y_field))
+    x_field, y_field, _, labels = _PLOT_AXES[kind]
+    pts = [(x, y) for x, y in ((r.get(x_field), r.get(y_field))
                                for r in records)
            if x is not None and y is not None]
     if kind == "sharpness-vs-aspect":
@@ -210,14 +207,14 @@ def plot_paths(out_base: str) -> tuple:
     return out_base + ".csv", out_base + ".svg"
 
 
-def emit_plot_data(records: Sequence, kind: str, out_base: str):
+def emit_plot_data(records: Sequence[dict], kind: str, out_base: str):
     """Write <out_base>.csv and <out_base>.svg for one plot kind.
 
     Returns the two paths.  Deterministic bytes for fixed records.
     """
     xs, ys, (xl, yl) = plot_series(records, kind)
     csv_path, svg_path = plot_paths(out_base)
-    lines = [f"{xl.split(' ')[0]},{yl.split(' ')[0]}"]
+    lines = [",".join(_PLOT_AXES[kind][2])]
     lines += [f"{repr(float(x))},{repr(float(y))}"
               for x, y in zip(xs, ys)]
     write_text("\n".join(lines) + "\n", csv_path)

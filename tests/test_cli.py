@@ -6,6 +6,7 @@ output files must be byte-identical across reruns.
 """
 
 import concurrent.futures.process
+import csv
 import json
 import math
 from concurrent.futures import Future
@@ -56,7 +57,7 @@ def write_sweep_config(tmp_path, manifolds=None, **extra):
 
 def test_eig_flat_torus(capsys):
     code, out, _ = run(capsys, "eig", "--manifold", "flat-torus",
-                       "--L", "1.0", "--fiber", "0.1",
+                       "--L", "1.0", "--c", "0.016",
                        "--grids", "256,512,1024")
     assert code == 0
     payload = json.loads(out)
@@ -105,7 +106,12 @@ def test_torus_without_fiber_size_rejected(capsys):
                          "--L", "3")
     assert code == 2
     assert out == ""
-    assert err == "config error: flat-torus needs --c or --fiber\n"
+    assert err == "config error: flat-torus needs --c\n"
+    # the fiber size is --c alone
+    with pytest.raises(SystemExit) as exc:
+        main(["eig", "--manifold", "flat-torus", "--L", "3",
+              "--fiber", "0.6"])
+    assert exc.value.code == 2
 
 
 def test_flat_torus_with_beta_rejected(capsys):
@@ -446,6 +452,21 @@ def test_sweep_plot_emission(tmp_path, capsys):
     assert 'viewBox="0 0 800 600"' in svg
 
 
+@pytest.mark.parametrize("kind", sgv.cli.PLOT_KINDS)
+def test_sweep_csv_lines_have_one_field_count(tmp_path, capsys, kind):
+    base = tmp_path / "plot"
+    out_csv = tmp_path / "report.csv"
+    code, _, _ = run(capsys, "sweep", "--config",
+                     write_sweep_config(tmp_path), "--out-csv",
+                     str(out_csv), "--plot", kind, "--plot-out", str(base))
+    assert code == 0
+    for path in (out_csv, tmp_path / "plot.csv"):
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 3
+        assert {len(row) for row in rows} == {len(rows[0])}
+
+
 def test_sweep_plot_without_plot_out_refused_before_any_row(
         tmp_path, capsys, monkeypatch):
     def no_rows(*args, **kwargs):
@@ -710,8 +731,9 @@ def test_sweep_setting_of_wrong_type(tmp_path, capsys, setting, value):
     ([{"kind": "sphere", "L": True}], "manifold L = True must be a number"),
     ([{"kind": "sphere", "L": 3.0, "n": "3"}], "manifold n = '3'"),
     ([{"kind": "flat-torus", "L": TWO_PI, "c": False}], "manifold c = False"),
-    ([{"kind": "flat-torus", "L": TWO_PI, "fiber": "0.6"}],
-     "manifold fiber = '0.6'"),
+    # the fiber size is c alone
+    ([{"kind": "flat-torus", "L": TWO_PI, "fiber": 0.6}],
+     "unknown manifold keys: fiber"),
     ([{"kind": "cosine-torus", "L": TWO_PI, "c": 1.0, "beta": "0.1"}],
      "manifold beta = '0.1'"),
     ([{"id": ["x"], "kind": "sphere", "L": 3.0}],

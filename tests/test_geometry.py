@@ -97,14 +97,10 @@ def test_cosine_profile_values():
     assert m.f(np.array([math.pi]))[0] == pytest.approx(2.0 * 0.7)
 
 
-def test_fiber_keyword_matches_circumference():
-    m = make_manifold("constant", L=1.0, fiber=0.1)
-    assert m.describe()["fiber"] == pytest.approx(0.1)
-
-
-def test_conflicting_fiber_and_c_rejected():
-    with pytest.raises(ValueError):
-        make_manifold("constant", L=1.0, c=1.0, fiber=0.1)
+def test_fiber_keyword_is_type_error():
+    # the fiber size is c alone; its circumference is only described
+    with pytest.raises(TypeError):
+        make_manifold("constant", L=1.0, fiber=0.1)
 
 
 def test_flat_torus_rejects_beta():
@@ -243,6 +239,13 @@ INVALID = {
                                  fs=np.r_[_TORUS_FS[:-1], 1.4],
                                  boundary="periodic"), {},
                             "periodic tabulated values must end where"),
+    # three knots leave a 1 x 1 system after the corner elimination
+    "periodic-three-knots": (dict(kind="tabulated", L=1.0,
+                                  ts=np.array([0.0, 0.5, 1.0]),
+                                  fs=np.array([1.0, 2.0, 1.0]),
+                                  boundary="periodic"), {},
+                             "tabulated nodes and values must be 1-D "
+                             "arrays of one length, at least 4"),
 }
 
 

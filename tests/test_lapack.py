@@ -86,10 +86,10 @@ def test_non_finite_diagonal_raises_in_bisection():
 def test_non_finite_spline_system_raises(periodic):
     # finite knots whose gaps sum past the largest double: the slope
     # system's diagonal 2 (h[i-1] + h[i]) overflows
-    x = np.array([0.0, 1e308, 1.7e308])
+    x = np.array([0.0, 0.6e308, 1.2e308, 1.75e308])
     with np.errstate(over="ignore"), \
             pytest.raises(ValueError, match="infs or NaNs"):
-        _CubicSpline(x, np.zeros(3), periodic)
+        _CubicSpline(x, np.zeros(4), periodic)
 
 
 def test_failed_count_raises():

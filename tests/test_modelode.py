@@ -34,7 +34,7 @@ from sgv.errors import (
     HypothesisViolation,
     RatioOutOfRange,
 )
-from sgv.modelode import z_ratio_lin, z_ratio_sqrt
+from sgv.modelode import ENDPOINT_GAP, z_ratio_lin, z_ratio_sqrt
 
 U_STAR = math.sqrt(1.0 - math.pi ** 2 / 16.0)
 
@@ -163,9 +163,15 @@ def test_margins_nonnegative_reference_case():
 def test_margin_keys_and_min():
     out = check_model_inequalities(1.05, 0.95, 1.05, u_grid=20_001)
     assert set(out) == {"gradient_form", "oscillation", "amplitude",
-                        "min_margin"}
+                        "min_margin", "ode_residual_max"}
     assert out["min_margin"] == min(out["gradient_form"],
                                     out["oscillation"], out["amplitude"])
+
+
+def test_ode_residual_max_is_read_on_the_margin_grid():
+    u = np.linspace(-1.0 + ENDPOINT_GAP, 1.0 - ENDPOINT_GAP, 20_001)
+    out = check_model_inequalities(1.05, 0.95, 1.05, u_grid=20_001)
+    assert out["ode_residual_max"] == float(np.max(ode_residual(u, 1.05)))
 
 
 @pytest.mark.parametrize("eta, J_lo, J_hi", [

@@ -25,6 +25,7 @@ from sgv.report import (
     sweep_payload,
     to_json,
 )
+from sgv.verify import SweepRow
 
 
 def make_record(manifold_id="flat-01", lambda1=1.0, diameter_hi=math.pi,
@@ -43,6 +44,11 @@ def make_record(manifold_id="flat-01", lambda1=1.0, diameter_hi=math.pi,
     return VerificationRecord(**fields)
 
 
+def make_row(**kw):
+    """A record dict, the one form the CSV and plot writers read."""
+    return make_record(**kw).to_dict()
+
+
 # ===================================================================
 # CSV
 # ===================================================================
@@ -55,7 +61,7 @@ def test_csv_header_is_pinned():
 
 
 def test_csv_row_encoding():
-    rec = make_record(lambda1=0.1 + 0.2)  # classic repr victim
+    rec = make_row(lambda1=0.1 + 0.2)  # classic repr victim
     out = records_to_csv([rec])
     lines = out.splitlines()
     assert len(lines) == 2
@@ -69,9 +75,9 @@ def test_csv_row_encoding():
 
 
 def test_csv_none_becomes_empty_cell():
-    rec = make_record(sigma_measured=None, sigma_bound_margin=None,
-                      J_deviation=None, gradient_margin=None,
-                      lambda_tilde=None)
+    rec = make_row(sigma_measured=None, sigma_bound_margin=None,
+                   J_deviation=None, gradient_margin=None,
+                   lambda_tilde=None)
     line = records_to_csv([rec]).splitlines()[1]
     cells = line.split(",")
     header = CSV_COLUMNS
@@ -80,13 +86,18 @@ def test_csv_none_becomes_empty_cell():
     assert cells[header.index("grad_margin")] == ""
 
 
-def test_csv_accepts_dicts_too():
-    rec = make_record()
-    assert records_to_csv([rec]) == records_to_csv([rec.to_dict()])
+def test_csv_reads_the_sweep_payload_records():
+    # the sweep's CSV is written from the dicts its JSON already holds
+    rows = [SweepRow("a", make_record(manifold_id="a"), None, False),
+            SweepRow("b", None, "NonPositiveWarp: f = 0", False)]
+    payload = sweep_payload(rows, {"rows": 2, "errors": 1})
+    dicts = [d for d in payload["records"] if "error" not in d]
+    assert records_to_csv(dicts) == records_to_csv([make_row(
+        manifold_id="a")])
 
 
 def test_csv_deterministic():
-    recs = [make_record(manifold_id=f"r{i}", lambda1=1.0 + 0.1 * i)
+    recs = [make_row(manifold_id=f"r{i}", lambda1=1.0 + 0.1 * i)
             for i in range(4)]
     assert records_to_csv(recs) == records_to_csv(recs)
 
@@ -110,14 +121,9 @@ def test_json_rejects_non_finite():
 
 
 def test_sweep_payload_shapes():
-    class Row:
-        def __init__(self, manifold_id, record, error):
-            self.manifold_id = manifold_id
-            self.record = record
-            self.error = error
-
-    ok = Row("good", make_record(manifold_id="good"), None)
-    bad = Row("bad", None, "NonPositiveWarp: profile touches zero")
+    ok = SweepRow("good", make_record(manifold_id="good"), None, False)
+    bad = SweepRow("bad", None, "NonPositiveWarp: profile touches zero",
+                   False)
     payload = sweep_payload([ok, bad], {"rows": 2, "errors": 1})
     assert payload["summary"]["errors"] == 1
     assert payload["records"][0]["manifold_id"] == "good"
@@ -175,10 +181,8 @@ def test_plot_kinds_exposed():
 
 
 def test_sharpness_vs_aspect_series():
-    recs = [make_record(manifold_id="a", lambda1=1.0,
-                        sharpness_ratio=1.04),
-            make_record(manifold_id="b", lambda1=1.0,
-                        sharpness_ratio=1.01)]
+    recs = [make_row(manifold_id="a", lambda1=1.0, sharpness_ratio=1.04),
+            make_row(manifold_id="b", lambda1=1.0, sharpness_ratio=1.01)]
     xs, ys, (xl, yl) = plot_series(recs, "sharpness-vs-aspect")
     # aspect recovered as sqrt(ratio - 1), sorted ascending
     assert xs == pytest.approx([0.1, 0.2])
@@ -188,26 +192,26 @@ def test_sharpness_vs_aspect_series():
 
 
 def test_kbar_vs_lambda1_skips_none():
-    recs = [make_record(manifold_id="a", kbar=0.1, lambda1=0.9),
-            make_record(manifold_id="b", kbar=None, lambda1=1.0)]
+    recs = [make_row(manifold_id="a", kbar=0.1, lambda1=0.9),
+            make_row(manifold_id="b", kbar=None, lambda1=1.0)]
     xs, ys, _ = plot_series(recs, "kbar-vs-lambda1")
     assert len(xs) == 1
 
 
 def test_plot_series_unknown_kind():
     with pytest.raises(ValueError):
-        plot_series([make_record()], "volume-vs-time")
+        plot_series([make_row()], "volume-vs-time")
 
 
 def test_plot_series_all_skipped_raises():
-    recs = [make_record(kbar=None)]
+    recs = [make_row(kbar=None)]
     with pytest.raises(EmptySeries):
         plot_series(recs, "kbar-vs-lambda1")
 
 
 def test_emit_plot_data_writes_both_files(tmp_path):
-    recs = [make_record(manifold_id="a", sharpness_ratio=1.04),
-            make_record(manifold_id="b", sharpness_ratio=1.0025)]
+    recs = [make_row(manifold_id="a", sharpness_ratio=1.04),
+            make_row(manifold_id="b", sharpness_ratio=1.0025)]
     base = tmp_path / "chart"
     csv_path, svg_path = emit_plot_data(recs, "sharpness-vs-aspect",
                                         str(base))
