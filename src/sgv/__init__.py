@@ -29,8 +29,8 @@ from .geometry import (DiameterBracket, Manifold, diameter, kbar,
 from .modelode import (check_model_inequalities, ode_residual,
                        sharpness_integral, z_deriv, z_second, z_sup,
                        z_value)
-from .spectral import (EigenResult, GroundState, build_J, lambda1,
-                       residual_J_equation, schrodinger_ground)
+from .spectral import (EigenResult, GroundState, build_J, chain_pencils,
+                       lambda1, residual_J_equation, schrodinger_ground)
 from .verify import (SigmaCheck, SweepRow, VerificationRecord,
                      check_J_bounds, check_gradient_estimate,
                      check_main_theorem, check_sigma_bound,
@@ -51,7 +51,7 @@ __all__ = [
     "rho_H_field", "ricci_min", "volume",
     "check_model_inequalities", "ode_residual", "sharpness_integral",
     "z_deriv", "z_second", "z_sup", "z_value",
-    "EigenResult", "GroundState", "build_J", "lambda1",
+    "EigenResult", "GroundState", "build_J", "chain_pencils", "lambda1",
     "residual_J_equation", "schrodinger_ground",
     "SigmaCheck", "SweepRow", "VerificationRecord", "check_J_bounds",
     "check_gradient_estimate", "check_main_theorem", "check_sigma_bound",

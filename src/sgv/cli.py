@@ -116,6 +116,8 @@ def _cmd_eig(args) -> int:
 
 def _cmd_curvature(args) -> int:
     m = _manifold_from_args(args)
+    if args.samples < 2:
+        raise ConfigError(f"--samples = {args.samples} must be at least 2")
     t = np.linspace(0.0, m.L, args.samples + 1)
     if m.boundary == "periodic":
         t = t[:-1]  # t = L is t = 0 again

@@ -35,7 +35,7 @@ import numpy as np
 
 from ._quadrature import adaptive_panels
 from .errors import (EndpointSecondDerivative, HypothesisViolation,
-                     RatioOutOfRange, require_positive)
+                     RatioOutOfRange, require_dimension, require_positive)
 
 _PSI_SWITCH = 0.25
 # distance from u = +-1 of the inequality grid's end points, and its
@@ -184,8 +184,8 @@ def check_model_inequalities(eta: float,
     product Z'' * Z is evaluated through the endpoint-stable ratio
     Z / sqrt(1 - u^2) to keep roundoff far below certification slack.
 
-    Raises HypothesisViolation if J_hi > eta (the inequalities are
-    simply false beyond that ceiling) and ValueError unless 1 < eta < inf.
+    Raises HypothesisViolation if J_hi > eta (the inequalities fail past
+    that ceiling), and ValueError unless 1 < eta < inf and u_grid >= 2.
     """
     if not (1.0 < eta < math.inf):
         raise ValueError(f"eta = {eta} must be finite and exceed 1")
@@ -193,6 +193,7 @@ def check_model_inequalities(eta: float,
         raise HypothesisViolation(f"J_hi = {J_hi} exceeds eta = {eta}")
     if not (0.0 < J_lo <= J_hi):
         raise ValueError("need 0 < J_lo <= J_hi")
+    u_grid = require_dimension(u_grid, "u_grid")
     u = np.linspace(-1.0 + ENDPOINT_GAP, 1.0 - ENDPOINT_GAP, u_grid)
     zp = z_deriv(u, eta)
     # -2 Z'' Z = (8 eta / pi) * u * (Z / sqrt(1 - u^2)) without blowup

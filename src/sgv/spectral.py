@@ -15,21 +15,21 @@ and handles the pole-closed case naturally because the edge weight
 f^{n-1} vanishes at the poles -- no boundary condition is imposed beyond
 what the geometry already encodes.
 
-One driver, `_chain(m, k, index, grids, V)`, runs every chain: the
-lowest (index 0) or second-lowest (index 1) pair of the mode-k pencil,
-less diag(V) where a potential is given, on each grid in turn.  It
-starts from the same pencil on 16 cells, B = M^{-1/2} K M^{-1/2}
-written out with its cyclic corner and solved densely (`_eigenpair`
-without a start).  Each grid then continues the pair of the grid
-before (`_continued_pair`): the pair, interpolated onto the grid,
-starts Rayleigh-quotient iteration, one O(N) tridiagonal solve per step
-(B = T + u u^T through Sherman-Morrison where it is periodic), and
-Sturm counts at the Rayleigh quotient plus and minus the residual
-certify that the index-th eigenvalue lies that close, a tied pair (the
-base circle of a flat torus) included.  Where the certificate fails,
-bisection on the same counts and inverse iteration replace it.
+One driver, `_chain(pencils, index, V)`, runs every chain on the
+pencils `chain_pencils(m, k, grids)` assembles: the lowest (index 0) or
+second-lowest (index 1) pair of each, less diag(V) where a potential is
+given.  It starts from the first, the same pencil on 16 cells,
+B = M^{-1/2} K M^{-1/2} written out with its cyclic corner and solved
+densely (`_eigenpair` without a start).  Each grid then continues the
+pair of the grid before (`_continued_pair`): the pair, interpolated
+onto the grid, starts Rayleigh-quotient iteration, one O(N) tridiagonal
+solve per step (B = T + u u^T through Sherman-Morrison where it is
+periodic), and Sturm counts at the Rayleigh quotient plus and minus the
+residual certify that the index-th eigenvalue lies that close, a tied
+pair (the base circle of a flat torus) included.  Where the certificate
+fails, bisection on the same counts and inverse iteration replace it.
 `lambda1` runs one chain per fiber mode, `schrodinger_ground` one for
-the ground state of a potential.
+the ground state of a potential on `lambda1`'s mode-0 pencils.
 
 The value is always the Rayleigh quotient of the returned vector against
 B.  Every route resolves eigenvalues only to a few ulps of the
@@ -303,34 +303,40 @@ def _eigenpair(dis: Discretization, index: int,
     return lam, vec / np.sqrt(dis.mass)
 
 
-def _chain(m: Manifold, k: int, index: int, grids: Sequence[int],
-           V: Optional[Callable] = None):
-    """Yield (value, eigenfunction, pencil) of the index-th pair of the
-    mode-k pencil on each grid, the pencil being the one without V.
+def chain_pencils(m: Manifold, k: int, grids: Sequence[int]) -> tuple:
+    """The mode-k pencils of one chain: the start pencil on _START_CELLS
+    cells (a grid of that size reuses it), then one per grid."""
+    start = assemble(m, k, _START_CELLS)
+    return (start, *(start if N == _START_CELLS else assemble(m, k, int(N))
+                     for N in grids))
 
-    The first grid continues the dense solve on _START_CELLS cells (or
-    is that solve), each later grid the grid before.  Given V, a
-    callable of t, each solve takes the pencil less diag(V(tm)).  A
-    k = 0, index 0 pencil whose V vanishes on the grid is the plain
-    Laplacian, whose lowest pair is exactly 0 at the constants: that
-    pair is returned, with no solve, instead of eigensolver rounding
-    (~eps/h^2), which would leak sign noise into sigma margins.
+
+def _pair(first: Discretization, dis: Discretization, index: int,
+          V: Optional[Callable], start: Optional[tuple]) -> tuple:
+    """(value, eigenfunction) of the index-th pair of dis less diag(V(tm)),
+    continued from start, or else from the dense solve of the start
+    pencil first (or that solve, where dis is first).  A k = 0, index 0
+    pencil whose V vanishes on the grid is the plain Laplacian, whose
+    lowest pair is exactly 0 at the constants: that pair is returned,
+    with no solve, instead of eigensolver rounding (~eps/h^2), which
+    would leak sign noise into sigma margins.
     """
-    def solve(N, start):
-        """(value, eigenfunction, pencil) on N cells, from start."""
-        dis = assemble(m, k, N)
-        shift = 0.0 if V is None else np.asarray(V(dis.tm), dtype=float)
-        if k == 0 and index == 0 and not np.any(shift):
-            return 0.0, np.ones(N), dis
-        if start is None and N != _START_CELLS:
-            value, phi, coarse = solve(_START_CELLS, None)
-            start = value, phi, coarse.tm
-        solved = dis if V is None else replace(dis, sym_d=dis.sym_d - shift)
-        return (*_eigenpair(solved, index, start), dis)
+    shift = 0.0 if V is None else np.asarray(V(dis.tm), dtype=float)
+    if dis.k == 0 and index == 0 and not np.any(shift):
+        return 0.0, np.ones(dis.tm.size)
+    if start is None and dis is not first:
+        start = *_pair(first, first, index, V, None), first.tm
+    solved = dis if V is None else replace(dis, sym_d=dis.sym_d - shift)
+    return _eigenpair(solved, index, start)
 
+
+def _chain(pencils: Sequence[Discretization], index: int,
+           V: Optional[Callable] = None):
+    """Yield (value, eigenfunction, pencil without V) of the index-th
+    pair of each pencil after the start, pencils[0] (`_pair`)."""
     start = None
-    for N in grids:
-        value, phi, dis = solve(N, start)
+    for dis in pencils[1:]:
+        value, phi = _pair(pencils[0], dis, index, V, start)
         start = value, phi, dis.tm
         yield value, phi, dis
 
@@ -357,10 +363,14 @@ class EigenResult:
     mode: int
     u: np.ndarray
     a: float
-    t: np.ndarray
+    pencils: tuple          # mode 0's chain_pencils; t is the finest's tm
     history: tuple
     order: float
     degenerate: bool
+
+    @property
+    def t(self) -> np.ndarray:
+        return self.pencils[-1].tm
 
 
 def _peak(y: np.ndarray, periodic: bool) -> float:
@@ -448,17 +458,17 @@ def lambda1(m: Manifold, grids: Sequence[int] = DEFAULT_GRIDS) -> EigenResult:
     if any(b != 2 * a for a, b in zip(grids, grids[1:])):
         raise ValueError(f"each grid must double the one before: {grids}")
 
-    def candidate(k):
-        chain = list(_chain(m, k, 0 if k else 1, grids))
-        lams = [lam for lam, _, _ in chain]
-        _, u_raw, dis = chain[-1]
-        extrap, order, at_floor = _extrapolate(lams, dis)
-        return extrap, k, lams, u_raw, dis, order, at_floor
+    def candidate(pencils):
+        k = pencils[0].k
+        lams, phis, _ = zip(*_chain(pencils, 0 if k else 1))
+        extrap, order, at_floor = _extrapolate(lams, pencils[-1])
+        return extrap, k, lams, phis[-1], pencils[-1], order, at_floor
 
-    zero = candidate(0)
+    pencils = chain_pencils(m, 0, grids)
+    zero = candidate(pencils)
     one = None
     if not (m.n - 1) / m.f_range()[1] ** 2 > zero[0] * (1.0 + 1e-9):
-        one = candidate(1)
+        one = candidate(chain_pencils(m, 1, grids))
     best = one if one and one[0] < zero[0] * (1.0 - 1e-9) else zero
 
     extrap, mode, lams, u_raw, dis, order, at_floor = best
@@ -474,7 +484,7 @@ def lambda1(m: Manifold, grids: Sequence[int] = DEFAULT_GRIDS) -> EigenResult:
 
     u, a = eigenfunction_u(u_raw, dis)
     return EigenResult(lambda1=float(extrap), mode=mode, u=u, a=a,
-                       t=dis.tm, history=tuple(zip(grids, lams)),
+                       pencils=pencils, history=tuple(zip(grids, lams)),
                        order=float(order), degenerate=degenerate)
 
 
@@ -499,10 +509,10 @@ class GroundState:
         return self.dis.tm
 
 
-def schrodinger_ground(m: Manifold, V: Callable,
-                       grids: Sequence[int]) -> list:
-    """Ground states of the fiber-symmetric Schrodinger pencil, one per
-    grid, from one `_chain` of the potential V, a callable of t.
+def schrodinger_ground(pencils: Sequence[Discretization],
+                       V: Callable) -> list:
+    """Ground states of the fiber-symmetric Schrodinger pencil on each
+    grid of a mode-0 `chain_pencils`, for the potential V, a callable of t.
 
     The top of the spectrum of Delta + V equals -mu_0 where mu_0 is the
     lowest eigenvalue of the quadratic form pencil
@@ -511,7 +521,7 @@ def schrodinger_ground(m: Manifold, V: Callable,
     grid whose ground state changes sign or is not positive.
     """
     states = []
-    for mu0, w, dis in _chain(m, 0, 0, grids, V):
+    for mu0, w, dis in _chain(pencils, 0, V):
         vol = float(np.sum(dis.mass))
         if np.sum(w * dis.mass) < 0.0:
             w = -w

@@ -19,7 +19,7 @@ and measures its actual margin on an exactly-parameterized manifold:
                            capture and a deterministic summary.
 
 The checks measure the states they are given; only `check_sigma_bound`
-solves, the shift potential's ground-state chain, once.
+solves: the shift potential's ground-state chain, on `lambda1`'s pencils.
 
 Margins are signed so that >= 0 (up to stated slack) means the estimate
 holds; failed hypotheses are recorded, never raised, because a manifold
@@ -39,8 +39,8 @@ from .constants import (GradientConstants, LedgerInput, delta_for_alpha,
                         epsilon_max, gradient_constants, tau_of)
 from .geometry import Manifold, diameter, kbar, make_manifold, rho_H_field
 from .modelode import z_value
-from .spectral import (DEFAULT_GRIDS, EigenResult, GroundState, _extrapolate,
-                       build_J, centered_gradient, lambda1,
+from .spectral import (EigenResult, GroundState, _extrapolate, build_J,
+                       centered_gradient, chain_pencils, lambda1,
                        residual_J_equation, schrodinger_ground)
 
 
@@ -68,26 +68,26 @@ class SigmaCheck:
     history: tuple           # (N, sigma_tilde raw) per grid
 
 
-def check_sigma_bound(m: Manifold, delta: float, *,
+def check_sigma_bound(pencils: Sequence, delta: float, *,
                       kb: float) -> SigmaCheck:
     """Measure sigma = sigma_tilde / (tau - 1) and its ceiling margin.
 
     The ground state of the shift potential is solved once, as one
-    chain over DEFAULT_GRIDS.  sigma_tilde takes the same Richardson
-    step as lambda1, against the noise floor of the chain's finest
-    pencil, but no order gate refuses it: where the last grid
-    difference lies below that floor at an order outside [1.5, 2.5]
-    (near-flat profiles), the finest value is returned unchanged.  kb
-    is kbar(m, p, 0).
+    chain on the mode-0 pencils of m (a record passes lambda1's).
+    sigma_tilde takes the same Richardson step as lambda1, against the
+    noise floor of the chain's finest pencil, but no order gate refuses
+    it: where the last grid difference lies below that floor at an order
+    outside [1.5, 2.5] (near-flat profiles), the finest value is
+    returned unchanged.  kb is kbar(m, p, 0).
     """
     tau = tau_of(delta)
-    chain = schrodinger_ground(m, shift_potential(m, delta), DEFAULT_GRIDS)
-    vals = [gs.sigma_tilde for gs in chain]
-    st, _, _ = _extrapolate(vals, chain[-1].dis)
+    chain = schrodinger_ground(
+        pencils, shift_potential(pencils[0].manifold, delta))
+    history = tuple((gs.t.size, gs.sigma_tilde) for gs in chain)
+    st, _, _ = _extrapolate([v for _, v in history], chain[-1].dis)
     sigma = st / (tau - 1.0)
     return SigmaCheck(sigma=sigma, margin=4.0 * kb - sigma, sigma_tilde=st,
-                      tau=tau, kbar=kb, ground=chain[-1],
-                      history=tuple(zip(DEFAULT_GRIDS, vals)))
+                      tau=tau, kbar=kb, ground=chain[-1], history=history)
 
 
 def check_J_bounds(ground: GroundState, delta: float) -> float:
@@ -148,17 +148,14 @@ def residual_order_study(m: Manifold, delta: float) -> dict:
     """
     tau = tau_of(delta)
     V = shift_potential(m, delta)
-    gs_ref, = schrodinger_ground(m, V, (1024,))
+    gs_ref, = schrodinger_ground(chain_pencils(m, 0, (1024,)), V)
     sigma_ref = gs_ref.sigma_tilde / (tau - 1.0)
     grids = (16, 32, 64)
-    residuals = []
-    for gs in schrodinger_ground(m, V, grids):
-        J = build_J(gs, tau)
-        rho0 = rho_H_field(m, 0.0, gs.dis.tm)
-        residuals.append(residual_J_equation(gs.dis, J, rho0, tau,
-                                             sigma_ref))
-    orders = [float(np.log2(residuals[i] / residuals[i + 1]))
-              for i in range(len(residuals) - 1)]
+    residuals = [residual_J_equation(gs.dis, build_J(gs, tau),
+                                     rho_H_field(m, 0.0, gs.t), tau,
+                                     sigma_ref)
+                 for gs in schrodinger_ground(chain_pencils(m, 0, grids), V)]
+    orders = [float(np.log2(a / b)) for a, b in zip(residuals, residuals[1:])]
     return {"grids": grids, "residuals": residuals,
             "orders": orders, "sigma_ref": sigma_ref}
 
@@ -220,7 +217,7 @@ def check_main_theorem(m: Manifold, alpha_target: float, p: float,
     eig = lambda1(m)
     sigma = sigma_margin = j_dev = grad_margin = lam_tilde = None
     try:
-        sc = check_sigma_bound(m, delta, kb=kb)
+        sc = check_sigma_bound(eig.pencils, delta, kb=kb)
         sigma, sigma_margin = sc.sigma, sc.margin
         j_dev = check_J_bounds(sc.ground, delta)
         grad_consts = gradient_constants(li, sigma=max(sigma, 0.0))

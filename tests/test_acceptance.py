@@ -40,7 +40,7 @@ from sgv import (
     LedgerInput,
 )
 from sgv.report import records_to_csv, sweep_payload, to_json
-from sgv.spectral import DEFAULT_GRIDS, _chain, _extrapolate
+from sgv.spectral import DEFAULT_GRIDS, _chain, _extrapolate, chain_pencils
 
 import conftest
 
@@ -62,19 +62,21 @@ def make_family_manifold(beta):
 
 
 @pytest.fixture(scope="module")
-def family_sigma():
-    """sigma certificates for the cosine family at delta = 0.1."""
-    out = {}
-    for beta in FAMILY_BETAS:
-        m = make_family_manifold(beta)
-        out[beta] = check_sigma_bound(m, 0.1, kb=kbar(m, 2.0, 0.0))
-    return out
-
-
-@pytest.fixture(scope="module")
 def family_eigs():
     return {beta: lambda1(make_family_manifold(beta))
             for beta in FAMILY_BETAS}
+
+
+@pytest.fixture(scope="module")
+def family_sigma(family_eigs):
+    """sigma certificates for the cosine family at delta = 0.1, solved
+    on lambda1's mode-0 pencils, as a record solves them."""
+    out = {}
+    for beta in FAMILY_BETAS:
+        m = make_family_manifold(beta)
+        out[beta] = check_sigma_bound(family_eigs[beta].pencils, 0.1,
+                                      kb=kbar(m, 2.0, 0.0))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -111,8 +113,8 @@ def test_criterion_01_flat_torus_oracle():
 def test_criterion_02_round_sphere_oracle():
     m = make_manifold("sine-sphere", n=2, L=math.pi)
     e = lambda1(m)
-    chain0 = list(_chain(m, 0, 1, DEFAULT_GRIDS))
-    chain1 = list(_chain(m, 1, 0, DEFAULT_GRIDS))
+    chain0 = list(_chain(chain_pencils(m, 0, DEFAULT_GRIDS), 1))
+    chain1 = list(_chain(chain_pencils(m, 1, DEFAULT_GRIDS), 0))
     v0, _, _ = _extrapolate([lam for lam, _, _ in chain0], chain0[-1][2])
     v1, _, _ = _extrapolate([lam for lam, _, _ in chain1], chain1[-1][2])
     err = abs(e.lambda1 - 2.0)
@@ -215,9 +217,9 @@ def test_criterion_08_gradient_certificate(family_eigs):
             if kb > epsilon_max(inp).eps_max:
                 continue  # out of hypothesis at this delta
             checked += 1
-            sc = check_sigma_bound(m, delta, kb=kb)
-            g = gradient_constants(inp, sigma=max(sc.sigma, 0.0))
             eig = family_eigs[beta]
+            sc = check_sigma_bound(eig.pencils, delta, kb=kb)
+            g = gradient_constants(inp, sigma=max(sc.sigma, 0.0))
             margin = check_gradient_estimate(m, delta, g, eig, sc.ground)
             lt = g.lambda_tilde(eig.lambda1)
             if margin > 1e-6 * lt:

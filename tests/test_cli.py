@@ -161,6 +161,22 @@ def test_curvature_arrays_flag(capsys):
     assert payload["manifold"]["kind"] == "cosine"
 
 
+@pytest.mark.parametrize("samples, manifold", [
+    ("1", ("cosine-torus", "--c", "1.0", "--beta", "0.3")),
+    ("0", ("flat-torus", "--c", "0.1")),
+])
+def test_curvature_refuses_fewer_than_two_samples(capsys, samples,
+                                                  manifold):
+    # one sample (t = 0) read ricci_min 0.2308 where the default grid reads
+    # -0.4286, and none ended in numpy's zero-size reduction error
+    code, out, err = run(capsys, "curvature", "--manifold", manifold[0],
+                         "--L", str(TWO_PI), *manifold[1:],
+                         "--samples", samples)
+    assert code == 2
+    assert out == ""
+    assert err == f"config error: --samples = {samples} must be at least 2\n"
+
+
 def test_curvature_samples_ricci_once(capsys, monkeypatch):
     # one ricci_min evaluation on the sample grid feeds rho and rho_H
     grid = np.linspace(0.0, TWO_PI, 33)[:-1]
@@ -282,6 +298,18 @@ def test_ode_check_exits_1_on_a_negative_margin(capsys, monkeypatch):
     assert code == 1
     assert json.loads(out)["min_margin"] == -1e-6
     assert err.startswith("ode-check gate violated: min margin -1.000e-06")
+
+
+@pytest.mark.parametrize("points", ["1", "0"])
+def test_ode_check_refuses_a_grid_below_two_points(capsys, points):
+    # one point (u = -1 + 1e-9) certified a min margin of 8e-14, and none
+    # ended in numpy's zero-size reduction error
+    code, out, err = run(capsys, "ode-check", "--eta", "1.1",
+                         "--u-grid", points)
+    assert code == 2
+    assert out == ""
+    assert err == f"config error: u_grid = {points} must be an integer " \
+        ">= 2\n"
 
 
 def test_ode_check_has_no_j_grid(capsys):

@@ -191,6 +191,14 @@ def test_ceiling_enforced():
         check_model_inequalities(1.1, 0.9, 1.1000001)
 
 
+@pytest.mark.parametrize("u_grid", [1, 0])
+def test_u_grid_below_two_points_refused(u_grid):
+    # one point is u = -1 + 1e-9 alone, a margin of nothing; none would
+    # reduce an empty array
+    with pytest.raises(ValueError, match=f"u_grid = {u_grid} must be"):
+        check_model_inequalities(1.1, 0.9, 1.1, u_grid=u_grid)
+
+
 def test_eta_and_range_validated():
     with pytest.raises(ValueError):
         check_model_inequalities(1.0, 0.9, 1.0)

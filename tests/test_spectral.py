@@ -31,6 +31,7 @@ from scipy.optimize import brentq
 from sgv import (
     _lapack,
     build_J,
+    chain_pencils,
     check_main_theorem,
     lambda1,
     make_manifold,
@@ -278,9 +279,9 @@ def test_lambda1_solves_only_fiber_modes_0_and_1(monkeypatch):
                       boundary="periodic")
     modes = []
 
-    def counting(m, k, index, grids, V=None):
-        modes.append(k)
-        return _chain(m, k, index, grids, V)
+    def counting(pencils, index, V=None):
+        modes.append(pencils[0].k)
+        return _chain(pencils, index, V)
 
     monkeypatch.setattr(sgv.spectral, "_chain", counting)
     e = lambda1(m)
@@ -288,6 +289,33 @@ def test_lambda1_solves_only_fiber_modes_0_and_1(monkeypatch):
     assert e.mode == 1
     assert e.lambda1 == 0.5110954087100169  # as with modes 0-3 all solved
     assert not e.degenerate
+
+
+def test_chain_pencils_reuse_the_start_pencil(monkeypatch):
+    # a chain that begins on the start's 16 cells assembles them once,
+    # and its first grid is the dense start solve itself
+    calls = []
+    inner = sgv.spectral.assemble
+
+    def counted(m, k, N):
+        calls.append(N)
+        return inner(m, k, N)
+
+    monkeypatch.setattr(sgv.spectral, "assemble", counted)
+    m = make_manifold("cosine", L=TWO_PI, c=1.0, beta=0.3)
+    pencils = chain_pencils(m, 0, (16, 32, 64))
+    assert calls == [16, 32, 64]
+    assert pencils[1] is pencils[0]
+    assert [dis.tm.size for dis in pencils] == [16, 16, 32, 64]
+    starts = []
+
+    def eigenpair(dis, index, start=None):
+        starts.append((dis.tm.size, start is None))
+        return _eigenpair(dis, index, start)
+
+    monkeypatch.setattr(sgv.spectral, "_eigenpair", eigenpair)
+    assert len(list(_chain(pencils, 1))) == 3
+    assert starts == [(16, True), (32, False), (64, False)]
 
 
 # ===================================================================
@@ -470,8 +498,9 @@ def test_tied_pair_passes_the_gradient_check(monkeypatch, m):
 @pytest.mark.parametrize("solve", [
     lambda: lambda1(make_manifold("sine-sphere", n=2, L=math.pi)),
     lambda: lambda1(make_manifold("sine-sphere", n=3, L=math.pi)),
-    lambda: check_sigma_bound(make_manifold("cosine", L=TWO_PI, c=1.0,
-                                            beta=0.3), 0.1, kb=1.0),
+    lambda: check_sigma_bound(chain_pencils(make_manifold(
+        "cosine", L=TWO_PI, c=1.0, beta=0.3), 0, DEFAULT_GRIDS), 0.1,
+        kb=1.0),
     lambda: lambda1(make_manifold("constant", L=TWO_PI, c=0.1)),
 ], ids=["sphere2", "sphere3", "sigma-cos-c1-b0.3", "flat-tied"])
 def test_chain_bisects_only_where_it_cannot_continue(monkeypatch, solve):
@@ -556,7 +585,8 @@ def test_ground_state_matches_dense_eigh_at_2048():
     root_m = np.sqrt(M)
     B = K / np.outer(root_m, root_m) - np.diag(V)
     vals, vecs = sla.eigh(B, subset_by_index=[0, 0])
-    gs, = schrodinger_ground(m, shift_potential(m, 0.1), (N,))
+    gs, = schrodinger_ground(chain_pencils(m, 0, (N,)),
+                             shift_potential(m, 0.1))
     v = gs.w * root_m
     v /= np.linalg.norm(v)
     want = vecs[:, 0] * np.sign(vecs[:, 0] @ v)
@@ -663,7 +693,8 @@ def test_extrapolate_floor_reports_nominal_order():
 
 def test_zero_potential_ground_state_is_exact():
     m = make_manifold("constant", L=TWO_PI, c=0.1)
-    gs, = schrodinger_ground(m, lambda t: np.zeros_like(t), (256,))
+    gs, = schrodinger_ground(chain_pencils(m, 0, (256,)),
+                             lambda t: np.zeros_like(t))
     assert gs.sigma_tilde == 0.0
     assert np.all(gs.w == 1.0)
     assert gs.w_bar == 1.0
@@ -680,8 +711,8 @@ def test_ground_state_vs_shooting_oracle():
     beta, delta = 0.05, 0.1
     m = make_manifold("cosine", L=TWO_PI, c=1.0, beta=beta)
     V = shift_potential(m, delta)
-    sigs = [gs.sigma_tilde
-            for gs in schrodinger_ground(m, V, (512, 1024, 2048))]
+    pencils = chain_pencils(m, 0, (512, 1024, 2048))
+    sigs = [gs.sigma_tilde for gs in schrodinger_ground(pencils, V)]
     extrap = sigs[-1] + (sigs[-1] - sigs[-2]) / 3.0
     want = shoot_sigma_tilde(beta, delta)
     assert extrap == pytest.approx(want, abs=5e-11)
@@ -693,7 +724,8 @@ def test_ground_state_vs_shooting_oracle():
 
 def test_ground_state_normalization():
     m = make_manifold("cosine", L=TWO_PI, c=1.0, beta=0.2)
-    gs, = schrodinger_ground(m, shift_potential(m, 0.1), (512,))
+    gs, = schrodinger_ground(chain_pencils(m, 0, (512,)),
+                             shift_potential(m, 0.1))
     assert gs.sigma_tilde > 0.0
     assert np.all(gs.w > 0.0)
     vol = float(np.sum(gs.dis.mass))
@@ -711,21 +743,22 @@ def test_localized_ground_state_rejected_cleanly():
     for knots in (65, 129, 257):
         m = make_pinched_spline(knots)
         with pytest.raises(NonPositiveGround):
-            schrodinger_ground(m, shift_potential(m, 1e-4), (1024,))
+            schrodinger_ground(chain_pencils(m, 0, (1024,)),
+                               shift_potential(m, 1e-4))
 
 
 def test_ground_state_that_changes_sign_rejected(monkeypatch):
     # a chain whose lowest vector crosses zero well above rounding
     inner = sgv.spectral._chain
 
-    def chain(m, k, index, grids, V=None):
-        for mu0, w, dis in inner(m, k, index, grids, V):
+    def chain(pencils, index, V=None):
+        for mu0, w, dis in inner(pencils, index, V):
             yield mu0, np.linspace(-1.0, 2.0, w.size), dis
 
     monkeypatch.setattr(sgv.spectral, "_chain", chain)
     m = make_manifold("cosine", L=TWO_PI, c=1.0, beta=0.1)
     with pytest.raises(SignChange, match="ground state changes sign"):
-        schrodinger_ground(m, shift_potential(m, 0.1), (64,))
+        schrodinger_ground(chain_pencils(m, 0, (64,)), shift_potential(m, 0.1))
 
 
 def test_order_outside_the_window_raises(monkeypatch):
@@ -733,9 +766,9 @@ def test_order_outside_the_window_raises(monkeypatch):
     # the rounding floor: order 4, which lambda1 refuses to extrapolate
     inner = sgv.spectral._chain
 
-    def chain(m, k, index, grids, V=None):
+    def chain(pencils, index, V=None):
         for lam, (_, phi, dis) in zip((1.0, 1.1, 1.1 + 0.1 / 16),
-                                      inner(m, k, index, grids, V)):
+                                      inner(pencils, index, V)):
             yield lam, phi, dis
 
     monkeypatch.setattr(sgv.spectral, "_chain", chain)
@@ -758,7 +791,8 @@ def test_turned_pinched_ground_state_matches_mpmath_oracle(delta):
     N = 1024
     dis = assemble(m, 0, N)
     V = shift_potential(m, delta)(dis.tm)
-    gs, = schrodinger_ground(m, shift_potential(m, delta), (N,))
+    gs, = schrodinger_ground(chain_pencils(m, 0, (N,)),
+                             shift_potential(m, delta))
     lam0 = -gs.sigma_tilde
     x = mp_lowest_vector(dis.sym_d - V, dis.sym_e, dis.sym_corner,
                          lam=lam0 - 1e-6 * abs(lam0),
@@ -779,7 +813,8 @@ def test_pinched_cosine_ground_state_matches_mpmath_oracle():
     N = 1024
     dis = assemble(m, 0, N)
     V = shift_potential(m, 0.1)(dis.tm)
-    gs, = schrodinger_ground(m, shift_potential(m, 0.1), (N,))
+    gs, = schrodinger_ground(chain_pencils(m, 0, (N,)),
+                             shift_potential(m, 0.1))
     half = N // 2
     d = dis.sym_d[:half] - V[:half]
     d[0] += dis.sym_corner
@@ -798,14 +833,16 @@ def test_pinched_cosine_ground_state_matches_mpmath_oracle():
 
 def test_build_J_flat_is_one():
     m = make_manifold("constant", L=TWO_PI, c=0.1)
-    gs, = schrodinger_ground(m, lambda t: np.zeros_like(t), (256,))
+    gs, = schrodinger_ground(chain_pencils(m, 0, (256,)),
+                             lambda t: np.zeros_like(t))
     J = build_J(gs, tau_of(0.1))
     assert np.all(J == 1.0)
 
 
 def test_build_J_tau_validated():
     m = make_manifold("constant", L=TWO_PI, c=0.1)
-    gs, = schrodinger_ground(m, lambda t: np.zeros_like(t), (64,))
+    gs, = schrodinger_ground(chain_pencils(m, 0, (64,)),
+                             lambda t: np.zeros_like(t))
     with pytest.raises(ValueError):
         build_J(gs, 1.0)
 
@@ -813,7 +850,8 @@ def test_build_J_tau_validated():
 def test_J_residual_flat_exactly_zero():
     m = make_manifold("constant", L=TWO_PI, c=0.1)
     N = 256
-    gs, = schrodinger_ground(m, lambda t: np.zeros_like(t), (N,))
+    gs, = schrodinger_ground(chain_pencils(m, 0, (N,)),
+                             lambda t: np.zeros_like(t))
     J = build_J(gs, 17.0)
     res = residual_J_equation(gs.dis, J, np.zeros(N), 17.0, 0.0)
     assert res == 0.0
@@ -825,7 +863,7 @@ def test_J_residual_cosine_small_against_converged_sigma():
     tau = tau_of(delta)
     V = shift_potential(m, delta)
     sig_ref = shoot_sigma_tilde(beta, delta) / (tau - 1.0)
-    gs, = schrodinger_ground(m, V, (1024,))
+    gs, = schrodinger_ground(chain_pencils(m, 0, (1024,)), V)
     J = build_J(gs, tau)
     from sgv import rho_H_field
     rho0 = rho_H_field(m, 0.0, gs.t)
@@ -842,7 +880,8 @@ def test_rayleigh_matches_assembled_eigenvalue():
               (256, 512, 1024)),
              (wavy, lambda1(wavy).mode, DEFAULT_GRIDS)]
     for m, k, grids in cases:
-        *_, (lam, u_raw, dis) = _chain(m, k, 0 if k else 1, grids)
+        *_, (lam, u_raw, dis) = _chain(chain_pencils(m, k, grids),
+                                       0 if k else 1)
         v = u_raw * np.sqrt(dis.mass)
         quotient = float(v @ dis.apply_sym(v)) / float(v @ v)
         assert quotient == pytest.approx(lam, rel=1e-10), grids

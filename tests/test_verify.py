@@ -7,13 +7,15 @@
 - residual order study: second-order decay against the converged shift
 - record assembly for the main theorem, sharpness ratios on flat tori,
   one kbar and one ground-state chain in each record (a refused chain
-  included), and one Moser product per distinct argument set
+  included), each pencil assembled once, and one Moser product per
+  distinct argument set
 - sweep: per-row error capture, one manifold built per row (its
   flatness read from the same build), determinism across worker
   counts, a worker process that dies, the out-of-hypothesis dumbbell
   rows, and a divergent kbar integral
 """
 
+import gc
 import math
 import multiprocessing
 import os
@@ -24,6 +26,7 @@ import pytest
 
 from sgv import (
     LedgerInput,
+    chain_pencils,
     check_J_bounds,
     check_gradient_estimate,
     check_main_theorem,
@@ -53,11 +56,17 @@ def make_cosine(beta, c=1.0):
     return make_manifold("cosine", L=TWO_PI, c=c, beta=beta)
 
 
+def ground_pencils(m):
+    """The mode-0 pencils of lambda1's chain on the default grids, which
+    a record hands to check_sigma_bound."""
+    return chain_pencils(m, 0, DEFAULT_GRIDS)
+
+
 def finest_ground(m, delta):
     """The shift potential's ground state on the finest default grid,
     as check_sigma_bound solves it."""
-    return schrodinger_ground(m, shift_potential(m, delta),
-                              DEFAULT_GRIDS)[-1]
+    return schrodinger_ground(ground_pencils(m),
+                              shift_potential(m, delta))[-1]
 
 
 def demo_specs():
@@ -88,7 +97,7 @@ def test_shift_potential_flat_zero():
 
 def test_sigma_flat_torus_exact_zero():
     m = make_manifold("constant", L=TWO_PI, c=0.1)
-    sc = check_sigma_bound(m, 0.1, kb=kbar(m, 2.0, 0.0))
+    sc = check_sigma_bound(ground_pencils(m), 0.1, kb=kbar(m, 2.0, 0.0))
     assert sc.sigma == 0.0
     assert sc.sigma_tilde == 0.0
     assert sc.margin == 0.0
@@ -98,7 +107,7 @@ def test_sigma_flat_torus_exact_zero():
 
 def test_sigma_sphere_exact_zero():
     m = make_manifold("sine-sphere", n=2, L=math.pi)
-    sc = check_sigma_bound(m, 0.1, kb=kbar(m, 2.0, 0.0))
+    sc = check_sigma_bound(ground_pencils(m), 0.1, kb=kbar(m, 2.0, 0.0))
     assert sc.sigma == 0.0
 
 
@@ -107,7 +116,7 @@ def test_sigma_small_amplitude_law():
     # cosine family, independent of delta
     beta = 1e-8
     m = make_cosine(beta)
-    sc = check_sigma_bound(m, 0.1, kb=kbar(m, 2.0, 0.0))
+    sc = check_sigma_bound(ground_pencils(m), 0.1, kb=kbar(m, 2.0, 0.0))
     assert sc.sigma == pytest.approx(2.0 * beta / math.pi, rel=2e-3)
     assert 0.0 <= sc.sigma <= 4.0 * sc.kbar
     assert sc.margin >= 0.0
@@ -115,7 +124,7 @@ def test_sigma_small_amplitude_law():
 
 def test_sigma_frozen_golden_moderate_amplitude():
     m = make_cosine(0.05)
-    sc = check_sigma_bound(m, 0.1, kb=kbar(m, 2.0, 0.0))
+    sc = check_sigma_bound(ground_pencils(m), 0.1, kb=kbar(m, 2.0, 0.0))
     assert sc.sigma == pytest.approx(0.054082688600690314, rel=1e-10)
     assert sc.sigma_tilde == pytest.approx(0.865323017611045, rel=1e-10)
     assert sc.sigma == pytest.approx(sc.sigma_tilde / 16.0, rel=1e-15)
@@ -125,7 +134,7 @@ def test_sigma_frozen_golden_moderate_amplitude():
 def test_sigma_within_apriori_window_on_family():
     for beta in (1e-8, 1e-7):
         m = make_cosine(beta)
-        sc = check_sigma_bound(m, 0.1, kb=kbar(m, 2.0, 0.0))
+        sc = check_sigma_bound(ground_pencils(m), 0.1, kb=kbar(m, 2.0, 0.0))
         assert -1e-12 <= sc.sigma <= 4.0 * sc.kbar + 1e-12, beta
 
 
@@ -135,7 +144,7 @@ def test_sigma_below_the_noise_floor_keeps_the_finest_value():
     # step would extrapolate rounding, so the finest value stands
     m = make_cosine(1e-8, c=0.2)
     rec = check_main_theorem(m, 0.3, 2.0, 2.0, 0.5)
-    sc = check_sigma_bound(m, rec.delta, kb=rec.kbar)
+    sc = check_sigma_bound(ground_pencils(m), rec.delta, kb=rec.kbar)
     assert sc.sigma_tilde == sc.history[-1][1]
     assert rec.sigma_measured == sc.sigma
 
@@ -160,7 +169,7 @@ def test_J_reuses_supplied_ground_state():
     # potential's chain, so a record's J agrees with a standalone solve
     # bit for bit
     m = make_cosine(1e-7)
-    gs = check_sigma_bound(m, 0.1, kb=kbar(m, 2.0, 0.0)).ground
+    gs = check_sigma_bound(ground_pencils(m), 0.1, kb=kbar(m, 2.0, 0.0)).ground
     assert check_J_bounds(gs, 0.1) == \
         check_J_bounds(finest_ground(m, 0.1), 0.1)
     rec = check_main_theorem(m, 0.3, 2.0, 2.0, 0.5)
@@ -185,7 +194,7 @@ def test_gradient_margin_flat_torus_nonpositive():
 
 def test_gradient_margin_cosine_family():
     m = make_cosine(1e-8)
-    sc = check_sigma_bound(m, 0.1, kb=kbar(m, 2.0, 0.0))
+    sc = check_sigma_bound(ground_pencils(m), 0.1, kb=kbar(m, 2.0, 0.0))
     li = LedgerInput(n=2, p=2.0, D=4.0, delta=0.1, C_s=2.0,
                      Lambda_rough=0.5)
     g = gradient_constants(li, sigma=max(sc.sigma, 0.0))
@@ -200,7 +209,8 @@ def test_gradient_grid_mismatch_rejected():
                      Lambda_rough=0.5)
     g = gradient_constants(li, sigma=0.0)
     eig = lambda1(m, grids=(256, 512, 1024))
-    gs, = schrodinger_ground(m, shift_potential(m, 0.1), (2048,))
+    gs, = schrodinger_ground(chain_pencils(m, 0, (2048,)),
+                             shift_potential(m, 0.1))
     with pytest.raises(ValueError):
         check_gradient_estimate(m, 0.1, g, eig, gs)
 
@@ -374,7 +384,7 @@ def test_record_solves_kbar_once_and_reuses_finest_ground(monkeypatch):
 
     # the shared values equal independent computations, bit for bit
     monkeypatch.undo()
-    sc = check_sigma_bound(m, rec.delta, kb=kbar(m, 2.0, 0.0))
+    sc = check_sigma_bound(ground_pencils(m), rec.delta, kb=kbar(m, 2.0, 0.0))
     assert rec.sigma_measured == sc.sigma
     assert rec.sigma_bound_margin == sc.margin
     assert rec.kbar == sc.kbar
@@ -385,6 +395,43 @@ def test_record_solves_kbar_once_and_reuses_finest_ground(monkeypatch):
     assert rec.gradient_margin is not None
     assert rec.gradient_margin == check_gradient_estimate(
         m, rec.delta, g, eig, finest_ground(m, rec.delta))
+
+
+@pytest.mark.parametrize("c, modes", [(1.0, (0, 1)), (0.2, (0,))],
+                         ids=["cos-c1-b0.3", "cos-c0.2-b0.3"])
+def test_record_assembles_each_pencil_once(monkeypatch, c, modes):
+    # the ground chain is solved on lambda1's mode-0 pencils, so a record
+    # assembles each (k, N) once: 8 pencils where mode 1 is solved, 4
+    # where its lower bound rules it out (12 and 8 when the ground chain
+    # assembled its own)
+    calls = []
+    inner = sgv.spectral.assemble
+
+    def counted(m, k, N):
+        calls.append((k, N))
+        return inner(m, k, N)
+
+    monkeypatch.setattr(sgv.spectral, "assemble", counted)
+    rec = check_main_theorem(make_cosine(0.3, c=c), 0.3, 2.0, 2.0, 0.5)
+    assert rec.sigma_measured is not None
+    assert sorted(calls) == [(k, N) for k in modes
+                             for N in (16,) + DEFAULT_GRIDS]
+
+
+def test_record_leaves_no_reference_cycle():
+    # the pencils a record assembles, lambda1's held by its EigenResult,
+    # are freed when it returns; a cycle (a chain helper's closure that
+    # calls itself) would hold them until the cyclic collector ran, and
+    # peak memory grew record by record
+    m = make_cosine(0.3)
+    check_main_theorem(m, 0.3, 2.0, 2.0, 0.5)
+    gc.collect()
+    gc.disable()
+    try:
+        check_main_theorem(m, 0.3, 2.0, 2.0, 0.5)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_record_reads_no_z_sup_and_derives_sigma_once(monkeypatch):
@@ -554,7 +601,7 @@ def test_dumbbell_certificates_fail_their_windows():
     # moderate delta, and they visibly blow their admissible windows:
     # sigma above 4 kbar, J deviation far beyond delta
     m = make_cosine(0.5)
-    sc = check_sigma_bound(m, 0.1, kb=kbar(m, 2.0, 0.0))
+    sc = check_sigma_bound(ground_pencils(m), 0.1, kb=kbar(m, 2.0, 0.0))
     assert sc.sigma > 4.0 * 0.1  # would need kbar tiny to admit this
     assert sc.margin < 0.0
     assert check_J_bounds(sc.ground, 0.1) > 0.5
