@@ -17,13 +17,12 @@ import logging
 import math
 import os
 import sys
-from dataclasses import replace
 from typing import Optional
 
 import numpy as np
 
 from . import __version__
-from .constants import (DELTA_CAP, LedgerInput, build_ledger,
+from .constants import (DELTA_CAP, DELTA_SCAN_LO, LedgerInput, build_ledger,
                         gradient_constants)
 from .errors import ConfigError, SgvError
 from .geometry import diameter, kbar, make_manifold, ricci_min, volume
@@ -162,15 +161,16 @@ def _cmd_kbar(args) -> int:
 
 
 def _cmd_ledger(args) -> int:
-    inp = LedgerInput(n=args.n, p=args.p, D=args.D, delta=args.delta,
-                      C_s=args.C_s, Lambda_rough=args.Lambda_rough)
-    led = build_ledger(inp, args.sigma)
+    inp = LedgerInput(n=args.n, p=args.p, D=args.D, C_s=args.C_s,
+                      Lambda_rough=args.Lambda_rough)
+    led = build_ledger(inp, args.delta, args.sigma)
     _emit(to_json(led.to_dict()), args.out)
     if args.plot_out:
         sigma = args.sigma if args.sigma is not None else 0.0
-        deltas = np.logspace(math.log10(1e-4), math.log10(DELTA_CAP), 41)
+        deltas = np.logspace(math.log10(DELTA_SCAN_LO),
+                             math.log10(DELTA_CAP), 41)
         series = [{"delta": float(d), "alpha": gradient_constants(
-            replace(inp, delta=float(d)), sigma=sigma).alpha} for d in deltas]
+            inp, float(d), sigma).alpha} for d in deltas]
         _save(emit_plot_data, series, "alpha-vs-delta", args.plot_out)
     return 0
 

@@ -1,10 +1,10 @@
 """Explicit constant ledger for the certified eigenvalue lower bound.
 
 Every quantity the certification pipeline needs is computed here in
-closed form from six user-facing inputs (dimension n, norm exponent p,
-diameter bound D, closeness parameter delta, Sobolev constant C_s, and
-a rough spectral lower bound Lambda_rough), plus the measured or
-a-priori value of the ground-state shift sigma.  C_s and Lambda_rough
+closed form from the five inputs a record fixes (a `LedgerInput`: n, p,
+diameter bound D, Sobolev constant C_s, rough spectral lower bound
+Lambda_rough), the closeness parameter delta it chooses, and the
+measured or a-priori ground-state shift sigma.  C_s and Lambda_rough
 are deliberately inputs rather than computed: their explicit expressions
 live in the isoperimetric literature and hard-coding a formula here
 would invent one.
@@ -18,7 +18,7 @@ The chain is
 
 and, independently,
 
-    (n, p, D, delta, C_s, Lambda_rough)
+    (LedgerInput, delta)
            ->  four admissibility terms whose minimum eps_max is the
                integral-curvature threshold: measured kbar(p, 0) below
                eps_max activates every downstream estimate.
@@ -45,11 +45,20 @@ DELTA_MAX = math.sqrt(10.0) - 3.0
 # delta^2 + 6 delta - 1 = 0, keeping 1 - sqrt(B(delta)) bounded away
 # from zero
 DELTA_CAP = DELTA_MAX - 1e-6
+# lower end of the delta range that the alpha scan and ledger plot walk
+DELTA_SCAN_LO = 1e-4
 # relative accuracy of the certified Moser product
 MOSER_TAIL_TOL = 1e-10
 # sup of the model function at eta = 1; Z is linear in eta, and
 # (1 + d) * _Z_PEAK is bit for bit z_sup(1 + d)[1]
 _Z_PEAK = z_sup(1.0)[1]
+
+
+def _require_delta(delta: float) -> None:
+    """ValueError unless 0 < delta < inf; DeltaTooLarge above DELTA_CAP."""
+    require_positive("delta", delta)
+    if delta > DELTA_CAP:
+        raise DeltaTooLarge(f"delta = {delta} outside (0, {DELTA_CAP:.9f}]")
 
 
 def tau_of(delta: float) -> float:
@@ -59,13 +68,12 @@ def tau_of(delta: float) -> float:
 
 @dataclass(frozen=True)
 class LedgerInput:
-    """User-facing inputs of the constant pipeline.  The ground-state
-    shift sigma is not one of them: `build_ledger` takes it."""
+    """The five pipeline inputs a record fixes, checked once; delta and
+    the shift sigma vary, so the ledger's functions take them."""
 
     n: int
     p: float
     D: float
-    delta: float
     C_s: float
     Lambda_rough: float
 
@@ -73,9 +81,6 @@ class LedgerInput:
         object.__setattr__(self, "n", require_dimension(self.n, "n"))
         require_exponent(self.p, self.n)
         require_positive("D", self.D)
-        if not (0.0 < self.delta <= DELTA_CAP):
-            raise DeltaTooLarge(
-                f"delta = {self.delta} outside (0, {DELTA_CAP:.9f}]")
         require_positive("C_s", self.C_s)
         require_positive("Lambda_rough", self.Lambda_rough)
 
@@ -104,10 +109,12 @@ class GradientConstants:
         return self.C1 * lambda1 + self.C2
 
 
-def gradient_constants(inp: LedgerInput, sigma: float) -> GradientConstants:
+def gradient_constants(inp: LedgerInput, delta: float,
+                       sigma: float) -> GradientConstants:
     """Closed-form constants of the gradient estimate for one delta and
-    ground-state shift sigma; B(delta) < 1 on LedgerInput's deltas."""
-    d = inp.delta
+    ground-state shift sigma; B(delta) < 1 on the deltas admitted here."""
+    _require_delta(delta)
+    d = delta
     if not 0.0 <= sigma < math.inf:
         raise ValueError(f"sigma = {sigma} must be >= 0 and finite")
     tau = tau_of(d)
@@ -221,8 +228,8 @@ def _volume_rate(p: float, n: int, D: float) -> tuple:
     return B_pn, math.log1p(2.0 ** (-(p + 1.0))) / (B_pn * D)
 
 
-def epsilon_max(inp: LedgerInput) -> EpsilonBreakdown:
-    """Largest certified integral-curvature threshold for these inputs.
+def epsilon_max(inp: LedgerInput, delta: float) -> EpsilonBreakdown:
+    """Largest certified integral-curvature threshold at inp and delta.
 
     Terms one and two do not involve the Moser constant; their minimum
     seeds the worst-case norm psi_norm = 1 + 6 (tau - 1) * eps used to
@@ -230,7 +237,8 @@ def epsilon_max(inp: LedgerInput) -> EpsilonBreakdown:
     provisional eps only inflates A_moser, which only shrinks terms
     three and four, so the returned minimum is conservative (valid).
     """
-    n, p, D, d = inp.n, inp.p, inp.D, inp.delta
+    _require_delta(delta)
+    n, p, D, d = inp.n, inp.p, inp.D, delta
     B_pn, alpha_tilde = _volume_rate(p, n, D)
     term1 = (n - 1.0) * alpha_tilde ** 2
     term2 = d / (12.0 * inp.C_s ** 2 * (3.0 + 2.0 * d))
@@ -276,10 +284,11 @@ def gallot_feasible(eps: float, n: int, p: float, D: float):
 
 @dataclass(frozen=True)
 class ConstantLedger:
-    """Gradient constants plus the eps pipeline for one set of inputs;
-    to_dict flattens them into one record."""
+    """Gradient constants plus the eps pipeline for one set of inputs
+    and one delta; to_dict flattens them into one record."""
 
     inputs: LedgerInput
+    delta: float
     sigma_used: float
     grad: GradientConstants
     eps: EpsilonBreakdown
@@ -287,7 +296,7 @@ class ConstantLedger:
     def to_dict(self) -> dict:
         inp, g, e = self.inputs, self.grad, self.eps
         return {
-            "n": inp.n, "p": inp.p, "D": inp.D, "delta": inp.delta,
+            "n": inp.n, "p": inp.p, "D": inp.D, "delta": self.delta,
             "C_s": inp.C_s, "Lambda_rough": inp.Lambda_rough,
             "sigma_used": self.sigma_used,
             "tau": g.tau, "A": g.A, "B": g.B, "z_peak": g.z_peak,
@@ -300,29 +309,27 @@ class ConstantLedger:
         }
 
 
-def build_ledger(inp: LedgerInput,
+def build_ledger(inp: LedgerInput, delta: float,
                  sigma: Optional[float] = None) -> ConstantLedger:
-    """Evaluate the whole pipeline once for nominal inputs.
+    """Evaluate the whole pipeline once for nominal inputs and delta.
 
     sigma = None uses the a-priori shift bound 4 * eps_max; this is the
     only place that bound is derived.
     """
-    eps = epsilon_max(inp)
+    eps = epsilon_max(inp, delta)
     if sigma is None:
         sigma = 4.0 * eps.eps_max
-    return ConstantLedger(inputs=inp, sigma_used=sigma,
-                          grad=gradient_constants(inp, sigma=sigma), eps=eps)
+    return ConstantLedger(inputs=inp, delta=delta, sigma_used=sigma,
+                          grad=gradient_constants(inp, delta, sigma), eps=eps)
 
 
-_DELTA_GRID_LO = 1e-4
 _DELTA_GRID_POINTS = 64
 # relative width at which the bisection against the grid stops
 _DELTA_REFINE_REL = 1e-12
 
 
-def delta_for_alpha(alpha_target: float, n: int, p: float, D: float,
-                    C_s: float, Lambda_rough: float):
-    """Largest admissible delta certifying at least alpha_target.
+def delta_for_alpha(alpha_target: float, inp: LedgerInput):
+    """Largest admissible delta certifying at least alpha_target on inp.
 
     For each delta on a logarithmic grid the self-consistent chain
     delta -> eps_max(delta) -> sigma bound 4 eps_max -> alpha(delta) is
@@ -337,16 +344,11 @@ def delta_for_alpha(alpha_target: float, n: int, p: float, D: float,
     if not (0.0 < alpha_target < 1.0):
         raise ValueError(f"alpha_target = {alpha_target} not in (0, 1)")
 
-    def alpha_of(d: float) -> float:
-        li = LedgerInput(n=n, p=p, D=D, delta=d, C_s=C_s,
-                         Lambda_rough=Lambda_rough)
-        return build_ledger(li).grad.alpha
-
-    grid = [_DELTA_GRID_LO * (DELTA_CAP / _DELTA_GRID_LO) ** (i / (
+    grid = [DELTA_SCAN_LO * (DELTA_CAP / DELTA_SCAN_LO) ** (i / (
         _DELTA_GRID_POINTS - 1.0)) for i in range(_DELTA_GRID_POINTS)]
     alphas = {}
     for i in reversed(range(len(grid))):
-        alphas[i] = alpha_of(grid[i])
+        alphas[i] = build_ledger(inp, grid[i]).grad.alpha
         if alphas[i] >= alpha_target:
             break
     else:
@@ -361,7 +363,7 @@ def delta_for_alpha(alpha_target: float, n: int, p: float, D: float,
     hi = grid[i + 1]  # alpha there < target
     while hi - lo > _DELTA_REFINE_REL * hi:
         mid = 0.5 * (lo + hi)
-        a_mid = alpha_of(mid)
+        a_mid = build_ledger(inp, mid).grad.alpha
         if a_mid >= alpha_target:
             lo, a_lo = mid, a_mid
         else:

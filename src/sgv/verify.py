@@ -97,10 +97,8 @@ def check_J_bounds(ground: GroundState, delta: float) -> float:
     return float(np.max(np.abs(J - 1.0)))
 
 
-def check_gradient_estimate(m: Manifold, delta: float,
-                            constants: GradientConstants,
-                            eig: EigenResult,
-                            ground: GroundState) -> float:
+def check_gradient_estimate(delta: float, constants: GradientConstants,
+                            eig: EigenResult, ground: GroundState) -> float:
     """Max over the grid of Q = J|grad u|^2 - lt (1-u^2) - 2 a l1 Z(u).
 
     lt = C1 * lambda1 + C2 with the constants as passed (build them with
@@ -112,8 +110,9 @@ def check_gradient_estimate(m: Manifold, delta: float,
     max over the fiber is attained at one of the two branch values
     Y^2 in {0, 1}, both checked.  Returns the signed margin max Q (must
     be <= ~1e-6 * lt when hypotheses hold).  eig is lambda1's result,
-    and ground the shift potential's ground state on eig's finest grid;
-    ground's pencil gives the gradient its h and closure.
+    whose pencils' manifold gives the mode-1 branch its f, and ground
+    the shift potential's ground state on eig's finest grid; ground's
+    pencil gives the gradient its h and closure.
     """
     if ground.t.size != eig.t.size:
         raise ValueError("ground state and eigenfunction grids differ")
@@ -130,7 +129,7 @@ def check_gradient_estimate(m: Manifold, delta: float,
         return float(np.max(q[sl]))
     if eig.mode > 1:
         raise ValueError("lambda1 lies in fiber mode 0 or 1")
-    f_mid = m.f(eig.t)
+    f_mid = eig.pencils[0].manifold.f(eig.t)
     q0 = J * u * u / (f_mid * f_mid) - lt
     q1 = J * grad * grad - lt * (1.0 - u * u)
     return float(max(np.max(q0[sl]), np.max(q1[sl])))
@@ -206,11 +205,10 @@ def check_main_theorem(m: Manifold, alpha_target: float, p: float,
     check.  Gate failures (kbar above eps_max) are recorded, not raised.
     """
     dia = diameter(m)
-    delta, alpha = delta_for_alpha(alpha_target, m.n, p, dia.hi,
-                                   C_s, Lambda_rough)
-    li = LedgerInput(n=m.n, p=p, D=dia.hi, delta=delta, C_s=C_s,
-                     Lambda_rough=Lambda_rough)
-    eps = epsilon_max(li)
+    inp = LedgerInput(n=m.n, p=p, D=dia.hi, C_s=C_s,
+                      Lambda_rough=Lambda_rough)
+    delta, alpha = delta_for_alpha(alpha_target, inp)
+    eps = epsilon_max(inp, delta)
     kb = kbar(m, p, 0.0)
     hypothesis_met = bool(kb <= eps.eps_max)
 
@@ -220,9 +218,9 @@ def check_main_theorem(m: Manifold, alpha_target: float, p: float,
         sc = check_sigma_bound(eig.pencils, delta, kb=kb)
         sigma, sigma_margin = sc.sigma, sc.margin
         j_dev = check_J_bounds(sc.ground, delta)
-        grad_consts = gradient_constants(li, sigma=max(sigma, 0.0))
+        grad_consts = gradient_constants(inp, delta, max(sigma, 0.0))
         lam_tilde = grad_consts.lambda_tilde(eig.lambda1)
-        grad_margin = check_gradient_estimate(m, delta, grad_consts, eig,
+        grad_margin = check_gradient_estimate(delta, grad_consts, eig,
                                               sc.ground)
     except Exception:
         pass    # a certificate that cannot be computed stays None

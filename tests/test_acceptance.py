@@ -183,8 +183,8 @@ def test_criterion_07_certificates_on_family(family_sigma):
         sc = family_sigma[beta]
         kb = sc.kbar
         eps = epsilon_max(LedgerInput(
-            n=2, p=2.0, D=diameter(m).hi, delta=delta, C_s=2.0,
-            Lambda_rough=0.5)).eps_max
+            n=2, p=2.0, D=diameter(m).hi, C_s=2.0,
+            Lambda_rough=0.5), delta).eps_max
         if kb > eps:
             fails.append(f"beta={beta}: kbar {kb:.2e} > eps {eps:.2e}")
             continue
@@ -211,16 +211,16 @@ def test_criterion_08_gradient_certificate(family_eigs):
         for beta in FAMILY_BETAS:
             m = make_family_manifold(beta)
             D_hi = diameter(m).hi
-            inp = LedgerInput(n=2, p=2.0, D=D_hi, delta=delta,
-                              C_s=2.0, Lambda_rough=0.5)
+            inp = LedgerInput(n=2, p=2.0, D=D_hi, C_s=2.0,
+                              Lambda_rough=0.5)
             kb = kbar(m, 2.0, 0.0)
-            if kb > epsilon_max(inp).eps_max:
+            if kb > epsilon_max(inp, delta).eps_max:
                 continue  # out of hypothesis at this delta
             checked += 1
             eig = family_eigs[beta]
             sc = check_sigma_bound(eig.pencils, delta, kb=kb)
-            g = gradient_constants(inp, sigma=max(sc.sigma, 0.0))
-            margin = check_gradient_estimate(m, delta, g, eig, sc.ground)
+            g = gradient_constants(inp, delta, max(sc.sigma, 0.0))
+            margin = check_gradient_estimate(delta, g, eig, sc.ground)
             lt = g.lambda_tilde(eig.lambda1)
             if margin > 1e-6 * lt:
                 fails.append(f"delta={delta} beta={beta}: "
@@ -233,15 +233,15 @@ def test_criterion_08_gradient_certificate(family_eigs):
 
 
 def test_criterion_09_constant_ledger():
-    eb = epsilon_max(LedgerInput(n=2, p=2.0, D=math.pi, delta=0.1,
-                                 C_s=2.0, Lambda_rough=0.5))
+    eb = epsilon_max(LedgerInput(n=2, p=2.0, D=math.pi, C_s=2.0,
+                                 Lambda_rough=0.5), 0.1)
     want1 = (math.log(9.0 / 8.0) / (math.sqrt(1.5) * math.pi)) ** 2
     rel1 = abs(eb.terms[0] - want1) / want1
     feas, _ = gallot_feasible(eb.terms[0], 2, 2.0, math.pi)
     positive = all(t > 0.0 for t in eb.terms)
     alpha = gradient_constants(
-        LedgerInput(n=2, p=2.0, D=math.pi, delta=0.01, C_s=2.0,
-                    Lambda_rough=0.5), 0.0).alpha
+        LedgerInput(n=2, p=2.0, D=math.pi, C_s=2.0, Lambda_rough=0.5),
+        0.01, 0.0).alpha
     alpha_err = abs(alpha - 0.65926)
     ok = (rel1 <= 1e-10 and feas and eb.A_moser > 1.0 and positive
           and alpha_err <= 1e-4)

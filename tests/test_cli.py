@@ -267,9 +267,9 @@ def test_ledger_plot_is_alpha_of_delta(tmp_path, capsys):
         assert points[0][0] == pytest.approx(1e-4, rel=1e-12)
         assert points[-1][0] == pytest.approx(DELTA_CAP, rel=1e-12)
         for delta, alpha in points:
-            inp = LedgerInput(n=2, p=2.0, D=3.0, delta=delta, C_s=2.0,
-                              Lambda_rough=0.5)
-            assert alpha == gradient_constants(inp, sigma=sigma or 0.0).alpha
+            inp = LedgerInput(n=2, p=2.0, D=3.0, C_s=2.0, Lambda_rough=0.5)
+            assert alpha == gradient_constants(inp, delta,
+                                               sigma or 0.0).alpha
         with open(base + ".svg", encoding="utf-8") as fh:
             assert 'viewBox="0 0 800 600"' in fh.read()
         curves.append(points)
@@ -338,6 +338,11 @@ LEDGER_ARGS = ("ledger", "--n", "2", "--p", "2", "--delta", "0.1",
     (("kbar", "--manifold", "cosine-torus", "--L", "6.2832",
       "--c", "1.0", "--beta", "0.3", "--p", "2", "--H=-inf"),
      "H = -inf must be finite"),
+    # an input error, not the cap's DeltaTooLarge (exit 1)
+    (LEDGER_ARGS + ("--D", "3", "--Cs", "2", "--delta", "0"),
+     "delta = 0.0 must be positive and finite"),
+    (LEDGER_ARGS + ("--D", "3", "--Cs", "2", "--delta", "nan"),
+     "delta = nan must be positive and finite"),
 ])
 def test_non_finite_input_is_config_error(capsys, argv, shown):
     code, out, err = run(capsys, *argv)

@@ -32,10 +32,12 @@ from sgv.constants import DELTA_CAP, DELTA_MAX, _b_exponent_constant
 from sgv.errors import BadExponent, DeltaTooLarge, Unreachable
 
 
-def make_inputs(delta=0.1, n=2, p=2.0, D=math.pi, C_s=10.0,
-                Lambda_rough=0.01):
-    return LedgerInput(n=n, p=p, D=D, delta=delta, C_s=C_s,
-                       Lambda_rough=Lambda_rough)
+def make_inputs(n=2, p=2.0, D=math.pi, C_s=10.0, Lambda_rough=0.01):
+    return LedgerInput(n=n, p=p, D=D, C_s=C_s, Lambda_rough=Lambda_rough)
+
+
+# the inputs of the delta-search tests
+SCAN_INPUTS = make_inputs(D=4.6, C_s=2.0, Lambda_rough=0.5)
 
 
 # ===================================================================
@@ -50,11 +52,15 @@ def test_exponent_gate():
 
 
 def test_delta_cap():
-    make_inputs(delta=DELTA_CAP)  # boundary admissible
-    with pytest.raises(DeltaTooLarge):
-        make_inputs(delta=DELTA_CAP * 1.001)
-    with pytest.raises(DeltaTooLarge):
-        make_inputs(delta=0.0)
+    inp = make_inputs()
+    for at_delta in (lambda d: gradient_constants(inp, d, 0.0),
+                     lambda d: epsilon_max(inp, d)):
+        at_delta(DELTA_CAP)  # boundary admissible
+        with pytest.raises(DeltaTooLarge):
+            at_delta(DELTA_CAP * 1.001)
+        # not a bound violation: delta must be positive
+        with pytest.raises(ValueError):
+            at_delta(0.0)
 
 
 def test_delta_max_is_the_B_root():
@@ -74,12 +80,11 @@ def test_basic_positivity_checks():
     with pytest.raises(ValueError):
         make_inputs(Lambda_rough=-1.0)
     with pytest.raises(ValueError):
-        gradient_constants(make_inputs(), -0.5)
+        gradient_constants(make_inputs(), 0.1, -0.5)
     with pytest.raises(ValueError):
-        build_ledger(make_inputs(), -0.5)
+        build_ledger(make_inputs(), 0.1, -0.5)
     with pytest.raises(ValueError):
-        LedgerInput(n=1, p=2.0, D=1.0, delta=0.1, C_s=1.0,
-                    Lambda_rough=1.0)
+        LedgerInput(n=1, p=2.0, D=1.0, C_s=1.0, Lambda_rough=1.0)
 
 
 def test_dimension_must_be_an_integer():
@@ -101,7 +106,7 @@ def test_integral_float_dimension_is_stored_as_int():
 # ===================================================================
 
 def test_tau_A_B_closed_forms():
-    g = gradient_constants(make_inputs(delta=0.1), 0.0)
+    g = gradient_constants(make_inputs(), 0.1, 0.0)
     assert g.tau == 17.0
     assert g.A == pytest.approx(2.0 * 0.1 * 1.1, rel=1e-15)
     assert g.B == pytest.approx(0.1 * 5.1 / 0.9, rel=1e-15)
@@ -109,8 +114,8 @@ def test_tau_A_B_closed_forms():
 
 def test_slope_and_alpha_frozen():
     g = gradient_constants(
-        LedgerInput(n=2, p=2.0, D=math.pi, delta=0.01, C_s=2.0,
-                    Lambda_rough=0.5), 0.0)
+        LedgerInput(n=2, p=2.0, D=math.pi, C_s=2.0, Lambda_rough=0.5),
+        0.01, 0.0)
     assert g.C1 == pytest.approx(1.4865343659421952, rel=1e-14)
     assert g.C2 == 0.0
     assert g.b == g.C1
@@ -118,21 +123,21 @@ def test_slope_and_alpha_frozen():
 
 
 def test_alpha_decreases_with_delta_at_zero_sigma():
-    alphas = [gradient_constants(make_inputs(delta=d), 0.0).alpha
+    alphas = [gradient_constants(make_inputs(), d, 0.0).alpha
               for d in (0.005, 0.01, 0.05, 0.1)]
     assert all(a > b for a, b in zip(alphas, alphas[1:]))
     assert alphas[2] == pytest.approx(0.31819969349876487, rel=1e-13)
 
 
 def test_offset_scales_linearly_in_sigma():
-    g1 = gradient_constants(make_inputs(delta=0.05), 0.2)
-    g2 = gradient_constants(make_inputs(delta=0.05), 0.4)
+    g1 = gradient_constants(make_inputs(), 0.05, 0.2)
+    g2 = gradient_constants(make_inputs(), 0.05, 0.4)
     assert g2.C2 == pytest.approx(2.0 * g1.C2, rel=1e-14)
     assert g1.C1 == g2.C1
 
 
 def test_lambda_tilde_line():
-    g = gradient_constants(make_inputs(delta=0.1), 0.3)
+    g = gradient_constants(make_inputs(), 0.1, 0.3)
     lam = 2.345
     assert g.lambda_tilde(lam) == pytest.approx(g.C1 * lam + g.C2,
                                                 rel=1e-15)
@@ -143,7 +148,7 @@ def test_z_peak_is_z_sup_by_linearity():
     # the eta = 1 peak reproduces z_sup bit for bit
     for i in range(1, 2002):
         d = DELTA_CAP * i / 2001
-        g = gradient_constants(make_inputs(delta=d), 0.0)
+        g = gradient_constants(make_inputs(), d, 0.0)
         assert g.z_peak == z_sup(1.0 + d)[1], d
 
 
@@ -203,7 +208,7 @@ def test_B_pn_closed_form_n2_p2():
 
 
 def test_terms_frozen_reference():
-    eb = epsilon_max(make_inputs())
+    eb = epsilon_max(make_inputs(), 0.1)
     assert eb.terms[0] == pytest.approx(0.0009370752818219464, rel=1e-13)
     assert eb.terms[1] == pytest.approx(2.604166666666667e-05, rel=1e-13)
     assert eb.terms[2] == pytest.approx(2.2780350741570304e-11, rel=1e-12)
@@ -217,8 +222,8 @@ def test_terms_frozen_reference():
 
 
 def test_term_closed_forms():
-    inp = make_inputs(delta=0.08, C_s=3.0, D=2.5)
-    eb = epsilon_max(inp)
+    inp = make_inputs(C_s=3.0, D=2.5)
+    eb = epsilon_max(inp, 0.08)
     d = 0.08
     B_pn = _b_exponent_constant(2.0, 2)
     at = math.log1p(2.0 ** -3.0) / (B_pn * 2.5)
@@ -236,13 +241,13 @@ def test_term_closed_forms():
 
 
 def test_term1_special_value_ln98():
-    eb = epsilon_max(make_inputs(D=math.pi))
+    eb = epsilon_max(make_inputs(D=math.pi), 0.1)
     want = (math.log(9.0 / 8.0) / (math.sqrt(1.5) * math.pi)) ** 2
     assert eb.terms[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_gallot_boundary():
-    eb = epsilon_max(make_inputs())
+    eb = epsilon_max(make_inputs(), 0.1)
     ok, at = gallot_feasible(eb.terms[0], 2, 2.0, math.pi)
     assert ok
     assert at == pytest.approx(eb.alpha_tilde, rel=1e-15)
@@ -253,7 +258,7 @@ def test_gallot_boundary():
 
 
 def test_eps_decreases_with_sobolev_constant():
-    es = [epsilon_max(make_inputs(C_s=cs)).eps_max
+    es = [epsilon_max(make_inputs(C_s=cs), 0.1).eps_max
           for cs in (1.0, 2.0, 5.0, 10.0)]
     assert all(a > b for a, b in zip(es, es[1:]))
 
@@ -263,17 +268,17 @@ def test_eps_decreases_with_sobolev_constant():
 # ===================================================================
 
 def test_build_ledger_consistency():
-    inp = make_inputs(delta=0.1)
-    led = build_ledger(inp)
-    eb = epsilon_max(inp)
+    inp = make_inputs()
+    led = build_ledger(inp, 0.1)
+    eb = epsilon_max(inp, 0.1)
     assert led.sigma_used == pytest.approx(4.0 * eb.eps_max, rel=1e-15)
     assert led.eps == eb
-    g = gradient_constants(inp, sigma=led.sigma_used)
+    g = gradient_constants(inp, 0.1, led.sigma_used)
     assert led.grad == g
 
 
 def test_ledger_dict_flattens_terms():
-    d = build_ledger(make_inputs()).to_dict()
+    d = build_ledger(make_inputs(), 0.1).to_dict()
     for key in ("term1", "term2", "term3", "term4", "alpha", "eps_max",
                 "tau", "C1", "C2", "K1", "K2", "A_moser", "sigma_used"):
         assert key in d, key
@@ -282,7 +287,7 @@ def test_ledger_dict_flattens_terms():
 
 
 def test_explicit_sigma_respected_in_ledger():
-    led = build_ledger(make_inputs(), 0.0)
+    led = build_ledger(make_inputs(), 0.1, 0.0)
     assert led.sigma_used == 0.0
     assert led.grad.C2 == 0.0
 
@@ -292,8 +297,8 @@ def test_explicit_sigma_respected_in_ledger():
 # ===================================================================
 
 def test_delta_for_alpha_roots():
-    d5, a5 = delta_for_alpha(0.5, 2, 2.0, 4.6, 2.0, 0.5)
-    d3, a3 = delta_for_alpha(0.3, 2, 2.0, 4.6, 2.0, 0.5)
+    d5, a5 = delta_for_alpha(0.5, SCAN_INPUTS)
+    d3, a3 = delta_for_alpha(0.3, SCAN_INPUTS)
     assert a5 >= 0.5
     assert a3 >= 0.3
     assert d5 == pytest.approx(0.023551808018397416, rel=1e-9)
@@ -303,20 +308,18 @@ def test_delta_for_alpha_roots():
 
 def test_delta_for_alpha_unreachable():
     with pytest.raises(Unreachable) as exc:
-        delta_for_alpha(0.99, 2, 2.0, 4.6, 2.0, 0.5)
+        delta_for_alpha(0.99, SCAN_INPUTS)
     assert 0.0 < exc.value.best_alpha < 0.99
     assert 0.0 < exc.value.best_delta <= DELTA_CAP
 
 
-def full_grid_delta_for_alpha(alpha_target, n, p, D, C_s, Lambda_rough):
+def full_grid_delta_for_alpha(alpha_target, inp):
     """Every grid point evaluated, then the largest qualifying one
     bisected against its neighbor (reference)."""
     def alpha_of(d):
-        li = LedgerInput(n=n, p=p, D=D, delta=d, C_s=C_s,
-                         Lambda_rough=Lambda_rough)
-        return build_ledger(li).grad.alpha
+        return build_ledger(inp, d).grad.alpha
 
-    lo_d = sgv.constants._DELTA_GRID_LO
+    lo_d = sgv.constants.DELTA_SCAN_LO
     points = sgv.constants._DELTA_GRID_POINTS
     grid = [lo_d * (DELTA_CAP / lo_d) ** (i / (points - 1.0))
             for i in range(points)]
@@ -343,7 +346,7 @@ def full_grid_delta_for_alpha(alpha_target, n, p, D, C_s, Lambda_rough):
 # 1e-6: the top grid point qualifies; 0.99: no point does
 @pytest.mark.parametrize("alpha_target", [0.5, 0.3, 1e-6, 0.99])
 def test_delta_for_alpha_scans_from_the_top(monkeypatch, alpha_target):
-    args = (alpha_target, 2, 2.0, 4.6, 2.0, 0.5)
+    args = (alpha_target, SCAN_INPUTS)
     want = full_grid_delta_for_alpha(*args)
     ledgers = []
     build = sgv.constants.build_ledger
@@ -362,9 +365,9 @@ def test_delta_for_alpha_scans_from_the_top(monkeypatch, alpha_target):
 
 def test_delta_for_alpha_target_validated():
     with pytest.raises(ValueError):
-        delta_for_alpha(1.0, 2, 2.0, 4.6, 2.0, 0.5)
+        delta_for_alpha(1.0, SCAN_INPUTS)
     with pytest.raises(ValueError):
-        delta_for_alpha(0.0, 2, 2.0, 4.6, 2.0, 0.5)
+        delta_for_alpha(0.0, SCAN_INPUTS)
 
 
 # ===================================================================

@@ -1,7 +1,7 @@
 """Tests for the admissibility rules of sgv.errors.
 
 The theorem needs an exponent p > n/2 and finite positive D, C_s,
-Lambda_rough, eta and b.  Every entry point that reads one of them must
+Lambda_rough, delta, eta and b.  Every entry point that reads one of them must
 reject NaN, +inf, -inf and 0.0 with the rule's own error: BadExponent
 for p, ValueError otherwise.  A comparison of the form `x <= 0.0` lets
 NaN through, so each case here fails if its rule is written that way.
@@ -13,16 +13,19 @@ import math
 
 import pytest
 
-from sgv.constants import (LedgerInput, gallot_feasible, gradient_constants,
+from sgv.constants import (LedgerInput, build_ledger, epsilon_max,
+                           gallot_feasible, gradient_constants,
                            moser_constant, reference_bounds)
 from sgv.errors import BadExponent
 from sgv.geometry import kbar, make_manifold
 from sgv.modelode import (check_model_inequalities, sharpness_integral,
                           z_sup, z_value)
 
-LEDGER = dict(n=2, p=2.0, D=3.5, delta=0.1, C_s=2.0, Lambda_rough=0.5)
+LEDGER = dict(n=2, p=2.0, D=3.5, C_s=2.0, Lambda_rough=0.5)
 WAVY = make_manifold("cosine", L=2.0 * math.pi, c=1.0, beta=0.3)
 
+# an admissible value of the quantities CASES set where 1.1 is not one
+VALID = {"p": 2.0, "delta": 0.1}
 # (entry point, quantity) -> a call with that quantity set to v
 CASES = {
     "LedgerInput-p": lambda v: LedgerInput(**{**LEDGER, "p": v}),
@@ -30,6 +33,10 @@ CASES = {
     "LedgerInput-C_s": lambda v: LedgerInput(**{**LEDGER, "C_s": v}),
     "LedgerInput-Lambda_rough":
         lambda v: LedgerInput(**{**LEDGER, "Lambda_rough": v}),
+    "epsilon_max-delta": lambda v: epsilon_max(LedgerInput(**LEDGER), v),
+    "gradient_constants-delta":
+        lambda v: gradient_constants(LedgerInput(**LEDGER), v, 0.0),
+    "build_ledger-delta": lambda v: build_ledger(LedgerInput(**LEDGER), v),
     "moser_constant-C_s": lambda v: moser_constant(v, 2.0, 2, 1.0),
     "moser_constant-p": lambda v: moser_constant(2.0, v, 2, 1.0),
     "moser_constant-psi_norm": lambda v: moser_constant(2.0, 2.0, 2, v),
@@ -86,19 +93,19 @@ def test_entry_point_rejects_inadmissible_dimension(case, value):
 
 def test_sigma_nan_is_rejected():
     with pytest.raises(ValueError, match="sigma = nan must be >= 0"):
-        gradient_constants(LedgerInput(**LEDGER), math.nan)
+        gradient_constants(LedgerInput(**LEDGER), 0.1, math.nan)
 
 
 def test_sigma_inf_is_rejected():
     # named as the cause, not as the alpha = 0 its C2 term would give
     with pytest.raises(ValueError,
                        match="sigma = inf must be >= 0 and finite"):
-        gradient_constants(LedgerInput(**LEDGER), math.inf)
+        gradient_constants(LedgerInput(**LEDGER), 0.1, math.inf)
 
 
 def test_valid_inputs_pass_every_rule():
     for case, call in CASES.items():
-        call(2.0 if case.endswith("-p") else 1.1)
+        call(VALID.get(case.rsplit("-", 1)[1], 1.1))
     for call in FINITE_CASES.values():
         for H in (-1.0, 0.0, 1e-3):
             call(H)

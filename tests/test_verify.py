@@ -183,10 +183,9 @@ def test_J_reuses_supplied_ground_state():
 
 def test_gradient_margin_flat_torus_nonpositive():
     m = make_manifold("constant", L=TWO_PI, c=0.1)
-    li = LedgerInput(n=2, p=2.0, D=4.0, delta=0.1, C_s=2.0,
-                     Lambda_rough=0.5)
-    g = gradient_constants(li, sigma=0.0)
-    margin = check_gradient_estimate(m, 0.1, g, lambda1(m),
+    li = LedgerInput(n=2, p=2.0, D=4.0, C_s=2.0, Lambda_rough=0.5)
+    g = gradient_constants(li, 0.1, 0.0)
+    margin = check_gradient_estimate(0.1, g, lambda1(m),
                                      finest_ground(m, 0.1))
     lam = 1.0
     assert margin <= 1e-6 * g.lambda_tilde(lam)
@@ -195,37 +194,34 @@ def test_gradient_margin_flat_torus_nonpositive():
 def test_gradient_margin_cosine_family():
     m = make_cosine(1e-8)
     sc = check_sigma_bound(ground_pencils(m), 0.1, kb=kbar(m, 2.0, 0.0))
-    li = LedgerInput(n=2, p=2.0, D=4.0, delta=0.1, C_s=2.0,
-                     Lambda_rough=0.5)
-    g = gradient_constants(li, sigma=max(sc.sigma, 0.0))
+    li = LedgerInput(n=2, p=2.0, D=4.0, C_s=2.0, Lambda_rough=0.5)
+    g = gradient_constants(li, 0.1, max(sc.sigma, 0.0))
     eig = lambda1(m)
-    margin = check_gradient_estimate(m, 0.1, g, eig, sc.ground)
+    margin = check_gradient_estimate(0.1, g, eig, sc.ground)
     assert margin <= 1e-6 * g.lambda_tilde(eig.lambda1)
 
 
 def test_gradient_grid_mismatch_rejected():
     m = make_cosine(1e-8)
-    li = LedgerInput(n=2, p=2.0, D=4.0, delta=0.1, C_s=2.0,
-                     Lambda_rough=0.5)
-    g = gradient_constants(li, sigma=0.0)
+    li = LedgerInput(n=2, p=2.0, D=4.0, C_s=2.0, Lambda_rough=0.5)
+    g = gradient_constants(li, 0.1, 0.0)
     eig = lambda1(m, grids=(256, 512, 1024))
     gs, = schrodinger_ground(chain_pencils(m, 0, (2048,)),
                              shift_potential(m, 0.1))
     with pytest.raises(ValueError):
-        check_gradient_estimate(m, 0.1, g, eig, gs)
+        check_gradient_estimate(0.1, g, eig, gs)
 
 
 def test_gradient_rejects_fiber_mode_above_one():
     # the mode-1 branches use the degree-1 harmonic's fiber factor 1; a
     # caller's eigenpair in a higher mode must not be checked with it
     m = make_manifold("constant", L=TWO_PI, c=3.0)
-    li = LedgerInput(n=2, p=2.0, D=4.0, delta=0.1, C_s=2.0,
-                     Lambda_rough=0.5)
-    g = gradient_constants(li, sigma=0.0)
+    li = LedgerInput(n=2, p=2.0, D=4.0, C_s=2.0, Lambda_rough=0.5)
+    g = gradient_constants(li, 0.1, 0.0)
     eig = lambda1(m)
     assert eig.mode == 1
     with pytest.raises(ValueError):
-        check_gradient_estimate(m, 0.1, g, replace(eig, mode=2),
+        check_gradient_estimate(0.1, g, replace(eig, mode=2),
                                 finest_ground(m, 0.1))
 
 
@@ -239,12 +235,13 @@ def test_gradient_gate_fails_below_lambda_tilde(m):
     # a real violation, which must fail the same gate
     rec = check_main_theorem(m, 0.9, 2.0, 2.0, 0.5)
     assert rec.gradient_margin <= 1e-6 * rec.lambda_tilde
-    li = LedgerInput(n=2, p=2.0, D=rec.diameter_hi, delta=rec.delta,
-                     C_s=2.0, Lambda_rough=0.5)
-    g = gradient_constants(li, sigma=max(rec.sigma_measured, 0.0))
+    li = LedgerInput(n=2, p=2.0, D=rec.diameter_hi, C_s=2.0,
+                     Lambda_rough=0.5)
+    g = gradient_constants(li, rec.delta,
+                           max(rec.sigma_measured, 0.0))
     assert g.lambda_tilde(rec.lambda1) == rec.lambda_tilde
     low = replace(g, C1=0.9 * g.C1, C2=0.9 * g.C2)
-    margin = check_gradient_estimate(m, rec.delta, low, lambda1(m),
+    margin = check_gradient_estimate(rec.delta, low, lambda1(m),
                                      finest_ground(m, rec.delta))
     assert margin > 1e-6 * low.lambda_tilde(rec.lambda1)
 
@@ -388,13 +385,13 @@ def test_record_solves_kbar_once_and_reuses_finest_ground(monkeypatch):
     assert rec.sigma_measured == sc.sigma
     assert rec.sigma_bound_margin == sc.margin
     assert rec.kbar == sc.kbar
-    li = LedgerInput(n=2, p=2.0, D=rec.diameter_hi, delta=rec.delta,
-                     C_s=2.0, Lambda_rough=0.5)
-    g = gradient_constants(li, sigma=max(sc.sigma, 0.0))
+    li = LedgerInput(n=2, p=2.0, D=rec.diameter_hi, C_s=2.0,
+                     Lambda_rough=0.5)
+    g = gradient_constants(li, rec.delta, max(sc.sigma, 0.0))
     eig = lambda1(m)
     assert rec.gradient_margin is not None
     assert rec.gradient_margin == check_gradient_estimate(
-        m, rec.delta, g, eig, finest_ground(m, rec.delta))
+        rec.delta, g, eig, finest_ground(m, rec.delta))
 
 
 @pytest.mark.parametrize("c, modes", [(1.0, (0, 1)), (0.2, (0,))],
@@ -416,6 +413,23 @@ def test_record_assembles_each_pencil_once(monkeypatch, c, modes):
     assert rec.sigma_measured is not None
     assert sorted(calls) == [(k, N) for k in modes
                              for N in (16,) + DEFAULT_GRIDS]
+
+
+def test_record_checks_its_ledger_inputs_once(monkeypatch):
+    # the delta scan and the record's own ledger calls share one
+    # LedgerInput; with delta among its fields, each scan point built
+    # and checked its own (49 on this record)
+    calls = []
+    check = LedgerInput.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        check(self)
+
+    monkeypatch.setattr(LedgerInput, "__post_init__", counted)
+    rec = check_main_theorem(make_cosine(0.3), 0.3, 2.0, 2.0, 0.5)
+    assert rec.gradient_margin is not None
+    assert len(calls) == 1
 
 
 def test_record_leaves_no_reference_cycle():
