@@ -22,8 +22,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .constants import (DELTA_CAP, DELTA_SCAN_LO, LedgerInput, build_ledger,
-                        gradient_constants)
+from .constants import (DELTA_CAP, DELTA_SCAN_LO, LedgerInput,
+                        _require_delta, build_ledger, gradient_constants)
 from .errors import ConfigError, SgvError
 from .geometry import diameter, kbar, make_manifold, ricci_min, volume
 from .modelode import U_GRID, check_model_inequalities, z_sup
@@ -176,6 +176,7 @@ def _cmd_ledger(args) -> int:
 
 
 def _cmd_ode_check(args) -> int:
+    _require_delta(args.delta)
     payload = check_model_inequalities(args.eta, 1.0 - args.delta,
                                        min(args.eta, 1.0 + args.delta),
                                        u_grid=args.u_grid)

@@ -20,7 +20,7 @@ pencils `chain_pencils(m, k, grids)` assembles: the lowest (index 0) or
 second-lowest (index 1) pair of each, less diag(V) where a potential is
 given.  It starts from the first, the same pencil on 16 cells,
 B = M^{-1/2} K M^{-1/2} written out with its cyclic corner and solved
-densely (`_eigenpair` without a start).  Each grid then continues the
+densely (`_pair` without a start).  Each grid then continues the
 pair of the grid before (`_continued_pair`): the pair, interpolated
 onto the grid, starts Rayleigh-quotient iteration, one O(N) tridiagonal
 solve per step (B = T + u u^T through Sherman-Morrison where it is
@@ -76,7 +76,13 @@ class Discretization:
 
     def apply_sym(self, x: np.ndarray) -> np.ndarray:
         """B @ x for a vector x."""
-        return _apply(self.sym_d, self.sym_e, x, self.sym_corner)
+        y = self.sym_d * x
+        y[1:] += self.sym_e * x[:-1]
+        y[:-1] += self.sym_e * x[1:]
+        if self.sym_corner != 0.0:
+            y[0] += self.sym_corner * x[-1]
+            y[-1] += self.sym_corner * x[0]
+        return y
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
         """Laplace-Beltrami -M^{-1} K of midpoint samples (k = 0 pencil).
@@ -87,19 +93,6 @@ class Discretization:
         root_m = np.sqrt(self.mass)
         return -self.apply_sym(np.asarray(values, dtype=float) * root_m) \
             / root_m
-
-
-def _apply(d: np.ndarray, e: np.ndarray, x: np.ndarray,
-           corner: float = 0.0) -> np.ndarray:
-    """(d, e) @ x for the symmetric tridiagonal with diagonal d and
-    off-diagonal e, plus `corner` at (0, -1) and (-1, 0)."""
-    y = d * x
-    y[1:] += e * x[:-1]
-    y[:-1] += e * x[1:]
-    if corner != 0.0:
-        y[0] += corner * x[-1]
-        y[-1] += corner * x[0]
-    return y
 
 
 def assemble(m: Manifold, k: int, N: int) -> Discretization:
@@ -275,20 +268,30 @@ def _continued_pair(dis: Discretization, index: int,
     return x
 
 
-def _eigenpair(dis: Discretization, index: int,
-               start: Optional[tuple] = None) -> tuple:
-    """(eigenvalue, eigenfunction at the cell midpoints) of the pencil.
+def _pair(dis: Discretization, index: int, V: Optional[Callable],
+          start: Optional[tuple] = None) -> tuple:
+    """(eigenvalue, eigenfunction at the cell midpoints) of the index-th
+    pair of dis less diag(V(tm)).
 
     index 0 is the lowest pair, index 1 the second lowest (on a k = 0
-    pencil without potential, the first above the constants).  Without
-    start, B is written out, cyclic corner included, and solved densely
-    (numpy's eigh).  start = (value, eigenfunction, tm) is the same
-    pencil's pair on another grid, and `_continued_pair` refines it.
+    pencil without potential, the first above the constants).  A k = 0,
+    index 0 pencil whose V vanishes on the grid is the plain Laplacian,
+    whose lowest pair is exactly 0 at the constants: that pair is
+    returned, with no solve, instead of eigensolver rounding (~eps/h^2),
+    which would leak sign noise into sigma margins.  Without start, B is
+    written out, cyclic corner included, and solved densely (numpy's
+    eigh).  start = (value, eigenfunction, tm) is the same pencil's pair
+    on another grid, and `_continued_pair` refines it.
 
     The value is the Rayleigh quotient of the vector against B, which
     places it to about eps ||B|| / sqrt(N).  A non-finite pencil raises
     ValueError, since eigh would return NaN without raising.
     """
+    shift = 0.0 if V is None else np.asarray(V(dis.tm), dtype=float)
+    if dis.k == 0 and index == 0 and not np.any(shift):
+        return 0.0, np.ones(dis.tm.size)
+    if V is not None:
+        dis = replace(dis, sym_d=dis.sym_d - shift)
     for a in (dis.sym_d, dis.sym_e, dis.sym_corner):
         np.asarray_chkfinite(a)
     if start is None:
@@ -311,32 +314,17 @@ def chain_pencils(m: Manifold, k: int, grids: Sequence[int]) -> tuple:
                      for N in grids))
 
 
-def _pair(first: Discretization, dis: Discretization, index: int,
-          V: Optional[Callable], start: Optional[tuple]) -> tuple:
-    """(value, eigenfunction) of the index-th pair of dis less diag(V(tm)),
-    continued from start, or else from the dense solve of the start
-    pencil first (or that solve, where dis is first).  A k = 0, index 0
-    pencil whose V vanishes on the grid is the plain Laplacian, whose
-    lowest pair is exactly 0 at the constants: that pair is returned,
-    with no solve, instead of eigensolver rounding (~eps/h^2), which
-    would leak sign noise into sigma margins.
-    """
-    shift = 0.0 if V is None else np.asarray(V(dis.tm), dtype=float)
-    if dis.k == 0 and index == 0 and not np.any(shift):
-        return 0.0, np.ones(dis.tm.size)
-    if start is None and dis is not first:
-        start = *_pair(first, first, index, V, None), first.tm
-    solved = dis if V is None else replace(dis, sym_d=dis.sym_d - shift)
-    return _eigenpair(solved, index, start)
-
-
 def _chain(pencils: Sequence[Discretization], index: int,
            V: Optional[Callable] = None):
     """Yield (value, eigenfunction, pencil without V) of the index-th
-    pair of each pencil after the start, pencils[0] (`_pair`)."""
-    start = None
+    pair of each pencil after the start pencil pencils[0], whose dense
+    solve starts the first grid that is not pencils[0] itself; each grid
+    after it continues the one before."""
+    first = pencils[0]
+    start = None if pencils[1] is first \
+        else (*_pair(first, index, V), first.tm)
     for dis in pencils[1:]:
-        value, phi = _pair(pencils[0], dis, index, V, start)
+        value, phi = _pair(dis, index, V, start)
         start = value, phi, dis.tm
         yield value, phi, dis
 

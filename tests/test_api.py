@@ -17,6 +17,8 @@ Covers:
 - every parameter with a default, of a function of the package, is
   passed by some call in the package or the benchmark: an option no
   caller sets is a second writing of its default
+- every such parameter of a private function is left out by some call
+  in the package: a default that every call overrides is never used
 - `import sgv.cli` loads neither scipy.linalg nor any of scipy's
   heavier subpackages, nor numpy.f2py or numpy.testing (which
   scipy.linalg's package init pulls in): they would set the CLI's cold
@@ -257,18 +259,25 @@ def _passes(call: ast.Call, name: str, position) -> bool:
             or position is not None and len(call.args) > position)
 
 
-def test_every_default_has_a_caller_that_sets_it():
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for folder in ("src/sgv", "perfbench")
-             for path in sorted((ROOT / folder).glob("*.py"))}
+def _calls(trees) -> dict:
+    """Every call in the trees, by the name it calls: a function's, or a
+    method's attribute."""
     calls = {}
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) \
                     else getattr(func, "id", None)
                 calls.setdefault(name, []).append(node)
+    return calls
+
+
+def test_every_default_has_a_caller_that_sets_it():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for folder in ("src/sgv", "perfbench")
+             for path in sorted((ROOT / folder).glob("*.py"))}
+    calls = _calls(trees.values())
     options = [(path.stem, entry) for path, tree in trees.items()
                if path.parent.name == "sgv"
                for entry in _defaulted_parameters(tree)]
@@ -278,6 +287,22 @@ def test_every_default_has_a_caller_that_sets_it():
              if not any(_passes(call, name, position)
                         for call in calls.get(callee, ()))]
     assert not unset
+
+
+def test_every_private_default_is_omitted_by_some_call():
+    # a private function's default that every call in the package
+    # overrides is never used: the parameter should have none
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src/sgv").glob("*.py"))]
+    calls = _calls(trees)
+    options = [entry for tree in trees
+               for entry in _defaulted_parameters(tree)
+               if entry[0].startswith("_") and not entry[0].endswith("__")]
+    assert ("_chain", "V", 2) in options
+    always = [f"{callee}({name})" for callee, name, position in options
+              if all(_passes(call, name, position)
+                     for call in calls.get(callee, ()))]
+    assert not always
 
 
 _NUMBER = re.compile(r"True|False|[-+]?\d+(?:\.\d+)?(?:e[-+]?\d+)?")

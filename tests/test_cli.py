@@ -249,6 +249,15 @@ def test_ledger_delta_cap_enforced(capsys):
     assert "DeltaTooLarge" in err
 
 
+def test_ode_check_delta_cap_enforced(capsys):
+    # above the cap, delta = 0.5 certified the J window [0.5, 1.1]
+    code, out, err = run(capsys, "ode-check", "--eta", "1.1",
+                         "--delta", "0.5")
+    assert code == 1
+    assert out == ""
+    assert "DeltaTooLarge" in err
+
+
 def test_ledger_plot_is_alpha_of_delta(tmp_path, capsys):
     # 41 deltas from 1e-4 to the cap, each alpha the ledger's own, at
     # sigma = 0 unless --sigma is given
@@ -343,6 +352,13 @@ LEDGER_ARGS = ("ledger", "--n", "2", "--p", "2", "--delta", "0.1",
      "delta = 0.0 must be positive and finite"),
     (LEDGER_ARGS + ("--D", "3", "--Cs", "2", "--delta", "nan"),
      "delta = nan must be positive and finite"),
+    # ode-check reads its J window from delta by the ledger's rule
+    (("ode-check", "--eta", "1.1", "--delta", "0"),
+     "delta = 0.0 must be positive and finite"),
+    (("ode-check", "--eta", "1.1", "--delta", "nan"),
+     "delta = nan must be positive and finite"),
+    (("ode-check", "--eta", "1.1", "--delta", "inf"),
+     "delta = inf must be positive and finite"),
 ])
 def test_non_finite_input_is_config_error(capsys, argv, shown):
     code, out, err = run(capsys, *argv)

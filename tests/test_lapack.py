@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from sgv import _lapack, make_manifold
 from sgv.geometry import _CubicSpline
-from sgv.spectral import _eigenpair, assemble
+from sgv.spectral import _pair, assemble
 
 
 @st.composite
@@ -79,7 +79,7 @@ def test_non_finite_diagonal_raises_in_bisection():
     d = dis.sym_d.copy()
     d[5] = np.nan
     with pytest.raises(ValueError, match="infs or NaNs"):
-        _eigenpair(replace(dis, sym_d=d), 1)
+        _pair(replace(dis, sym_d=d), 1, None)
 
 
 @pytest.mark.parametrize("periodic", [False, True])

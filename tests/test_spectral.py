@@ -17,7 +17,6 @@ ground state that changes sign, and an order outside lambda1's window.
 import importlib.util
 import math
 import pathlib
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -44,8 +43,8 @@ from sgv.errors import (DegenerateRange, NoConvergence, NonPositiveGround,
 from sgv.spectral import (
     DEFAULT_GRIDS,
     _chain,
-    _eigenpair,
     _extrapolate,
+    _pair,
     _peak,
     assemble,
     eigenfunction_u,
@@ -309,11 +308,11 @@ def test_chain_pencils_reuse_the_start_pencil(monkeypatch):
     assert [dis.tm.size for dis in pencils] == [16, 16, 32, 64]
     starts = []
 
-    def eigenpair(dis, index, start=None):
+    def pair(dis, index, V, start=None):
         starts.append((dis.tm.size, start is None))
-        return _eigenpair(dis, index, start)
+        return _pair(dis, index, V, start)
 
-    monkeypatch.setattr(sgv.spectral, "_eigenpair", eigenpair)
+    monkeypatch.setattr(sgv.spectral, "_pair", pair)
     assert len(list(_chain(pencils, 1))) == 3
     assert starts == [(16, True), (32, False), (64, False)]
 
@@ -379,19 +378,20 @@ def test_eigenpair_matches_dense_eigh(case, k, index, schrodinger):
 
 
 def check_against_dense(m, k, N, index, schrodinger, start=None):
-    """Check `_eigenpair` (continued from start, if given) against dense
+    """Check `_pair` (continued from start, if given) against dense
     eigh of the written-out pencil; returns the start it gives the next
     grid."""
     dis = assemble(m, k, N)
     K, M = dense_pencil(m, k, N)
     root_m = np.sqrt(M)
     B = K / np.outer(root_m, root_m)
+    V = None
     if schrodinger:
-        V = 0.4 * (1.0 + np.cos(dis.tm))
-        B -= np.diag(V)
-        dis = replace(dis, sym_d=dis.sym_d - V)
+        def V(t):
+            return 0.4 * (1.0 + np.cos(t))
+        B -= np.diag(V(dis.tm))
     vals, vecs = np.linalg.eigh(B)
-    lam, phi = _eigenpair(dis, index, start)
+    lam, phi = _pair(dis, index, V, start)
     eps_norm = np.finfo(float).eps * np.linalg.norm(B, 2)
     assert abs(lam - vals[index]) <= 16.0 * eps_norm
     # the wanted pair is simple, so its vector is determined up to sign
@@ -473,9 +473,9 @@ def test_tied_pair_continues_the_chain(monkeypatch, m):
     fallbacks = counting_fallbacks(monkeypatch)
     for k, index in ((0, 1), (0, 0), (1, 0)):
         coarse = assemble(m, k, 128)
-        start = (*_eigenpair(coarse, index), coarse.tm)
+        start = (*_pair(coarse, index, None), coarse.tm)
         dis = assemble(m, k, 256)
-        lam, phi = _eigenpair(dis, index, start)
+        lam, phi = _pair(dis, index, None, start)
         K, M = dense_pencil(m, k, 256)
         root_m = np.sqrt(M)
         vals = np.linalg.eigvalsh(K / np.outer(root_m, root_m))
@@ -534,14 +534,15 @@ def test_chain_matches_dense_eigh_on_asymmetric_splines(
     K, M = dense_pencil(m, k, N)
     root_m = np.sqrt(M)
     B = K / np.outer(root_m, root_m)
+    V = None
     if potential:
-        V = potential * rng.random(N)
-        B -= np.diag(V)
-        dis = replace(dis, sym_d=dis.sym_d - V)
-        coarse = replace(coarse, sym_d=coarse.sym_d - np.interp(
-            coarse.tm, dis.tm, V, period=TWO_PI))
-    start = (*_eigenpair(coarse, index), coarse.tm)
-    lam, phi = _eigenpair(dis, index, start)
+        samples = potential * rng.random(N)
+        B -= np.diag(samples)
+
+        def V(t):
+            return np.interp(t, dis.tm, samples, period=TWO_PI)
+    start = (*_pair(coarse, index, V), coarse.tm)
+    lam, phi = _pair(dis, index, V, start)
     floor = 16.0 * np.finfo(float).eps * np.linalg.norm(B, 2)
     assert abs(lam - np.linalg.eigvalsh(B)[index]) <= floor
     v = phi * root_m

@@ -648,7 +648,7 @@ def test_refused_ground_chain_is_solved_once(monkeypatch):
     # and the record solves it once: lambda1's two fiber modes take a
     # dense start and three grids each, the ground chain a dense start,
     # 512 and 1024 cells.  J and the gradient are not attempted
-    calls = {"schrodinger_ground": 0, "_eigenpair": 0}
+    calls = {"schrodinger_ground": 0, "_pair": 0}
 
     def counted(module, name):
         inner = getattr(module, name)
@@ -659,15 +659,36 @@ def test_refused_ground_chain_is_solved_once(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(sgv.verify, "schrodinger_ground")
-    counted(sgv.spectral, "_eigenpair")
+    counted(sgv.spectral, "_pair")
     params = {k: v for k, v in pinched_spec().items()
               if k not in ("id", "kind")}
     rec = check_main_theorem(make_manifold("tabulated", **params), 0.95,
                              2.0, 2.0, 0.5)
-    assert calls == {"schrodinger_ground": 1, "_eigenpair": 11}
+    assert calls == {"schrodinger_ground": 1, "_pair": 11}
     assert rec.sigma_measured is None
     assert rec.J_deviation is None
     assert rec.gradient_margin is None
+
+
+@pytest.mark.parametrize("m, solves", [
+    (make_manifold("sine-sphere", n=2, L=math.pi), 2),
+    (make_manifold("constant", L=TWO_PI, c=0.1), 1),
+], ids=["round-sphere", "flat-torus"])
+def test_vanishing_shift_takes_no_dense_solve(monkeypatch, m, solves):
+    # the shift potential vanishes on round spheres and flat tori, so the
+    # ground chain's dense start returns the exact 0 like its grids: the
+    # dense solves are lambda1's, two fiber modes on the sphere and the
+    # base circle alone on the thin torus
+    calls = []
+    inner = np.linalg.eigh
+
+    def eigh(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    rec = check_main_theorem(m, 0.3, 2.0, 2.0, 0.5)
+    assert rec.sigma_measured == 0.0
+    assert len(calls) == solves
 
 
 def test_sweep_divergent_kbar_row_is_an_error(monkeypatch):
