@@ -32,9 +32,8 @@ from .modelode import (check_model_inequalities, ode_residual,
 from .spectral import (EigenResult, GroundState, build_J, chain_pencils,
                        lambda1, residual_J_equation, schrodinger_ground)
 from .verify import (SigmaCheck, SweepRow, VerificationRecord,
-                     check_J_bounds, check_gradient_estimate,
-                     check_main_theorem, check_sigma_bound,
-                     residual_order_study, sweep)
+                     check_gradient_estimate, check_main_theorem,
+                     check_sigma_bound, residual_order_study, sweep)
 
 __version__ = "0.1.0"
 
@@ -53,7 +52,7 @@ __all__ = [
     "z_deriv", "z_second", "z_sup", "z_value",
     "EigenResult", "GroundState", "build_J", "chain_pencils", "lambda1",
     "residual_J_equation", "schrodinger_ground",
-    "SigmaCheck", "SweepRow", "VerificationRecord", "check_J_bounds",
+    "SigmaCheck", "SweepRow", "VerificationRecord",
     "check_gradient_estimate", "check_main_theorem", "check_sigma_bound",
     "residual_order_study", "sweep",
     "__version__",

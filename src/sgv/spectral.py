@@ -506,8 +506,11 @@ def schrodinger_ground(pencils: Sequence[Discretization],
     lowest eigenvalue of the quadratic form pencil
     (K - M diag(V)) x = mu M x; V >= 0 makes sigma_tilde >= 0 because
     the constant test vector gives form value <= 0.  Raises at the first
-    grid whose ground state changes sign or is not positive.
+    grid whose ground state changes sign or is not positive, and
+    ValueError for a chain whose fiber mode is not 0.
     """
+    if pencils[0].k != 0:
+        raise ValueError(f"ground chain in fiber mode {pencils[0].k}, not 0")
     states = []
     for mu0, w, dis in _chain(pencils, 0, V):
         vol = float(np.sum(dis.mass))

@@ -4,10 +4,9 @@ manifolds.
 Each check here corresponds to one estimate of the certified pipeline
 and measures its actual margin on an exactly-parameterized manifold:
 
-  * check_sigma_bound   -- the ground-state shift sigma is nonnegative
-                           and at most 4 kbar(p, 0);
-  * check_J_bounds      -- the transformed ground state J stays within
-                           delta of 1;
+  * check_sigma_bound   -- the shift sigma lies in [0, 4 kbar(p, 0)], and
+                           the transformed ground state J, built here once,
+                           stays within delta of 1;
   * check_gradient_estimate -- the pointwise gradient bound
                            J |grad u|^2 <= lambda_tilde (1 - u^2)
                                            + 2 a lambda1 Z(u)
@@ -39,7 +38,7 @@ from .constants import (GradientConstants, LedgerInput, delta_for_alpha,
                         epsilon_max, gradient_constants, tau_of)
 from .geometry import Manifold, diameter, kbar, make_manifold, rho_H_field
 from .modelode import z_value
-from .spectral import (EigenResult, GroundState, _extrapolate, build_J,
+from .spectral import (EigenResult, _extrapolate, build_J,
                        centered_gradient, chain_pencils, lambda1,
                        residual_J_equation, schrodinger_ground)
 
@@ -64,7 +63,8 @@ class SigmaCheck:
     sigma_tilde: float
     tau: float
     kbar: float
-    ground: GroundState      # finest grid
+    J: np.ndarray            # transformed ground state, finest grid
+    J_deviation: float       # max |J - 1|, <= delta in-hypothesis
     history: tuple           # (N, sigma_tilde raw) per grid
 
 
@@ -78,27 +78,24 @@ def check_sigma_bound(pencils: Sequence, delta: float, *,
     noise floor of the chain's finest pencil, but no order gate refuses
     it: where the last grid difference lies below that floor at an order
     outside [1.5, 2.5] (near-flat profiles), the finest value is
-    returned unchanged.  kb is kbar(m, p, 0).
+    returned unchanged.  kb is kbar(m, p, 0).  J transforms the finest
+    ground state, once for both its window and `check_gradient_estimate`.
     """
     tau = tau_of(delta)
     chain = schrodinger_ground(
         pencils, shift_potential(pencils[0].manifold, delta))
     history = tuple((gs.t.size, gs.sigma_tilde) for gs in chain)
     st, _, _ = _extrapolate([v for _, v in history], chain[-1].dis)
+    J = build_J(chain[-1], tau)
     sigma = st / (tau - 1.0)
     return SigmaCheck(sigma=sigma, margin=4.0 * kb - sigma, sigma_tilde=st,
-                      tau=tau, kbar=kb, ground=chain[-1], history=history)
-
-
-def check_J_bounds(ground: GroundState, delta: float) -> float:
-    """Max deviation |J - 1| of the transform of the ground state of the
-    shift potential (`check_sigma_bound`'s `ground`)."""
-    J = build_J(ground, tau_of(delta))
-    return float(np.max(np.abs(J - 1.0)))
+                      tau=tau, kbar=kb, J=J,
+                      J_deviation=float(np.max(np.abs(J - 1.0))),
+                      history=history)
 
 
 def check_gradient_estimate(delta: float, constants: GradientConstants,
-                            eig: EigenResult, ground: GroundState) -> float:
+                            eig: EigenResult, J: np.ndarray) -> float:
     """Max over the grid of Q = J|grad u|^2 - lt (1-u^2) - 2 a l1 Z(u).
 
     lt = C1 * lambda1 + C2 with the constants as passed (build them with
@@ -109,19 +106,18 @@ def check_gradient_estimate(delta: float, constants: GradientConstants,
     every sphere (cos theta on the circle); Q is linear in Y^2, so its
     max over the fiber is attained at one of the two branch values
     Y^2 in {0, 1}, both checked.  Returns the signed margin max Q (must
-    be <= ~1e-6 * lt when hypotheses hold).  eig is lambda1's result,
-    whose pencils' manifold gives the mode-1 branch its f, and ground
-    the shift potential's ground state on eig's finest grid; ground's
-    pencil gives the gradient its h and closure.
+    be <= ~1e-6 * lt when hypotheses hold).  eig is lambda1's result: its
+    finest pencil gives the gradient its h and closure, and its pencils'
+    manifold the mode-1 branch its f.  J is the transformed ground state
+    of the shift potential on that grid (`check_sigma_bound`'s J).
     """
-    if ground.t.size != eig.t.size:
-        raise ValueError("ground state and eigenfunction grids differ")
-    J = build_J(ground, tau_of(delta))
+    if J.size != eig.t.size:
+        raise ValueError("J and eigenfunction grids differ")
     lam = eig.lambda1
     lt = constants.lambda_tilde(lam)
     eta = 1.0 + delta
     u = eig.u
-    grad, sl = centered_gradient(u, ground.dis)
+    grad, sl = centered_gradient(u, eig.pencils[-1])
 
     if eig.mode == 0:
         q = J * grad * grad - lt * (1.0 - u * u) \
@@ -216,12 +212,10 @@ def check_main_theorem(m: Manifold, alpha_target: float, p: float,
     sigma = sigma_margin = j_dev = grad_margin = lam_tilde = None
     try:
         sc = check_sigma_bound(eig.pencils, delta, kb=kb)
-        sigma, sigma_margin = sc.sigma, sc.margin
-        j_dev = check_J_bounds(sc.ground, delta)
+        sigma, sigma_margin, j_dev = sc.sigma, sc.margin, sc.J_deviation
         grad_consts = gradient_constants(inp, delta, max(sigma, 0.0))
         lam_tilde = grad_consts.lambda_tilde(eig.lambda1)
-        grad_margin = check_gradient_estimate(delta, grad_consts, eig,
-                                              sc.ground)
+        grad_margin = check_gradient_estimate(delta, grad_consts, eig, sc.J)
     except Exception:
         pass    # a certificate that cannot be computed stays None
 

@@ -24,7 +24,6 @@ import pytest
 from sgv import (
     check_model_inequalities,
     check_sigma_bound,
-    check_J_bounds,
     check_gradient_estimate,
     diameter,
     epsilon_max,
@@ -191,7 +190,7 @@ def test_criterion_07_certificates_on_family(family_sigma):
         if not (-1e-9 <= sc.sigma <= 4.0 * kb + 1e-9):
             fails.append(f"beta={beta}: sigma {sc.sigma:.3e} outside "
                          f"[0, {4 * kb:.3e}]")
-        jdev = check_J_bounds(sc.ground, delta)
+        jdev = sc.J_deviation
         if jdev > delta + 1e-9:
             fails.append(f"beta={beta}: |J-1| = {jdev:.3e} > {delta}")
         study = residual_order_study(m, delta)
@@ -220,7 +219,7 @@ def test_criterion_08_gradient_certificate(family_eigs):
             eig = family_eigs[beta]
             sc = check_sigma_bound(eig.pencils, delta, kb=kb)
             g = gradient_constants(inp, delta, max(sc.sigma, 0.0))
-            margin = check_gradient_estimate(delta, g, eig, sc.ground)
+            margin = check_gradient_estimate(delta, g, eig, sc.J)
             lt = g.lambda_tilde(eig.lambda1)
             if margin > 1e-6 * lt:
                 fails.append(f"delta={delta} beta={beta}: "

@@ -748,6 +748,20 @@ def test_localized_ground_state_rejected_cleanly():
                                shift_potential(m, 1e-4))
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_ground_chain_outside_fiber_mode_0_rejected(k):
+    # a mode-k chain's lowest pair is another operator's ground state: on
+    # this torus at delta = 0.1 it would read sigma 0.544 (k = 1) or
+    # 0.190 (k = 2) against the true 0.663, with a margin up to 15 times
+    # too large, so the solver and the sigma check must refuse it
+    m = make_manifold("cosine", L=TWO_PI, c=1.0, beta=0.3)
+    pencils = chain_pencils(m, k, DEFAULT_GRIDS)
+    with pytest.raises(ValueError, match=f"fiber mode {k}, not 0"):
+        schrodinger_ground(pencils, shift_potential(m, 0.1))
+    with pytest.raises(ValueError, match=f"fiber mode {k}, not 0"):
+        check_sigma_bound(pencils, 0.1, kb=1.0)
+
+
 def test_ground_state_that_changes_sign_rejected(monkeypatch):
     # a chain whose lowest vector crosses zero well above rounding
     inner = sgv.spectral._chain

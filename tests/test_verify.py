@@ -6,8 +6,8 @@
 - J bounds and the pointwise gradient certificate
 - residual order study: second-order decay against the converged shift
 - record assembly for the main theorem, sharpness ratios on flat tori,
-  one kbar and one ground-state chain in each record (a refused chain
-  included), each pencil assembled once, and one Moser product per
+  one kbar, one ground-state chain and one J in each record (a refused
+  chain included), each pencil assembled once, and one Moser product per
   distinct argument set
 - sweep: per-row error capture, one manifold built per row (its
   flatness read from the same build), determinism across worker
@@ -26,8 +26,8 @@ import pytest
 
 from sgv import (
     LedgerInput,
+    build_J,
     chain_pencils,
-    check_J_bounds,
     check_gradient_estimate,
     check_main_theorem,
     check_sigma_bound,
@@ -67,6 +67,11 @@ def finest_ground(m, delta):
     as check_sigma_bound solves it."""
     return schrodinger_ground(ground_pencils(m),
                               shift_potential(m, delta))[-1]
+
+
+def finest_J(m, delta):
+    """The transform of finest_ground, the J check_sigma_bound builds."""
+    return build_J(finest_ground(m, delta), tau_of(delta))
 
 
 def demo_specs():
@@ -155,26 +160,25 @@ def test_sigma_below_the_noise_floor_keeps_the_finest_value():
 
 def test_J_flat_torus_is_identically_one():
     m = make_manifold("constant", L=TWO_PI, c=0.1)
-    assert check_J_bounds(finest_ground(m, 0.1), 0.1) == 0.0
+    assert np.max(np.abs(finest_J(m, 0.1) - 1.0)) == 0.0
 
 
 def test_J_deviation_grows_with_amplitude_but_stays_in_window():
-    d1 = check_J_bounds(finest_ground(make_cosine(1e-8), 0.1), 0.1)
-    d2 = check_J_bounds(finest_ground(make_cosine(1e-7), 0.1), 0.1)
+    d1 = np.max(np.abs(finest_J(make_cosine(1e-8), 0.1) - 1.0))
+    d2 = np.max(np.abs(finest_J(make_cosine(1e-7), 0.1) - 1.0))
     assert 0.0 < d1 < d2 <= 0.1
 
 
 def test_J_reuses_supplied_ground_state():
-    # check_sigma_bound's ground state is the finest of the shift
-    # potential's chain, so a record's J agrees with a standalone solve
-    # bit for bit
+    # check_sigma_bound's J transforms the finest ground state of the
+    # shift potential's chain, so a record's J agrees with a standalone
+    # solve bit for bit
     m = make_cosine(1e-7)
-    gs = check_sigma_bound(ground_pencils(m), 0.1, kb=kbar(m, 2.0, 0.0)).ground
-    assert check_J_bounds(gs, 0.1) == \
-        check_J_bounds(finest_ground(m, 0.1), 0.1)
+    sc = check_sigma_bound(ground_pencils(m), 0.1, kb=kbar(m, 2.0, 0.0))
+    assert np.array_equal(sc.J, finest_J(m, 0.1))
     rec = check_main_theorem(m, 0.3, 2.0, 2.0, 0.5)
     assert rec.J_deviation == \
-        check_J_bounds(finest_ground(m, rec.delta), rec.delta)
+        np.max(np.abs(finest_J(m, rec.delta) - 1.0))
 
 
 # ===================================================================
@@ -185,8 +189,7 @@ def test_gradient_margin_flat_torus_nonpositive():
     m = make_manifold("constant", L=TWO_PI, c=0.1)
     li = LedgerInput(n=2, p=2.0, D=4.0, C_s=2.0, Lambda_rough=0.5)
     g = gradient_constants(li, 0.1, 0.0)
-    margin = check_gradient_estimate(0.1, g, lambda1(m),
-                                     finest_ground(m, 0.1))
+    margin = check_gradient_estimate(0.1, g, lambda1(m), finest_J(m, 0.1))
     lam = 1.0
     assert margin <= 1e-6 * g.lambda_tilde(lam)
 
@@ -197,7 +200,7 @@ def test_gradient_margin_cosine_family():
     li = LedgerInput(n=2, p=2.0, D=4.0, C_s=2.0, Lambda_rough=0.5)
     g = gradient_constants(li, 0.1, max(sc.sigma, 0.0))
     eig = lambda1(m)
-    margin = check_gradient_estimate(0.1, g, eig, sc.ground)
+    margin = check_gradient_estimate(0.1, g, eig, sc.J)
     assert margin <= 1e-6 * g.lambda_tilde(eig.lambda1)
 
 
@@ -206,10 +209,8 @@ def test_gradient_grid_mismatch_rejected():
     li = LedgerInput(n=2, p=2.0, D=4.0, C_s=2.0, Lambda_rough=0.5)
     g = gradient_constants(li, 0.1, 0.0)
     eig = lambda1(m, grids=(256, 512, 1024))
-    gs, = schrodinger_ground(chain_pencils(m, 0, (2048,)),
-                             shift_potential(m, 0.1))
     with pytest.raises(ValueError):
-        check_gradient_estimate(0.1, g, eig, gs)
+        check_gradient_estimate(0.1, g, eig, finest_J(m, 0.1))
 
 
 def test_gradient_rejects_fiber_mode_above_one():
@@ -222,7 +223,7 @@ def test_gradient_rejects_fiber_mode_above_one():
     assert eig.mode == 1
     with pytest.raises(ValueError):
         check_gradient_estimate(0.1, g, replace(eig, mode=2),
-                                finest_ground(m, 0.1))
+                                finest_J(m, 0.1))
 
 
 @pytest.mark.parametrize("m", [
@@ -242,7 +243,7 @@ def test_gradient_gate_fails_below_lambda_tilde(m):
     assert g.lambda_tilde(rec.lambda1) == rec.lambda_tilde
     low = replace(g, C1=0.9 * g.C1, C2=0.9 * g.C2)
     margin = check_gradient_estimate(rec.delta, low, lambda1(m),
-                                     finest_ground(m, rec.delta))
+                                     finest_J(m, rec.delta))
     assert margin > 1e-6 * low.lambda_tilde(rec.lambda1)
 
 
@@ -363,7 +364,7 @@ def test_record_unreachable_propagates():
 
 
 def test_record_solves_kbar_once_and_reuses_finest_ground(monkeypatch):
-    calls = {"kbar": 0, "schrodinger_ground": 0}
+    calls = {"kbar": 0, "schrodinger_ground": 0, "build_J": 0}
 
     def counted(name):
         inner = getattr(sgv.verify, name)
@@ -375,9 +376,10 @@ def test_record_solves_kbar_once_and_reuses_finest_ground(monkeypatch):
 
     counted("kbar")
     counted("schrodinger_ground")
+    counted("build_J")
     m = make_cosine(1e-3, c=0.2)
     rec = check_main_theorem(m, 0.3, 2.0, 2.0, 0.5)
-    assert calls == {"kbar": 1, "schrodinger_ground": 1}
+    assert calls == {"kbar": 1, "schrodinger_ground": 1, "build_J": 1}
 
     # the shared values equal independent computations, bit for bit
     monkeypatch.undo()
@@ -391,7 +393,7 @@ def test_record_solves_kbar_once_and_reuses_finest_ground(monkeypatch):
     eig = lambda1(m)
     assert rec.gradient_margin is not None
     assert rec.gradient_margin == check_gradient_estimate(
-        rec.delta, g, eig, finest_ground(m, rec.delta))
+        rec.delta, g, eig, finest_J(m, rec.delta))
 
 
 @pytest.mark.parametrize("c, modes", [(1.0, (0, 1)), (0.2, (0,))],
@@ -618,7 +620,7 @@ def test_dumbbell_certificates_fail_their_windows():
     sc = check_sigma_bound(ground_pencils(m), 0.1, kb=kbar(m, 2.0, 0.0))
     assert sc.sigma > 4.0 * 0.1  # would need kbar tiny to admit this
     assert sc.margin < 0.0
-    assert check_J_bounds(sc.ground, 0.1) > 0.5
+    assert sc.J_deviation > 0.5
 
 
 def pinched_spec():
