@@ -7,16 +7,18 @@ indexed by the fiber mode k:
     -(f^{n-1} phi')' + nu_k f^{n-3} phi = lambda f^{n-1} phi,
 
 with nu_k = k (k + n - 2) the k-th fiber eigenvalue (k^2 on circle
-fibers).  The discretization is a staggered flux form on N cells of
-width h = L/N: unknowns live at cell midpoints, fluxes f^{n-1} phi' at
-cell edges.  This keeps the stiffness matrix symmetric, makes row sums
-vanish exactly for k = 0 (the discrete kernel is exactly the constant),
-and handles the pole-closed case naturally because the edge weight
-f^{n-1} vanishes at the poles -- no boundary condition is imposed beyond
-what the geometry already encodes.
+fibers).  Per unit of the weight f^{n-1}, mode k is mode 0 plus the
+potential nu_k / f^2, so only mode 0 is assembled.  The discretization
+is a staggered flux form on N cells of width h = L/N: unknowns live at
+cell midpoints, fluxes f^{n-1} phi' at cell edges.  This keeps the
+stiffness matrix symmetric, makes row sums vanish exactly (the discrete
+kernel is exactly the constant), and handles the pole-closed case
+naturally because the edge weight f^{n-1} vanishes at the poles -- no
+boundary condition is imposed beyond what the geometry already
+encodes.
 
 One driver, `_chain(pencils, index, V)`, runs every chain on the
-pencils `chain_pencils(m, k, grids)` assembles: the lowest (index 0) or
+pencils `chain_pencils(m, grids)` assembles: the lowest (index 0) or
 second-lowest (index 1) pair of each, less diag(V) where a potential is
 given.  It starts from the first, the same pencil on 16 cells,
 B = M^{-1/2} K M^{-1/2} written out with its cyclic corner and solved
@@ -28,8 +30,9 @@ periodic), and Sturm counts at the Rayleigh quotient plus and minus the
 residual certify that the index-th eigenvalue lies that close, a tied
 pair (the base circle of a flat torus) included.  Where the certificate
 fails, bisection on the same counts and inverse iteration replace it.
-`lambda1` runs one chain per fiber mode, `schrodinger_ground` one for
-the ground state of a potential on `lambda1`'s mode-0 pencils.
+`lambda1` solves fiber mode 0 and fiber mode 1 (the potential
+-(n - 1) / f^2) on one set of pencils, and `schrodinger_ground` the
+ground state of a potential on the same pencils.
 
 The value is always the Rayleigh quotient of the returned vector against
 B.  Every route resolves eigenvalues only to a few ulps of the
@@ -59,10 +62,9 @@ _ORDER_WINDOW = (1.5, 2.5)
 
 @dataclass(frozen=True)
 class Discretization:
-    """Flux-form pencil K phi = lambda M phi for one fiber mode."""
+    """Flux-form pencil K phi = lambda M phi of fiber mode 0."""
 
     manifold: Manifold
-    k: int
     h: float
     tm: np.ndarray          # cell midpoints, shape (N,)
     mass: np.ndarray        # M diagonal: f(tm)^{n-1} h
@@ -85,7 +87,7 @@ class Discretization:
         return y
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
-        """Laplace-Beltrami -M^{-1} K of midpoint samples (k = 0 pencil).
+        """Laplace-Beltrami -M^{-1} K of midpoint samples.
 
         This is the assembled stencil the eigensolvers use, so pole-closed
         end cells carry the one-sided flux of the vanishing edge weight.
@@ -96,9 +98,13 @@ class Discretization:
 
 
 def assemble(m: Manifold, k: int, N: int) -> Discretization:
-    """Build the mode-k pencil on N cells."""
-    if k < 0:
-        raise ValueError("fiber mode k must be >= 0")
+    """Build the fiber-mode-0 pencil on N cells.
+
+    Mode k is this pencil less the potential -k (k + n - 2) / f^2, so k
+    must be 0; it stays ahead of N for the benchmark's tracer, which
+    reads N as the third positional argument."""
+    if k != 0:
+        raise ValueError(f"fiber mode k = {k}: only mode 0 is assembled")
     if N < 8:
         raise ValueError("need at least 8 cells")
     L = m.L
@@ -114,10 +120,8 @@ def assemble(m: Manifold, k: int, N: int) -> Discretization:
     edge_w = f_edge ** (m.n - 1)
     f_mid = m.f(tm)
     mass = f_mid ** (m.n - 1) * h
-    nu = float(k * (k + m.n - 2))
-    pot = nu * f_mid ** (m.n - 3) * h
 
-    k_diag = (edge_w[:-1] + edge_w[1:]) / h + pot
+    k_diag = (edge_w[:-1] + edge_w[1:]) / h
     k_off = -edge_w[1:-1] / h
     inv_sqrt_m = 1.0 / np.sqrt(mass)
     sym_d = k_diag * inv_sqrt_m * inv_sqrt_m
@@ -125,7 +129,7 @@ def assemble(m: Manifold, k: int, N: int) -> Discretization:
     corner = 0.0
     if m.boundary == "periodic":
         corner = float(-edge_w[0] / h * inv_sqrt_m[0] * inv_sqrt_m[-1])
-    return Discretization(manifold=m, k=k, h=h, tm=tm, mass=mass,
+    return Discretization(manifold=m, h=h, tm=tm, mass=mass,
                           sym_d=sym_d, sym_e=sym_e, sym_corner=corner)
 
 
@@ -196,13 +200,15 @@ def _continued_pair(dis: Discretization, index: int,
     2^-20 of itself: the tails of a localized ground state, far below
     eps of its peak, still carry the start's error once the residual is
     at rounding, and each step at a resolved shift cuts that error by
-    |lam - sigma| / gap.
+    |lam - sigma| / gap.  A shift at which a solve is singular steps
+    off by the noise floor.
 
-    Sturm counts certify it.  With sigma its Rayleigh quotient and rho
-    its residual norm ||B x - sigma x|| plus the noise floor, the vector
-    is accepted when at most index eigenvalues lie at or below
-    sigma - rho and more than index at or below sigma + rho: the
-    index-th eigenvalue then lies within rho of sigma.  A cluster that
+    Sturm counts certify it.  With sigma its Rayleigh quotient, r its
+    residual norm ||B x - sigma x|| and rho = r plus the noise floor,
+    the vector is accepted when r is at most the noise floor, at most
+    index eigenvalues lie at or below sigma - rho and more than index at
+    or below sigma + rho: the index-th eigenvalue then lies within rho
+    of sigma (a wide rho would pass an unrefined vector).  A cluster that
     holds it, such as the tied cos/sin pair of a flat torus's base
     circle, passes with any vector of its span.  The periodic B counts
     as T plus the inertia of 1 + u^T (T - s)^{-1} u less one
@@ -247,7 +253,8 @@ def _continued_pair(dis: Discretization, index: int,
         try:
             step = measured(inverse(best[0], sigma))
         except np.linalg.LinAlgError:
-            break   # sigma is an eigenvalue to the last bit
+            sigma += floor   # an eigenvalue of T to the last bit
+            continue
         if step[2] >= best[2] and (settled or step[2] > floor):
             break
         moved = step[0] - np.sign(step[0] @ best[0]) * best[0]
@@ -256,7 +263,7 @@ def _continued_pair(dis: Discretization, index: int,
         best, sigma = step, step[1]
     y, sigma, r = best
     rho = r + floor
-    if below(sigma - rho) <= index < below(sigma + rho):
+    if r <= floor and below(sigma - rho) <= index < below(sigma + rho):
         return y
     hi = floor / (16.0 * np.finfo(float).eps)   # Gershgorin: ||B|| <= hi
     lo = -hi
@@ -273,10 +280,10 @@ def _pair(dis: Discretization, index: int, V: Optional[Callable],
     """(eigenvalue, eigenfunction at the cell midpoints) of the index-th
     pair of dis less diag(V(tm)).
 
-    index 0 is the lowest pair, index 1 the second lowest (on a k = 0
-    pencil without potential, the first above the constants).  A k = 0,
-    index 0 pencil whose V vanishes on the grid is the plain Laplacian,
-    whose lowest pair is exactly 0 at the constants: that pair is
+    index 0 is the lowest pair, index 1 the second lowest (without
+    potential, the first above the constants).  An index-0 pair whose V
+    vanishes on the grid is the plain Laplacian's, which is exactly 0 at
+    the constants: that pair is
     returned, with no solve, instead of eigensolver rounding (~eps/h^2),
     which would leak sign noise into sigma margins.  Without start, B is
     written out, cyclic corner included, and solved densely (numpy's
@@ -288,7 +295,7 @@ def _pair(dis: Discretization, index: int, V: Optional[Callable],
     ValueError, since eigh would return NaN without raising.
     """
     shift = 0.0 if V is None else np.asarray(V(dis.tm), dtype=float)
-    if dis.k == 0 and index == 0 and not np.any(shift):
+    if index == 0 and not np.any(shift):
         return 0.0, np.ones(dis.tm.size)
     if V is not None:
         dis = replace(dis, sym_d=dis.sym_d - shift)
@@ -306,11 +313,12 @@ def _pair(dis: Discretization, index: int, V: Optional[Callable],
     return lam, vec / np.sqrt(dis.mass)
 
 
-def chain_pencils(m: Manifold, k: int, grids: Sequence[int]) -> tuple:
-    """The mode-k pencils of one chain: the start pencil on _START_CELLS
-    cells (a grid of that size reuses it), then one per grid."""
-    start = assemble(m, k, _START_CELLS)
-    return (start, *(start if N == _START_CELLS else assemble(m, k, int(N))
+def chain_pencils(m: Manifold, grids: Sequence[int]) -> tuple:
+    """The pencils every chain of m runs on: the start pencil on
+    _START_CELLS cells (a grid of that size reuses it), then one per
+    grid."""
+    start = assemble(m, 0, _START_CELLS)
+    return (start, *(start if N == _START_CELLS else assemble(m, 0, int(N))
                      for N in grids))
 
 
@@ -351,7 +359,7 @@ class EigenResult:
     mode: int
     u: np.ndarray
     a: float
-    pencils: tuple          # mode 0's chain_pencils; t is the finest's tm
+    pencils: tuple          # chain_pencils(m, grids); t is the finest's tm
     history: tuple
     order: float
     degenerate: bool
@@ -377,10 +385,11 @@ def _peak(y: np.ndarray, periodic: bool) -> float:
                  else y[i])
 
 
-def eigenfunction_u(phi: np.ndarray, dis: Discretization) -> tuple:
-    """Normalize a base-profile eigenfunction of the pencil dis per the
-    comparison setup, by the extrema of the continuous function
-    (`_peak`), not of its samples.
+def eigenfunction_u(phi: np.ndarray, dis: Discretization,
+                    mode: int) -> tuple:
+    """Normalize a base-profile eigenfunction of fiber mode `mode`,
+    sampled on the pencil dis, per the comparison setup, by the extrema
+    of the continuous function (`_peak`), not of its samples.
 
     Mode 0: affine-normalize so the function has sup exactly 1 and inf
     exactly -1; the returned shift a lies in [0, 1).  Modes k >= 1: the
@@ -390,7 +399,7 @@ def eigenfunction_u(phi: np.ndarray, dis: Discretization) -> tuple:
     phi = np.asarray(phi, dtype=float)
     hi = _peak(phi, dis.periodic)
     lo = -_peak(-phi, dis.periodic)
-    if dis.k == 0:
+    if mode == 0:
         spread = hi - lo
         if spread <= 1e-13 * max(abs(hi), abs(lo), 1.0):
             raise DegenerateRange("eigenfunction is numerically constant")
@@ -429,13 +438,14 @@ def _extrapolate(lams: Sequence[float], dis: Discretization):
 def lambda1(m: Manifold, grids: Sequence[int] = DEFAULT_GRIDS) -> EigenResult:
     """First nonzero Laplace eigenvalue from fiber modes 0 and 1.
 
-    The mode-k pencil for k >= 2 is the mode-1 pencil plus the positive
-    diagonal (nu_k - nu_1) f^{n-3} h, so its lowest pair lies above
-    mode 1's on every grid, and lambda1 lies in mode 0 (its second pair)
-    or mode 1 (its lowest).  Mode 1 is not solved when its lower bound
-    nu_1 / max(f)^2 (the fiber term alone) already exceeds mode 0's
-    value.  Each candidate is extrapolated from the last two grids, and
-    the smaller is returned.  Raises NoConvergence when the winning
+    Mode k is the mode-0 pencil plus the potential nu_k / f^2, which for
+    k >= 2 lies above nu_1 / f^2 at every point, so lambda1 lies in mode
+    0 (its second pair) or mode 1 (the lowest pair less
+    V = -(n - 1) / f^2), both solved on the same pencils.  Mode 1 is not
+    solved when its lower bound nu_1 / max(f)^2 (the potential alone)
+    already exceeds mode 0's value.  Each candidate is extrapolated from
+    the last two grids against the floor of the finest pencil, and the
+    smaller is returned.  Raises NoConvergence when the winning
     mode's observed order leaves the expected second-order window
     [1.5, 2.5] while the differences are above rounding floor.  The
     Richardson step assumes h halves from grid to grid, so each grid
@@ -446,20 +456,19 @@ def lambda1(m: Manifold, grids: Sequence[int] = DEFAULT_GRIDS) -> EigenResult:
     if any(b != 2 * a for a, b in zip(grids, grids[1:])):
         raise ValueError(f"each grid must double the one before: {grids}")
 
-    def candidate(pencils):
-        k = pencils[0].k
-        lams, phis, _ = zip(*_chain(pencils, 0 if k else 1))
+    def candidate(mode, chain):
+        lams, phis, _ = zip(*chain)
         extrap, order, at_floor = _extrapolate(lams, pencils[-1])
-        return extrap, k, lams, phis[-1], pencils[-1], order, at_floor
+        return extrap, mode, lams, phis[-1], order, at_floor
 
-    pencils = chain_pencils(m, 0, grids)
-    zero = candidate(pencils)
-    one = None
-    if not (m.n - 1) / m.f_range()[1] ** 2 > zero[0] * (1.0 + 1e-9):
-        one = candidate(chain_pencils(m, 1, grids))
+    pencils = chain_pencils(m, grids)
+    zero = candidate(0, _chain(pencils, 1))
+    one, nu1 = None, m.n - 1
+    if not nu1 / m.f_range()[1] ** 2 > zero[0] * (1.0 + 1e-9):
+        one = candidate(1, _chain(pencils, 0, lambda t: -nu1 / m.f(t) ** 2))
     best = one if one and one[0] < zero[0] * (1.0 - 1e-9) else zero
 
-    extrap, mode, lams, u_raw, dis, order, at_floor = best
+    extrap, mode, lams, u_raw, order, at_floor = best
     if not at_floor and not (_ORDER_WINDOW[0] <= order <= _ORDER_WINDOW[1]):
         raise NoConvergence(
             f"observed convergence order {order:.3f} outside "
@@ -470,7 +479,7 @@ def lambda1(m: Manifold, grids: Sequence[int] = DEFAULT_GRIDS) -> EigenResult:
     degenerate = one is not None and \
         abs(one[0] - zero[0]) <= 1e-6 * max(abs(extrap), 1e-30)
 
-    u, a = eigenfunction_u(u_raw, dis)
+    u, a = eigenfunction_u(u_raw, pencils[-1], mode)
     return EigenResult(lambda1=float(extrap), mode=mode, u=u, a=a,
                        pencils=pencils, history=tuple(zip(grids, lams)),
                        order=float(order), degenerate=degenerate)
@@ -500,17 +509,14 @@ class GroundState:
 def schrodinger_ground(pencils: Sequence[Discretization],
                        V: Callable) -> list:
     """Ground states of the fiber-symmetric Schrodinger pencil on each
-    grid of a mode-0 `chain_pencils`, for the potential V, a callable of t.
+    grid of `chain_pencils`, for the potential V, a callable of t.
 
     The top of the spectrum of Delta + V equals -mu_0 where mu_0 is the
     lowest eigenvalue of the quadratic form pencil
     (K - M diag(V)) x = mu M x; V >= 0 makes sigma_tilde >= 0 because
     the constant test vector gives form value <= 0.  Raises at the first
-    grid whose ground state changes sign or is not positive, and
-    ValueError for a chain whose fiber mode is not 0.
+    grid whose ground state changes sign or is not positive.
     """
-    if pencils[0].k != 0:
-        raise ValueError(f"ground chain in fiber mode {pencils[0].k}, not 0")
     states = []
     for mu0, w, dis in _chain(pencils, 0, V):
         vol = float(np.sum(dis.mass))

@@ -73,7 +73,7 @@ def check_sigma_bound(pencils: Sequence, delta: float, *,
     """Measure sigma = sigma_tilde / (tau - 1) and its ceiling margin.
 
     The ground state of the shift potential is solved once, as one
-    chain on the mode-0 pencils of m (a record passes lambda1's).
+    chain on the pencils of m (a record passes lambda1's).
     sigma_tilde takes the same Richardson step as lambda1, against the
     noise floor of the chain's finest pencil, but no order gate refuses
     it: where the last grid difference lies below that floor at an order
@@ -100,8 +100,8 @@ def check_gradient_estimate(delta: float, constants: GradientConstants,
 
     lt = C1 * lambda1 + C2 with the constants as passed (build them with
     the measured sigma for the sharpest valid line).  lambda1 lies in
-    fiber mode 0 or 1, because each mode's pencil rises with nu_k.  In
-    mode 1 the eigenfunction is profile(t) * Y(theta), with Y the
+    fiber mode 0 or 1, because mode k's potential nu_k / f^2 rises with
+    k.  In mode 1 the eigenfunction is profile(t) * Y(theta), with Y the
     degree-1 zonal harmonic of S^{n-1}, and |grad Y|^2 = 1 - Y^2 on
     every sphere (cos theta on the circle); Q is linear in Y^2, so its
     max over the fiber is attained at one of the two branch values
@@ -143,13 +143,13 @@ def residual_order_study(m: Manifold, delta: float) -> dict:
     """
     tau = tau_of(delta)
     V = shift_potential(m, delta)
-    gs_ref, = schrodinger_ground(chain_pencils(m, 0, (1024,)), V)
+    gs_ref, = schrodinger_ground(chain_pencils(m, (1024,)), V)
     sigma_ref = gs_ref.sigma_tilde / (tau - 1.0)
     grids = (16, 32, 64)
     residuals = [residual_J_equation(gs.dis, build_J(gs, tau),
                                      rho_H_field(m, 0.0, gs.t), tau,
                                      sigma_ref)
-                 for gs in schrodinger_ground(chain_pencils(m, 0, grids), V)]
+                 for gs in schrodinger_ground(chain_pencils(m, grids), V)]
     orders = [float(np.log2(a / b)) for a, b in zip(residuals, residuals[1:])]
     return {"grids": grids, "residuals": residuals,
             "orders": orders, "sigma_ref": sigma_ref}

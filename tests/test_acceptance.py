@@ -112,8 +112,10 @@ def test_criterion_01_flat_torus_oracle():
 def test_criterion_02_round_sphere_oracle():
     m = make_manifold("sine-sphere", n=2, L=math.pi)
     e = lambda1(m)
-    chain0 = list(_chain(chain_pencils(m, 0, DEFAULT_GRIDS), 1))
-    chain1 = list(_chain(chain_pencils(m, 1, DEFAULT_GRIDS), 0))
+    pencils = chain_pencils(m, DEFAULT_GRIDS)
+    chain0 = list(_chain(pencils, 1))
+    # fiber mode 1: the potential nu_1 / f^2 = 1 / f^2 on the same pencils
+    chain1 = list(_chain(pencils, 0, lambda t: -1.0 / m.f(t) ** 2))
     v0, _, _ = _extrapolate([lam for lam, _, _ in chain0], chain0[-1][2])
     v1, _, _ = _extrapolate([lam for lam, _, _ in chain1], chain1[-1][2])
     err = abs(e.lambda1 - 2.0)

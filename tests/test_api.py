@@ -63,6 +63,11 @@ def test_tracer_wraps_every_target():
         sgv.geometry.kbar(m, 2.0, 0.0)
         assert tr.counts["quadrature.sign_change_points.calls"] == 1
         assert tr.counts["quadrature.sign_change_points.func_calls"] == 1
+        # a whole record, whose calls the tracer reads by position
+        # (assemble's N, ricci_min's t): one pencil per grid, 16 + 512 +
+        # 1024 + 2048 cells, fiber mode 1 solved on the same pencils
+        sgv.check_main_theorem(m, 0.3, 2.0, 2.0, 0.5)
+        assert tr.counts["spectral.assemble.cells"] == 3600
     finally:
         uninstall()
     assert sgv.verify.lambda1 is original

@@ -57,9 +57,9 @@ def make_cosine(beta, c=1.0):
 
 
 def ground_pencils(m):
-    """The mode-0 pencils of lambda1's chain on the default grids, which
-    a record hands to check_sigma_bound."""
-    return chain_pencils(m, 0, DEFAULT_GRIDS)
+    """The pencils of lambda1's chains on the default grids, which a
+    record hands to check_sigma_bound."""
+    return chain_pencils(m, DEFAULT_GRIDS)
 
 
 def finest_ground(m, delta):
@@ -396,25 +396,25 @@ def test_record_solves_kbar_once_and_reuses_finest_ground(monkeypatch):
         rec.delta, g, eig, finest_J(m, rec.delta))
 
 
-@pytest.mark.parametrize("c, modes", [(1.0, (0, 1)), (0.2, (0,))],
+@pytest.mark.parametrize("c, mode", [(1.0, 1), (0.2, 0)],
                          ids=["cos-c1-b0.3", "cos-c0.2-b0.3"])
-def test_record_assembles_each_pencil_once(monkeypatch, c, modes):
-    # the ground chain is solved on lambda1's mode-0 pencils, so a record
-    # assembles each (k, N) once: 8 pencils where mode 1 is solved, 4
-    # where its lower bound rules it out (12 and 8 when the ground chain
-    # assembled its own)
+def test_record_assembles_each_pencil_once(monkeypatch, c, mode):
+    # fiber mode 1 and the ground chain are potentials on lambda1's
+    # pencils, so a record assembles each grid once, whether mode 1 is
+    # solved and wins (c = 1) or its lower bound rules it out (c = 0.2):
+    # 8 and 4 pencils when mode 1 assembled its own
     calls = []
     inner = sgv.spectral.assemble
 
     def counted(m, k, N):
-        calls.append((k, N))
+        calls.append(N)
         return inner(m, k, N)
 
     monkeypatch.setattr(sgv.spectral, "assemble", counted)
     rec = check_main_theorem(make_cosine(0.3, c=c), 0.3, 2.0, 2.0, 0.5)
     assert rec.sigma_measured is not None
-    assert sorted(calls) == [(k, N) for k in modes
-                             for N in (16,) + DEFAULT_GRIDS]
+    assert rec.mode == mode
+    assert sorted(calls) == [16, *DEFAULT_GRIDS]
 
 
 def test_record_checks_its_ledger_inputs_once(monkeypatch):
