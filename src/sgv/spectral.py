@@ -35,13 +35,12 @@ fails, bisection on the same counts and inverse iteration replace it.
 ground state of a potential on the same pencils.
 
 The value is always the Rayleigh quotient of the returned vector against
-B.  Every route resolves eigenvalues only to a few ulps of the
-Gershgorin scale of B; 16 eps of it (`_noise_floor`) is every Richardson
-study's noise floor and the continued route's margin.
-
-Eigenvalues converge at second order in h; `lambda1` runs a three-grid
-Richardson study on grids that each double the one before, checks the
-observed order, and returns the extrapolated value.
+B, placed to about eps ||B|| / sqrt(N); every route resolves it to a few
+ulps of the Gershgorin scale of B, and 16 eps of that (`_noise_floor`)
+is the continued route's margin.  Eigenvalues converge at second order
+in h on grids that each double the one before: `_study` alone reads a
+chain's Richardson value, observed order and floor verdict against
+those two levels, and `lambda1` gates the winning mode's order.
 """
 
 from __future__ import annotations
@@ -343,16 +342,10 @@ def _chain(pencils: Sequence[Discretization], index: int,
 class EigenResult:
     """First nonzero eigenvalue with its certificate trail.
 
-    lambda1 is the Richardson-extrapolated value;
-    history holds (N, raw eigenvalue) per grid for the winning fiber
-    mode.  u is the normalized base profile of the eigenfunction (see
-    `eigenfunction_u`): for mode 0 it is the full eigenfunction with
-    continuous sup 1 / inf -1 after the shift a; for modes k >= 1 the
-    manifold eigenfunction is u(t) Y(theta) with Y a fiber harmonic and
-    the stored profile has continuous sup |u| = 1 with a = 0.
-    degenerate flags a runner-up mode within 1e-6 relative -- the
-    eigenspace is then 2-dimensional or more and the eigenfunction
-    returned is one deterministic member of it.
+    lambda1, history and order are the winning fiber mode's `_study`, u
+    and a its eigenfunction's profile and shift (`eigenfunction_u`).
+    degenerate flags a runner-up mode within 1e-6 relative: the
+    eigenspace is then 2-dimensional or more and u one member of it.
     """
 
     lambda1: float
@@ -392,9 +385,9 @@ def eigenfunction_u(phi: np.ndarray, dis: Discretization,
     of the continuous function (`_peak`), not of its samples.
 
     Mode 0: affine-normalize so the function has sup exactly 1 and inf
-    exactly -1; the returned shift a lies in [0, 1).  Modes k >= 1: the
-    fiber factor already attains +-1, so the profile is scaled to
-    sup |u| = 1, with the larger extremum positive, and a = 0.
+    exactly -1; the returned shift a lies in [0, 1).  Mode 1: the fiber
+    factor already attains +-1, so the profile is scaled to sup |u| = 1,
+    with the larger extremum positive, and a = 0.
     """
     phi = np.asarray(phi, dtype=float)
     hi = _peak(phi, dis.periodic)
@@ -414,25 +407,46 @@ def eigenfunction_u(phi: np.ndarray, dis: Discretization,
     return phi / (peak if hi >= -lo else -peak), 0.0
 
 
-def _extrapolate(lams: Sequence[float], dis: Discretization):
-    """Richardson step from the last pair, with observed order.
+@dataclass(frozen=True)
+class ChainStudy:
+    """Richardson study of one chain, from `_study`."""
 
-    Returns (value, order, at_floor).  at_floor means the last grid
-    difference lies at or below `_noise_floor(dis)` of the chain's
-    finest pencil dis, i.e. at rounding level, and the order is reported
-    as the nominal 2.  A last difference at or below that level whose
-    observed order still lies in the second-order window is
-    discretization error, not rounding, and takes the step.
-    """
-    l0, l1, l2 = lams[-3], lams[-2], lams[-1]
-    d01 = l1 - l0
-    d12 = l2 - l1
+    history: tuple          # (N, raw value) per grid
+    value: float            # Richardson value, the finest raw at_floor
+    order: float
+    at_floor: bool
+    phi: np.ndarray         # the finest eigenfunction and its pencil
+    dis: Discretization
+
+    def check_order(self, mode: int) -> None:
+        """NoConvergence where the order (2 at_floor) leaves the window."""
+        if not _ORDER_WINDOW[0] <= self.order <= _ORDER_WINDOW[1]:
+            raise NoConvergence(
+                f"observed convergence order {self.order:.3f} outside "
+                f"{_ORDER_WINDOW} for mode {mode}")
+
+
+def _study(steps) -> ChainStudy:
+    """Study the (value, eigenfunction, pencil) steps of one chain, as
+    `_chain` yields them: Richardson step l2 + d12 / 3 and observed order
+    log2 |d01 / d12| of its last three grids.  It is at_floor (finest
+    value, nominal order 2) where |d12| is at most eps ||B|| / sqrt(N) of
+    the finest pencil, a Rayleigh quotient's rounding, or at most
+    `_noise_floor` with the order outside [1.5, 2.5]; inside the window
+    such a difference is discretization error and takes the step."""
+    steps = list(steps)
+    (l0, _, _), (l1, _, _), (l2, phi, dis) = steps[-3:]
+    d01, d12 = l1 - l0, l2 - l1
+    floor = _noise_floor(dis)
     order = float(np.log2(abs(d01 / d12))) if d01 != 0.0 and d12 != 0.0 \
         else float("nan")
-    if abs(d12) <= _noise_floor(dis) and \
-            not _ORDER_WINDOW[0] <= order <= _ORDER_WINDOW[1]:
-        return l2, 2.0, True
-    return l2 + d12 / 3.0, order, False
+    at_floor = bool(abs(d12) <= floor / (16.0 * np.sqrt(dis.tm.size)) or (
+        abs(d12) <= floor
+        and not _ORDER_WINDOW[0] <= order <= _ORDER_WINDOW[1]))
+    return ChainStudy(history=tuple((d.tm.size, v) for v, _, d in steps),
+                      value=l2 if at_floor else l2 + d12 / 3.0,
+                      order=2.0 if at_floor else order, at_floor=at_floor,
+                      phi=phi, dis=dis)
 
 
 def lambda1(m: Manifold, grids: Sequence[int] = DEFAULT_GRIDS) -> EigenResult:
@@ -443,46 +457,35 @@ def lambda1(m: Manifold, grids: Sequence[int] = DEFAULT_GRIDS) -> EigenResult:
     0 (its second pair) or mode 1 (the lowest pair less
     V = -(n - 1) / f^2), both solved on the same pencils.  Mode 1 is not
     solved when its lower bound nu_1 / max(f)^2 (the potential alone)
-    already exceeds mode 0's value.  Each candidate is extrapolated from
-    the last two grids against the floor of the finest pencil, and the
-    smaller is returned.  Raises NoConvergence when the winning
-    mode's observed order leaves the expected second-order window
-    [1.5, 2.5] while the differences are above rounding floor.  The
-    Richardson step assumes h halves from grid to grid, so each grid
-    must have twice the cells of the one before (ValueError otherwise).
+    already exceeds mode 0's value.  Each mode's chain is studied once
+    (`_study`) and the smaller value wins; NoConvergence where its order
+    leaves [1.5, 2.5] off the floor.  The Richardson step assumes h
+    halves, so each grid must double the one before (ValueError).
     """
     if len(grids) < 3:
         raise ValueError("need at least three grids for the order study")
     if any(b != 2 * a for a, b in zip(grids, grids[1:])):
         raise ValueError(f"each grid must double the one before: {grids}")
 
-    def candidate(mode, chain):
-        lams, phis, _ = zip(*chain)
-        extrap, order, at_floor = _extrapolate(lams, pencils[-1])
-        return extrap, mode, lams, phis[-1], order, at_floor
-
     pencils = chain_pencils(m, grids)
-    zero = candidate(0, _chain(pencils, 1))
+    zero = _study(_chain(pencils, 1))
     one, nu1 = None, m.n - 1
-    if not nu1 / m.f_range()[1] ** 2 > zero[0] * (1.0 + 1e-9):
-        one = candidate(1, _chain(pencils, 0, lambda t: -nu1 / m.f(t) ** 2))
-    best = one if one and one[0] < zero[0] * (1.0 - 1e-9) else zero
-
-    extrap, mode, lams, u_raw, order, at_floor = best
-    if not at_floor and not (_ORDER_WINDOW[0] <= order <= _ORDER_WINDOW[1]):
-        raise NoConvergence(
-            f"observed convergence order {order:.3f} outside "
-            f"{_ORDER_WINDOW} for mode {mode}")
+    if not nu1 / m.f_range()[1] ** 2 > zero.value * (1.0 + 1e-9):
+        one = _study(_chain(pencils, 0, lambda t: -nu1 / m.f(t) ** 2))
+    mode, best = 0, zero
+    if one is not None and one.value < zero.value * (1.0 - 1e-9):
+        mode, best = 1, one
+    best.check_order(mode)
     # Two modes extrapolating to the same value mean a multi-dimensional
     # eigenspace (extrapolated, not raw: raw values carry mode-dependent
     # h^2 errors far larger than a true splitting of interest).
     degenerate = one is not None and \
-        abs(one[0] - zero[0]) <= 1e-6 * max(abs(extrap), 1e-30)
+        abs(one.value - zero.value) <= 1e-6 * max(abs(best.value), 1e-30)
 
-    u, a = eigenfunction_u(u_raw, pencils[-1], mode)
-    return EigenResult(lambda1=float(extrap), mode=mode, u=u, a=a,
-                       pencils=pencils, history=tuple(zip(grids, lams)),
-                       order=float(order), degenerate=degenerate)
+    u, a = eigenfunction_u(best.phi, best.dis, mode)
+    return EigenResult(lambda1=best.value, mode=mode, u=u, a=a,
+                       pencils=pencils, history=best.history,
+                       order=best.order, degenerate=degenerate)
 
 
 # -- Schrodinger ground state -------------------------------------------------

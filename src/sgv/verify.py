@@ -38,9 +38,9 @@ from .constants import (GradientConstants, LedgerInput, delta_for_alpha,
                         epsilon_max, gradient_constants, tau_of)
 from .geometry import Manifold, diameter, kbar, make_manifold, rho_H_field
 from .modelode import z_value
-from .spectral import (EigenResult, _extrapolate, build_J,
-                       centered_gradient, chain_pencils, lambda1,
-                       residual_J_equation, schrodinger_ground)
+from .spectral import (EigenResult, _study, build_J, centered_gradient,
+                       chain_pencils, lambda1, residual_J_equation,
+                       schrodinger_ground)
 
 
 def shift_potential(m: Manifold, delta: float) -> Callable:
@@ -61,6 +61,7 @@ class SigmaCheck:
     sigma: float
     margin: float            # 4 kbar - sigma, >= 0 in-hypothesis
     sigma_tilde: float
+    order: float             # observed order of the sigma_tilde chain
     tau: float
     kbar: float
     J: np.ndarray            # transformed ground state, finest grid
@@ -73,25 +74,21 @@ def check_sigma_bound(pencils: Sequence, delta: float, *,
     """Measure sigma = sigma_tilde / (tau - 1) and its ceiling margin.
 
     The ground state of the shift potential is solved once, as one
-    chain on the pencils of m (a record passes lambda1's).
-    sigma_tilde takes the same Richardson step as lambda1, against the
-    noise floor of the chain's finest pencil, but no order gate refuses
-    it: where the last grid difference lies below that floor at an order
-    outside [1.5, 2.5] (near-flat profiles), the finest value is
-    returned unchanged.  kb is kbar(m, p, 0).  J transforms the finest
-    ground state, once for both its window and `check_gradient_estimate`.
+    chain on the pencils of m (a record passes lambda1's), and studied
+    as lambda1's are (`_study`), with no order gate.  kb is
+    kbar(m, p, 0).  J transforms the finest ground state, once for both
+    its window and `check_gradient_estimate`.
     """
     tau = tau_of(delta)
     chain = schrodinger_ground(
         pencils, shift_potential(pencils[0].manifold, delta))
-    history = tuple((gs.t.size, gs.sigma_tilde) for gs in chain)
-    st, _, _ = _extrapolate([v for _, v in history], chain[-1].dis)
+    study = _study((gs.sigma_tilde, gs.w, gs.dis) for gs in chain)
     J = build_J(chain[-1], tau)
-    sigma = st / (tau - 1.0)
-    return SigmaCheck(sigma=sigma, margin=4.0 * kb - sigma, sigma_tilde=st,
-                      tau=tau, kbar=kb, J=J,
-                      J_deviation=float(np.max(np.abs(J - 1.0))),
-                      history=history)
+    sigma = study.value / (tau - 1.0)
+    return SigmaCheck(sigma=sigma, margin=4.0 * kb - sigma,
+                      sigma_tilde=study.value, order=study.order, tau=tau,
+                      kbar=kb, J=J, J_deviation=float(np.max(np.abs(J - 1.0))),
+                      history=study.history)
 
 
 def check_gradient_estimate(delta: float, constants: GradientConstants,

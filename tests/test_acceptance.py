@@ -39,7 +39,7 @@ from sgv import (
     LedgerInput,
 )
 from sgv.report import records_to_csv, sweep_payload, to_json
-from sgv.spectral import DEFAULT_GRIDS, _chain, _extrapolate, chain_pencils
+from sgv.spectral import DEFAULT_GRIDS, _chain, _study, chain_pencils
 
 import conftest
 
@@ -113,11 +113,9 @@ def test_criterion_02_round_sphere_oracle():
     m = make_manifold("sine-sphere", n=2, L=math.pi)
     e = lambda1(m)
     pencils = chain_pencils(m, DEFAULT_GRIDS)
-    chain0 = list(_chain(pencils, 1))
+    v0 = _study(_chain(pencils, 1)).value
     # fiber mode 1: the potential nu_1 / f^2 = 1 / f^2 on the same pencils
-    chain1 = list(_chain(pencils, 0, lambda t: -1.0 / m.f(t) ** 2))
-    v0, _, _ = _extrapolate([lam for lam, _, _ in chain0], chain0[-1][2])
-    v1, _, _ = _extrapolate([lam for lam, _, _ in chain1], chain1[-1][2])
+    v1 = _study(_chain(pencils, 0, lambda t: -1.0 / m.f(t) ** 2)).value
     err = abs(e.lambda1 - 2.0)
     split = abs(v0 - v1)
     ok = err <= 1e-5 and split <= 1e-5 and e.degenerate

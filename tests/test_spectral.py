@@ -22,7 +22,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
@@ -43,9 +43,9 @@ from sgv.errors import (DegenerateRange, NoConvergence, NonPositiveGround,
 from sgv.spectral import (
     DEFAULT_GRIDS,
     _chain,
-    _extrapolate,
     _pair,
     _peak,
+    _study,
     assemble,
     eigenfunction_u,
 )
@@ -714,21 +714,64 @@ def test_eigenfunction_u_rejects_constants():
         eigenfunction_u(np.ones(32), dis, 0)
 
 
-def test_extrapolate_floor_reports_nominal_order():
+def _steps(values, dis):
+    """A chain's (value, eigenfunction, pencil) steps, all on dis."""
+    return [(v, None, dis) for v in values]
+
+
+def test_study_floor_reports_nominal_order():
     # the floor is the noise floor of the pencil passed, ~3e-13 here
     dis = assemble(make_manifold("constant", L=TWO_PI, c=0.1), 0, 32)
-    val, order, at_floor = _extrapolate([2.0, 2.0 + 1e-16, 2.0 - 1e-16],
-                                        dis)
+    s = _study(_steps([2.0, 2.0 + 1e-16, 2.0 - 1e-16], dis))
+    val, order, at_floor = s.value, s.order, s.at_floor
     assert at_floor
     assert order == 2.0
     assert val == 2.0 - 1e-16
     # above the floor an order outside the window still takes the step
     step = 2.0 ** -36
     assert step > sgv.spectral._noise_floor(dis)
-    val, order, at_floor = _extrapolate([2.0, 2.0 + step, 2.0], dis)
+    s = _study(_steps([2.0, 2.0 + step, 2.0], dis))
+    val, order, at_floor = s.value, s.order, s.at_floor
     assert not at_floor
     assert order == 0.0
     assert val == 2.0 - step / 3.0
+
+
+def test_study_reads_no_order_from_rounding():
+    # differences of 4 and 1 ulps read order 2, inside the window, but
+    # lie under eps ||B|| / sqrt(N), the rounding of a Rayleigh
+    # quotient: the order is noise and the finest value stands
+    dis = assemble(make_manifold("constant", L=TWO_PI, c=0.1), 0, 32)
+    ulp = math.ulp(2.0)
+    values = [2.0, 2.0 + 4.0 * ulp, 2.0 + 5.0 * ulp]
+    assert 4.0 * ulp <= sgv.spectral._noise_floor(dis) / (16.0 * math.sqrt(32))
+    s = _study(_steps(values, dis))
+    assert s.at_floor
+    assert s.order == 2.0
+    assert s.value == values[-1]
+    assert s.history == tuple((32, v) for v in values)
+
+
+_STUDY_PENCILS = chain_pencils(make_manifold("constant", L=TWO_PI, c=0.1),
+                               DEFAULT_GRIDS)[1:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=st.floats(0.1, 10.0), log_c=st.floats(-3.0, 3.0),
+       sign=st.sampled_from((-1.0, 1.0)), q=st.floats(0.5, 4.0))
+def test_study_reads_the_order_of_a_synthetic_chain(lam, log_c, sign, q):
+    # lambda + C h^q on grids that each halve h: above the floor the
+    # observed order is q, and the value is the order-2 step
+    values = [lam + sign * 10.0 ** log_c * dis.h ** q
+              for dis in _STUDY_PENCILS]
+    d01, d12 = values[1] - values[0], values[2] - values[1]
+    assume(min(abs(d01), abs(d12))
+           > sgv.spectral._noise_floor(_STUDY_PENCILS[-1]))
+    s = _study(zip(values, (None,) * 3, _STUDY_PENCILS))
+    assert not s.at_floor
+    assert s.order == pytest.approx(q, abs=1e-4)
+    assert s.value == values[2] + d12 / 3.0
+    assert s.history == tuple(zip(DEFAULT_GRIDS, values))
 
 
 # ===================================================================

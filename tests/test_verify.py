@@ -136,6 +136,25 @@ def test_sigma_frozen_golden_moderate_amplitude():
     assert len(sc.history) == 3
 
 
+def test_sigma_reports_its_chain_order():
+    # the ground chain's observed order is reported, not gated: second
+    # order on a smooth cosine torus, far outside [1.5, 2.5] on the
+    # pole-closed spline tabsph-k33-e0.2 at its record's delta, whose
+    # last grid difference lies far above the floor
+    m = make_cosine(0.05)
+    sc = check_sigma_bound(ground_pencils(m), 0.1, kb=kbar(m, 2.0, 0.0))
+    assert 1.5 <= sc.order <= 2.5
+    ts = [math.pi * i / 32 for i in range(33)]
+    fs = [math.sin(t) * (1.0 + 0.2 * math.sin(t) ** 2) for t in ts]
+    ts[-1], fs[0], fs[-1] = math.pi, 0.0, 0.0
+    m = make_manifold("tabulated", L=math.pi, n=3, ts=ts, fs=fs,
+                      boundary="pole-closed")
+    rec = check_main_theorem(m, 0.3, 2.0, 2.0, 0.5)
+    sc = check_sigma_bound(ground_pencils(m), rec.delta, kb=rec.kbar)
+    assert rec.sigma_measured == sc.sigma
+    assert not 1.5 <= sc.order <= 2.5
+
+
 def test_sigma_within_apriori_window_on_family():
     for beta in (1e-8, 1e-7):
         m = make_cosine(beta)
@@ -415,6 +434,25 @@ def test_record_assembles_each_pencil_once(monkeypatch, c, mode):
     assert rec.sigma_measured is not None
     assert rec.mode == mode
     assert sorted(calls) == [16, *DEFAULT_GRIDS]
+
+
+@pytest.mark.parametrize("c, studies", [(1.0, 3), (0.2, 2)])
+def test_record_studies_each_chain_once(monkeypatch, c, studies):
+    # one Richardson study per chain: lambda1's mode 0, its mode 1 where
+    # the potential's lower bound does not rule it out (c = 1, not
+    # c = 0.2), and the ground chain
+    calls = []
+    inner = sgv.spectral._study
+
+    def counted(steps):
+        calls.append(inner(steps))
+        return calls[-1]
+
+    monkeypatch.setattr(sgv.spectral, "_study", counted)
+    monkeypatch.setattr(sgv.verify, "_study", counted)
+    rec = check_main_theorem(make_cosine(0.3, c=c), 0.3, 2.0, 2.0, 0.5)
+    assert rec.sigma_measured is not None
+    assert len(calls) == studies
 
 
 def test_record_checks_its_ledger_inputs_once(monkeypatch):
