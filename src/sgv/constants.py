@@ -30,7 +30,6 @@ always an upper bound (conservative for eps_max, which divides by it).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -133,7 +132,6 @@ def gradient_constants(inp: LedgerInput, delta: float,
                              C1=C1, C2=C2, b=b, alpha=alpha)
 
 
-@functools.lru_cache(maxsize=256)
 def moser_constant(C_s: float, p: float, n: int, psi_norm: float) -> float:
     """Upper bound on the iteration constant A_moser.
 
@@ -149,15 +147,6 @@ def moser_constant(C_s: float, p: float, n: int, psi_norm: float) -> float:
     The returned value (truncated product times exp of the tail bound)
     is therefore always an upper bound, within MOSER_TAIL_TOL relative of
     the true constant.
-
-    Results are cached.  Measured on a delta scan at alpha_target = 0.3,
-    p = 2, n = 2, C_s = 2 (48 calls): where term 2 of `epsilon_max` is
-    the smaller, psi_norm = 1 + 6 (tau - 1) term2 = 1 + 1 / (4 C_s^2)
-    for every delta, bit for bit, so the key repeats (45 of the 48 calls
-    at D = 3.5124); where term 1 is, every delta is a new key (48 of 48
-    at D = 6.2283).  Across records the keys recur: two seed-1 cycles of
-    the benchmark's sweep mix miss 109 times with 256 entries, 238 times
-    with 1.
     """
     n = require_dimension(n, "n")
     require_exponent(p, n)
@@ -323,20 +312,25 @@ def build_ledger(inp: LedgerInput, delta: float,
                           grad=gradient_constants(inp, delta, sigma), eps=eps)
 
 
-_DELTA_GRID_POINTS = 64
-# relative width at which the bisection against the grid stops
+# the alpha scan's 64 log-spaced deltas
+_DELTA_GRID = tuple(DELTA_SCAN_LO * (DELTA_CAP / DELTA_SCAN_LO) ** (i / 63.0)
+                    for i in range(64))
+# relative width at which the refinement of the scan's bracket stops
 _DELTA_REFINE_REL = 1e-12
 
 
 def delta_for_alpha(alpha_target: float, inp: LedgerInput):
     """Largest admissible delta certifying at least alpha_target on inp.
 
-    For each delta on a logarithmic grid the self-consistent chain
+    For each delta on `_DELTA_GRID` the self-consistent chain
     delta -> eps_max(delta) -> sigma bound 4 eps_max -> alpha(delta) is
     evaluated by `build_ledger`.  No global monotonicity of
     alpha(delta) is assumed: the scan runs from the top of the grid down
-    and stops at the first qualifying point, the largest one, then
-    bisects against its larger neighbor.  Returns (delta, alpha_there).
+    and stops at the first qualifying point, the largest one.  Illinois
+    regula falsi (Dowell & Jarratt 1971) on alpha - alpha_target narrows
+    its bracket with the larger neighbor, always keeping the qualifying
+    end and taking the midpoint where a secant point is not strictly
+    inside.  Returns (delta, alpha_there).
 
     Raises Unreachable -- carrying best_alpha and best_delta, the first
     maximum over the grid -- when no grid point reaches the target.
@@ -344,8 +338,7 @@ def delta_for_alpha(alpha_target: float, inp: LedgerInput):
     if not (0.0 < alpha_target < 1.0):
         raise ValueError(f"alpha_target = {alpha_target} not in (0, 1)")
 
-    grid = [DELTA_SCAN_LO * (DELTA_CAP / DELTA_SCAN_LO) ** (i / (
-        _DELTA_GRID_POINTS - 1.0)) for i in range(_DELTA_GRID_POINTS)]
+    grid = _DELTA_GRID
     alphas = {}
     for i in reversed(range(len(grid))):
         alphas[i] = build_ledger(inp, grid[i]).grad.alpha
@@ -360,14 +353,20 @@ def delta_for_alpha(alpha_target: float, inp: LedgerInput):
     lo, a_lo = grid[i], alphas[i]
     if i + 1 >= len(grid):
         return lo, a_lo
-    hi = grid[i + 1]  # alpha there < target
+    hi, f_hi = grid[i + 1], alphas[i + 1] - alpha_target     # f_hi < 0
+    f_lo, moved = a_lo - alpha_target, 0    # last end moved: +1 lo, -1 hi
     while hi - lo > _DELTA_REFINE_REL * hi:
-        mid = 0.5 * (lo + hi)
-        a_mid = build_ledger(inp, mid).grad.alpha
-        if a_mid >= alpha_target:
-            lo, a_lo = mid, a_mid
+        x = lo + f_lo * (hi - lo) / (f_lo - f_hi)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        a_x = build_ledger(inp, x).grad.alpha
+        # an end that stays put twice running has its value halved
+        if a_x >= alpha_target:
+            f_hi *= 0.5 if moved > 0 else 1.0
+            lo, a_lo, f_lo, moved = x, a_x, a_x - alpha_target, 1
         else:
-            hi = mid
+            f_lo *= 0.5 if moved < 0 else 1.0
+            hi, f_hi, moved = x, a_x - alpha_target, -1
     return lo, a_lo
 
 

@@ -19,6 +19,8 @@ Covers:
   caller sets is a second writing of its default
 - every such parameter of a private function is left out by some call
   in the package: a default that every call overrides is never used
+- no function of the package is memoized with `functools.lru_cache` or
+  `functools.cache`: a repeat is removed where it is called
 - `import sgv.cli` loads neither scipy.linalg nor any of scipy's
   heavier subpackages, nor numpy.f2py or numpy.testing (which
   scipy.linalg's package init pulls in): they would set the CLI's cold
@@ -308,6 +310,20 @@ def test_every_private_default_is_omitted_by_some_call():
               if all(_passes(call, name, position)
                      for call in calls.get(callee, ()))]
     assert not always
+
+
+def test_no_memoized_functions():
+    # a value a record needs twice is computed once and passed on; a
+    # functools cache would hide the repeat, and its state would make a
+    # record's cost depend on the records run before it
+    cached = [f"{path.name}:{node.lineno} {node.name}"
+              for path in sorted((ROOT / "src" / "sgv").glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for d in node.decorator_list
+              if ast.unparse(d.func if isinstance(d, ast.Call) else d)
+              .split(".")[-1] in ("lru_cache", "cache")]
+    assert not cached
 
 
 _NUMBER = re.compile(r"True|False|[-+]?\d+(?:\.\d+)?(?:e[-+]?\d+)?")

@@ -7,14 +7,17 @@ algebra re-derived in the test plus a few frozen regression values:
 - the certified upper bound on the iteration constant
 - the four admissibility terms and their closed forms
 - the feasibility boundary (term one sits exactly on it)
-- the largest-delta search, including the unreachable branch, and its
-  top-down scan against a full-grid reference
+- the largest-delta search, including the unreachable branch: its
+  top-down scan and regula falsi against a full-grid bisection
+  reference, on fixed and on random inputs
 - classical reference bounds
 """
 
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgv import (
     LedgerInput,
@@ -315,23 +318,22 @@ def test_delta_for_alpha_unreachable():
 
 def full_grid_delta_for_alpha(alpha_target, inp):
     """Every grid point evaluated, then the largest qualifying one
-    bisected against its neighbor (reference)."""
+    bisected against its neighbor (reference).  Returns the grid index of
+    that point and (delta, alpha), or None and the first maximum
+    (best_alpha, best_delta) when no point qualifies."""
     def alpha_of(d):
         return build_ledger(inp, d).grad.alpha
 
-    lo_d = sgv.constants.DELTA_SCAN_LO
-    points = sgv.constants._DELTA_GRID_POINTS
-    grid = [lo_d * (DELTA_CAP / lo_d) ** (i / (points - 1.0))
-            for i in range(points)]
+    grid = sgv.constants._DELTA_GRID
     alphas = [alpha_of(d) for d in grid]
     qualifying = [i for i, a in enumerate(alphas) if a >= alpha_target]
     if not qualifying:
         i_best = max(range(len(grid)), key=lambda i: alphas[i])
-        return "unreachable", alphas[i_best], grid[i_best]
+        return None, (alphas[i_best], grid[i_best])
     i = max(qualifying)
     lo, a_lo = grid[i], alphas[i]
     if i + 1 >= len(grid):
-        return lo, a_lo
+        return i, (lo, a_lo)
     hi = grid[i + 1]
     while hi - lo > sgv.constants._DELTA_REFINE_REL * hi:
         mid = 0.5 * (lo + hi)
@@ -340,27 +342,55 @@ def full_grid_delta_for_alpha(alpha_target, inp):
             lo, a_lo = mid, a_mid
         else:
             hi = mid
-    return lo, a_lo
+    return i, (lo, a_lo)
+
+
+def refinement_against_oracle(alpha_target, inp):
+    """Run delta_for_alpha against the full-grid reference: the same grid
+    points evaluated from the top down to the same bracket, the same
+    refusal, and a delta that qualifies within two refinement widths of
+    the reference's.  Returns the number of evaluations after the scan."""
+    grid = sgv.constants._DELTA_GRID
+    i, want = full_grid_delta_for_alpha(alpha_target, inp)
+    deltas = []
+    build = sgv.constants.build_ledger
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sgv.constants, "build_ledger",
+                   lambda inp, d: deltas.append(d) or build(inp, d))
+        if i is None:
+            with pytest.raises(Unreachable) as exc:
+                delta_for_alpha(alpha_target, inp)
+            assert (exc.value.best_alpha, exc.value.best_delta) == want
+            assert tuple(deltas) == grid[::-1]
+            return 0
+        delta, alpha = delta_for_alpha(alpha_target, inp)
+    scan = grid[i:][::-1]
+    assert tuple(deltas[:len(scan)]) == scan
+    refine = deltas[len(scan):]
+    hi = grid[i + 1] if i + 1 < len(grid) else grid[i]
+    assert all(grid[i] < d < hi for d in refine)
+    assert alpha >= alpha_target
+    assert alpha == build(inp, delta).grad.alpha
+    rel = sgv.constants._DELTA_REFINE_REL
+    assert abs(delta - want[0]) <= 2.0 * rel * want[0]
+    return len(refine)
 
 
 # 1e-6: the top grid point qualifies; 0.99: no point does
 @pytest.mark.parametrize("alpha_target", [0.5, 0.3, 1e-6, 0.99])
-def test_delta_for_alpha_scans_from_the_top(monkeypatch, alpha_target):
-    args = (alpha_target, SCAN_INPUTS)
-    want = full_grid_delta_for_alpha(*args)
-    ledgers = []
-    build = sgv.constants.build_ledger
-    monkeypatch.setattr(sgv.constants, "build_ledger",
-                        lambda *a: ledgers.append(a) or build(*a))
-    if want[0] == "unreachable":
-        with pytest.raises(Unreachable) as exc:
-            delta_for_alpha(*args)
-        assert (exc.value.best_alpha, exc.value.best_delta) == want[1:]
-        assert len(ledgers) == sgv.constants._DELTA_GRID_POINTS
-    else:
-        assert delta_for_alpha(*args) == want
-        # the scan stops at the largest qualifying point
-        assert len(ledgers) < sgv.constants._DELTA_GRID_POINTS
+def test_delta_for_alpha_scans_from_the_top(alpha_target):
+    refine = refinement_against_oracle(alpha_target, SCAN_INPUTS)
+    assert refine == 0 if alpha_target in (1e-6, 0.99) else 0 < refine < 37
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.floats(0.25, 3.0), st.floats(0.3, 60.0),
+       st.floats(0.5, 5.0), st.floats(0.05, 5.0), st.floats(0.02, 0.97))
+def test_delta_refinement_matches_the_bisection(n, p_excess, D, C_s,
+                                                Lambda_rough, alpha_target):
+    inp = LedgerInput(n=n, p=n / 2.0 + p_excess, D=D, C_s=C_s,
+                      Lambda_rough=Lambda_rough)
+    assert refinement_against_oracle(alpha_target, inp) <= 37
 
 
 def test_delta_for_alpha_target_validated():

@@ -337,23 +337,31 @@ def test_cosine_record_at_zero_amplitude_is_the_flat_record():
     assert cos["gradient_margin"] <= 1e-6 * cos["lambda_tilde"]
 
 
-def test_record_computes_each_moser_product_once(monkeypatch):
-    # the delta scan asks for a handful of argument sets about a hundred
-    # times; each is computed once, and the cached value is the product
-    cached = sgv.constants.moser_constant
-    seen = []
+def _periodic_spline():
+    ts = [TWO_PI * i / 16 for i in range(17)]
+    fs = [1.0 + 0.02 * math.cos(t) + 0.02 * math.sin(2.0 * t) for t in ts]
+    ts[-1], fs[-1] = TWO_PI, fs[0]
+    return make_manifold("tabulated", L=TWO_PI, ts=ts, fs=fs,
+                         boundary="periodic")
 
-    def moser_constant(*args):
-        seen.append(args)
-        return cached(*args)
 
-    monkeypatch.setattr(sgv.constants, "moser_constant", moser_constant)
-    cached.cache_clear()
-    check_main_theorem(make_cosine(0.05), 0.3, 2.0, 2.0, 0.5)
-    distinct = set(seen)
-    assert cached.cache_info().misses <= len(distinct) < len(seen)
-    for args in distinct:
-        assert cached(*args) == cached.__wrapped__(*args)
+@pytest.mark.parametrize("make", [
+    lambda: make_cosine(0.05),
+    lambda: make_manifold("sine-sphere", n=2, L=math.pi),
+    _periodic_spline,
+], ids=["cosine", "sphere", "spline"])
+def test_record_evaluates_few_ledgers(monkeypatch, make):
+    # the delta scan evaluates the top 11 points of its grid and its
+    # regula falsi takes 6 steps, each one ledger and one Moser product;
+    # the record's own epsilon_max takes the last product
+    counts = {"build_ledger": 0, "moser_constant": 0}
+    for name in counts:
+        def counted(*args, name=name, f=getattr(sgv.constants, name)):
+            counts[name] += 1
+            return f(*args)
+        monkeypatch.setattr(sgv.constants, name, counted)
+    check_main_theorem(make(), 0.3, 2.0, 2.0, 0.5)
+    assert counts == {"build_ledger": 17, "moser_constant": 18}
 
 
 def test_record_round_sphere():
